@@ -210,8 +210,10 @@ class ChebyshevKernel:
     def _factor(self, beta):
         key = complex(beta)
         if key not in self._factors:
+            # a real pole gets a real (cheaper) factorisation
+            shift = key.real if key.imag == 0 else key
             self._factors[key] = numerics.shifted_factor(
-                self.op.B, self.op.L, beta, self.tol
+                self.op.B, self.op.L, shift, self.tol
             )
         return self._factors[key]
 

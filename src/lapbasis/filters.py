@@ -27,7 +27,6 @@ KINDS = (
     "mexican_hat",
     "rational",
     "custom",
-    "wave_real",
 )
 
 # filters with a pole at s=0; the constant eigenmode must be deflated
@@ -43,8 +42,6 @@ class FilterSpec:
     commute_time = s^{-1/2}; mexican_hat = s^{1/2} exp(-s^2);
     rational(num, den) with coefficients low-to-high degree;
     custom(samples) interpolates a table of (s, phi(s)) points.
-    wave_real marks the real wave kernel, which is out of scope: it is
-    constructible for bookkeeping but not evaluable.
     """
 
     kind: str
@@ -95,10 +92,6 @@ class FilterSpec:
             raise ValueError("custom filter needs at least two samples")
         return cls("custom", table=samples)
 
-    @classmethod
-    def wave_real(cls):
-        return cls("wave_real")
-
     @property
     def singular_at_zero(self):
         return self.kind in SINGULAR_AT_ZERO
@@ -142,8 +135,6 @@ def evaluate(spec, s):
     elif spec.kind == "custom":
         xs, ys = zip(*spec.table)
         out = np.interp(s, xs, ys)
-    elif spec.kind == "wave_real":
-        raise UnsupportedFeature("the wave kernel filter is out of scope")
     else:
         raise ValueError(f"unknown filter kind {spec.kind!r}")
     return float(out[0]) if scalar else out

@@ -1,8 +1,9 @@
-"""Sparse symmetric solvers and the shift-invert Lanczos eigensolver.
+"""Sparse symmetric solvers and the certified shift-invert eigensolver.
 
 Everything downstream (bases, metrics, seeds) reduces to three primitives:
 SPD solves, shifted complex-symmetric solves, and the smallest generalized
-eigenpairs of a stiffness/mass pencil.
+eigenpairs of a stiffness/mass pencil, from scipy's eigsh (or dense eigh)
+and certified complete by an inertia count.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigh_tridiagonal, solve_triangular
+from scipy.linalg import eigh
 from scipy.sparse import csgraph
 
 from .errors import (
@@ -215,184 +216,82 @@ def solve_shifted(B, L, beta, rhs, tol=1e-10):
 # ---------------------------------------------------------------------------
 # eigensolver
 
-
-def _tridiag_eigs(a, b):
-    """Eigen-decomposition of a symmetric tridiagonal matrix.
-
-    The fast LAPACK driver can fail on block-split matrices with tightly
-    clustered values (breakdown restarts insert zero off-diagonals); fall
-    back to a dense solve, which is cheap at Krylov sizes.
-    """
-    try:
-        return eigh_tridiagonal(a, b)
-    except np.linalg.LinAlgError:
-        T = np.diag(a)
-        if len(b):
-            T += np.diag(b, 1) + np.diag(b, -1)
-        return eigh(T)
+SIGMA = -1e-8  # shift of the shift-invert solves, just below the kernel of L
+CLUSTER_RTOL = 1e-7  # values this close to lambda_k, relative, are its cluster
+CERTIFY_RETRIES = 3  # eigsh calls after the first to fill in missed pairs
 
 
-def smallest_eigenpairs(L, B, k, sigma=-1e-8, tol=1e-10, seed=0):
+def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
     """The k algebraically smallest generalized eigenpairs of L x = lam B x.
 
-    Shift-invert Lanczos in the B-inner product with full
-    reorthogonalisation.  The kernel of L (constants per connected
-    component) is deflated analytically so the Krylov runs never mix the
-    near-infinite shift-inverted kernel with the finite spectrum.  Restarts
-    continue until the k smallest locked values are certified: a fresh
-    deflated run finds nothing below the current k-th value.  A final
-    inverse-iteration + Rayleigh-Ritz pass polishes the non-kernel block.
+    The kernel of L (constants per component) is analytic; dense eigh gives
+    the other pairs when 2k + 1 > n, else scipy's eigsh (ARPACK) in
+    shift-invert mode at SIGMA, with all pairs found so far projected out of
+    each solve.  tol is eigsh's relative accuracy; seed fixes its v0.
 
-    tol is the relative Ritz-residual threshold for locking a pair.
+    Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
+    max(lambda_k, 1) below the lowest value of lambda_k's cluster, or halfway
+    to the next lower value if closer; an inertia count (Sylvester's law)
+    finds the eigenvalues below s.  Missing pairs cost a further eigsh call
+    (at most CERTIFY_RETRIES); spurious ones raise NotConverged.  If k splits
+    a degenerate cluster, the result holds some basis of its share of it.
     """
-    Lm = matrix_data(L).tocsr()
-    Bm = matrix_data(B).tocsr()
+    Lm, Bm = matrix_data(L).tocsr(), matrix_data(B).tocsr()
     n = Lm.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    rng = np.random.default_rng(seed)
 
-    A = (Lm - sigma * Bm).tocsc()
+    kernel = component_nullspace(Lm, Bm)
+    q = kernel.shape[1]
+    if k <= q:
+        return EigenSystem(np.zeros(k), kernel[:, :k], L, B)
+    if 2 * k + 1 > n:
+        vals, X = eigh(Lm.toarray(), Bm.toarray(), subset_by_index=[q, k - 1])
+        return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B)
+
+    A = (Lm - SIGMA * Bm).tocsc()
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise FactorizationFailed(f"shift factorisation failed: {exc}") from exc
 
-    def solve(r):
-        # the factorised matrix is nearly singular (kernel of L); one step
-        # of iterative refinement recovers the lost digits
-        y = lu.solve(r)
-        return y + lu.solve(r - A @ y)
+    rng = np.random.default_rng(seed)
+    vals, X = np.zeros(q), kernel
+    missing = k - q
+    for _ in range(1 + CERTIFY_RETRIES):
+        BX = Bm @ X
 
-    kernel = component_nullspace(Lm, Bm)
-    locked_vecs = [kernel[:, i] for i in range(kernel.shape[1])]
-    locked_vals = [0.0] * len(locked_vecs)
+        def opinv(r, X=X, BX=BX):
+            r = r - BX @ (X.T @ r)
+            y = lu.solve(r)  # A is nearly singular: refine once
+            y += lu.solve(r - A @ y)
+            return y - X @ (BX.T @ y)
 
-    if k <= len(locked_vals):
-        X = np.column_stack(locked_vecs[:k])
-        return EigenSystem(np.zeros(k), X, L, B)
+        v0 = rng.standard_normal(n)
+        OP = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
+        try:
+            found, Xf = spla.eigsh(Lm, missing, M=Bm, sigma=SIGMA, OPinv=OP,
+                                   v0=v0 - X @ (BX.T @ v0), tol=tol)
+        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+            raise NotConverged(f"eigsh failed: {exc}") from exc
+        order = np.argsort(np.r_[vals, found], kind="stable")
+        vals, X = np.r_[vals, found][order], np.c_[X, Xf][:, order]
 
-    def deflate(w):
-        for x in locked_vecs:
-            w = w - x * (x @ (Bm @ w))
-        return w
-
-    def run_once(m_max):
-        """One deflated Lanczos run; returns converged (value, vector)s."""
-        if m_max <= 0:
-            return []
-        v = deflate(rng.standard_normal(n))
-        nv = np.sqrt(v @ (Bm @ v))
-        if nv < 1e-14:
-            return []
-        Q = np.zeros((n, m_max))
-        alphas = np.zeros(m_max)
-        betas = np.zeros(m_max)
-        Q[:, 0] = v / nv
-        j = 0
-        b_last = 0.0
-        while j < m_max:
-            w = solve(Bm @ Q[:, j])
-            a = w @ (Bm @ Q[:, j])
-            alphas[j] = a
-            w = w - a * Q[:, j]
-            if j > 0:
-                w = w - betas[j - 1] * Q[:, j - 1]
-            # full reorthogonalisation, twice, against the run and the locks
-            for _ in range(2):
-                w = w - Q[:, : j + 1] @ (Q[:, : j + 1].T @ (Bm @ w))
-                w = deflate(w)
-            b = np.sqrt(max(w @ (Bm @ w), 0.0))
-            b_last = b
-            if j + 1 < m_max:
-                if b < 1e-13 * max(1.0, abs(a)):
-                    # invariant subspace found; continue from a fresh vector
-                    v2 = deflate(rng.standard_normal(n))
-                    for _ in range(2):
-                        v2 = v2 - Q[:, : j + 1] @ (Q[:, : j + 1].T @ (Bm @ v2))
-                        v2 = deflate(v2)
-                    nv2 = np.sqrt(v2 @ (Bm @ v2))
-                    if nv2 < 1e-12:
-                        j += 1
-                        break
-                    Q[:, j + 1] = v2 / nv2
-                    betas[j] = 0.0
-                else:
-                    Q[:, j + 1] = w / b
-                    betas[j] = b
-            j += 1
-        m = j
-        theta, S = _tridiag_eigs(alphas[:m], betas[: m - 1])
-        resid = np.abs(b_last * S[m - 1, :])
-        out = []
-        for idx in np.argsort(-theta):
-            th = theta[idx]
-            if th <= 0 or resid[idx] > tol * abs(th):
-                continue
-            x = deflate(Q[:, :m] @ S[:, idx])
-            nx = np.sqrt(x @ (Bm @ x))
-            if nx < 0.5:
-                continue
-            out.append((sigma + 1.0 / th, x / nx))
-        return out
-
-    max_restarts = 40 + 4 * k
-    restarts = 0
-    empty_runs = 0
-    while restarts < max_restarts:
-        want = k - len(locked_vals)
-        m_max = min(n - len(locked_vals), max(2 * max(want, 1) + 30, 40))
-        if empty_runs:
-            m_max = min(n - len(locked_vals), m_max * 2**empty_runs)
-        found = run_once(m_max)
-        restarts += 1
-        if not found:
-            if len(locked_vals) >= k:
-                break  # nothing left below the locked set: certified
-            if m_max >= n - len(locked_vals) or empty_runs >= 4:
-                raise NotConverged(
-                    f"Lanczos locked only {len(locked_vals)} of {k} pairs"
-                )
-            empty_runs += 1
-            continue
-        empty_runs = 0
-        new_min = min(lam for lam, _ in found)
-        for lam, x in found:
-            locked_vals.append(lam)
-            locked_vecs.append(x)
-        if len(locked_vals) >= n:
-            break
-        if len(locked_vals) >= k:
-            kth = np.sort(locked_vals)[k - 1]
-            if new_min >= kth - 1e-8 * max(1.0, abs(kth)):
-                break
-    else:
-        raise NotConverged(f"Lanczos restart cap hit with {len(locked_vals)} pairs")
-
-    vals = np.array(locked_vals)
-    order = np.argsort(vals, kind="stable")[:k]
-    vals = vals[order]
-    X = np.column_stack([locked_vecs[i] for i in order])
-
-    # inverse-iteration sweep + Rayleigh-Ritz on the non-kernel block; the
-    # kernel is analytic and must stay out (shift-inversion blows it up)
-    mask = vals <= 1e-8 * max(1.0, float(np.abs(vals).max()))
-    Xn, Xr = X[:, mask], X[:, ~mask]
-    if Xr.shape[1]:
-        P = solve(np.asarray(Bm @ Xr))
-        if Xn.shape[1]:
-            for _ in range(2):
-                P -= Xn @ (Xn.T @ (Bm @ P))
-        P /= np.sqrt(np.einsum("ij,ij->j", P, np.asarray(Bm @ P)))
-        G = P.T @ (Bm @ P)
-        C = np.linalg.cholesky(G)
-        P = solve_triangular(C, P.T, lower=True).T
-        H = P.T @ (Lm @ P)
-        w, U = eigh(0.5 * (H + H.T))
-        Xr, vr = P @ U, w
-    else:
-        vr = np.empty(0)
-    vals = np.concatenate([vals[mask], vr])
-    X = np.column_stack([Xn, Xr]) if Xn.shape[1] else Xr
-    order = np.argsort(vals, kind="stable")
-    return EigenSystem(vals[order], X[:, order], L, B)
+        margin = CLUSTER_RTOL * max(vals[k - 1], 1.0)
+        i = np.searchsorted(vals, vals[k - 1] - margin)
+        s = max(vals[i] - margin, 0.5 * (vals[i - 1] + vals[i]) if i else -np.inf)
+        # with no off-diagonal pivot, P (L - sB) P^T = LU is an LDL^T with
+        # D = diag(U), whose negatives count the eigenvalues below s
+        try:
+            C = spla.splu((Lm - s * Bm).tocsc(), permc_spec="COLAMD",
+                          diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise FactorizationFailed(f"inertia factorisation failed: {exc}") from exc
+        if not np.array_equal(C.perm_r, C.perm_c):
+            raise NotConverged("inertia count unavailable: off-diagonal pivoting")
+        missing = np.count_nonzero(C.U.diagonal() < 0) - np.count_nonzero(vals < s)
+        if missing == 0:
+            return EigenSystem(vals[:k], X[:, :k], L, B)
+        if missing < 0:
+            raise NotConverged(f"computed values below {s:.6g} are spurious")
+    raise NotConverged(f"{missing} eigenvalue(s) below {s:.6g} still missing")

@@ -10,7 +10,6 @@ from lapbasis.errors import (
     DisconnectedMesh,
     DuplicateSeeds,
     SchemeNotSymmetric,
-    UnsupportedFeature,
 )
 from lapbasis.filters import FilterSpec
 from lapbasis.numerics import matrix_data
@@ -202,12 +201,6 @@ class TestTruncatedSpectral:
         )
         assert np.abs(g).max() <= 1e-8
 
-    def test_wave_filter_unsupported(self, eig162_full):
-        with pytest.raises(UnsupportedFeature):
-            lb.truncated_spectral(
-                eig162_full, FilterSpec.wave_real(), np.zeros(162)
-            )
-
     def test_matches_dense_functional_calculus(self, eig162_full, op2):
         rng = np.random.default_rng(13)
         _, B = dense_lb(op2)
@@ -276,6 +269,22 @@ class TestChebyshevKernel:
         assert len(kern._factors) == n_factors
         # conjugate pairs share a factorisation: r=5 has 2 pairs + 1 real
         assert n_factors == 3
+
+    def test_real_pole_factorised_in_real_arithmetic(self, op2, monkeypatch):
+        shifts = []
+        original = lb.numerics.shifted_factor
+
+        def recording(B, L, beta, tol=1e-10):
+            shifts.append(beta)
+            return original(B, L, beta, tol)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", recording)
+        pf = lb.partial_fractions(FilterSpec.exponential(0.04))
+        got = lb.field_values(ChebyshevKernel(op2, pf).apply(np.ones(op2.n)))
+        real = [b for b in shifts if not np.iscomplexobj(b)]
+        assert len(shifts) == 3 and len(real) == 1
+        assert isinstance(real[0], float) and real[0] > 0
+        assert np.abs(got - 1.0).max() <= 2e-5
 
 
 class TestDiffusion:

@@ -53,11 +53,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             lb.evaluate(spec, -0.5)
 
-    def test_wave_has_no_closed_evaluation(self):
-        spec = FilterSpec.wave_real()
-        with pytest.raises(UnsupportedFeature):
-            lb.evaluate(spec, 1.0)
-
     def test_custom_interpolates(self):
         spec = FilterSpec.custom([(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
         assert lb.evaluate(spec, 1.0) == pytest.approx(0.5)

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import lapbasis as lb
+from lapbasis import numerics
 from lapbasis.errors import (
     FactorizationFailed,
     NearSingularShift,
@@ -127,11 +128,42 @@ class TestSolveShifted:
             assert kappa == pytest.approx(want, rel=0.01)
 
 
+def patch_eigsh(monkeypatch, drops):
+    """Make numerics' eigsh lose the lowest pair it finds in its first calls.
+
+    For the first ``drops`` calls it computes one pair more than asked and
+    drops the lowest, which on a symmetric mesh is one member of a
+    degenerate cluster.  Returns the list of requested pair counts.
+    """
+    real = numerics.spla.eigsh
+    calls = []
+
+    def eigsh(A, k, *args, **kwargs):
+        calls.append(k)
+        if len(calls) > drops:
+            return real(A, k, *args, **kwargs)
+        vals, X = real(A, k + 1, *args, **kwargs)
+        keep = np.argsort(vals)[1:]
+        return vals[keep], X[:, keep]
+
+    monkeypatch.setattr(numerics.spla, "eigsh", eigsh)
+    return calls
+
+
 class TestEigenpairs:
-    def test_matches_dense_oracle_full_spectrum(self, op_torus200):
-        L, B = dense_lb(op_torus200)
-        lam = scipy.linalg.eigh(L, B, eigvals_only=True)
-        eig = smallest_eigenpairs(op_torus200.L, op_torus200.B, op_torus200.n)
+    @pytest.mark.parametrize(
+        "op_name, k",
+        [("op_torus200", None), ("op_torus500", 50), ("op3", 110)],
+        ids=["torus200-full", "torus500-k50", "sphere642-k110"],
+    )
+    def test_matches_dense_oracle_full_spectrum(self, request, op_name, k):
+        # torus500 and sphere642 have exactly degenerate clusters inside
+        # the requested range; k=None asks for the whole spectrum (dense)
+        op = request.getfixturevalue(op_name)
+        k = k or op.n
+        L, B = dense_lb(op)
+        lam = scipy.linalg.eigh(L, B, eigvals_only=True)[:k]
+        eig = smallest_eigenpairs(op.L, op.B, k)
         scale = max(lam[-1], 1.0)
         assert np.abs(eig.values - lam).max() <= 1e-6 * scale
 
@@ -187,6 +219,23 @@ class TestEigenpairs:
             smallest_eigenpairs(op1.L, op1.B, op1.n + 1)
         with pytest.raises(ValueError):
             smallest_eigenpairs(op1.L, op1.B, 0)
+
+
+class TestCertificate:
+    def test_recovers_dropped_cluster_member(self, op2, monkeypatch):
+        calls = patch_eigsh(monkeypatch, drops=1)
+        eig = smallest_eigenpairs(op2.L, op2.B, 8)
+        L, B = dense_lb(op2)
+        lam = scipy.linalg.eigh(L, B, eigvals_only=True)[:8]
+        assert len(calls) >= 2
+        assert np.abs(eig.values - lam).max() <= 1e-8 * max(lam[-1], 1.0)
+        G = eig.vectors.T @ B @ eig.vectors
+        assert np.abs(G - np.eye(8)).max() <= 1e-8
+
+    def test_persistent_loss_raises(self, op2, monkeypatch):
+        patch_eigsh(monkeypatch, drops=np.inf)
+        with pytest.raises(NotConverged):
+            smallest_eigenpairs(op2.L, op2.B, 8)
 
 
 class TestNullspace:
