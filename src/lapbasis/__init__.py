@@ -19,6 +19,7 @@ from .basis import (
     harmonic_basis,
     reconstruct,
     spectral_coefficients,
+    spectral_set,
     truncated_spectral,
 )
 from .errors import LapBasisError
@@ -103,6 +104,7 @@ __all__ = [
     "solve_shifted",
     "solve_spd",
     "spectral_coefficients",
+    "spectral_set",
     "support",
     "torus",
     "truncated_spectral",

@@ -25,7 +25,6 @@ from .fields import BasisSet, ScalarField, field_values
 from .filters import (
     FilterSpec,
     evaluate,
-    exp_chebyshev_coefficients,
     partial_fractions,
 )
 
@@ -81,12 +80,7 @@ def harmonic_basis(op, seeds):
     All seed rows are constrained simultaneously, so the returned set is an
     exact partition of unity on a connected mesh.
     """
-    return _constrained_basis(
-        numerics.matrix_data(op.L),
-        seeds,
-        "harmonic",
-        {"scheme": op.scheme},
-    )
+    return _constrained_basis(op.L, seeds, "harmonic", {"scheme": op.scheme})
 
 
 def hamiltonian_basis(op, V, mu, seeds):
@@ -97,16 +91,14 @@ def hamiltonian_basis(op, V, mu, seeds):
     (mu * min V < 0) is allowed but reported as a warning.
     """
     v = field_values(V)
-    Lm = numerics.matrix_data(op.L)
-    Bm = numerics.matrix_data(op.B)
-    if len(v) != Lm.shape[0]:
+    if len(v) != op.n:
         raise ValueError("potential length does not match the operator")
     if mu * v.min() < 0:
         warnings.warn(
             "mu*min(V) < 0: the screened operator may be indefinite",
             stacklevel=2,
         )
-    H = (Lm + mu * (Bm @ sp.diags(v))).tocsc()
+    H = (op.L + mu * (op.B @ sp.diags(v))).tocsc()
     return _constrained_basis(
         H, seeds, "hamiltonian", {"scheme": op.scheme, "mu": mu}
     )
@@ -132,9 +124,7 @@ def eigen_fields(eig):
 
 def spectral_coefficients(eig, f):
     """Expansion coefficients alpha_i = x_i^T B f."""
-    fv = field_values(f)
-    Bm = numerics.matrix_data(eig.B)
-    return eig.vectors.T @ (Bm @ fv)
+    return eig.vectors.T @ (eig.B @ field_values(f))
 
 
 def reconstruct(eig, alpha, k_use, f=None):
@@ -149,11 +139,9 @@ def reconstruct(eig, alpha, k_use, f=None):
         raise ValueError("k_use must lie in 1..k of the stored eigenpairs")
     fk = eig.vectors[:, :k_use] @ alpha[:k_use]
     fv = field_values(f) if f is not None else eig.vectors @ alpha
-    Bm = numerics.matrix_data(eig.B)
-    Lm = numerics.matrix_data(eig.L)
     r = fv - fk
-    resid_sq = float(r @ (Bm @ r))
-    energy = float(fv @ (Lm @ fv))
+    resid_sq = float(r @ (eig.B @ r))
+    energy = float(fv @ (eig.L @ fv))
     lam_next = float(eig.values[k_use]) if k_use < eig.k else math.inf
     bound = energy / lam_next if lam_next > 0 else math.inf
     report = {
@@ -184,7 +172,7 @@ def truncated_spectral(eig, filt, f):
     fv = field_values(f)
     lam, keep = _deflated(eig.values, filt)
     phi = evaluate(filt, lam[keep])
-    alpha = eig.vectors[:, keep].T @ (numerics.matrix_data(eig.B) @ fv)
+    alpha = eig.vectors[:, keep].T @ (eig.B @ fv)
     out = eig.vectors[:, keep] @ (phi * alpha)
     tag = f"truncated[{filt.describe()},k={eig.k}]"
     if not keep.all():
@@ -218,17 +206,15 @@ class ChebyshevKernel:
         return self._factors[key]
 
     def _stage(self, beta, mult, Bf):
-        Bm = numerics.matrix_data(self.op.B)
         solve = self._factor(beta)
         g = solve(Bf)
         for _ in range(mult - 1):
-            g = solve(Bm @ g)
+            g = solve(self.op.B @ g)
         return g
 
     def apply(self, f):
         fv = field_values(f)
-        Bm = numerics.matrix_data(self.op.B)
-        Bf = Bm @ fv
+        Bf = self.op.B @ fv
         acc = self.pf.alpha0 * fv.astype(complex)
         solved = {}
         # fixed term order keeps the reduction deterministic
@@ -260,59 +246,72 @@ def chebyshev_spectral(op, pf, f):
     return ScalarField(out, tag=f"chebyshev[deg={pf.degree}]")
 
 
+def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
+                 kernel=None):
+    """Filtered columns K_phi e_s for each seed s, as one BasisSet.
+
+    The rational route (r shifted solves per column, factorisations
+    shared) runs when method is "chebyshev" and the filter has a rational
+    form; otherwise the truncated route expands over k eigenpairs.  Pass a
+    ChebyshevKernel or EigenSystem to reuse work across calls.  The route
+    is recorded in params["path"] and in each field's tag.
+    """
+    idx = _seed_indices(seeds, op.n)
+    if method not in ("chebyshev", "truncated"):
+        raise ValueError(f"unknown spectral method {method!r}")
+    if method == "chebyshev" and filt.kind in ("exponential", "rational"):
+        if kernel is None:
+            kernel = ChebyshevKernel(op, partial_fractions(filt, r))
+        path = ("chebyshev exact-rational" if filt.kind == "rational"
+                else f"chebyshev table r={r}")
+        column = kernel.apply
+    else:
+        if eig is None:
+            eig = eigen_basis(op, min(k, op.n))
+        path = f"truncated k={eig.k}"
+
+        def column(delta):
+            return field_values(truncated_spectral(eig, filt, delta))
+
+    fields = [
+        ScalarField(column(_delta(op.n, s)),
+                    tag=f"spectral[{filt.describe()},seed={s},{path}]")
+        for s in idx
+    ]
+    return BasisSet(fields, "spectral", seeds=idx.tolist(),
+                    params={"filter": filt.describe(), "path": path})
+
+
 def diffusion_basis(op, t, seed, method="chebyshev", r=5, k=100, eig=None,
                     kernel=None):
     """Heat-kernel column K_t e_seed at diffusion scale t.
 
-    method "chebyshev" folds t into the pole nodes of the precomputed
-    degree-r rational approximation of exp(-s) and performs r shifted
-    solves; "truncated" expands over k eigenpairs (accuracy of the
-    truncation cannot be estimated without the whole spectrum).  Pass a
+    The one-seed case of spectral_set with phi(s) = exp(-t s).  method
+    "chebyshev" folds t into the pole nodes of the precomputed degree-r
+    rational approximation of exp(-s) and performs r shifted solves;
+    "truncated" expands over k eigenpairs (accuracy of the truncation
+    cannot be estimated without the whole spectrum).  Pass a
     ChebyshevKernel or EigenSystem to reuse work across seeds.
     """
     if t <= 0:
         raise ValueError("diffusion scale t must be positive")
-    n = op.n
-    (s,) = _seed_indices([seed], n)
-    delta = np.zeros(n)
-    delta[s] = 1.0
-    if method == "chebyshev":
-        if kernel is None:
-            kernel = ChebyshevKernel(op, exp_chebyshev_coefficients(r).scaled(t))
-        out = kernel.apply(delta)
-        tag = f"diffusion[t={t!r},seed={s},chebyshev r={r}]"
-    elif method == "truncated":
-        if eig is None:
-            if k < n:
-                warnings.warn(
-                    "truncated diffusion with k < n: approximation quality "
-                    "cannot be estimated without the whole spectrum",
-                    stacklevel=2,
-                )
-            eig = eigen_basis(op, min(k, n))
-        out = field_values(
-            truncated_spectral(eig, FilterSpec.exponential(t), delta)
+    if method == "truncated" and eig is None and k < op.n:
+        warnings.warn(
+            "truncated diffusion with k < n: approximation quality "
+            "cannot be estimated without the whole spectrum",
+            stacklevel=2,
         )
-        tag = f"diffusion[t={t!r},seed={s},truncated k={eig.k}]"
-    else:
-        raise ValueError(f"unknown diffusion method {method!r}")
-    return ScalarField(out, tag=tag)
+    (column,) = spectral_set(op, FilterSpec.exponential(t), [seed], method,
+                             r, k, eig, kernel)
+    return column
 
 
 def diffusion_set(op, t, seeds, method="chebyshev", r=5, k=100, eig=None):
     """Diffusion columns for several seeds, sharing factorisations."""
-    kernel = None
-    if method == "chebyshev":
-        kernel = ChebyshevKernel(op, exp_chebyshev_coefficients(r).scaled(t))
-    elif method == "truncated" and eig is None:
-        eig = eigen_basis(op, min(k, op.n))
-    fields = [
-        diffusion_basis(op, t, s, method=method, r=r, k=k, eig=eig,
-                        kernel=kernel)
-        for s in seeds
-    ]
-    return BasisSet(fields, "diffusion", seeds=list(seeds),
-                    params={"t": t, "method": method, "r": r, "k": k})
+    bs = spectral_set(op, FilterSpec.exponential(t), seeds, method, r, k, eig)
+    bs.family = "diffusion"
+    bs.params["t"] = t
+    return bs
 
 
 def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
@@ -320,9 +319,10 @@ def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
 
     role "harmonic": the deflated inverse of the Laplacian, solving
     L g = B(e_seed - constant projection) with <g, 1>_B = 0; requires a
-    connected mesh.  role "diffusion" needs t and delegates to the heat
-    column; role "general" needs a rational-form filter and delegates to
-    the spectrum-free evaluator.
+    symmetric scheme and a connected mesh.  role "diffusion" needs t and
+    delegates to the heat column; role "general" needs a filter and
+    delegates to spectral_set (the rational route for a rational-form
+    filter, else 100 eigenpairs).
     """
     n = op.n
     (s,) = _seed_indices([seed], n)
@@ -333,26 +333,28 @@ def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
     if role == "general":
         if filt is None:
             raise ValueError("general role needs a filter")
-        out = chebyshev_spectral(op, partial_fractions(filt, r), _delta(n, s))
+        (out,) = spectral_set(op, filt, [s], r=r)
         out.tag = f"green[general,{filt.describe()},seed={s}]"
         return out
     if role != "harmonic":
         raise ValueError(f"unknown green kernel role {role!r}")
+    if not op.is_symmetric:
+        raise SchemeNotSymmetric(
+            f"scheme {op.scheme!r} is not symmetric; no harmonic Green kernel"
+        )
 
-    Lm = numerics.matrix_data(op.L)
-    Bm = numerics.matrix_data(op.B)
-    kernel = numerics.component_nullspace(Lm, Bm)
+    kernel = numerics.component_nullspace(op.L, op.B)
     if kernel.shape[1] != 1:
         raise DisconnectedMesh(
             "harmonic Green kernel needs one connected component, found "
             f"{kernel.shape[1]}"
         )
     ones = np.ones(n)
-    area = ones @ (Bm @ ones)
+    area = ones @ (op.B @ ones)
     delta = _delta(n, s)
-    f = delta - (ones @ (Bm @ delta)) / area * ones
-    g = numerics.solve_spd(Lm, Bm @ f, nullspace=ones[:, None])
-    g = g - (ones @ (Bm @ g)) / area * ones
+    f = delta - (ones @ (op.B @ delta)) / area * ones
+    g = numerics.solve_spd(op.L, op.B @ f, nullspace=ones[:, None])
+    g = g - (ones @ (op.B @ g)) / area * ones
     return ScalarField(g, tag=f"green[harmonic,seed={s}]")
 
 

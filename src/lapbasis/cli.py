@@ -13,17 +13,17 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import basis as basis_mod
 from . import metrics as metrics_mod
 from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
-from .filters import parse_filter, partial_fractions, exp_chebyshev_coefficients
+from .filters import FilterSpec, exp_chebyshev_coefficients, parse_filter
 from .ioutil import atomic_write_text, fmt, sha256_file
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
-from .numerics import matrix_data
 
 SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
                "meanvalue": "mean_value"}
@@ -232,12 +232,13 @@ def _parse_seed_args(args, mesh, op):
 
 
 def _residual_summary(eig):
-    Lm = matrix_data(eig.L)
-    Bm = matrix_data(eig.B)
-    R = Lm @ eig.vectors - Bm @ eig.vectors * eig.values
-    num = np.linalg.norm(R, axis=0)
-    den = np.maximum(np.linalg.norm(Lm @ eig.vectors, axis=0), 1e-30)
-    return float((num / den).max())
+    """Largest normwise backward error of the eigenpairs,
+    ||Lx - lam Bx|| / ((||L||_1 + |lam| ||B||_1) ||x||)."""
+    X, lam = eig.vectors, eig.values
+    R = eig.L @ X - eig.B @ X * lam
+    scale = spla.norm(eig.L, 1) + np.abs(lam) * spla.norm(eig.B, 1)
+    return float((np.linalg.norm(R, axis=0)
+                  / (scale * np.linalg.norm(X, axis=0))).max())
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +271,17 @@ def cmd_basis(args):
                 V = ScalarField(np.ones(mesh.n_vertices), tag="V=1")
             bs = basis_mod.hamiltonian_basis(op, V, args.mu, seed_list)
         _export_fields(run, mesh, bs, fam)
-    elif fam == "diffusion":
-        seed_list = _parse_seed_args(args, mesh, op)
-        bs = basis_mod.diffusion_set(op, args.t, seed_list,
-                                     method=args.method, r=args.r, k=args.k)
-        run.info["path"] = (
-            f"chebyshev r={args.r}" if args.method == "chebyshev"
-            else f"truncated k={args.k}"
-        )
-        _export_fields(run, mesh, bs, "diffusion")
-    elif fam == "spectral":
-        if not args.filter_text:
-            raise ValueError("basis spectral needs --filter")
-        filt = parse_filter(args.filter_text)
-        seed_list = _parse_seed_args(args, mesh, op)
-        fields = []
-        if args.method == "chebyshev" and filt.kind in ("exponential", "rational"):
-            pf = partial_fractions(filt, args.r)
-            run.info["path"] = (
-                "chebyshev exact-rational" if filt.kind == "rational"
-                else f"chebyshev table r={args.r}"
-            )
-            kernel = basis_mod.ChebyshevKernel(op, pf)
-            for s in seed_list:
-                delta = np.zeros(mesh.n_vertices)
-                delta[s] = 1.0
-                fields.append(ScalarField(
-                    kernel.apply(delta),
-                    tag=f"spectral[{filt.describe()},seed={s}]",
-                ))
+    elif fam in ("diffusion", "spectral"):
+        if fam == "diffusion":
+            filt = FilterSpec.exponential(args.t)
+        elif args.filter_text:
+            filt = parse_filter(args.filter_text)
         else:
-            eig = basis_mod.eigen_basis(op, min(args.k, mesh.n_vertices))
-            run.info["path"] = f"truncated k={eig.k}"
-            for s in seed_list:
-                delta = np.zeros(mesh.n_vertices)
-                delta[s] = 1.0
-                fields.append(basis_mod.truncated_spectral(eig, filt, delta))
-        bs = BasisSet(fields, "spectral", seeds=seed_list,
-                      params={"filter": args.filter_text})
-        _export_fields(run, mesh, bs, "spectral")
+            raise ValueError("basis spectral needs --filter")
+        bs = basis_mod.spectral_set(op, filt, _parse_seed_args(args, mesh, op),
+                                    method=args.method, r=args.r, k=args.k)
+        run.info["path"] = bs.params["path"]
+        _export_fields(run, mesh, bs, fam)
     elif fam == "green":
         seed_list = _parse_seed_args(args, mesh, op)
         filt = parse_filter(args.filter_text) if args.filter_text else None

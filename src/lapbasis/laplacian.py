@@ -12,7 +12,7 @@ from scipy.io import mmwrite
 
 from .errors import AllDegenerate, EmptyMesh
 from .fields import ScalarField, field_values
-from .numerics import SparseSymMatrix, solve_spd
+from .numerics import solve_spd
 
 SCHEMES = ("linear_fem", "voronoi_cotangent", "mean_value")
 MASS_MODES = ("lumped", "consistent")
@@ -20,17 +20,17 @@ MASS_MODES = ("lumped", "consistent")
 
 @dataclass(frozen=True)
 class LaplacianOperator:
-    """Assembled stiffness L and mass B with their scheme tags.
+    """Assembled stiffness L and mass B, plain scipy CSR matrices.
 
     L is symmetric PSD for the FEM schemes; the mean-value scheme stores a
-    row-normalised non-symmetric matrix (kind "general") which participates
-    only in harmonic-type solves.  negative_weight_count reports edge
-    weights with the "wrong" sign (obtuse cotangents), surfaced rather than
-    corrected.
+    row-normalised non-symmetric matrix which participates only in
+    harmonic-type and spectrum-free solves.  negative_weight_count reports
+    edge weights with the "wrong" sign (obtuse cotangents), surfaced rather
+    than corrected.
     """
 
-    L: SparseSymMatrix
-    B: SparseSymMatrix
+    L: sp.csr_matrix
+    B: sp.csr_matrix
     scheme: str
     mass_mode: str
     negative_weight_count: int = 0
@@ -41,7 +41,7 @@ class LaplacianOperator:
 
     @property
     def is_symmetric(self):
-        return self.L.kind != "general"
+        return self.scheme != "mean_value"
 
 
 def _triangle_geometry(mesh):
@@ -154,13 +154,7 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
         L, W = _mean_value_stiffness(n, tris, p)
         B = _mass(n, tris, areas, lumped=True)
         negatives = int(np.sum(W.data < 0.0))
-        return LaplacianOperator(
-            SparseSymMatrix(L, "general"),
-            SparseSymMatrix(B, "pd"),
-            scheme,
-            "lumped",
-            negatives,
-        )
+        return LaplacianOperator(L, B, scheme, "lumped", negatives)
 
     L = _fem_stiffness(n, tris, p, areas)
     lumped = mass_mode == "lumped" or scheme == "voronoi_cotangent"
@@ -169,11 +163,7 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     off.setdiag(0.0)
     negatives = int(np.sum(off.data > 0.0))  # positive off-diagonal = negative weight
     return LaplacianOperator(
-        SparseSymMatrix(L, "psd"),
-        SparseSymMatrix(B, "pd"),
-        scheme,
-        "lumped" if lumped else "consistent",
-        negatives,
+        L, B, scheme, "lumped" if lumped else "consistent", negatives
     )
 
 
@@ -182,9 +172,9 @@ def apply(op, f):
     values = field_values(f)
     if len(values) != op.n:
         raise ValueError("field length does not match operator dimension")
-    lf = op.L.data @ values
+    lf = op.L @ values
     if op.mass_mode == "lumped":
-        out = lf / op.B.data.diagonal()
+        out = lf / op.B.diagonal()
     else:
         out = solve_spd(op.B, lf)
     return ScalarField(out, tag="laplacian")
@@ -194,6 +184,6 @@ def save_matrix_market(op, prefix):
     """Export L and B as Matrix Market files ``<prefix>.L.mtx``/``.B.mtx``."""
     paths = (f"{prefix}.L.mtx", f"{prefix}.B.mtx")
     symmetry = "symmetric" if op.is_symmetric else "general"
-    mmwrite(paths[0], op.L.data.tocoo(), symmetry=symmetry)
-    mmwrite(paths[1], op.B.data.tocoo(), symmetry="symmetric")
+    mmwrite(paths[0], op.L.tocoo(), symmetry=symmetry)
+    mmwrite(paths[1], op.B.tocoo(), symmetry="symmetric")
     return paths

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
 from .ioutil import atomic_write_text, fmt
@@ -21,7 +20,7 @@ def area_metric(op, f, g):
     """Value-overlap inner product f^T B g (total area for f = g = 1)."""
     fv = field_values(f)
     gv = field_values(g)
-    return float(fv @ (numerics.matrix_data(op.B) @ gv))
+    return float(fv @ (op.B @ gv))
 
 
 def conformal_metric(op, f, g):
@@ -35,20 +34,19 @@ def conformal_metric(op, f, g):
         )
     fv = field_values(f)
     gv = field_values(g)
-    return float(fv @ (numerics.matrix_data(op.L) @ gv))
+    return float(fv @ (op.L @ gv))
 
 
 def _check_adjoint(op, kernel_apply, n, probes=2, seed=0, rtol=1e-8):
     """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B."""
-    Bm = numerics.matrix_data(op.B)
     rng = np.random.default_rng(seed)
     for _ in range(probes):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         Ku = np.asarray(field_values(kernel_apply(u)))
         Kv = np.asarray(field_values(kernel_apply(v)))
-        left = u @ (Bm @ Kv)
-        right = Ku @ (Bm @ v)
+        left = u @ (op.B @ Kv)
+        right = Ku @ (op.B @ v)
         scale = abs(left) + abs(right) + np.linalg.norm(Ku) * np.linalg.norm(v)
         if abs(left - right) > rtol * max(scale, 1e-30):
             raise NotAdjoint(
@@ -68,7 +66,7 @@ def kernel_metric(op, kernel_apply, f, g, check=True):
     if check:
         _check_adjoint(op, kernel_apply, len(gv))
     Kg = np.asarray(field_values(kernel_apply(gv)))
-    return float(fv @ (numerics.matrix_data(op.B) @ Kg))
+    return float(fv @ (op.B @ Kg))
 
 
 @dataclass
@@ -110,15 +108,14 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
         raise ValueError("comparison needs at least one field")
     if normalize:
         F = _normalize(F)
-    Bm = numerics.matrix_data(op.B)
     if metric == "area":
-        M = F.T @ (Bm @ F)
+        M = F.T @ (op.B @ F)
     elif metric == "conformal":
         if not op.is_symmetric:
             raise SchemeNotSymmetric(
                 f"conformal metric undefined for scheme {op.scheme!r}"
             )
-        M = F.T @ (numerics.matrix_data(op.L) @ F)
+        M = F.T @ (op.L @ F)
     elif metric == "kernel":
         if kernel_apply is None:
             raise ValueError("kernel metric needs kernel_apply")
@@ -127,7 +124,7 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
             [np.asarray(field_values(kernel_apply(F[:, j])))
              for j in range(F.shape[1])]
         )
-        M = F.T @ (Bm @ KF)
+        M = F.T @ (op.B @ KF)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     if not np.all(np.isfinite(M)):

@@ -1,15 +1,15 @@
-"""Sparse symmetric solvers and the certified shift-invert eigensolver.
+"""Sparse solvers and the certified shift-invert eigensolver.
 
 Everything downstream (bases, metrics, seeds) reduces to three primitives:
 SPD solves, shifted complex-symmetric solves, and the smallest generalized
 eigenpairs of a stiffness/mass pencil, from scipy's eigsh (or dense eigh)
-and certified complete by an inertia count.
+and certified complete by an inertia count.  Matrices are plain scipy
+sparse matrices; solve_spd checks symmetry on the matrix itself.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 from scipy.sparse import csgraph
@@ -20,34 +20,6 @@ from .errors import (
     NotConverged,
     SingularSystem,
 )
-
-
-@dataclass(frozen=True)
-class SparseSymMatrix:
-    """A sparse matrix with a symmetry/definiteness tag.
-
-    kind is one of "pd", "psd", "indefinite", or "general" (the last for
-    non-symmetric operators such as the mean-value scheme, which are
-    excluded from the eigen path).
-    """
-
-    data: sp.spmatrix
-    kind: str = "psd"
-
-    def __post_init__(self):
-        if self.kind not in ("pd", "psd", "indefinite", "general"):
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def matrix_data(A):
-    """Underlying scipy matrix of a SparseSymMatrix or raw sparse/array."""
-    if isinstance(A, SparseSymMatrix):
-        return A.data
-    return A
 
 
 @dataclass
@@ -76,8 +48,7 @@ def component_nullspace(L, B):
     (a screened operator has the same sparsity but no kernel).  Returns an
     (n, q) array, possibly with q = 0.
     """
-    Lm = matrix_data(L).tocsr()
-    Bm = matrix_data(B)
+    Lm = L.tocsr()
     n = Lm.shape[0]
     ncomp, labels = csgraph.connected_components(Lm, directed=False)
     scale = np.abs(Lm).sum(axis=1).max()
@@ -85,7 +56,7 @@ def component_nullspace(L, B):
     for c in range(ncomp):
         v = (labels == c).astype(float)
         if np.linalg.norm(Lm @ v) <= 1e-10 * scale * np.linalg.norm(v):
-            vecs.append(v / np.sqrt(v @ (Bm @ v)))
+            vecs.append(v / np.sqrt(v @ (B @ v)))
     if not vecs:
         return np.zeros((n, 0))
     return np.column_stack(vecs)
@@ -103,10 +74,11 @@ def solve_spd(A, b, tol=1e-10, nullspace=None):
     systems pass ``nullspace`` (columns spanning ker A, Euclidean-orthonormal
     or close to it); the right-hand side and the iterates are projected onto
     the range and the returned solution is orthogonal to the kernel.
+    Raises ValueError when A is not symmetric up to round-off.
     """
-    if isinstance(A, SparseSymMatrix) and A.kind == "general":
-        raise ValueError("solve_spd requires a symmetric operator")
-    Am = matrix_data(A).tocsr()
+    Am = A.tocsr()
+    if abs(Am - Am.T).max() > 1e-12 * abs(Am).max():
+        raise ValueError("solve_spd requires a symmetric matrix")
     b = np.asarray(b, dtype=float)
     n = Am.shape[0]
 
@@ -172,10 +144,8 @@ def shifted_factor(B, L, beta, tol=1e-10):
     when the factorisation looks numerically singular (estimated condition
     above 1e14); the closure raises NotConverged when refinement stalls.
     """
-    Bm = matrix_data(B)
-    Lm = matrix_data(L)
     dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
-    M = (Bm + beta * Lm).astype(dtype).tocsc() if beta != 0 else Bm.astype(float).tocsc()
+    M = (B + beta * L).astype(dtype).tocsc() if beta != 0 else B.astype(float).tocsc()
     try:
         lu = spla.splu(M)
     except RuntimeError as exc:
@@ -236,7 +206,7 @@ def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
     (at most CERTIFY_RETRIES); spurious ones raise NotConverged.  If k splits
     a degenerate cluster, the result holds some basis of its share of it.
     """
-    Lm, Bm = matrix_data(L).tocsr(), matrix_data(B).tocsr()
+    Lm, Bm = L.tocsr(), B.tocsr()
     n = Lm.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -249,9 +219,8 @@ def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
         vals, X = eigh(Lm.toarray(), Bm.toarray(), subset_by_index=[q, k - 1])
         return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B)
 
-    A = (Lm - SIGMA * Bm).tocsc()
     try:
-        lu = spla.splu(A)
+        lu = spla.splu((Lm - SIGMA * Bm).tocsc())
     except RuntimeError as exc:
         raise FactorizationFailed(f"shift factorisation failed: {exc}") from exc
 
@@ -263,8 +232,7 @@ def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
 
         def opinv(r, X=X, BX=BX):
             r = r - BX @ (X.T @ r)
-            y = lu.solve(r)  # A is nearly singular: refine once
-            y += lu.solve(r - A @ y)
+            y = lu.solve(r)
             return y - X @ (BX.T @ y)
 
         v0 = rng.standard_normal(n)

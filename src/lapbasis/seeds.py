@@ -7,7 +7,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from . import numerics
 from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text
@@ -49,9 +48,8 @@ def curvature_field(mesh, op):
     The Laplacian of the coordinate functions is the mean-curvature normal;
     its half-norm is H (1 on the unit sphere, 0 on a plane).
     """
-    Lm = numerics.matrix_data(op.L)
-    Bm = numerics.matrix_data(op.B).tocsc()
-    LP = np.asarray(Lm @ mesh.vertices)
+    Bm = op.B.tocsc()
+    LP = np.asarray(op.L @ mesh.vertices)
     d = Bm.diagonal()
     if Bm.nnz == len(d):
         HN = LP / d[:, None]

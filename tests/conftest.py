@@ -110,8 +110,4 @@ def two_spheres(sphere1):
 @pytest.fixture(scope="session")
 def dense_pair(op2):
     """Dense (L, B) of the 162-vertex sphere for oracle computations."""
-    from lapbasis.numerics import matrix_data
-
-    L = matrix_data(op2.L).toarray()
-    B = matrix_data(op2.B).toarray()
-    return L, B
+    return op2.L.toarray(), op2.B.toarray()

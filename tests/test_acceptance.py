@@ -16,7 +16,6 @@ import scipy.sparse.csgraph as csgraph
 
 import lapbasis as lb
 from lapbasis.filters import FilterSpec
-from lapbasis.numerics import matrix_data
 
 
 _CAPTURE = [None]
@@ -48,7 +47,7 @@ def criterion(num, title):
 
 
 def dense_lb(op):
-    return matrix_data(op.L).toarray(), matrix_data(op.B).toarray()
+    return op.L.toarray(), op.B.toarray()
 
 
 def delta(n, i):
@@ -150,12 +149,10 @@ def test_criterion_05_metric_identities(op3, eig20_642):
             tol = 1e-7 * (lam[j] if lam[j] > 0 else lam[1])
             assert np.abs(C[:, j] - lam[j] * delta(20, j)).max() <= tol
         # delta inputs read matrix entries exactly
-        Ls = matrix_data(op3.L)
-        Bs = matrix_data(op3.B)
         for i, j in [(0, 0), (0, 1), (17, 17), (40, 321)]:
             ei, ej = delta(op3.n, i), delta(op3.n, j)
-            assert lb.area_metric(op3, ei, ej) == Bs[i, j]
-            assert lb.conformal_metric(op3, ei, ej) == Ls[i, j]
+            assert lb.area_metric(op3, ei, ej) == op3.B[i, j]
+            assert lb.conformal_metric(op3, ei, ej) == op3.L[i, j]
 
 
 def test_criterion_06_orthogonality_small_scales(sphere4, op4):

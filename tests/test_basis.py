@@ -12,13 +12,12 @@ from lapbasis.errors import (
     SchemeNotSymmetric,
 )
 from lapbasis.filters import FilterSpec
-from lapbasis.numerics import matrix_data
 
 from conftest import merge_meshes
 
 
 def dense_lb(op):
-    return matrix_data(op.L).toarray(), matrix_data(op.B).toarray()
+    return op.L.toarray(), op.B.toarray()
 
 
 def delta(n, i):
@@ -340,6 +339,32 @@ class TestDiffusion:
         solo = lb.field_values(lb.diffusion_basis(op2, 0.2, 50))
         assert np.abs(bs.matrix()[:, 1] - solo).max() <= 1e-12
 
+    def test_duplicate_seeds_rejected(self, op2):
+        with pytest.raises(DuplicateSeeds):
+            lb.diffusion_set(op2, 0.1, [5, 5])
+
+    @pytest.mark.parametrize("text, method, path", [
+        ("exp:t=0.2", "chebyshev", "chebyshev table r=5"),
+        ("exp:t=0.2", "truncated", "truncated k=162"),
+        ("rat:num=1;den=1,2,1", "chebyshev", "chebyshev exact-rational"),
+    ])
+    def test_spectral_set_matches_per_seed(self, op2, eig162_full, text,
+                                           method, path):
+        filt = lb.parse_filter(text)
+        seeds = [0, 50, 100]
+        bs = lb.spectral_set(op2, filt, seeds, method=method, eig=eig162_full)
+        assert bs.params["path"] == path
+        assert bs.seeds == seeds
+        for s, got in zip(seeds, bs):
+            if method == "chebyshev":
+                kern = ChebyshevKernel(op2, lb.partial_fractions(filt))
+                want = kern.apply(delta(op2.n, s))
+            else:
+                want = lb.truncated_spectral(eig162_full, filt, delta(op2.n, s))
+            want = lb.field_values(want)
+            assert np.abs(lb.field_values(got) - want).max() <= 1e-12
+            assert path in got.tag
+
     def test_bad_arguments(self, op2):
         with pytest.raises(ValueError):
             lb.diffusion_basis(op2, -1.0, 0)
@@ -409,6 +434,11 @@ class TestGreen:
             lb.truncated_spectral(eig162_full, spec, delta(op2.n, 5))
         )
         assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+
+    def test_mean_value_rejected(self, sphere2):
+        op = lb.assemble(sphere2, scheme="mean_value")
+        with pytest.raises(SchemeNotSymmetric):
+            lb.green_column(op, 0)
 
     def test_disconnected_rejected(self, two_spheres):
         op = lb.assemble(two_spheres)

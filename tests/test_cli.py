@@ -250,6 +250,17 @@ class TestSpectrumCommand:
         assert vals[0] <= 1e-8
         assert vals[1] == pytest.approx(2.0, rel=0.02)
 
+    def test_residual_is_backward_error(self, mesh_path, tmp_path):
+        # a ratio to ||L x|| read 1.0 here: L annihilates the constant
+        out = tmp_path / "run"
+        rc = main([
+            "spectrum", "--mesh", mesh_path, "--k", "10", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out / "spectrum.json") as fh:
+            spec = json.load(fh)
+        assert spec["max_rel_residual"] <= 1e-10
+
 
 class TestErrors:
     def test_missing_mesh(self, tmp_path, capsys):
@@ -281,3 +292,28 @@ class TestErrors:
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
+
+    def test_negative_seed_rejected(self, mesh_path, tmp_path):
+        rc = main([
+            "basis", "spectral", "--mesh", mesh_path, "--seeds=3,-1",
+            "--filter", "exp:t=0.1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+
+    @pytest.mark.parametrize("family", ["harmonic", "diffusion", "spectral"])
+    def test_duplicate_seeds_rejected(self, mesh_path, tmp_path, capsys,
+                                      family):
+        rc = main([
+            "basis", family, "--mesh", mesh_path, "--seeds=3,3",
+            "--filter", "exp:t=0.1", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "distinct" in capsys.readouterr().err
+
+    def test_meanvalue_green_fails_cleanly(self, mesh_path, tmp_path, capsys):
+        rc = main([
+            "basis", "green", "--mesh", mesh_path, "--seed", "4",
+            "--scheme", "meanvalue", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "not symmetric" in capsys.readouterr().err

@@ -8,11 +8,10 @@ from lapbasis.basis import ChebyshevKernel
 from lapbasis.errors import NotAdjoint, SchemeNotSymmetric
 from lapbasis.filters import FilterSpec
 from lapbasis.metrics import save_comparison_csv, save_comparison_pgm
-from lapbasis.numerics import matrix_data
 
 
 def dense_lb(op):
-    return matrix_data(op.L).toarray(), matrix_data(op.B).toarray()
+    return op.L.toarray(), op.B.toarray()
 
 
 def delta(n, i):
