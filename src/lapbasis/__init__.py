@@ -14,6 +14,7 @@ from .basis import (
     diffusion_set,
     eigen_basis,
     eigen_fields,
+    green_basis,
     green_column,
     hamiltonian_basis,
     harmonic_basis,
@@ -88,6 +89,7 @@ __all__ = [
     "farthest_point_sampling",
     "field_values",
     "grid",
+    "green_basis",
     "green_column",
     "hamiltonian_basis",
     "harmonic_basis",

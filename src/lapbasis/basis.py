@@ -314,48 +314,55 @@ def diffusion_set(op, t, seeds, method="chebyshev", r=5, k=100, eig=None):
     return bs
 
 
-def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
-    """Column of the Green kernel of the chosen operator at a seed.
+def green_basis(op, seeds, role="harmonic", t=None, filt=None, r=5):
+    """Columns of the Green kernel of the chosen operator at each seed.
 
     role "harmonic": the deflated inverse of the Laplacian, solving
     L g = B(e_seed - constant projection) with <g, 1>_B = 0; requires a
     symmetric scheme and a connected mesh.  role "diffusion" needs t and
-    delegates to the heat column; role "general" needs a filter and
-    delegates to spectral_set (the rational route for a rational-form
-    filter, else 100 eigenpairs).
+    role "general" a filter; each is one spectral_set call (the rational
+    route for a rational-form filter, else 100 eigenpairs).
     """
-    n = op.n
-    (s,) = _seed_indices([seed], n)
+    idx = _seed_indices(seeds, op.n)
     if role == "diffusion":
         if t is None:
             raise ValueError("diffusion role needs a scale t")
-        return diffusion_basis(op, t, s, method="chebyshev", r=r)
-    if role == "general":
+        fields = spectral_set(op, FilterSpec.exponential(t), idx, r=r).fields
+    elif role == "general":
         if filt is None:
             raise ValueError("general role needs a filter")
-        (out,) = spectral_set(op, filt, [s], r=r)
-        out.tag = f"green[general,{filt.describe()},seed={s}]"
-        return out
-    if role != "harmonic":
+        fields = spectral_set(op, filt, idx, r=r).fields
+        for f, s in zip(fields, idx):
+            f.tag = f"green[general,{filt.describe()},seed={s}]"
+    elif role != "harmonic":
         raise ValueError(f"unknown green kernel role {role!r}")
-    if not op.is_symmetric:
+    elif not op.is_symmetric:
         raise SchemeNotSymmetric(
             f"scheme {op.scheme!r} is not symmetric; no harmonic Green kernel"
         )
+    else:
+        kernel = numerics.component_nullspace(op.L, op.B)
+        if kernel.shape[1] != 1:
+            raise DisconnectedMesh(
+                "harmonic Green kernel needs one connected component, found "
+                f"{kernel.shape[1]}"
+            )
+        ones = np.ones(op.n)
+        area = ones @ (op.B @ ones)
+        fields = []
+        for s in idx:
+            delta = _delta(op.n, s)
+            f = delta - (ones @ (op.B @ delta)) / area * ones
+            g = numerics.solve_spd(op.L, op.B @ f, nullspace=ones[:, None])
+            g = g - (ones @ (op.B @ g)) / area * ones
+            fields.append(ScalarField(g, tag=f"green[harmonic,seed={s}]"))
+    return BasisSet(fields, "green", seeds=idx.tolist(), params={"role": role})
 
-    kernel = numerics.component_nullspace(op.L, op.B)
-    if kernel.shape[1] != 1:
-        raise DisconnectedMesh(
-            "harmonic Green kernel needs one connected component, found "
-            f"{kernel.shape[1]}"
-        )
-    ones = np.ones(n)
-    area = ones @ (op.B @ ones)
-    delta = _delta(n, s)
-    f = delta - (ones @ (op.B @ delta)) / area * ones
-    g = numerics.solve_spd(op.L, op.B @ f, nullspace=ones[:, None])
-    g = g - (ones @ (op.B @ g)) / area * ones
-    return ScalarField(g, tag=f"green[harmonic,seed={s}]")
+
+def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
+    """Green-kernel column at one seed: the one-seed case of green_basis."""
+    (column,) = green_basis(op, [seed], role, t, filt, r)
+    return column
 
 
 def _delta(n, s):

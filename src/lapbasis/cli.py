@@ -283,15 +283,10 @@ def cmd_basis(args):
         run.info["path"] = bs.params["path"]
         _export_fields(run, mesh, bs, fam)
     elif fam == "green":
-        seed_list = _parse_seed_args(args, mesh, op)
         filt = parse_filter(args.filter_text) if args.filter_text else None
-        fields = [
-            basis_mod.green_column(op, s, role=args.role, t=args.t,
-                                   filt=filt, r=args.r)
-            for s in seed_list
-        ]
-        bs = BasisSet(fields, "green", seeds=seed_list,
-                      params={"role": args.role})
+        bs = basis_mod.green_basis(op, _parse_seed_args(args, mesh, op),
+                                   role=args.role, t=args.t, filt=filt,
+                                   r=args.r)
         _export_fields(run, mesh, bs, "green")
     run.info["timings"]["compute_s"] = time.perf_counter() - t1
     print(run.finish())

@@ -12,6 +12,7 @@ from scipy.io import mmwrite
 
 from .errors import AllDegenerate, EmptyMesh
 from .fields import ScalarField, field_values
+from .mesh import DEGENERATE_AREA_FACTOR
 from .numerics import solve_spd
 
 SCHEMES = ("linear_fem", "voronoi_cotangent", "mean_value")
@@ -47,13 +48,11 @@ class LaplacianOperator:
 def _triangle_geometry(mesh):
     """Areas and corner data of the non-degenerate triangles."""
     tris = mesh.triangles
-    p = mesh.vertices[tris]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    keep = areas >= 1e-12 * mesh.bbox_diagonal() ** 2
+    areas = mesh.triangle_areas()
+    keep = areas >= DEGENERATE_AREA_FACTOR * mesh.bbox_diagonal() ** 2
     if not np.any(keep):
         raise AllDegenerate("every triangle is degenerate")
-    return tris[keep], p[keep], areas[keep]
+    return tris[keep], mesh.vertices[tris[keep]], areas[keep]
 
 
 def _fem_stiffness(n, tris, p, areas):

@@ -1,7 +1,8 @@
 """Triangle meshes: ingestion, validation, adjacency, and distances.
 
-Meshes are immutable after construction; every derived quantity is computed
-from the vertex and triangle arrays, which are write-protected.
+Meshes are immutable after construction.  The vertex and triangle arrays
+are write-protected; the edge list and the CSR adjacency matrices are built
+once by the constructor and shared read-only by every caller.
 """
 
 import os
@@ -20,6 +21,9 @@ DEGENERATE_AREA_FACTOR = 1e-12
 
 class TriangleMesh:
     """Vertex positions plus triangle connectivity and derived adjacency.
+
+    ``edges`` holds each undirected edge once as an (i < j) row, in
+    lexicographic order; one rings and both adjacencies share one CSR pattern.
 
     Parameters
     ----------
@@ -68,36 +72,33 @@ class TriangleMesh:
         return len(self.triangles)
 
     def _build_adjacency(self):
-        tris = self.triangles
-        half = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        undirected = np.sort(half, axis=1)
-        edges, counts = np.unique(undirected, axis=0, return_counts=True)
-        edges.setflags(write=False)
-        self.edges = edges
-        self._edge_counts = counts
-
-        # 1-ring neighbours, sorted per vertex
-        both = np.vstack([edges, edges[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        splits = np.searchsorted(both[:, 0], np.arange(1, self.n_vertices))
-        self._one_rings = [r[:, 1] for r in np.split(both, splits)]
-
-        # incident triangles per vertex
-        tri_ids = np.repeat(np.arange(len(tris)), 3)
-        flat = tris.ravel()
-        order = np.argsort(flat, kind="stable")
-        flat, tri_ids = flat[order], tri_ids[order]
-        splits = np.searchsorted(flat, np.arange(1, self.n_vertices))
-        self._vertex_tris = np.split(tri_ids, splits)
+        n = self.n_vertices
+        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        # a canonical CSR sums duplicate half-edges into per-edge triangle
+        # counts and orders the edges lexicographically
+        counts = sp.csr_matrix(
+            (np.ones(len(half), dtype=np.int64), (half[:, 0], half[:, 1])),
+            shape=(n, n),
+        ).tocoo()
+        i, j = counts.row, counts.col
+        self.edges = np.column_stack([i, j]).astype(np.int64)
+        self._edge_counts = counts.data
+        w = np.linalg.norm(self.vertices[i] - self.vertices[j], axis=1)
+        lengths = sp.csr_matrix(
+            (np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)
+        )
+        ones = sp.csr_matrix(
+            (np.ones(lengths.nnz), lengths.indices, lengths.indptr), shape=(n, n)
+        )
+        self._adjacency = {False: ones, True: lengths}
+        for arr in (self.edges, self._edge_counts, ones.data, ones.indices,
+                    ones.indptr, lengths.data, lengths.indices, lengths.indptr):
+            arr.setflags(write=False)
 
     def one_ring(self, i):
         """Sorted vertex indices adjacent to vertex i."""
-        return self._one_rings[i]
-
-    def incident_triangles(self, i):
-        """Indices of triangles containing vertex i."""
-        return self._vertex_tris[i]
+        a = self._adjacency[False]
+        return a.indices[a.indptr[i] : a.indptr[i + 1]]
 
     def boundary_edges(self):
         """Edges with exactly one incident triangle, as a (b, 2) array."""
@@ -125,20 +126,11 @@ class TriangleMesh:
         return np.flatnonzero(self.triangle_areas() < thresh)
 
     def adjacency(self, weighted=False):
-        """Sparse symmetric vertex adjacency.
+        """Sparse symmetric vertex adjacency, built once and read-only.
 
         With ``weighted=True`` entries are edge lengths, otherwise 1.
         """
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        if weighted:
-            w = np.linalg.norm(self.vertices[i] - self.vertices[j], axis=1)
-        else:
-            w = np.ones(len(i))
-        a = sp.coo_matrix(
-            (np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
-            shape=(self.n_vertices, self.n_vertices),
-        )
-        return a.tocsr()
+        return self._adjacency[bool(weighted)]
 
     def connected_components(self):
         """Number of components and the per-vertex component labels."""

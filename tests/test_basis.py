@@ -449,6 +449,24 @@ class TestGreen:
         with pytest.raises(ValueError):
             lb.green_column(op2, 0, role="nosuch")
 
+    @pytest.mark.parametrize("role, kwargs", [
+        ("harmonic", {}),
+        ("diffusion", {"t": 0.3}),
+        ("general", {"filt": FilterSpec.rational([1.0], [1.0, 1.0])}),
+    ])
+    def test_basis_matches_columns(self, op2, role, kwargs):
+        bs = lb.green_basis(op2, [5, 12, 40], role=role, **kwargs)
+        assert bs.family == "green" and bs.params == {"role": role}
+        assert bs.seeds == [5, 12, 40]
+        for s, f in zip(bs.seeds, bs):
+            col = lb.green_column(op2, s, role=role, **kwargs)
+            assert f.tag == col.tag
+            assert np.array_equal(lb.field_values(f), lb.field_values(col))
+
+    def test_basis_duplicate_seeds_rejected(self, op2):
+        with pytest.raises(DuplicateSeeds):
+            lb.green_basis(op2, [3, 3])
+
 
 class TestBasisSet:
     def test_mismatched_lengths_rejected(self):

@@ -123,6 +123,27 @@ class TestBasisCommand:
         ])
         assert rc == 0
 
+    def test_green_general_factorises_once(self, mesh_path, tmp_path,
+                                           monkeypatch):
+        calls = []
+        factor = lb.numerics.shifted_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        out = tmp_path / "run"
+        rc = main([
+            "basis", "green", "--mesh", mesh_path, "--role", "general",
+            "--filter", "rat:num=1;den=1,2,1", "--seeds=1,2,3,4",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(read_manifest(out)["fields"]) == 4
+        # 1/(1+s)^2: one double pole, one factorisation for every seed
+        assert len(calls) == 1
+
     def test_ply_export_colors(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
@@ -300,7 +321,8 @@ class TestErrors:
         ])
         assert rc == 1
 
-    @pytest.mark.parametrize("family", ["harmonic", "diffusion", "spectral"])
+    @pytest.mark.parametrize("family",
+                             ["harmonic", "diffusion", "spectral", "green"])
     def test_duplicate_seeds_rejected(self, mesh_path, tmp_path, capsys,
                                       family):
         rc = main([

@@ -1,4 +1,6 @@
-"""Mesh loading, validation, distances, and round-trips."""
+"""Mesh loading, validation, distances, connectivity, and round-trips."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,6 +37,31 @@ usemtl none
 f 1/1/1 2/1/1 3/1/1 4/1/1
 f 2 5 3
 """
+
+# two components and an isolated vertex: a fan of three triangles around the
+# non-manifold edge (0, 1), a unit square (both with boundary), and vertex 9
+MIXED_VERTS = [
+    [0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0.5, 0.5, 1],
+    [3, 0, 0], [4, 0, 0], [4, 1, 0], [3, 1, 0], [9, 9, 9],
+]
+MIXED_TRIS = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [5, 6, 7], [5, 7, 8]]
+
+
+def mixed_mesh():
+    return lb.TriangleMesh(MIXED_VERTS, MIXED_TRIS)
+
+
+def set_connectivity(mesh):
+    """Edge triangle counts and one rings, built straight from triangles."""
+    counts = Counter()
+    rings = [set() for _ in range(mesh.n_vertices)]
+    for tri in mesh.triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            counts[(min(a, b), max(a, b))] += 1
+            rings[a].add(b)
+            rings[b].add(a)
+    return counts, [sorted(r) for r in rings]
+
 
 PLY_EXTRA = """\
 ply
@@ -183,6 +210,13 @@ class TestValidate:
         rep = lb.validate(two_spheres)
         assert rep.n_components == 2
 
+    def test_nonmanifold_edge_reported(self):
+        rep = lb.validate(mixed_mesh())
+        assert rep.nonmanifold_edges == [(0, 1)]
+        assert rep.as_dict()["nonmanifold_edges"] == [[0, 1]]
+        # two triangle components plus the isolated vertex
+        assert rep.n_components == 3
+
 
 class TestDistances:
     def test_source_distance_zero(self, sphere2):
@@ -252,6 +286,59 @@ class TestTopology:
         assert ncomp == 2
         assert set(labels[:42].tolist()) == {0}
         assert set(labels[42:].tolist()) == {1}
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("make", [
+        mixed_mesh,
+        lambda: lb.icosphere(1),
+        lb.unit_square,
+        lambda: lb.grid(4, 3),
+        lambda: lb.torus(6, 5),
+    ], ids=["mixed", "sphere1", "square", "grid", "torus"])
+    def test_matches_set_construction(self, make):
+        mesh = make()
+        counts, rings = set_connectivity(mesh)
+        edges = sorted(counts)
+        assert mesh.edges.tolist() == [list(e) for e in edges]
+        assert mesh.boundary_edges().tolist() == [
+            list(e) for e in edges if counts[e] == 1
+        ]
+        assert mesh.nonmanifold_edges().tolist() == [
+            list(e) for e in edges if counts[e] > 2
+        ]
+        for i in range(mesh.n_vertices):
+            assert mesh.one_ring(i).tolist() == rings[i]
+
+    def test_adjacency_patterns_and_lengths(self):
+        mesh = mixed_mesh()
+        A = mesh.adjacency()
+        W = mesh.adjacency(weighted=True)
+        assert (A.indices == W.indices).all() and (A.indptr == W.indptr).all()
+        assert (A.data == 1.0).all()
+        rows = np.repeat(np.arange(mesh.n_vertices), np.diff(W.indptr))
+        p = mesh.vertices
+        want = np.linalg.norm(p[rows] - p[W.indices], axis=1)
+        assert np.array_equal(W.data, want)
+        assert A.indptr[9] == A.indptr[10]  # the isolated vertex
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_adjacency_shared_and_read_only(self, sphere1, weighted):
+        A = sphere1.adjacency(weighted=weighted)
+        assert sphere1.adjacency(weighted=weighted) is A
+        for arr in (A.data, A.indices, A.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            A.data[0] = 2.0
+        assert not sphere1.edges.flags.writeable
+
+    def test_geodesic_fps_seeds_pinned(self):
+        mesh = lb.bumpy_sphere(4, seed=101)
+        seeds = lb.farthest_point_sampling(mesh, 20, metric="graph_geodesic")
+        assert list(seeds) == [
+            622, 343, 73, 146, 16, 36, 165, 574, 1000, 2330,
+            1629, 2042, 1178, 1728, 1099, 1466, 296, 427, 965, 2338,
+        ]
 
 
 class TestRoundTrip:
