@@ -9,7 +9,6 @@ kernel metrics.
 
 from .basis import (
     ChebyshevKernel,
-    chebyshev_spectral,
     diffusion_basis,
     diffusion_set,
     eigen_basis,
@@ -43,7 +42,7 @@ from .metrics import (
     conformal_metric,
     kernel_metric,
 )
-from .numerics import EigenSystem, smallest_eigenpairs, solve_shifted, solve_spd
+from .numerics import EigenSystem, smallest_eigenpairs, solve_spd
 from .seeds import (
     CoverageResult,
     SeedSet,
@@ -74,7 +73,6 @@ __all__ = [
     "area_metric",
     "assemble",
     "bumpy_sphere",
-    "chebyshev_spectral",
     "comparison_matrix",
     "conformal_metric",
     "coverage_curve",
@@ -103,7 +101,6 @@ __all__ = [
     "save_off",
     "save_ply",
     "smallest_eigenpairs",
-    "solve_shifted",
     "solve_spd",
     "spectral_coefficients",
     "spectral_set",

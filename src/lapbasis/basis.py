@@ -183,67 +183,31 @@ def truncated_spectral(eig, filt, f):
 class ChebyshevKernel:
     """Spectrum-free evaluator of K_phi via a rational partial fraction.
 
-    K_phi f ~ alpha0 f + sum_j alpha_j g_j with (B + beta_j L) g_j = B f.
-    Each distinct shift is factorised once and reused across applications;
-    conjugate pole pairs are solved once and doubled through the real part.
-    Poles with multiplicity m chain m first-order solves.
+    K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and weights
+    w_j of pf.real_form(), with (B + beta L) g_j = B g_{j-1} and g_0 = f:
+    one solve chain per distinct pole, each shift factorised once and
+    reused.  A pf not closed under conjugation raises ArithmeticError.
     """
 
-    def __init__(self, op, pf, tol=1e-10):
+    def __init__(self, op, pf):
         self.op = op
         self.pf = pf
-        self.tol = tol
+        self._poles = pf.real_form()
         self._factors = {}
-
-    def _factor(self, beta):
-        key = complex(beta)
-        if key not in self._factors:
-            # a real pole gets a real (cheaper) factorisation
-            shift = key.real if key.imag == 0 else key
-            self._factors[key] = numerics.shifted_factor(
-                self.op.B, self.op.L, shift, self.tol
-            )
-        return self._factors[key]
-
-    def _stage(self, beta, mult, Bf):
-        solve = self._factor(beta)
-        g = solve(Bf)
-        for _ in range(mult - 1):
-            g = solve(self.op.B @ g)
-        return g
 
     def apply(self, f):
         fv = field_values(f)
         Bf = self.op.B @ fv
-        acc = self.pf.alpha0 * fv.astype(complex)
-        solved = {}
-        # fixed term order keeps the reduction deterministic
-        for a, b, m in self.pf.terms:
-            b = complex(b)
-            if b.imag >= 0:
-                key = (b, m)
-                if key not in solved:
-                    solved[key] = self._stage(b, m, Bf)
-                g = solved[key]
-            else:
-                # conjugate of an already (or to-be) solved pole
-                key = (b.conjugate(), m)
-                if key not in solved:
-                    solved[key] = self._stage(b.conjugate(), m, Bf)
-                g = np.conj(solved[key])
-            acc = acc + a * g
-        scale = np.abs(acc).max()
-        if scale > 0 and np.abs(acc.imag).max() > 1e-10 * scale:
-            raise ArithmeticError(
-                "spectrum-free evaluation produced a non-real field"
-            )
-        return acc.real
-
-
-def chebyshev_spectral(op, pf, f):
-    """One-shot spectrum-free evaluation of K_phi f (see ChebyshevKernel)."""
-    out = ChebyshevKernel(op, pf).apply(f)
-    return ScalarField(out, tag=f"chebyshev[deg={pf.degree}]")
+        acc = self.pf.alpha0 * fv
+        for beta, weights in self._poles:
+            if beta not in self._factors:
+                self._factors[beta] = numerics.shifted_factor(
+                    self.op.B, self.op.L, beta)
+            solve, g = self._factors[beta], None
+            for w in weights:
+                g = solve(Bf if g is None else self.op.B @ g)
+                acc += (w * g).real
+        return acc
 
 
 def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
@@ -263,7 +227,7 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
         if kernel is None:
             kernel = ChebyshevKernel(op, partial_fractions(filt, r))
         path = ("chebyshev exact-rational" if filt.kind == "rational"
-                else f"chebyshev table r={r}")
+                else f"chebyshev table r={kernel.pf.degree}")
         column = kernel.apply
     else:
         if eig is None:

@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
-from .filters import FilterSpec, exp_chebyshev_coefficients, parse_filter
+from .filters import FilterSpec, parse_filter, partial_fractions
 from .ioutil import atomic_write_text, fmt, sha256_file
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
@@ -312,7 +312,7 @@ def cmd_metrics(args):
         fields = basis_mod.eigen_fields(eig)
     kernel_apply = None
     if args.metric == "kernel":
-        pf = exp_chebyshev_coefficients(args.r).scaled(args.kernel_t)
+        pf = partial_fractions(FilterSpec.exponential(args.kernel_t), args.r)
         kernel_apply = basis_mod.ChebyshevKernel(op, pf).apply
     cm = metrics_mod.comparison_matrix(
         op, fields, metric=args.metric, kernel_apply=kernel_apply,
@@ -351,11 +351,11 @@ def cmd_coverage(args):
     mesh = load_mesh(args.mesh)
     op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
     kernel = basis_mod.ChebyshevKernel(
-        op, exp_chebyshev_coefficients(args.r).scaled(args.t)
+        op, partial_fractions(FilterSpec.exponential(args.t), args.r)
     )
 
     def generator(s):
-        return basis_mod.diffusion_basis(op, args.t, s, kernel=kernel, r=args.r)
+        return basis_mod.diffusion_basis(op, args.t, s, kernel=kernel)
 
     result = seeds_mod.coverage_loop(
         mesh, op, generator, k0=args.k0, tau=args.tau, metric=args.metric,

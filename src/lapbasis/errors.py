@@ -78,6 +78,10 @@ class DegreeMismatch(LapBasisError):
     """Rational filter numerator degree exceeds denominator degree."""
 
 
+class InaccurateDecomposition(LapBasisError):
+    """Partial fractions of a rational filter do not reproduce it."""
+
+
 # bases and seeds
 
 

@@ -6,7 +6,6 @@ the exponential this comes from a precomputed rational approximation table,
 for rational filters from exact partial fractions.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,19 +13,11 @@ import numpy as np
 from ._exp_cheb import SUP_ERROR, TABLE
 from .errors import (
     DegreeMismatch,
+    InaccurateDecomposition,
     RepeatedRoots,
     SingularEvaluation,
     UnsupportedDegree,
     UnsupportedFeature,
-)
-
-KINDS = (
-    "exponential",
-    "polyharmonic",
-    "commute_time",
-    "mexican_hat",
-    "rational",
-    "custom",
 )
 
 # filters with a pole at s=0; the constant eigenmode must be deflated
@@ -145,9 +136,9 @@ class PartialFraction:
     """phi(s) ~ alpha0 + sum alpha (1 + beta s)^{-mult}.
 
     terms are (alpha, beta, mult) with complex alpha, beta; complex poles
-    occur in exact conjugate pairs with conjugate weights.  mult > 1 arises
-    only for repeated real poles and is evaluated by chained first-order
-    stages on the operator side.
+    occur in conjugate pairs with conjugate weights.  mult > 1 arises only
+    for repeated real poles.  real_form() folds the pairs into real
+    arithmetic; evaluation here and on the operator side goes through it.
     """
 
     alpha0: float
@@ -162,17 +153,44 @@ class PartialFraction:
             self.degree,
         )
 
+    def real_form(self):
+        """The distinct poles in the closed upper half-plane with weights.
+
+        Returns ((beta, weights), ...), beta a float when real, such that
+        phi(s) = alpha0 + sum Re(weights[j-1] (1 + beta s)^{-j}), j = 1..m,
+        for real s.  A lower-half-plane term folds onto its mirror pole
+        with the conjugate weight, so an exact pair's weight doubles.
+        Raises ArithmeticError unless the terms are closed under
+        conjugation with conjugate weights (to 1e-10 relative).
+        """
+        poles = {}  # beta -> {order: [weight, folded mirror weight]}
+        for a, b, m in self.terms:
+            a, b = complex(a), complex(b)
+            lower = b.imag < 0
+            if lower:
+                a, b = a.conjugate(), b.conjugate()
+            poles.setdefault(b, {}).setdefault(m, [0j, 0j])[lower] += a
+        out = []
+        for b, orders in poles.items():
+            weights = []
+            for j in range(1, max(orders) + 1):
+                u, lo = orders.get(j, (0j, 0j))
+                w, mismatch = u + lo, u - lo
+                if b.imag == 0:
+                    w, mismatch = w.real, mismatch.imag
+                if abs(mismatch) > 1e-10 * (abs(u) + abs(lo)):
+                    raise ArithmeticError("partial fraction is not real")
+                weights.append(w)
+            out.append((b.real if b.imag == 0 else b, tuple(weights)))
+        return tuple(out)
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        out = np.full(s.shape, self.alpha0, dtype=complex)
-        for a, b, m in self.terms:
-            out += a / (1.0 + b * s) ** m
-        scale = np.abs(out).max()
-        if scale > 0 and np.abs(out.imag).max() > 1e-12 * scale:
-            raise ArithmeticError("partial fraction evaluated non-real")
-        return float(out[0].real) if scalar else out.real
+        out = np.full(s.shape, float(self.alpha0))
+        for beta, weights in self.real_form():
+            for j, w in enumerate(weights, 1):
+                out += (w / (1.0 + beta * s) ** j).real
+        return float(out) if out.ndim == 0 else out
 
 
 def exp_chebyshev_coefficients(r=5):
@@ -220,12 +238,56 @@ def _series_divide(num, den, order):
     return q
 
 
+# np.roots splits an m-fold root by about eps^(1/m) (6e-6 at m = 3): root
+# groupings, relative to the largest root, tried until the check passes
+CLUSTER_RTOLS = (1e-6, 1e-4, 1e-2)
+DECOMPOSITION_RTOL = 1e-10  # relative to max |phi| on the check grid
+
+
+def _pole_terms(num, den, roots, tol):
+    """(alpha, beta, mult) terms of num/den, roots within tol grouped."""
+    groups = []
+    for r in roots:
+        for g in groups:
+            if abs(r - g[0]) < tol:
+                g.append(r)
+                break
+        else:
+            groups.append([r])
+    terms = []
+    for g in groups:
+        mu = np.mean(g)
+        m = len(g)
+        if m > 1 and abs(mu.imag) > tol:
+            raise RepeatedRoots("repeated complex denominator roots unsupported")
+        if abs(mu.imag) <= tol:
+            mu = complex(mu.real, 0.0)
+        # Taylor expansion of num/(den with this root removed) about mu;
+        # the quotient keeps den's leading coefficient
+        reduced = den[::-1]
+        for _ in range(m):
+            reduced, rem = np.polydiv(reduced, np.array([1.0, -mu]))
+        series = _series_divide(_taylor_at(num, mu, m),
+                                _taylor_at(reduced[::-1], mu, m), m)
+        for j in range(m, 0, -1):
+            # residue of order j is the series coefficient m-j
+            r_j = series[m - j]
+            if r_j == 0.0:
+                continue
+            # r/(s-mu)^j = r*(-mu)^{-j} (1 + beta s)^{-j}, beta = -1/mu
+            terms.append((r_j * (-mu) ** (-j), -1.0 / mu, j))
+    terms.sort(key=lambda t: (t[2], t[1].real, t[1].imag))
+    return tuple(terms)
+
+
 def rational_partial_fractions(spec):
     """Exact partial fractions of a rational filter in (1+beta s) form.
 
     Repeated real denominator roots become higher-multiplicity terms
     (evaluated by chained solves); repeated complex roots are rejected.
-    A root at s=0 is not representable in this form.
+    A root at s=0 is not representable in this form.  Raises
+    InaccurateDecomposition unless the result matches evaluate() on a log
+    grid around the roots for some grouping of them (CLUSTER_RTOLS).
     """
     if spec.kind != "rational":
         raise ValueError("rational_partial_fractions needs a rational filter")
@@ -246,47 +308,23 @@ def rational_partial_fractions(spec):
         alpha0 = 0.0
 
     roots = np.roots(den[::-1])
-    # cluster roots: np.roots splits an exact double root by ~sqrt(eps)
-    tol = 1e-6 * max(1.0, np.abs(roots).max())
-    groups = []
-    for r in roots:
-        for g in groups:
-            if abs(r - g[0]) < tol:
-                g.append(r)
-                break
-        else:
-            groups.append([r])
-    terms = []
-    for g in groups:
-        mu = np.mean(g)
-        m = len(g)
-        if abs(mu) < tol:
-            raise ValueError(
-                "denominator root at s=0; use a singular filter kind instead"
-            )
-        if m > 1 and abs(mu.imag) > tol:
-            raise RepeatedRoots("repeated complex denominator roots unsupported")
-        if abs(mu.imag) <= tol and np.isreal(den).all():
-            mu = complex(mu.real, 0.0)
-        # Taylor expansion of num/(den with this root removed) about mu
-        reduced = den[::-1]
-        for _ in range(m):
-            reduced, rem = np.polydiv(reduced, np.array([1.0, -mu]))
-        taylor_num = _taylor_at(num, mu, m)
-        taylor_den = _taylor_at(reduced[::-1], mu, m)
-        series = _series_divide(taylor_num, taylor_den, m)
-        lead = den[-1]
-        for j in range(m, 0, -1):
-            # residue of order j is the series coefficient m-j
-            r_j = series[m - j] / lead
-            if r_j == 0.0:
-                continue
-            # r/(s-mu)^j = r*(-mu)^{-j} (1 + beta s)^{-j}, beta = -1/mu
-            alpha = r_j * (-mu) ** (-j)
-            beta = -1.0 / mu
-            terms.append((alpha, beta, j))
-    terms.sort(key=lambda t: (t[2], t[1].real, t[1].imag))
-    return PartialFraction(float(alpha0), tuple(terms), den_deg)
+    scale = max(1.0, np.abs(roots).max())
+    if np.abs(roots).min() < CLUSTER_RTOLS[0] * scale:
+        raise ValueError(
+            "denominator root at s=0; use a singular filter kind instead"
+        )
+    # every root lies in [1e-6, 1] * scale: three decades beyond both ends
+    s = np.r_[0.0, np.logspace(-9, 3, 800) * scale]
+    want = evaluate(spec, s)
+    for rtol in CLUSTER_RTOLS:
+        terms = _pole_terms(num, den, roots, rtol * scale)
+        pf = PartialFraction(float(alpha0), terms, den_deg)
+        err = np.abs(pf(s) - want).max()
+        if err <= DECOMPOSITION_RTOL * np.abs(want).max():
+            return pf
+    raise InaccurateDecomposition(
+        f"partial fractions of {spec.describe()} are off by {err:.1e}"
+    )
 
 
 def partial_fractions(spec, r=5):

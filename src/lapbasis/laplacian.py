@@ -109,9 +109,10 @@ def _mean_value_stiffness(n, tris, p):
         v = p[:, (corner + 2) % 3] - p[:, corner]
         lu = np.linalg.norm(u, axis=1)
         lv = np.linalg.norm(v, axis=1)
-        cos = np.einsum("ij,ij->i", u, v) / (lu * lv)
-        sin = np.linalg.norm(np.cross(u, v), axis=1) / (lu * lv)
-        tan_half = sin / (1.0 + cos)  # tan(angle/2), stable for angle < pi
+        # tan(angle/2) from unit vectors, finite where the angle rounds to pi
+        uh, vh = u / lu[:, None], v / lv[:, None]
+        tan_half = (np.linalg.norm(uh - vh, axis=1)
+                    / np.linalg.norm(uh + vh, axis=1))
         rows.extend([a, a])
         cols.extend([b, c])
         vals.extend([tan_half / lu, tan_half / lv])

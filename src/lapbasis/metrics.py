@@ -13,8 +13,6 @@ from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
 from .ioutil import atomic_write_text, fmt
 
-METRICS = ("area", "conformal", "kernel")
-
 
 def area_metric(op, f, g):
     """Value-overlap inner product f^T B g (total area for f = g = 1)."""

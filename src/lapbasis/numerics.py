@@ -136,7 +136,7 @@ def solve_spd(A, b, tol=1e-10, nullspace=None):
     return x
 
 
-def shifted_factor(B, L, beta, tol=1e-10):
+def shifted_factor(B, L, beta):
     """Factorise (B + beta L) once; returns a solver closure rhs -> g.
 
     Complex shifts give complex symmetric (non-Hermitian) systems; these are
@@ -144,6 +144,7 @@ def shifted_factor(B, L, beta, tol=1e-10):
     when the factorisation looks numerically singular (estimated condition
     above 1e14); the closure raises NotConverged when refinement stalls.
     """
+    tol = 1e-10  # relative residual each solve must reach
     dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
     M = (B + beta * L).astype(dtype).tocsc() if beta != 0 else B.astype(float).tocsc()
     try:
@@ -176,11 +177,6 @@ def shifted_factor(B, L, beta, tol=1e-10):
         return x
 
     return solve
-
-
-def solve_shifted(B, L, beta, rhs, tol=1e-10):
-    """Solve (B + beta L) g = rhs for a real or complex shift beta."""
-    return shifted_factor(B, L, beta, tol)(rhs).astype(complex)
 
 
 # ---------------------------------------------------------------------------

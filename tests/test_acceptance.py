@@ -218,7 +218,7 @@ def test_criterion_09_dense_oracle_equivalence():
             assert np.abs(trunc - want).max() <= 1e-6
 
             pf = lb.partial_fractions(FilterSpec.exponential(t))
-            cheb = lb.field_values(lb.chebyshev_spectral(op, pf, f))
+            cheb = lb.ChebyshevKernel(op, pf).apply(f)
             assert np.abs(cheb - want).max() <= 1e-4
 
             seeds = [0, n // 3, 2 * n // 3]

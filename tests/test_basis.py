@@ -11,7 +11,7 @@ from lapbasis.errors import (
     DuplicateSeeds,
     SchemeNotSymmetric,
 )
-from lapbasis.filters import FilterSpec
+from lapbasis.filters import FilterSpec, PartialFraction
 
 from conftest import merge_meshes
 
@@ -216,7 +216,7 @@ class TestTruncatedSpectral:
 class TestChebyshevKernel:
     def test_constant_input_reproduced(self, op3):
         pf = lb.partial_fractions(FilterSpec.exponential(0.5))
-        g = lb.field_values(lb.chebyshev_spectral(op3, pf, np.ones(op3.n)))
+        g = ChebyshevKernel(op3, pf).apply(np.ones(op3.n))
         # K 1 = p_r(0) 1, and p_r(0) is within the table error of 1
         assert np.abs(g - 1.0).max() <= 2e-5
 
@@ -241,7 +241,7 @@ class TestChebyshevKernel:
             lb.truncated_spectral(eig162_full, FilterSpec.exponential(t), f)
         )
         pf = lb.partial_fractions(FilterSpec.exponential(t))
-        cheb = lb.field_values(lb.chebyshev_spectral(op2, pf, f))
+        cheb = ChebyshevKernel(op2, pf).apply(f)
         # rational sup error 9.35e-6 times the input's B-norm scale
         assert np.abs(cheb - truncated).max() <= 5e-5 * np.abs(f).max()
 
@@ -251,7 +251,7 @@ class TestChebyshevKernel:
         f = rng.standard_normal(op2.n)
         spec = FilterSpec.rational([1.0], [1.0, 2.0, 1.0])
         pf = lb.rational_partial_fractions(spec)
-        got = lb.field_values(lb.chebyshev_spectral(op2, pf, f))
+        got = ChebyshevKernel(op2, pf).apply(f)
         A = np.linalg.solve(B, L)
         M = np.linalg.inv(np.eye(op2.n) + A) @ np.linalg.inv(
             np.eye(op2.n) + A
@@ -269,13 +269,41 @@ class TestChebyshevKernel:
         # conjugate pairs share a factorisation: r=5 has 2 pairs + 1 real
         assert n_factors == 3
 
+    @pytest.mark.parametrize("terms", [
+        ((1.0 + 1.0j, 0.5 + 0.5j, 1),),  # no conjugate pole
+        ((1.0 + 1.0j, 0.5 + 0.5j, 1), (1.0 + 1.0j, 0.5 - 0.5j, 1)),  # weights
+    ])
+    def test_nonconjugate_terms_rejected_at_construction(self, op1, terms):
+        pf = PartialFraction(alpha0=0.0, terms=terms, degree=len(terms))
+        with pytest.raises(ArithmeticError):
+            ChebyshevKernel(op1, pf)
+
+    def test_double_pole_chains_two_solves(self, op2, monkeypatch):
+        solves = []
+        original = lb.numerics.shifted_factor
+
+        def counting(B, L, beta):
+            solve = original(B, L, beta)
+
+            def counted(rhs):
+                solves.append(beta)
+                return solve(rhs)
+            return counted
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        filt = lb.parse_filter("rat:num=1;den=1,2,1")  # 1/(1+s)^2
+        bs = lb.spectral_set(op2, filt, [0, 50, 100])
+        assert len(bs.fields) == 3
+        # g_1 = solve(B f), g_2 = solve(B g_1): two solves per column
+        assert len(solves) == 2 * 3
+
     def test_real_pole_factorised_in_real_arithmetic(self, op2, monkeypatch):
         shifts = []
         original = lb.numerics.shifted_factor
 
-        def recording(B, L, beta, tol=1e-10):
+        def recording(B, L, beta):
             shifts.append(beta)
-            return original(B, L, beta, tol)
+            return original(B, L, beta)
 
         monkeypatch.setattr(lb.numerics, "shifted_factor", recording)
         pf = lb.partial_fractions(FilterSpec.exponential(0.04))
@@ -364,6 +392,27 @@ class TestDiffusion:
             want = lb.field_values(want)
             assert np.abs(lb.field_values(got) - want).max() <= 1e-12
             assert path in got.tag
+
+    def test_path_reports_kernel_degree(self, op2):
+        filt = FilterSpec.exponential(0.2)
+        kern = ChebyshevKernel(op2, lb.partial_fractions(filt, 7))
+        bs = lb.spectral_set(op2, filt, [0, 50], kernel=kern)
+        assert bs.params["path"] == "chebyshev table r=7"
+        assert all("chebyshev table r=7" in f.tag for f in bs)
+
+    @pytest.mark.parametrize("den", [
+        [1.0, 2.0],  # non-monic: 1/(1+2s)
+        [1.0, 3.0, 3.0, 1.0],  # triple pole: 1/(1+s)^3
+    ])
+    def test_rational_column_matches_dense_inverse(self, op2, den):
+        # phi = 1/q(s) with q(s) = sum den[i] s^i, so K = q(B^-1 L)^-1
+        L, B = dense_lb(op2)
+        A = np.linalg.solve(B, L)
+        Q = sum(c * np.linalg.matrix_power(A, i) for i, c in enumerate(den))
+        want = np.linalg.solve(Q, delta(op2.n, 3))
+        (got,) = lb.spectral_set(op2, FilterSpec.rational([1.0], den), [3])
+        got = lb.field_values(got)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
     def test_bad_arguments(self, op2):
         with pytest.raises(ValueError):

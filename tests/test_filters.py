@@ -6,6 +6,7 @@ import pytest
 import lapbasis as lb
 from lapbasis.errors import (
     DegreeMismatch,
+    InaccurateDecomposition,
     RepeatedRoots,
     SingularEvaluation,
     UnsupportedDegree,
@@ -171,6 +172,45 @@ class TestRationalPartialFractions:
         with pytest.raises(ValueError):
             lb.rational_partial_fractions(spec)
 
+    @pytest.mark.parametrize("den", [
+        [1.0, 2.0],  # 1/(1+2s)
+        [1.0, 0.0, 4.0],  # 1/(1+4s^2)
+        [3.0, 6.0, 3.0],  # 1/(3(1+s)^2)
+        [1.0, 1.0, 0.5],  # a complex pair, leading coefficient 1/2
+    ])
+    def test_non_monic_denominator(self, den):
+        spec = FilterSpec.rational([1.0], den)
+        pf = lb.rational_partial_fractions(spec)
+        s = self.grid()
+        want = lb.evaluate(spec, s)
+        assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_high_multiplicity_real_pole(self, m):
+        # np.roots splits an m-fold root by about eps^(1/m)
+        den = np.polynomial.polynomial.polypow([1.0, 1.0], m)  # (1+s)^m
+        spec = FilterSpec.rational([1.0], den)
+        pf = lb.rational_partial_fractions(spec)
+        s = self.grid()
+        want = lb.evaluate(spec, s)
+        assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
+        ((beta, weights),) = pf.real_form()
+        assert beta == pytest.approx(1.0) and len(weights) == m
+
+    def test_nearby_simple_poles_stay_apart(self):
+        spec = FilterSpec.rational([1.0], [1.0, 2.01, 1.01])  # (1+s)(1+1.01s)
+        pf = lb.rational_partial_fractions(spec)
+        s = self.grid()
+        want = lb.evaluate(spec, s)
+        assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
+        assert [len(w) for _, w in pf.real_form()] == [1, 1]
+
+    def test_unresolved_root_cluster_raises(self):
+        # an 8-fold root splits by about 1e-2, wider than any grouping
+        den = np.polynomial.polynomial.polypow([1.0, 1.0], 8)
+        with pytest.raises(InaccurateDecomposition):
+            lb.rational_partial_fractions(FilterSpec.rational([1.0], den))
+
     def test_reevaluation_identity_exact(self):
         # evaluating the decomposition reproduces the filter to 1e-12
         spec = FilterSpec.rational([1.0, 0.5], [1.0, 2.0, 1.0])
@@ -200,6 +240,18 @@ class TestPartialFractionsDispatch:
     def test_polyharmonic_has_no_rational_form(self):
         with pytest.raises(UnsupportedFeature):
             lb.partial_fractions(FilterSpec.polyharmonic(2))
+
+    def test_real_form_folds_conjugate_pairs(self):
+        pf = lb.exp_chebyshev_coefficients(5)
+        form = dict(pf.real_form())
+        # r=5: one real pole and two pairs, each pair on its upper pole
+        assert len(form) == 3
+        for a, b, _ in pf.terms:
+            if b.imag > 0:
+                assert form[b] == (2 * a,)
+            elif b.imag == 0:
+                assert isinstance(b.real, float)
+                assert form[b.real] == (a.real,)
 
     def test_nonconjugate_terms_rejected_at_evaluation(self):
         pf = PartialFraction(

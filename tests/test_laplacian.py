@@ -1,6 +1,7 @@
 """Operator assembly: cotangent weights, mass matrices, mean-value scheme."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestMeanValue:
         op = lb.assemble(sphere2, scheme="mean_value")
         r = op.L @ np.ones(op.n)
         assert np.abs(r).max() <= 1e-12
+
+    def test_sliver_angle_near_pi_keeps_weights(self):
+        # vertex 4 sits 1e-9 above edge (0, 1): its angle in triangle
+        # (0, 1, 4) rounds to pi, yet no triangle is below the threshold
+        verts = np.array([[0, 0, 0], [2, 0, 0], [1, -1, 0], [1, 1, 0],
+                          [1, 1e-9, 0], [3, 0, 0]], dtype=float)
+        tris = np.array([[0, 1, 4], [0, 4, 3], [4, 1, 3], [0, 2, 1],
+                         [1, 2, 5], [1, 5, 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = lb.assemble(lb.TriangleMesh(verts, tris), scheme="mean_value")
+        L = op.L.toarray()
+        assert np.isfinite(L).all()
+        assert np.count_nonzero(np.delete(L[4], 4)) >= 2
+        assert np.abs(L.sum(axis=1)).max() <= 1e-12
 
 
 class TestExport:

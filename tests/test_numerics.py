@@ -79,7 +79,7 @@ class TestSolveShifted:
     def test_zero_shift_is_identity(self, op2):
         rng = np.random.default_rng(2)
         f = rng.standard_normal(op2.n)
-        g = lb.solve_shifted(op2.B, op2.L, 0.0, op2.B @ f)
+        g = shifted_factor(op2.B, op2.L, 0.0)(op2.B @ f)
         assert np.abs(g - f).max() <= 1e-10 * np.abs(f).max()
 
     def test_diagonal_closed_form(self):
@@ -87,7 +87,7 @@ class TestSolveShifted:
         L = sp.diags([0.0, 1.0, 4.0]).tocsr()
         beta = 0.5 + 0.25j
         rhs = np.array([1.0, 1.0, 1.0])
-        g = lb.solve_shifted(B, L, beta, rhs)
+        g = shifted_factor(B, L, beta)(rhs)
         assert np.allclose(g, 1.0 / (1.0 + beta * np.array([0.0, 1.0, 4.0])))
 
     def test_torus_vs_dense_complex(self, op_torus500):
@@ -95,7 +95,7 @@ class TestSolveShifted:
         L, B = dense_lb(op_torus500)
         f = rng.standard_normal(op_torus500.n)
         for beta in (0.2 + 0.3j, 1.0 + 0j, 0.05 - 0.7j):
-            g = lb.solve_shifted(op_torus500.B, op_torus500.L, beta, B @ f)
+            g = shifted_factor(op_torus500.B, op_torus500.L, beta)(B @ f)
             want = np.linalg.solve(B + beta * L, B @ f)
             assert np.abs(g - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -103,15 +103,15 @@ class TestSolveShifted:
         rng = np.random.default_rng(4)
         f = op2.B @ rng.standard_normal(op2.n)
         beta = 0.4 + 0.9j
-        g1 = lb.solve_shifted(op2.B, op2.L, beta, f)
-        g2 = lb.solve_shifted(op2.B, op2.L, np.conj(beta), f)
+        g1 = shifted_factor(op2.B, op2.L, beta)(f)
+        g2 = shifted_factor(op2.B, op2.L, np.conj(beta))(f)
         assert np.abs(g1 - np.conj(g2)).max() <= 1e-12 * np.abs(g1).max()
 
     def test_near_singular_shift_detected(self, op1):
         eig = lb.eigen_basis(op1, 4)
         beta = -1.0 / eig.values[1]  # makes B + beta L exactly singular
         with pytest.raises(NearSingularShift):
-            lb.solve_shifted(op1.B, op1.L, beta, np.ones(op1.n))
+            shifted_factor(op1.B, op1.L, beta)(np.ones(op1.n))
 
     def test_factor_reuse_matches_single_solves(self, op2):
         rng = np.random.default_rng(5)
@@ -119,7 +119,7 @@ class TestSolveShifted:
         for _ in range(3):
             rhs = rng.standard_normal(op2.n)
             a = solve(rhs)
-            b = lb.solve_shifted(op2.B, op2.L, 0.3 + 0.1j, rhs)
+            b = shifted_factor(op2.B, op2.L, 0.3 + 0.1j)(rhs)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_conditioning_follows_spectrum(self, op_torus200):
