@@ -42,7 +42,7 @@ from .metrics import (
     conformal_metric,
     kernel_metric,
 )
-from .numerics import EigenSystem, smallest_eigenpairs, solve_spd
+from .numerics import EigenSystem, smallest_eigenpairs
 from .seeds import (
     CoverageResult,
     SeedSet,
@@ -101,7 +101,6 @@ __all__ = [
     "save_off",
     "save_ply",
     "smallest_eigenpairs",
-    "solve_spd",
     "spectral_coefficients",
     "spectral_set",
     "support",

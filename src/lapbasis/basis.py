@@ -30,6 +30,8 @@ from .filters import (
 
 # eigenvalues at or below this (relative) size count as the kernel of L
 KERNEL_REL_TOL = 1e-8
+# vertex held at 0 by the harmonic Green solve, before the B-mean is removed
+GREEN_PIN = 0
 
 
 def _seed_indices(seeds, n):
@@ -43,34 +45,48 @@ def _seed_indices(seeds, n):
     return idx
 
 
-def _constrained_basis(M, seeds, family, params):
-    """Solve M g = e_i with every seed row replaced by a unit row.
+def _constrained_solve(M, fixed, values, rhs=None):
+    """Solve M G = rhs for an (n, m) block G fixed to values on rows fixed.
 
-    Equivalent elimination form: fix g at the seeds, solve the free block
-    M_ff g_f = -M_fs g_s once per seed with a single factorisation.  Works
-    for non-symmetric schemes too (general sparse LU).
+    Elimination form: the fixed rows of M are dropped and the free block
+    M_ff G_f = rhs_f - M_fs values is factorised once with splu, every
+    column solved in one call (rhs None is zero).  Works for non-symmetric
+    M too (general sparse LU).
     """
     n = M.shape[0]
-    idx = _seed_indices(seeds, n)
     free = np.ones(n, dtype=bool)
-    free[idx] = False
-    Mc = M.tocsc()
-    Mff = Mc[free][:, free]
-    Mfs = Mc[free][:, idx].toarray()
+    free[fixed] = False
+    Mf = M.tocsc()[free]
+    R = -(Mf[:, fixed] @ values)
+    if rhs is not None:
+        R += rhs[free]
     try:
-        lu = spla.splu(Mff.tocsc())
+        lu = spla.splu(Mf[:, free].tocsc())
     except RuntimeError as exc:
         raise SingularSystem(
             "constrained system is singular; is the mesh connected?"
         ) from exc
-    fields = []
-    for j, s in enumerate(idx):
-        g = np.zeros(n)
-        g[s] = 1.0
-        if Mfs.shape[0]:
-            g[free] = lu.solve(-Mfs[:, j])
-        fields.append(ScalarField(g, tag=f"{family}[seed={s}]"))
-    return BasisSet(fields, family, seeds=list(idx), params=params)
+    G = np.zeros((n, values.shape[1]))
+    G[fixed] = values
+    if len(R):
+        G[free] = lu.solve(R)
+    return G
+
+
+def _seed_fields(G, idx, tag):
+    """One field per column of G, each owning a contiguous copy; tag is a
+    format string for the seed."""
+    return [ScalarField(G[:, j].copy(), tag=tag.format(s))
+            for j, s in enumerate(idx)]
+
+
+def _interpolants(M, seeds, family, params):
+    """Columns of M^{-1} with every seed row replaced by a unit row:
+    g_i = delta_ij at the seeds, M g_i = 0 elsewhere."""
+    idx = _seed_indices(seeds, M.shape[0])
+    G = _constrained_solve(M, idx, np.eye(len(idx)))
+    return BasisSet(_seed_fields(G, idx, family + "[seed={}]"), family,
+                    seeds=idx.tolist(), params=params)
 
 
 def harmonic_basis(op, seeds):
@@ -80,7 +96,7 @@ def harmonic_basis(op, seeds):
     All seed rows are constrained simultaneously, so the returned set is an
     exact partition of unity on a connected mesh.
     """
-    return _constrained_basis(op.L, seeds, "harmonic", {"scheme": op.scheme})
+    return _interpolants(op.L, seeds, "harmonic", {"scheme": op.scheme})
 
 
 def hamiltonian_basis(op, V, mu, seeds):
@@ -99,9 +115,7 @@ def hamiltonian_basis(op, V, mu, seeds):
             stacklevel=2,
         )
     H = (op.L + mu * (op.B @ sp.diags(v))).tocsc()
-    return _constrained_basis(
-        H, seeds, "hamiltonian", {"scheme": op.scheme, "mu": mu}
-    )
+    return _interpolants(H, seeds, "hamiltonian", {"scheme": op.scheme, "mu": mu})
 
 
 def eigen_basis(op, k, tol=1e-10, seed=0):
@@ -217,7 +231,8 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
     The rational route (r shifted solves per column, factorisations
     shared) runs when method is "chebyshev" and the filter has a rational
     form; otherwise the truncated route expands over k eigenpairs.  Pass a
-    ChebyshevKernel or EigenSystem to reuse work across calls.  The route
+    ChebyshevKernel or EigenSystem to reuse work across calls; a kernel
+    not built from filt (at its own degree) raises ValueError.  The route
     is recorded in params["path"] and in each field's tag.
     """
     idx = _seed_indices(seeds, op.n)
@@ -226,6 +241,9 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
     if method == "chebyshev" and filt.kind in ("exponential", "rational"):
         if kernel is None:
             kernel = ChebyshevKernel(op, partial_fractions(filt, r))
+        elif kernel.pf != partial_fractions(filt, kernel.pf.degree):
+            raise ValueError(
+                f"kernel does not belong to the filter {filt.describe()}")
         path = ("chebyshev exact-rational" if filt.kind == "rational"
                 else f"chebyshev table r={kernel.pf.degree}")
         column = kernel.apply
@@ -311,15 +329,18 @@ def green_basis(op, seeds, role="harmonic", t=None, filt=None, r=5):
                 "harmonic Green kernel needs one connected component, found "
                 f"{kernel.shape[1]}"
             )
-        ones = np.ones(op.n)
-        area = ones @ (op.B @ ones)
-        fields = []
-        for s in idx:
-            delta = _delta(op.n, s)
-            f = delta - (ones @ (op.B @ delta)) / area * ones
-            g = numerics.solve_spd(op.L, op.B @ f, nullspace=ones[:, None])
-            g = g - (ones @ (op.B @ g)) / area * ones
-            fields.append(ScalarField(g, tag=f"green[harmonic,seed={s}]"))
+        w = op.B @ np.ones(op.n)  # <g, 1>_B = w @ g
+        area = w.sum()
+        F = np.zeros((op.n, len(idx)))
+        F[idx, np.arange(len(idx))] = 1.0
+        F -= w[idx] / area
+        # pinning one vertex leaves an invertible block of L; B f sums to
+        # zero, so the dropped row holds as well
+        G = _constrained_solve(op.L, [GREEN_PIN], np.zeros((1, len(idx))),
+                               op.B @ F)
+        fields = _seed_fields(G, idx, "green[harmonic,seed={}]")
+        for f in fields:  # per column, so no column depends on the others
+            f.values -= (w @ f.values) / area
     return BasisSet(fields, "green", seeds=idx.tolist(), params={"role": role})
 
 

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.io import mmwrite
 
 from .errors import AllDegenerate, EmptyMesh
 from .fields import ScalarField, field_values
 from .mesh import DEGENERATE_AREA_FACTOR
-from .numerics import solve_spd
 
 SCHEMES = ("linear_fem", "voronoi_cotangent", "mean_value")
 MASS_MODES = ("lumped", "consistent")
@@ -167,17 +167,21 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     )
 
 
+def _mass_solve(op, rhs):
+    """B^{-1} rhs for a vector or an (n, m) block: a diagonal divide for
+    lumped mass, one sparse LU of B for consistent mass."""
+    if op.mass_mode == "lumped":
+        d = op.B.diagonal()
+        return rhs / (d[:, None] if rhs.ndim == 2 else d)
+    return spla.splu(op.B.tocsc()).solve(rhs)
+
+
 def apply(op, f):
     """Action of the operator: B^{-1} (L f)."""
     values = field_values(f)
     if len(values) != op.n:
         raise ValueError("field length does not match operator dimension")
-    lf = op.L @ values
-    if op.mass_mode == "lumped":
-        out = lf / op.B.diagonal()
-    else:
-        out = solve_spd(op.B, lf)
-    return ScalarField(out, tag="laplacian")
+    return ScalarField(_mass_solve(op, op.L @ values), tag="laplacian")
 
 
 def save_matrix_market(op, prefix):

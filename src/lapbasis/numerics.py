@@ -1,10 +1,12 @@
-"""Sparse solvers and the certified shift-invert eigensolver.
+"""Shifted sparse solves and the certified shift-invert eigensolver.
 
-Everything downstream (bases, metrics, seeds) reduces to three primitives:
-SPD solves, shifted complex-symmetric solves, and the smallest generalized
-eigenpairs of a stiffness/mass pencil, from scipy's eigsh (or dense eigh)
-and certified complete by an inertia count.  Matrices are plain scipy
-sparse matrices; solve_spd checks symmetry on the matrix itself.
+The spectral routes reduce to two primitives: shifted (complex-)symmetric
+solves with B + beta L, and the smallest generalized eigenpairs of a
+stiffness/mass pencil, from scipy's eigsh (or dense eigh) and certified
+complete by an inertia count.  Solves with L itself (harmonic, Hamiltonian
+and Green columns) eliminate fixed vertices and factorise once in
+basis._constrained_solve; B^{-1} is laplacian._mass_solve.  Matrices are
+plain scipy sparse matrices.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +20,6 @@ from .errors import (
     FactorizationFailed,
     NearSingularShift,
     NotConverged,
-    SingularSystem,
 )
 
 
@@ -63,77 +64,7 @@ def component_nullspace(L, B):
 
 
 # ---------------------------------------------------------------------------
-# linear solvers
-
-
-def solve_spd(A, b, tol=1e-10, nullspace=None):
-    """Solve A x = b for symmetric positive (semi-)definite A.
-
-    Jacobi-preconditioned conjugate gradients with an iteration cap of 10n;
-    falls back to a sparse direct factorisation when CG stagnates.  For PSD
-    systems pass ``nullspace`` (columns spanning ker A, Euclidean-orthonormal
-    or close to it); the right-hand side and the iterates are projected onto
-    the range and the returned solution is orthogonal to the kernel.
-    Raises ValueError when A is not symmetric up to round-off.
-    """
-    Am = A.tocsr()
-    if abs(Am - Am.T).max() > 1e-12 * abs(Am).max():
-        raise ValueError("solve_spd requires a symmetric matrix")
-    b = np.asarray(b, dtype=float)
-    n = Am.shape[0]
-
-    Q = None
-    if nullspace is not None and nullspace.shape[1] > 0:
-        # Euclidean orthonormal basis; range(A) is its orthogonal complement
-        Q, _ = np.linalg.qr(nullspace)
-        b = b - Q @ (Q.T @ b)
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-
-    d = Am.diagonal()
-    if np.any(d <= 0):
-        raise SingularSystem("non-positive diagonal entry in SPD solve")
-    M = spla.LinearOperator((n, n), matvec=lambda v: v / d)
-
-    if Q is None:
-        op = Am
-    else:
-        def projected_matvec(v):
-            v = v - Q @ (Q.T @ v)
-            w = Am @ v
-            return w - Q @ (Q.T @ w)
-
-        op = spla.LinearOperator((n, n), matvec=projected_matvec)
-
-    x, info = spla.cg(op, b, rtol=tol, atol=0.0, maxiter=10 * n, M=M)
-    if info == 0:
-        if Q is not None:
-            x = x - Q @ (Q.T @ x)
-        return x
-
-    # CG stagnated; direct factorisation (kernel handled by pinning one
-    # row/column per kernel vector, which leaves an SPD submatrix)
-    keep = np.ones(n, dtype=bool)
-    if Q is not None:
-        for col in Q.T:
-            keep[np.argmax(np.abs(col))] = False
-    try:
-        lu = spla.splu(Am[keep][:, keep].tocsc())
-        xr = lu.solve(b[keep])
-    except RuntimeError as exc:
-        raise SingularSystem(f"direct factorisation failed: {exc}") from exc
-    x = np.zeros(n)
-    x[keep] = xr
-    if Q is not None:
-        x = x - Q @ (Q.T @ x)
-    resid = np.linalg.norm(Am @ x - b if Q is None else projected_matvec(x) - b)
-    if not np.isfinite(resid) or resid > max(tol, 1e-8) * bnorm:
-        raise NotConverged(
-            f"SPD solve residual {resid / bnorm:.2e} above tolerance"
-        )
-    return x
+# shifted solves
 
 
 def shifted_factor(B, L, beta):

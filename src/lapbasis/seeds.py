@@ -4,12 +4,12 @@ coverage loop that grows a basis set until supports cover the mesh."""
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text
+from .laplacian import _mass_solve, assemble
 from .mesh import vertex_distances
 
 DEFAULT_TAU = 1e-3
@@ -48,13 +48,7 @@ def curvature_field(mesh, op):
     The Laplacian of the coordinate functions is the mean-curvature normal;
     its half-norm is H (1 on the unit sphere, 0 on a plane).
     """
-    Bm = op.B.tocsc()
-    LP = np.asarray(op.L @ mesh.vertices)
-    d = Bm.diagonal()
-    if Bm.nnz == len(d):
-        HN = LP / d[:, None]
-    else:
-        HN = spla.splu(Bm).solve(LP)
+    HN = _mass_solve(op, np.asarray(op.L @ mesh.vertices))
     return ScalarField(0.5 * np.linalg.norm(HN, axis=1), tag="curvature")
 
 
@@ -72,8 +66,6 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         raise ValueError(f"unknown metric {metric!r}")
     if start is None:
         if op is None:
-            from .laplacian import assemble
-
             op = assemble(mesh)
         start = int(np.argmax(field_values(curvature_field(mesh, op))))
     if not 0 <= start < n:

@@ -53,6 +53,11 @@ def op2(sphere2):
 
 
 @pytest.fixture(scope="session")
+def op2_consistent(sphere2):
+    return lb.assemble(sphere2, mass_mode="consistent")
+
+
+@pytest.fixture(scope="session")
 def op3(sphere3):
     return lb.assemble(sphere3)
 

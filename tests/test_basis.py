@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import lapbasis as lb
-from lapbasis.basis import ChebyshevKernel
+from lapbasis import basis as basis_mod
+from lapbasis.basis import GREEN_PIN, ChebyshevKernel
 from lapbasis.errors import (
     DisconnectedMesh,
     DuplicateSeeds,
@@ -24,6 +25,23 @@ def delta(n, i):
     e = np.zeros(n)
     e[i] = 1.0
     return e
+
+
+def check_green_defining_equation(op, s):
+    L, B = dense_lb(op)
+    e = delta(op.n, s)
+    # B-mean removal keeps the right-hand side in range(L)
+    c = (np.ones(op.n) @ B @ e) / B.sum()
+    rhs = B @ (e - c)
+    g = lb.field_values(lb.green_column(op, s))
+    r = L @ g - rhs
+    assert np.abs(r).max() <= 1e-8 * np.abs(rhs).max()
+
+
+def check_green_b_mean_free(op, s):
+    _, B = dense_lb(op)
+    g = lb.field_values(lb.green_column(op, s))
+    assert abs(np.ones(op.n) @ B @ g) <= 1e-10 * np.abs(g).max()
 
 
 class TestHarmonic:
@@ -400,6 +418,22 @@ class TestDiffusion:
         assert bs.params["path"] == "chebyshev table r=7"
         assert all("chebyshev table r=7" in f.tag for f in bs)
 
+    def test_kernel_of_another_filter_rejected(self, op2):
+        kern = ChebyshevKernel(
+            op2, lb.partial_fractions(FilterSpec.exponential(0.1)))
+        with pytest.raises(ValueError, match="kernel"):
+            lb.spectral_set(op2, FilterSpec.exponential(0.2), [3],
+                            kernel=kern)
+        with pytest.raises(ValueError, match="kernel"):
+            lb.diffusion_basis(op2, 0.2, 3, kernel=kern)
+
+    def test_kernel_with_own_degree_accepted(self, op2):
+        filt = FilterSpec.exponential(0.2)
+        kern = ChebyshevKernel(op2, lb.partial_fractions(filt, 9))
+        got = lb.field_values(lb.diffusion_basis(op2, 0.2, 3, kernel=kern))
+        want = kern.apply(delta(op2.n, 3))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("den", [
         [1.0, 2.0],  # non-monic: 1/(1+2s)
         [1.0, 3.0, 3.0, 1.0],  # triple pole: 1/(1+s)^3
@@ -447,19 +481,21 @@ class TestKernelStructure:
 
 class TestGreen:
     def test_defining_equation(self, op2):
-        L, B = dense_lb(op2)
-        e = delta(op2.n, 12)
-        # B-mean removal keeps the right-hand side in range(L)
-        c = (np.ones(op2.n) @ B @ e) / B.sum()
-        rhs = B @ (e - c)
-        g = lb.field_values(lb.green_column(op2, 12))
-        r = L @ g - rhs
-        assert np.abs(r).max() <= 1e-8 * np.abs(rhs).max()
+        check_green_defining_equation(op2, 12)
+
+    def test_defining_equation_consistent(self, op2_consistent):
+        check_green_defining_equation(op2_consistent, 12)
 
     def test_b_mean_free(self, op2):
-        _, B = dense_lb(op2)
-        g = lb.field_values(lb.green_column(op2, 12))
-        assert abs(np.ones(op2.n) @ B @ g) <= 1e-10 * np.abs(g).max()
+        check_green_b_mean_free(op2, 12)
+
+    def test_b_mean_free_consistent(self, op2_consistent):
+        check_green_b_mean_free(op2_consistent, 12)
+
+    def test_seed_at_pinned_vertex(self, op2):
+        # the two conditions fix g uniquely on a connected mesh
+        check_green_defining_equation(op2, GREEN_PIN)
+        check_green_b_mean_free(op2, GREEN_PIN)
 
     def test_matches_dense_pseudoinverse(self, op2, eig162_full):
         lam, X = eig162_full.values, eig162_full.vectors
@@ -515,6 +551,37 @@ class TestGreen:
     def test_basis_duplicate_seeds_rejected(self, op2):
         with pytest.raises(DuplicateSeeds):
             lb.green_basis(op2, [3, 3])
+
+
+ELIMINATION_FAMILIES = {
+    "harmonic": lb.harmonic_basis,
+    "hamiltonian": lambda op, seeds: lb.hamiltonian_basis(
+        op, np.ones(op.n), 2.0, seeds),
+    "green": lb.green_basis,
+}
+
+
+class TestEliminationSolve:
+    SEEDS = [0, 5, 12, 40, 77, 100, 131, 161]
+
+    @pytest.mark.parametrize("family", sorted(ELIMINATION_FAMILIES))
+    def test_one_factorisation_per_seed_set(self, op2, family, monkeypatch):
+        calls = []
+        splu = basis_mod.spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(basis_mod.spla, "splu", counting)
+        bs = ELIMINATION_FAMILIES[family](op2, self.SEEDS)
+        assert len(bs) == len(self.SEEDS)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", sorted(ELIMINATION_FAMILIES))
+    def test_fields_own_contiguous_columns(self, op2, family):
+        for f in ELIMINATION_FAMILIES[family](op2, self.SEEDS):
+            assert f.values.flags.c_contiguous and f.values.flags.owndata
 
 
 class TestBasisSet:

@@ -17,6 +17,29 @@ def dense(op):
     return op.L.toarray(), op.B.toarray()
 
 
+def check_apply_matches_matrices(op):
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(op.n)
+    L, B = dense(op)
+    want = np.linalg.solve(B, L @ f)
+    got = lb.field_values(lb.apply(op, f))
+    assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())
+
+
+def check_apply_is_b_selfadjoint(op):
+    # <L~ f, g>_B = f' L g for the symmetric schemes
+    rng = np.random.default_rng(11)
+    _, B = dense(op)
+    f = rng.standard_normal(op.n)
+    g = rng.standard_normal(op.n)
+    lf = lb.field_values(lb.apply(op, f))
+    lg = lb.field_values(lb.apply(op, g))
+    a = lf @ B @ g
+    b = f @ B @ lg
+    scale = max(abs(a), abs(b), 1.0)
+    assert abs(a - b) <= 1e-9 * scale
+
+
 class TestUnitSquare:
     """Hand-derived cotangent weights on the two-triangle unit square.
 
@@ -90,25 +113,16 @@ class TestAssembly:
         assert np.linalg.norm(lap - 2 * x) <= 0.05 * np.linalg.norm(2 * x)
 
     def test_apply_matches_matrices(self, op2):
-        rng = np.random.default_rng(7)
-        f = rng.standard_normal(op2.n)
-        L, B = dense(op2)
-        want = np.linalg.solve(B, L @ f)
-        got = lb.field_values(lb.apply(op2, f))
-        assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())
+        check_apply_matches_matrices(op2)
+
+    def test_apply_matches_matrices_consistent(self, op2_consistent):
+        check_apply_matches_matrices(op2_consistent)
 
     def test_apply_is_b_selfadjoint(self, op2):
-        # <L~ f, g>_B = f' L g for the symmetric schemes
-        rng = np.random.default_rng(11)
-        _, B = dense(op2)
-        f = rng.standard_normal(op2.n)
-        g = rng.standard_normal(op2.n)
-        lf = lb.field_values(lb.apply(op2, f))
-        lg = lb.field_values(lb.apply(op2, g))
-        a = lf @ B @ g
-        b = f @ B @ lg
-        scale = max(abs(a), abs(b), 1.0)
-        assert abs(a - b) <= 1e-9 * scale
+        check_apply_is_b_selfadjoint(op2)
+
+    def test_apply_is_b_selfadjoint_consistent(self, op2_consistent):
+        check_apply_is_b_selfadjoint(op2_consistent)
 
     def test_negative_weights_counted_not_corrected(self):
         # skinny pair: the shared edge sees obtuse opposite angles

@@ -27,49 +27,7 @@ def dense_lb(op):
     return op.L.toarray(), op.B.toarray()
 
 
-class TestSolveSpd:
-    def test_diagonal_example(self):
-        A = sp.diags([2.0, 3.0]).tocsr()
-        x = lb.solve_spd(A, np.array([2.0, 6.0]))
-        assert np.allclose(x, [1.0, 2.0])
-
-    def test_mass_solve_identity(self, op3):
-        b = op3.B @ np.ones(op3.n)
-        x = lb.solve_spd(op3.B, b)
-        assert np.abs(x - 1.0).max() <= 1e-8
-
-    def test_random_spd_vs_dense(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((20, 20))
-        A = M @ M.T + 20 * np.eye(20)
-        b = rng.standard_normal(20)
-        x = lb.solve_spd(sp.csr_matrix(A), b)
-        assert np.allclose(x, np.linalg.solve(A, b), atol=1e-8)
-
-    def test_psd_with_nullspace_projection(self, op2):
-        # consistent right-hand side; solution pinned B-orthogonal to 1
-        rng = np.random.default_rng(1)
-        L, B = dense_lb(op2)
-        f = rng.standard_normal(op2.n)
-        b = L @ f
-        ns = np.ones((op2.n, 1))
-        x = lb.solve_spd(op2.L, b, nullspace=ns)
-        assert np.abs(L @ x - b).max() <= 1e-8 * np.abs(b).max()
-        assert abs(np.ones(op2.n) @ x) <= 1e-8 * np.abs(x).max() * op2.n
-
-    def test_nonsymmetric_kind_rejected(self):
-        # positive diagonal, so only the symmetry check can reject it
-        A = sp.csr_matrix([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            lb.solve_spd(A, np.ones(3))
-
-    def test_roundoff_asymmetry_accepted(self):
-        # a matrix assembled by summation may differ from its transpose
-        # by round-off; that is still a symmetric system
-        A = sp.csr_matrix([[2.0, 1.0 + 4e-16], [1.0, 2.0]])
-        x = lb.solve_spd(A, np.array([3.0, 3.0]))
-        assert np.allclose(x, 1.0)
-
+class TestSolverErrors:
     def test_solver_errors_share_parent(self):
         for cls in (NotConverged, SingularSystem, NearSingularShift, FactorizationFailed):
             assert issubclass(cls, SolverFailure)
