@@ -198,55 +198,46 @@ class ChebyshevKernel:
     """Spectrum-free evaluator of K_phi via a rational partial fraction.
 
     K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and weights
-    w_j of pf.real_form(), with (B + beta L) g_j = B g_{j-1} and g_0 = f:
-    one solve chain per distinct pole, each shift factorised once and
-    reused.  A pf not closed under conjugation raises ArithmeticError.
+    w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and g_0 = f: one
+    solve chain per pole, each shift factorised once, at construction, and
+    reused by every apply.
     """
 
     def __init__(self, op, pf):
         self.op = op
         self.pf = pf
-        self._poles = pf.real_form()
-        self._factors = {}
+        self._chains = [(numerics.shifted_factor(op.B, op.L, beta), weights)
+                        for beta, weights in pf.poles]
 
     def apply(self, f):
         fv = field_values(f)
         Bf = self.op.B @ fv
         acc = self.pf.alpha0 * fv
-        for beta, weights in self._poles:
-            if beta not in self._factors:
-                self._factors[beta] = numerics.shifted_factor(
-                    self.op.B, self.op.L, beta)
-            solve, g = self._factors[beta], None
+        for solve, weights in self._chains:
+            g = None
             for w in weights:
                 g = solve(Bf if g is None else self.op.B @ g)
                 acc += (w * g).real
         return acc
 
 
-def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
-                 kernel=None):
+def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet.
 
-    The rational route (r shifted solves per column, factorisations
-    shared) runs when method is "chebyshev" and the filter has a rational
-    form; otherwise the truncated route expands over k eigenpairs.  Pass a
-    ChebyshevKernel or EigenSystem to reuse work across calls; a kernel
-    not built from filt (at its own degree) raises ValueError.  The route
-    is recorded in params["path"] and in each field's tag.
+    The rational route (one ChebyshevKernel shared by the columns, its
+    shifts factorised once) runs when method is "chebyshev" and the filter
+    has a rational form; otherwise the truncated route expands over k
+    eigenpairs.  Pass an EigenSystem to reuse it across calls; to reuse a
+    kernel, call ChebyshevKernel.apply.  The route is recorded in
+    params["path"] and in each field's tag.
     """
     idx = _seed_indices(seeds, op.n)
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
-    if method == "chebyshev" and filt.kind in ("exponential", "rational"):
-        if kernel is None:
-            kernel = ChebyshevKernel(op, partial_fractions(filt, r))
-        elif kernel.pf != partial_fractions(filt, kernel.pf.degree):
-            raise ValueError(
-                f"kernel does not belong to the filter {filt.describe()}")
+    if method == "chebyshev" and filt.has_rational_form:
+        column = ChebyshevKernel(op, partial_fractions(filt, r)).apply
         path = ("chebyshev exact-rational" if filt.kind == "rational"
-                else f"chebyshev table r={kernel.pf.degree}")
-        column = kernel.apply
+                else f"chebyshev table r={r}")
     else:
         if eig is None:
             eig = eigen_basis(op, min(k, op.n))
@@ -264,27 +255,25 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None,
                     params={"filter": filt.describe(), "path": path})
 
 
-def diffusion_basis(op, t, seed, method="chebyshev", r=5, k=100, eig=None,
-                    kernel=None):
-    """Heat-kernel column K_t e_seed at diffusion scale t.
+def diffusion_basis(op, t, seed, method="chebyshev", r=5, k=100, eig=None):
+    """Heat-kernel column K_t e_seed at diffusion scale t > 0.
 
     The one-seed case of spectral_set with phi(s) = exp(-t s).  method
     "chebyshev" folds t into the pole nodes of the precomputed degree-r
     rational approximation of exp(-s) and performs r shifted solves;
     "truncated" expands over k eigenpairs (accuracy of the truncation
-    cannot be estimated without the whole spectrum).  Pass a
-    ChebyshevKernel or EigenSystem to reuse work across seeds.
+    cannot be estimated without the whole spectrum).  Pass an EigenSystem
+    to reuse it across seeds; for many seeds use diffusion_set, or apply
+    one ChebyshevKernel to each delta.
     """
-    if t <= 0:
-        raise ValueError("diffusion scale t must be positive")
+    filt = FilterSpec.exponential(t)
     if method == "truncated" and eig is None and k < op.n:
         warnings.warn(
             "truncated diffusion with k < n: approximation quality "
             "cannot be estimated without the whole spectrum",
             stacklevel=2,
         )
-    (column,) = spectral_set(op, FilterSpec.exponential(t), [seed], method,
-                             r, k, eig, kernel)
+    (column,) = spectral_set(op, filt, [seed], method, r, k, eig)
     return column
 
 

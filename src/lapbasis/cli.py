@@ -27,7 +27,7 @@ from .mesh import load_mesh, save_ply, validate
 
 SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
                "meanvalue": "mean_value"}
-FORMATS = ("csv", "ply", "json", "pgm")
+FORMATS = ("csv", "ply")  # field exports; reports are always written
 
 
 def _common(parser):
@@ -36,8 +36,8 @@ def _common(parser):
     parser.add_argument("--mass", choices=["lumped", "consistent"],
                         default="lumped")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="csv,json",
-                        help="comma list from csv,ply,json,pgm")
+    parser.add_argument("--format", default="csv",
+                        help="field exports, a comma list from csv,ply")
 
 
 def build_parser():
@@ -231,14 +231,23 @@ def _parse_seed_args(args, mesh, op):
     raise ValueError("no seeds given: use --seeds, --seeds-file, --fps or --seed")
 
 
-def _residual_summary(eig):
-    """Largest normwise backward error of the eigenpairs,
-    ||Lx - lam Bx|| / ((||L||_1 + |lam| ||B||_1) ||x||)."""
+def _write_spectrum(run, op, eig):
+    """Write spectrum.json; returns the largest normwise backward error of
+    the eigenpairs, ||Lx - lam Bx|| / ((||L||_1 + |lam| ||B||_1) ||x||)."""
     X, lam = eig.vectors, eig.values
     R = eig.L @ X - eig.B @ X * lam
     scale = spla.norm(eig.L, 1) + np.abs(lam) * spla.norm(eig.B, 1)
-    return float((np.linalg.norm(R, axis=0)
-                  / (scale * np.linalg.norm(X, axis=0))).max())
+    resid = float((np.linalg.norm(R, axis=0)
+                   / (scale * np.linalg.norm(X, axis=0))).max())
+    spec = {
+        "k": eig.k,
+        "scheme": op.scheme,
+        "mass": op.mass_mode,
+        "eigenvalues": [float(v) for v in lam],
+        "max_rel_residual": resid,
+    }
+    run.write_text("spectrum.json", json.dumps(spec, indent=2) + "\n")
+    return resid
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +265,7 @@ def cmd_basis(args):
 
     if fam == "eigen":
         eig = basis_mod.eigen_basis(op, args.k)
-        run.info["solver"] = {"max_rel_residual": _residual_summary(eig)}
-        spec = {"k": eig.k, "eigenvalues": [float(v) for v in eig.values]}
-        run.write_text("spectrum.json", json.dumps(spec, indent=2) + "\n")
+        run.info["solver"] = {"max_rel_residual": _write_spectrum(run, op, eig)}
         _export_fields(run, mesh, basis_mod.eigen_fields(eig), "eigen")
     elif fam in ("harmonic", "hamiltonian"):
         seed_list = _parse_seed_args(args, mesh, op)
@@ -350,12 +357,12 @@ def cmd_coverage(args):
     run = Run(args)
     mesh = load_mesh(args.mesh)
     op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
-    kernel = basis_mod.ChebyshevKernel(
+    heat = basis_mod.ChebyshevKernel(
         op, partial_fractions(FilterSpec.exponential(args.t), args.r)
     )
 
     def generator(s):
-        return basis_mod.diffusion_basis(op, args.t, s, kernel=kernel)
+        return heat.apply(basis_mod._delta(op.n, s))
 
     result = seeds_mod.coverage_loop(
         mesh, op, generator, k0=args.k0, tau=args.tau, metric=args.metric,
@@ -394,15 +401,7 @@ def cmd_spectrum(args):
     run = Run(args)
     mesh = load_mesh(args.mesh)
     op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
-    eig = basis_mod.eigen_basis(op, args.k)
-    spec = {
-        "k": eig.k,
-        "scheme": op.scheme,
-        "mass": op.mass_mode,
-        "eigenvalues": [float(v) for v in eig.values],
-        "max_rel_residual": _residual_summary(eig),
-    }
-    run.write_text("spectrum.json", json.dumps(spec, indent=2) + "\n")
+    _write_spectrum(run, op, basis_mod.eigen_basis(op, args.k))
     print(run.finish())
     return 0
 

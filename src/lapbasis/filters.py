@@ -22,6 +22,8 @@ from .errors import (
 
 # filters with a pole at s=0; the constant eigenmode must be deflated
 SINGULAR_AT_ZERO = ("polyharmonic", "commute_time")
+# filters with a partial-fraction form, usable on the spectrum-free route
+RATIONAL_FORM = ("exponential", "rational")
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,10 @@ class FilterSpec:
     def singular_at_zero(self):
         return self.kind in SINGULAR_AT_ZERO
 
+    @property
+    def has_rational_form(self):
+        return self.kind in RATIONAL_FORM
+
     def describe(self):
         if self.kind == "exponential":
             return f"exp:t={self.t!r}"
@@ -133,61 +139,27 @@ def evaluate(spec, s):
 
 @dataclass(frozen=True)
 class PartialFraction:
-    """phi(s) ~ alpha0 + sum alpha (1 + beta s)^{-mult}.
+    """phi(s) ~ alpha0 + sum Re(w_j (1 + beta s)^{-j}), j = 1..m per pole.
 
-    terms are (alpha, beta, mult) with complex alpha, beta; complex poles
-    occur in conjugate pairs with conjugate weights.  mult > 1 arises only
-    for repeated real poles.  real_form() folds the pairs into real
-    arithmetic; evaluation here and on the operator side goes through it.
+    poles are ((beta, (w_1, ..., w_m)), ...), each distinct pole once: beta
+    a float when real, else in the upper half-plane, its conjugate implied.
+    The form is real by construction; m > 1 arises only for repeated real
+    poles.
     """
 
     alpha0: float
-    terms: tuple
+    poles: tuple
     degree: int
 
     def scaled(self, t):
         """Fold a scale into the nodes: phi(t s) has nodes t*beta."""
         return PartialFraction(
-            self.alpha0,
-            tuple((a, t * b, m) for a, b, m in self.terms),
-            self.degree,
-        )
-
-    def real_form(self):
-        """The distinct poles in the closed upper half-plane with weights.
-
-        Returns ((beta, weights), ...), beta a float when real, such that
-        phi(s) = alpha0 + sum Re(weights[j-1] (1 + beta s)^{-j}), j = 1..m,
-        for real s.  A lower-half-plane term folds onto its mirror pole
-        with the conjugate weight, so an exact pair's weight doubles.
-        Raises ArithmeticError unless the terms are closed under
-        conjugation with conjugate weights (to 1e-10 relative).
-        """
-        poles = {}  # beta -> {order: [weight, folded mirror weight]}
-        for a, b, m in self.terms:
-            a, b = complex(a), complex(b)
-            lower = b.imag < 0
-            if lower:
-                a, b = a.conjugate(), b.conjugate()
-            poles.setdefault(b, {}).setdefault(m, [0j, 0j])[lower] += a
-        out = []
-        for b, orders in poles.items():
-            weights = []
-            for j in range(1, max(orders) + 1):
-                u, lo = orders.get(j, (0j, 0j))
-                w, mismatch = u + lo, u - lo
-                if b.imag == 0:
-                    w, mismatch = w.real, mismatch.imag
-                if abs(mismatch) > 1e-10 * (abs(u) + abs(lo)):
-                    raise ArithmeticError("partial fraction is not real")
-                weights.append(w)
-            out.append((b.real if b.imag == 0 else b, tuple(weights)))
-        return tuple(out)
+            self.alpha0, tuple((t * b, w) for b, w in self.poles), self.degree)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = np.full(s.shape, float(self.alpha0))
-        for beta, weights in self.real_form():
+        for beta, weights in self.poles:
             for j, w in enumerate(weights, 1):
                 out += (w / (1.0 + beta * s) ** j).real
         return float(out) if out.ndim == 0 else out
@@ -197,14 +169,16 @@ def exp_chebyshev_coefficients(r=5):
     """Precomputed partial fractions of the uniform rational approximation
     of exp(-s) on [0, inf) at degree r in 3..14.
 
-    The table is validated at generation time on a dense log grid; the
-    verified sup error per degree is available as ``exp_table_error(r)``.
+    Each conjugate pair of the table keeps its upper member with twice its
+    weight.  The table is validated at generation time on a dense log
+    grid; the verified sup error per degree is ``exp_table_error(r)``.
     """
     if r not in TABLE:
         raise UnsupportedDegree(f"no table for degree {r}; supported: 3..14")
     alpha0, pairs = TABLE[r]
-    terms = tuple((a, b, 1) for a, b in pairs)
-    return PartialFraction(alpha0, terms, r)
+    poles = tuple((b.real, (a.real,)) if b.imag == 0 else (b, (2 * a,))
+                  for a, b in pairs if b.imag >= 0)
+    return PartialFraction(alpha0, poles, r)
 
 
 def exp_table_error(r):
@@ -244,8 +218,11 @@ CLUSTER_RTOLS = (1e-6, 1e-4, 1e-2)
 DECOMPOSITION_RTOL = 1e-10  # relative to max |phi| on the check grid
 
 
-def _pole_terms(num, den, roots, tol):
-    """(alpha, beta, mult) terms of num/den, roots within tol grouped."""
+def _poles(num, den, roots, tol):
+    """Real-form (beta, weights) poles of num/den, roots within tol grouped.
+
+    A complex pair keeps its upper-half-plane root with twice its weight.
+    """
     groups = []
     for r in roots:
         for g in groups:
@@ -254,13 +231,16 @@ def _pole_terms(num, den, roots, tol):
                 break
         else:
             groups.append([r])
-    terms = []
+    poles = []
     for g in groups:
         mu = np.mean(g)
         m = len(g)
         if m > 1 and abs(mu.imag) > tol:
             raise RepeatedRoots("repeated complex denominator roots unsupported")
-        if abs(mu.imag) <= tol:
+        if mu.imag < -tol:
+            continue  # its residue is the mirror root's conjugate: folded
+        real = abs(mu.imag) <= tol
+        if real:
             mu = complex(mu.real, 0.0)
         # Taylor expansion of num/(den with this root removed) about mu;
         # the quotient keeps den's leading coefficient
@@ -269,15 +249,19 @@ def _pole_terms(num, den, roots, tol):
             reduced, rem = np.polydiv(reduced, np.array([1.0, -mu]))
         series = _series_divide(_taylor_at(num, mu, m),
                                 _taylor_at(reduced[::-1], mu, m), m)
-        for j in range(m, 0, -1):
-            # residue of order j is the series coefficient m-j
-            r_j = series[m - j]
-            if r_j == 0.0:
-                continue
-            # r/(s-mu)^j = r*(-mu)^{-j} (1 + beta s)^{-j}, beta = -1/mu
-            terms.append((r_j * (-mu) ** (-j), -1.0 / mu, j))
-    terms.sort(key=lambda t: (t[2], t[1].real, t[1].imag))
-    return tuple(terms)
+        # the residue of order j is series[m-j], and
+        # r/(s-mu)^j = r*(-mu)^{-j} (1 + beta s)^{-j}, beta = -1/mu
+        w = [c * (-mu) ** (-j) for j, c in enumerate(series[::-1], 1)]
+        w = [x.real if real else 2 * x for x in w]
+        nonzero = np.flatnonzero(w)
+        if len(nonzero):
+            beta = -1.0 / mu
+            key = (nonzero[0], beta.real, -abs(beta.imag))
+            poles.append((key, beta.real if real else beta,
+                          tuple(w[:nonzero[-1] + 1])))
+    # summation order: lowest nonzero order, real part, pairs before reals
+    poles.sort(key=lambda p: p[0])
+    return tuple(p[1:] for p in poles)
 
 
 def rational_partial_fractions(spec):
@@ -317,8 +301,8 @@ def rational_partial_fractions(spec):
     s = np.r_[0.0, np.logspace(-9, 3, 800) * scale]
     want = evaluate(spec, s)
     for rtol in CLUSTER_RTOLS:
-        terms = _pole_terms(num, den, roots, rtol * scale)
-        pf = PartialFraction(float(alpha0), terms, den_deg)
+        poles = _poles(num, den, roots, rtol * scale)
+        pf = PartialFraction(float(alpha0), poles, den_deg)
         err = np.abs(pf(s) - want).max()
         if err <= DECOMPOSITION_RTOL * np.abs(want).max():
             return pf
@@ -334,13 +318,13 @@ def partial_fractions(spec, r=5):
     decompose exactly.  Other filters have no rational form and are usable
     only on the truncated path.
     """
+    if not spec.has_rational_form:
+        raise UnsupportedFeature(
+            f"filter {spec.kind!r} has no rational form; use the truncated path"
+        )
     if spec.kind == "exponential":
         return exp_chebyshev_coefficients(r).scaled(spec.t)
-    if spec.kind == "rational":
-        return rational_partial_fractions(spec)
-    raise UnsupportedFeature(
-        f"filter {spec.kind!r} has no rational form; use the truncated path"
-    )
+    return rational_partial_fractions(spec)
 
 
 def parse_filter(text):

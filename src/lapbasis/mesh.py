@@ -13,6 +13,7 @@ from scipy.sparse import csgraph
 
 from .errors import ParseError, UnsupportedFeature
 from .fields import ScalarField
+from .ioutil import atomic_write_text
 
 # triangles with area below this fraction of the squared bounding-box
 # diagonal are flagged degenerate and skipped during operator assembly
@@ -376,15 +377,15 @@ def _fmt(x):
     return format(x, ".9g")
 
 
+def _face_lines(mesh):
+    return [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+
+
 def save_off(mesh, path):
     """Write an OFF file; coordinates keep 9 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
+    lines += [f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}" for v in mesh.vertices]
+    atomic_write_text(path, "\n".join(lines + _face_lines(mesh)) + "\n")
 
 
 def save_ply(mesh, path, colors=None):
@@ -392,21 +393,17 @@ def save_ply(mesh, path, colors=None):
 
     colors, when given, is an (n, 3) integer array in 0..255.
     """
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {mesh.n_vertices}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
+    lines = ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+             "property float x", "property float y", "property float z"]
+    if colors is not None:
+        colors = np.asarray(colors, dtype=int)
+        lines += ["property uchar red", "property uchar green",
+                  "property uchar blue"]
+    lines += [f"element face {mesh.n_triangles}",
+              "property list uchar int vertex_indices", "end_header"]
+    for i, v in enumerate(mesh.vertices):
+        line = f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}"
         if colors is not None:
-            colors = np.asarray(colors, dtype=int)
-            fh.write(
-                "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-            )
-        fh.write(f"element face {mesh.n_triangles}\n")
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        for i, v in enumerate(mesh.vertices):
-            line = f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}"
-            if colors is not None:
-                line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
-            fh.write(line + "\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+            line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
+        lines.append(line)
+    atomic_write_text(path, "\n".join(lines + _face_lines(mesh)) + "\n")

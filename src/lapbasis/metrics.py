@@ -35,10 +35,14 @@ def conformal_metric(op, f, g):
     return float(fv @ (op.L @ gv))
 
 
-def _check_adjoint(op, kernel_apply, n, probes=2, seed=0, rtol=1e-8):
+ADJOINT_PROBES = 2  # random (u, v) pairs of the B-adjointness probe
+ADJOINT_RTOL = 1e-8
+
+
+def _check_adjoint(op, kernel_apply, n):
     """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B."""
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
+    rng = np.random.default_rng(0)
+    for _ in range(ADJOINT_PROBES):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         Ku = np.asarray(field_values(kernel_apply(u)))
@@ -46,23 +50,22 @@ def _check_adjoint(op, kernel_apply, n, probes=2, seed=0, rtol=1e-8):
         left = u @ (op.B @ Kv)
         right = Ku @ (op.B @ v)
         scale = abs(left) + abs(right) + np.linalg.norm(Ku) * np.linalg.norm(v)
-        if abs(left - right) > rtol * max(scale, 1e-30):
+        if abs(left - right) > ADJOINT_RTOL * max(scale, 1e-30):
             raise NotAdjoint(
                 f"kernel fails the B-adjointness probe: |{left:.6g} - "
                 f"{right:.6g}| relative to {scale:.3g}"
             )
 
 
-def kernel_metric(op, kernel_apply, f, g, check=True):
+def kernel_metric(op, kernel_apply, f, g):
     """Kernel-weighted inner product f^T B (K g).
 
     kernel_apply maps a vertex vector to K applied to it and must be
-    B-adjoint; this is asserted on random probes unless check=False.
+    B-adjoint; this is asserted on random probes, as in comparison_matrix.
     """
     fv = field_values(f)
     gv = field_values(g)
-    if check:
-        _check_adjoint(op, kernel_apply, len(gv))
+    _check_adjoint(op, kernel_apply, len(gv))
     Kg = np.asarray(field_values(kernel_apply(gv)))
     return float(fv @ (op.B @ Kg))
 

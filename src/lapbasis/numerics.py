@@ -77,7 +77,7 @@ def shifted_factor(B, L, beta):
     """
     tol = 1e-10  # relative residual each solve must reach
     dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
-    M = (B + beta * L).astype(dtype).tocsc() if beta != 0 else B.astype(float).tocsc()
+    M = (B + beta * L).astype(dtype).tocsc()
     try:
         lu = spla.splu(M)
     except RuntimeError as exc:

@@ -82,6 +82,17 @@ class TestBasisCommand:
         assert vals[0] <= 1e-8
         assert vals == sorted(vals)
 
+    def test_eigen_and_spectrum_write_the_same_file(self, mesh_path, tmp_path):
+        texts = []
+        for argv in (["basis", "eigen"], ["spectrum"]):
+            out = tmp_path / argv[-1]
+            rc = main(argv + ["--mesh", mesh_path, "--k", "6",
+                              "--out", str(out)])
+            assert rc == 0
+            texts.append((out / "spectrum.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert "max_rel_residual" in read_manifest(tmp_path / "eigen")["solver"]
+
     def test_harmonic_with_seed_list(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
@@ -226,6 +237,27 @@ class TestSeedsCommand:
 
 
 class TestCoverageCommand:
+    def test_one_kernel_for_the_whole_run(self, mesh_path, tmp_path,
+                                          monkeypatch):
+        calls = []
+        factor = lb.numerics.shifted_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        out = tmp_path / "run"
+        rc = main([
+            "coverage", "--mesh", mesh_path, "--t", "0.005", "--k0", "5",
+            "--start", "0", "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out / "coverage_report.json") as fh:
+            assert json.load(fh)["iterations"] > 1
+        # r = 5: one real pole and two conjugate pairs, factorised once
+        assert len(calls) == 3
+
     def test_large_scale_single_iteration(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
@@ -291,6 +323,14 @@ class TestErrors:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_format_rejected(self, mesh_path, tmp_path, capsys):
+        rc = main([
+            "basis", "diffusion", "--mesh", mesh_path, "--seed", "0",
+            "--format", "json", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert "format" in capsys.readouterr().err
 
     def test_bad_filter_expression(self, mesh_path, tmp_path, capsys):
         rc = main([

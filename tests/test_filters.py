@@ -12,7 +12,8 @@ from lapbasis.errors import (
     UnsupportedDegree,
     UnsupportedFeature,
 )
-from lapbasis.filters import FilterSpec, PartialFraction, exp_table_error
+from lapbasis._exp_cheb import TABLE
+from lapbasis.filters import FilterSpec, exp_table_error
 
 
 class TestEvaluate:
@@ -93,19 +94,17 @@ class TestExpTable:
 
     def test_poles_closed_under_conjugation(self):
         for r in (4, 5, 7):
-            pf = lb.exp_chebyshev_coefficients(r)
-            betas = sorted(
-                (complex(b) for _, b, _ in pf.terms),
-                key=lambda z: (z.real, z.imag),
-            )
-            conj = sorted(
-                (complex(b).conjugate() for _, b, _ in pf.terms),
-                key=lambda z: (z.real, z.imag),
-            )
+            _, pairs = TABLE[r]
+            betas = sorted((b for _, b in pairs),
+                           key=lambda z: (z.real, z.imag))
+            conj = sorted((b.conjugate() for _, b in pairs),
+                          key=lambda z: (z.real, z.imag))
             np.testing.assert_allclose(betas, conj)
-            # odd degree keeps exactly one real pole
-            n_real = sum(1 for b in betas if abs(b.imag) < 1e-14)
-            assert n_real == (r % 2)
+            # each pair kept once; odd degree keeps exactly one real pole
+            poles = [b for b, _ in lb.exp_chebyshev_coefficients(r).poles]
+            assert len(poles) == (r + 1) // 2
+            assert sum(isinstance(b, float) for b in poles) == r % 2
+            assert all(isinstance(b, float) or b.imag > 0 for b in poles)
 
     def test_scaling_folds_t_into_poles(self):
         pf = lb.exp_chebyshev_coefficients(5)
@@ -128,7 +127,8 @@ class TestRationalPartialFractions:
         spec = FilterSpec.rational([1.0], [1.0, 0.0, 1.0])  # 1/(1+s^2)
         pf = lb.rational_partial_fractions(spec)
         assert pf.alpha0 == pytest.approx(0.0)
-        assert len(pf.terms) == 2
+        ((beta, weights),) = pf.poles  # one pair, kept as its upper pole
+        assert beta.imag > 0 and len(weights) == 1
         for s in self.grid():
             assert pf(s) == pytest.approx(1 / (1 + s * s), abs=1e-12)
 
@@ -148,7 +148,7 @@ class TestRationalPartialFractions:
     def test_repeated_real_pole(self):
         spec = FilterSpec.rational([1.0], [1.0, 2.0, 1.0])  # 1/(1+s)^2
         pf = lb.rational_partial_fractions(spec)
-        assert any(m == 2 for _, _, m in pf.terms)
+        assert [len(w) for _, w in pf.poles] == [2]
         for s in self.grid():
             assert pf(s) == pytest.approx(1 / (1 + s) ** 2, abs=1e-12)
 
@@ -156,7 +156,7 @@ class TestRationalPartialFractions:
         spec = FilterSpec.rational([3.0], [1.0])
         pf = lb.rational_partial_fractions(spec)
         assert pf.alpha0 == pytest.approx(3.0)
-        assert pf.terms == ()
+        assert pf.poles == ()
 
     def test_numerator_degree_too_high(self):
         with pytest.raises(DegreeMismatch):
@@ -194,7 +194,7 @@ class TestRationalPartialFractions:
         s = self.grid()
         want = lb.evaluate(spec, s)
         assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
-        ((beta, weights),) = pf.real_form()
+        ((beta, weights),) = pf.poles
         assert beta == pytest.approx(1.0) and len(weights) == m
 
     def test_nearby_simple_poles_stay_apart(self):
@@ -203,7 +203,7 @@ class TestRationalPartialFractions:
         s = self.grid()
         want = lb.evaluate(spec, s)
         assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
-        assert [len(w) for _, w in pf.real_form()] == [1, 1]
+        assert [len(w) for _, w in pf.poles] == [1, 1]
 
     def test_unresolved_root_cluster_raises(self):
         # an 8-fold root splits by about 1e-2, wider than any grouping
@@ -243,22 +243,18 @@ class TestPartialFractionsDispatch:
 
     def test_real_form_folds_conjugate_pairs(self):
         pf = lb.exp_chebyshev_coefficients(5)
-        form = dict(pf.real_form())
+        form = dict(pf.poles)
         # r=5: one real pole and two pairs, each pair on its upper pole
         assert len(form) == 3
-        for a, b, _ in pf.terms:
+        # the fold is exact: either member of a pair gives the same weight
+        for a, b in TABLE[5][1]:
             if b.imag > 0:
                 assert form[b] == (2 * a,)
-            elif b.imag == 0:
+            elif b.imag < 0:
+                assert form[b.conjugate()] == (2 * a.conjugate(),)
+            else:
                 assert isinstance(b.real, float)
                 assert form[b.real] == (a.real,)
-
-    def test_nonconjugate_terms_rejected_at_evaluation(self):
-        pf = PartialFraction(
-            alpha0=0.0, terms=(((1.0 + 1.0j), (0.5 + 0.5j), 1),), degree=1
-        )
-        with pytest.raises(ArithmeticError):
-            pf(1.0)
 
 
 class TestParseFilter:

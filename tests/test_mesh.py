@@ -369,3 +369,12 @@ class TestRoundTrip:
         assert "property uchar red" in text
         again = lb.load_mesh(path)
         assert again.n_vertices == 42
+
+    def test_failed_write_leaves_existing_file(self, sphere1, tmp_path):
+        path = tmp_path / "s.ply"
+        save_ply(sphere1, path)
+        before = path.read_bytes()
+        with pytest.raises(IndexError):  # two colours for 42 vertices
+            save_ply(sphere1, path, colors=np.zeros((2, 3), dtype=int))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ply"]

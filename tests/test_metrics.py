@@ -79,13 +79,6 @@ class TestKernelMetric:
                 op2, shift, np.ones(op2.n), np.ones(op2.n)
             )
 
-    def test_check_can_be_skipped(self, op2):
-        shift = lambda v: np.roll(np.asarray(v), 1)
-        out = lb.kernel_metric(
-            op2, shift, np.ones(op2.n), np.ones(op2.n), check=False
-        )
-        assert np.isfinite(out)
-
     def test_symmetry(self, op2, heat_kernel):
         rng = np.random.default_rng(21)
         f = rng.standard_normal(op2.n)
