@@ -118,13 +118,13 @@ def hamiltonian_basis(op, V, mu, seeds):
     return _interpolants(H, seeds, "hamiltonian", {"scheme": op.scheme, "mu": mu})
 
 
-def eigen_basis(op, k, tol=1e-10, seed=0):
+def eigen_basis(op, k):
     """The k smallest B-orthonormal eigenpairs of L x = lambda B x."""
     if not op.is_symmetric:
         raise SchemeNotSymmetric(
             f"scheme {op.scheme!r} is not symmetric; no eigenbasis"
         )
-    return numerics.smallest_eigenpairs(op.L, op.B, k, tol=tol, seed=seed)
+    return numerics.smallest_eigenpairs(op.L, op.B, k)
 
 
 def eigen_fields(eig):

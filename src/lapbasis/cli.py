@@ -30,14 +30,14 @@ SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 
 
-def _common(parser):
+def _common(parser, operator=True):
     parser.add_argument("--mesh", required=True, help="OFF/OBJ/PLY mesh file")
-    parser.add_argument("--scheme", choices=sorted(SCHEME_FLAG), default="fem")
-    parser.add_argument("--mass", choices=["lumped", "consistent"],
-                        default="lumped")
+    if operator:
+        parser.add_argument("--scheme", choices=sorted(SCHEME_FLAG),
+                            default="fem")
+        parser.add_argument("--mass", choices=["lumped", "consistent"],
+                            default="lumped")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="csv",
-                        help="field exports, a comma list from csv,ply")
 
 
 def build_parser():
@@ -49,6 +49,8 @@ def build_parser():
 
     b = sub.add_parser("basis", help="compute a basis family")
     _common(b)
+    b.add_argument("--format", default="csv",
+                   help="field exports, a comma list from csv,ply")
     b.add_argument("family", choices=["harmonic", "hamiltonian", "eigen",
                                       "diffusion", "spectral", "green"])
     b.add_argument("--seeds", help="comma-separated vertex indices")
@@ -105,7 +107,7 @@ def build_parser():
                    default="euclidean")
 
     v = sub.add_parser("validate", help="mesh sanity report")
-    _common(v)
+    _common(v, operator=False)
 
     e = sub.add_parser("spectrum", help="smallest eigenvalues")
     _common(e)
@@ -119,7 +121,7 @@ def build_parser():
 
 
 class Run:
-    """Collects output files and writes the manifest at the end."""
+    """Collects output files and stage times; writes the manifest at the end."""
 
     def __init__(self, args):
         self.args = args
@@ -127,8 +129,11 @@ class Run:
         os.makedirs(self.outdir, exist_ok=True)
         self.outputs = []
         self.info = {}
+        self.timings = {}
         self.t0 = time.perf_counter()
-        self.formats = [f.strip() for f in args.format.split(",") if f.strip()]
+        # only basis exports fields, so only basis has --format
+        self.formats = [f.strip() for f in getattr(args, "format", "").split(",")
+                        if f.strip()]
         for f in self.formats:
             if f not in FORMATS:
                 raise ValueError(f"unknown format {f!r}")
@@ -153,7 +158,7 @@ class Run:
             "command": self.args.command,
             "parameters": params,
             "timings": {"total_s": time.perf_counter() - self.t0,
-                        **self.info.pop("timings", {})},
+                        **self.timings},
             **self.info,
             "outputs": [
                 {"path": os.path.relpath(p, self.outdir),
@@ -251,18 +256,12 @@ def _write_spectrum(run, op, eig):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each body computes and writes; main sets up, times and
+# finishes the run
 
 
-def cmd_basis(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    t0 = time.perf_counter()
-    op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
-    run.info["timings"] = {"assemble_s": time.perf_counter() - t0}
+def cmd_basis(args, run, mesh, op):
     fam = args.family
-    t1 = time.perf_counter()
-
     if fam == "eigen":
         eig = basis_mod.eigen_basis(op, args.k)
         run.info["solver"] = {"max_rel_residual": _write_spectrum(run, op, eig)}
@@ -295,15 +294,9 @@ def cmd_basis(args):
                                    role=args.role, t=args.t, filt=filt,
                                    r=args.r)
         _export_fields(run, mesh, bs, "green")
-    run.info["timings"]["compute_s"] = time.perf_counter() - t1
-    print(run.finish())
-    return 0
 
 
-def cmd_metrics(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
+def cmd_metrics(args, run, mesh, op):
     if args.fields_dir:
         paths = sorted(
             os.path.join(args.fields_dir, f)
@@ -333,14 +326,9 @@ def cmd_metrics(args):
     metrics_mod.save_comparison_pgm(cm, p_pgm)
     run.add(p_pgm)
     run.info["matrix"] = {"m": cm.m, "normalized": cm.normalized}
-    print(run.finish())
-    return 0
 
 
-def cmd_seeds(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
+def cmd_seeds(args, run, mesh, op):
     ss = seeds_mod.farthest_point_sampling(
         mesh, args.fps, start=args.start, metric=args.metric, op=op
     )
@@ -349,14 +337,9 @@ def cmd_seeds(args):
     run.add(p)
     run.info["seeds"] = {"method": ss.method, "start": ss.start,
                          "metric": ss.metric, "count": len(ss)}
-    print(run.finish())
-    return 0
 
 
-def cmd_coverage(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
+def cmd_coverage(args, run, mesh, op):
     heat = basis_mod.ChebyshevKernel(
         op, partial_fractions(FilterSpec.exponential(args.t), args.r)
     )
@@ -383,27 +366,15 @@ def cmd_coverage(args):
         "t": args.t,
     }
     run.write_text("coverage_report.json", json.dumps(report, indent=2) + "\n")
-    print(run.finish())
-    return 0
 
 
-def cmd_validate(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    report = validate(mesh)
+def cmd_validate(args, run, mesh, op):
     run.write_text("mesh_report.json",
-                   json.dumps(report.as_dict(), indent=2) + "\n")
-    print(run.finish())
-    return 0
+                   json.dumps(validate(mesh).as_dict(), indent=2) + "\n")
 
 
-def cmd_spectrum(args):
-    run = Run(args)
-    mesh = load_mesh(args.mesh)
-    op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme], mass_mode=args.mass)
+def cmd_spectrum(args, run, mesh, op):
     _write_spectrum(run, op, basis_mod.eigen_basis(op, args.k))
-    print(run.finish())
-    return 0
 
 
 COMMANDS = {
@@ -419,7 +390,19 @@ COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        run = Run(args)
+        mesh = load_mesh(args.mesh)
+        op = None
+        if "scheme" in args:  # every command but validate reads an operator
+            t0 = time.perf_counter()
+            op = assemble(mesh, scheme=SCHEME_FLAG[args.scheme],
+                          mass_mode=args.mass)
+            run.timings["assemble_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        COMMANDS[args.command](args, run, mesh, op)
+        run.timings["compute_s"] = time.perf_counter() - t0
+        print(run.finish())
+        return 0
     except (LapBasisError, OSError, ValueError, IndexError) as exc:
         print(f"lapbasis: error: {exc}", file=sys.stderr)
         return 1

@@ -23,10 +23,6 @@ class DisconnectedMesh(LapBasisError):
 # operator assembly
 
 
-class EmptyMesh(LapBasisError):
-    """Mesh has no triangles to assemble over."""
-
-
 class AllDegenerate(LapBasisError):
     """Every triangle is below the degeneracy threshold."""
 

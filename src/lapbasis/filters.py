@@ -94,6 +94,7 @@ class FilterSpec:
         return self.kind in RATIONAL_FORM
 
     def describe(self):
+        """The parse_filter expression of this filter (custom has none)."""
         if self.kind == "exponential":
             return f"exp:t={self.t!r}"
         if self.kind == "polyharmonic":
@@ -102,7 +103,8 @@ class FilterSpec:
             num = ",".join(repr(c) for c in self.num)
             den = ",".join(repr(c) for c in self.den)
             return f"rat:num={num};den={den}"
-        return self.kind
+        return {"commute_time": "commute", "mexican_hat": "mexican"}.get(
+            self.kind, self.kind)
 
 
 def evaluate(spec, s):

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.io import mmwrite
 
-from .errors import AllDegenerate, EmptyMesh
+from .errors import AllDegenerate, SingularSystem
 from .fields import ScalarField, field_values
 from .mesh import DEGENERATE_AREA_FACTOR
 
@@ -142,8 +142,6 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if mass_mode not in MASS_MODES:
         raise ValueError(f"unknown mass mode {mass_mode!r}")
-    if mesh.n_triangles == 0:
-        raise EmptyMesh("mesh has no triangles")
     if scheme == "voronoi_cotangent" and mass_mode == "consistent":
         raise ValueError("voronoi_cotangent is defined by lumping; use lumped mass")
 
@@ -169,9 +167,14 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
 
 def _mass_solve(op, rhs):
     """B^{-1} rhs for a vector or an (n, m) block: a diagonal divide for
-    lumped mass, one sparse LU of B for consistent mass."""
+    lumped mass, one sparse LU of B for consistent mass.  A vertex in no
+    non-degenerate triangle has no mass and makes B singular."""
+    d = op.B.diagonal()
+    empty = np.flatnonzero(d <= 0.0)
+    if empty.size:
+        raise SingularSystem(f"mass matrix is singular: vertex {empty[0]} "
+                             "lies in no non-degenerate triangle")
     if op.mass_mode == "lumped":
-        d = op.B.diagonal()
         return rhs / (d[:, None] if rhs.ndim == 2 else d)
     return spla.splu(op.B.tocsc()).solve(rhs)
 

@@ -114,17 +114,18 @@ def shifted_factor(B, L, beta):
 # eigensolver
 
 SIGMA = -1e-8  # shift of the shift-invert solves, just below the kernel of L
+EIGSH_TOL = 1e-10  # relative accuracy asked of eigsh
 CLUSTER_RTOL = 1e-7  # values this close to lambda_k, relative, are its cluster
 CERTIFY_RETRIES = 3  # eigsh calls after the first to fill in missed pairs
 
 
-def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
+def smallest_eigenpairs(L, B, k, seed=0):
     """The k algebraically smallest generalized eigenpairs of L x = lam B x.
 
     The kernel of L (constants per component) is analytic; dense eigh gives
     the other pairs when 2k + 1 > n, else scipy's eigsh (ARPACK) in
     shift-invert mode at SIGMA, with all pairs found so far projected out of
-    each solve.  tol is eigsh's relative accuracy; seed fixes its v0.
+    each solve.  seed fixes eigsh's v0.
 
     Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
     max(lambda_k, 1) below the lowest value of lambda_k's cluster, or halfway
@@ -166,7 +167,7 @@ def smallest_eigenpairs(L, B, k, tol=1e-10, seed=0):
         OP = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
         try:
             found, Xf = spla.eigsh(Lm, missing, M=Bm, sigma=SIGMA, OPinv=OP,
-                                   v0=v0 - X @ (BX.T @ v0), tol=tol)
+                                   v0=v0 - X @ (BX.T @ v0), tol=EIGSH_TOL)
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise NotConverged(f"eigsh failed: {exc}") from exc
         order = np.argsort(np.r_[vals, found], kind="stable")

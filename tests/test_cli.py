@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import argparse
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import lapbasis as lb
-from lapbasis.cli import main
+from lapbasis.cli import build_parser, main
 from lapbasis.mesh import save_off
 
 
@@ -315,6 +316,51 @@ class TestSpectrumCommand:
         assert spec["max_rel_residual"] <= 1e-10
 
 
+OPERATOR = ["--help", "--mass", "--mesh", "--out", "--scheme", "-h"]
+OPTIONS = {
+    "basis": sorted(OPERATOR + [
+        "--filter", "--format", "--fps", "--k", "--method", "--mu",
+        "--potential", "--r", "--role", "--seed", "--seeds", "--seeds-file",
+        "--start", "--t"]),
+    "metrics": sorted(OPERATOR + [
+        "--family", "--fields-dir", "--fps", "--k", "--kernel-t", "--metric",
+        "--normalize", "--r", "--seeds", "--start", "--t"]),
+    "seeds": sorted(OPERATOR + ["--fps", "--metric", "--start"]),
+    "coverage": sorted(OPERATOR + [
+        "--k0", "--metric", "--r", "--start", "--t", "--tau"]),
+    "validate": ["--help", "--mesh", "--out", "-h"],
+    "spectrum": sorted(OPERATOR + ["--k"]),
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_set_pinned(self, command):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(OPTIONS)
+        got = sorted(s for a in sub.choices[command]._actions
+                     for s in a.option_strings)
+        assert got == OPTIONS[command]
+
+    def test_format_only_on_basis(self, mesh_path, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                  "--fps", "4", "--format", "ply",
+                  "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("argv, stages", [
+        (["validate"], ["compute_s", "total_s"]),
+        (["seeds", "--fps", "3"], ["assemble_s", "compute_s", "total_s"]),
+    ])
+    def test_manifest_stage_times(self, mesh_path, tmp_path, argv, stages):
+        out = tmp_path / "run"
+        assert main(argv + ["--mesh", mesh_path, "--out", str(out)]) == 0
+        timings = read_manifest(out)["timings"]
+        assert sorted(timings) == stages
+        assert all(v >= 0.0 for v in timings.values())
+
+
 class TestErrors:
     def test_missing_mesh(self, tmp_path, capsys):
         rc = main([
@@ -371,6 +417,21 @@ class TestErrors:
         ])
         assert rc == 1
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_massless_vertex_fails_cleanly(self, tmp_path, capsys, mass):
+        m = lb.icosphere(2)
+        path = tmp_path / "isolated.off"
+        save_off(lb.TriangleMesh(np.vstack([m.vertices, [[3.0, 0.0, 0.0]]]),
+                                 m.triangles), path)
+        rc = main([
+            "basis", "diffusion", "--mesh", str(path), "--fps", "4",
+            "--mass", mass, "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "vertex 162" in err
+        assert "Traceback" not in err
 
     def test_meanvalue_green_fails_cleanly(self, mesh_path, tmp_path, capsys):
         rc = main([

@@ -277,6 +277,16 @@ class TestParseFilter:
         assert spec.kind == "rational"
         assert lb.evaluate(spec, 1.0) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("spec", [
+        FilterSpec.exponential(0.1),
+        FilterSpec.polyharmonic(2),
+        FilterSpec.commute_time(),
+        FilterSpec.mexican_hat(),
+        FilterSpec.rational([1.0, 0.5], [1.0, 3.001, 0.1]),
+    ], ids=lambda f: f.kind)
+    def test_describe_round_trips(self, spec):
+        assert lb.parse_filter(spec.describe()) == spec
+
     def test_garbage_rejected(self):
         for text in ("", "exp", "exp:t=abc", "nosuch:t=1", "rat:num=1"):
             with pytest.raises(ValueError):

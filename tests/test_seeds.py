@@ -5,7 +5,7 @@ import pytest
 
 import lapbasis as lb
 from lapbasis.basis import ChebyshevKernel
-from lapbasis.errors import NoProgress, ZeroField
+from lapbasis.errors import NoProgress, SingularSystem, ZeroField
 from lapbasis.filters import FilterSpec
 from lapbasis.seeds import load_seeds, save_seeds
 
@@ -44,6 +44,15 @@ class TestCurvature:
         c = lb.field_values(lb.curvature_field(torus200, op_torus200))
         assert np.isfinite(c).all()
         assert len(c) == torus200.n_vertices
+
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_massless_vertex_raises(self, mass):
+        # an isolated vertex has no mass: B is singular in both modes
+        m = lb.icosphere(1)
+        m = lb.TriangleMesh(np.vstack([m.vertices, [[3.0, 0.0, 0.0]]]),
+                            m.triangles)
+        with pytest.raises(SingularSystem, match="vertex 42"):
+            lb.curvature_field(m, lb.assemble(m, mass_mode=mass))
 
 
 class TestFps:
