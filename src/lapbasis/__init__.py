@@ -9,12 +9,9 @@ kernel metrics.
 
 from .basis import (
     ChebyshevKernel,
-    diffusion_basis,
-    diffusion_set,
     eigen_basis,
     eigen_fields,
     green_basis,
-    green_column,
     hamiltonian_basis,
     harmonic_basis,
     reconstruct,
@@ -78,8 +75,6 @@ __all__ = [
     "coverage_curve",
     "coverage_loop",
     "curvature_field",
-    "diffusion_basis",
-    "diffusion_set",
     "eigen_basis",
     "eigen_fields",
     "evaluate",
@@ -88,7 +83,6 @@ __all__ = [
     "field_values",
     "grid",
     "green_basis",
-    "green_column",
     "hamiltonian_basis",
     "harmonic_basis",
     "icosphere",

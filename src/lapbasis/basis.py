@@ -1,5 +1,6 @@
 """Basis families: harmonic, Hamiltonian, eigenbasis, filtered-spectral
-(truncated and spectrum-free), diffusion, and Green-kernel columns.
+(truncated and spectrum-free; diffusion is the exponential filter), and
+harmonic Green-kernel columns.
 
 Two evaluation routes exist for a spectral operator K_phi.  The truncated
 route expands over k computed eigenpairs; the spectrum-free route replaces
@@ -22,11 +23,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import BasisSet, ScalarField, field_values
-from .filters import (
-    FilterSpec,
-    evaluate,
-    partial_fractions,
-)
+from .filters import evaluate, partial_fractions
 
 # eigenvalues at or below this (relative) size count as the kernel of L
 KERNEL_REL_TOL = 1e-8
@@ -227,9 +224,12 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
     The rational route (one ChebyshevKernel shared by the columns, its
     shifts factorised once) runs when method is "chebyshev" and the filter
     has a rational form; otherwise the truncated route expands over k
-    eigenpairs.  Pass an EigenSystem to reuse it across calls; to reuse a
-    kernel, call ChebyshevKernel.apply.  The route is recorded in
-    params["path"] and in each field's tag.
+    eigenpairs, and warns when it computes them itself with k < n (the
+    truncation error cannot be estimated without the whole spectrum).
+    Diffusion columns are the filter FilterSpec.exponential(t).  Pass an
+    EigenSystem to reuse it across calls; to reuse a kernel, call
+    ChebyshevKernel.apply.  The route is recorded in params["path"] and in
+    each field's tag.
     """
     idx = _seed_indices(seeds, op.n)
     if method not in ("chebyshev", "truncated"):
@@ -240,6 +240,12 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
                 else f"chebyshev table r={r}")
     else:
         if eig is None:
+            if k < op.n:
+                warnings.warn(
+                    "truncated route with k < n: approximation quality "
+                    "cannot be estimated without the whole spectrum",
+                    stacklevel=2,
+                )
             eig = eigen_basis(op, min(k, op.n))
         path = f"truncated k={eig.k}"
 
@@ -255,88 +261,36 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
                     params={"filter": filt.describe(), "path": path})
 
 
-def diffusion_basis(op, t, seed, method="chebyshev", r=5, k=100, eig=None):
-    """Heat-kernel column K_t e_seed at diffusion scale t > 0.
+def green_basis(op, seeds):
+    """Columns of the harmonic Green kernel, the deflated inverse of L.
 
-    The one-seed case of spectral_set with phi(s) = exp(-t s).  method
-    "chebyshev" folds t into the pole nodes of the precomputed degree-r
-    rational approximation of exp(-s) and performs r shifted solves;
-    "truncated" expands over k eigenpairs (accuracy of the truncation
-    cannot be estimated without the whole spectrum).  Pass an EigenSystem
-    to reuse it across seeds; for many seeds use diffusion_set, or apply
-    one ChebyshevKernel to each delta.
-    """
-    filt = FilterSpec.exponential(t)
-    if method == "truncated" and eig is None and k < op.n:
-        warnings.warn(
-            "truncated diffusion with k < n: approximation quality "
-            "cannot be estimated without the whole spectrum",
-            stacklevel=2,
-        )
-    (column,) = spectral_set(op, filt, [seed], method, r, k, eig)
-    return column
-
-
-def diffusion_set(op, t, seeds, method="chebyshev", r=5, k=100, eig=None):
-    """Diffusion columns for several seeds, sharing factorisations."""
-    bs = spectral_set(op, FilterSpec.exponential(t), seeds, method, r, k, eig)
-    bs.family = "diffusion"
-    bs.params["t"] = t
-    return bs
-
-
-def green_basis(op, seeds, role="harmonic", t=None, filt=None, r=5):
-    """Columns of the Green kernel of the chosen operator at each seed.
-
-    role "harmonic": the deflated inverse of the Laplacian, solving
-    L g = B(e_seed - constant projection) with <g, 1>_B = 0; requires a
-    symmetric scheme and a connected mesh.  role "diffusion" needs t and
-    role "general" a filter; each is one spectral_set call (the rational
-    route for a rational-form filter, else 100 eigenpairs).
+    Solves L g = B(e_seed - constant projection) with <g, 1>_B = 0 for
+    every seed at once; requires a symmetric scheme and a connected mesh.
     """
     idx = _seed_indices(seeds, op.n)
-    if role == "diffusion":
-        if t is None:
-            raise ValueError("diffusion role needs a scale t")
-        fields = spectral_set(op, FilterSpec.exponential(t), idx, r=r).fields
-    elif role == "general":
-        if filt is None:
-            raise ValueError("general role needs a filter")
-        fields = spectral_set(op, filt, idx, r=r).fields
-        for f, s in zip(fields, idx):
-            f.tag = f"green[general,{filt.describe()},seed={s}]"
-    elif role != "harmonic":
-        raise ValueError(f"unknown green kernel role {role!r}")
-    elif not op.is_symmetric:
+    if not op.is_symmetric:
         raise SchemeNotSymmetric(
             f"scheme {op.scheme!r} is not symmetric; no harmonic Green kernel"
         )
-    else:
-        kernel = numerics.component_nullspace(op.L, op.B)
-        if kernel.shape[1] != 1:
-            raise DisconnectedMesh(
-                "harmonic Green kernel needs one connected component, found "
-                f"{kernel.shape[1]}"
-            )
-        w = op.B @ np.ones(op.n)  # <g, 1>_B = w @ g
-        area = w.sum()
-        F = np.zeros((op.n, len(idx)))
-        F[idx, np.arange(len(idx))] = 1.0
-        F -= w[idx] / area
-        # pinning one vertex leaves an invertible block of L; B f sums to
-        # zero, so the dropped row holds as well
-        G = _constrained_solve(op.L, [GREEN_PIN], np.zeros((1, len(idx))),
-                               op.B @ F)
-        fields = _seed_fields(G, idx, "green[harmonic,seed={}]")
-        for f in fields:  # per column, so no column depends on the others
-            f.values -= (w @ f.values) / area
-    return BasisSet(fields, "green", seeds=idx.tolist(), params={"role": role})
-
-
-def green_column(op, seed, role="harmonic", t=None, filt=None, r=5):
-    """Green-kernel column at one seed: the one-seed case of green_basis."""
-    (column,) = green_basis(op, [seed], role, t, filt, r)
-    return column
+    kernel = numerics.component_nullspace(op.L, op.B)
+    if kernel.shape[1] != 1:
+        raise DisconnectedMesh(
+            "harmonic Green kernel needs one connected component, found "
+            f"{kernel.shape[1]}"
+        )
+    w = op.B @ np.ones(op.n)  # <g, 1>_B = w @ g
+    area = w.sum()
+    F = np.zeros((op.n, len(idx)))
+    F[idx, np.arange(len(idx))] = 1.0
+    F -= w[idx] / area
+    # pinning one vertex leaves an invertible block of L; B f sums to
+    # zero, so the dropped row holds as well
+    G = _constrained_solve(op.L, [GREEN_PIN], np.zeros((1, len(idx))),
+                           op.B @ F)
+    fields = _seed_fields(G, idx, "green[harmonic,seed={}]")
+    for f in fields:  # per column, so no column depends on the others
+        f.values -= (w @ f.values) / area
+    return BasisSet(fields, "green", seeds=idx.tolist())
 
 
 def _delta(n, s):

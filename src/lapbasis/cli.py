@@ -53,10 +53,11 @@ def build_parser():
                    help="field exports, a comma list from csv,ply")
     b.add_argument("family", choices=["harmonic", "hamiltonian", "eigen",
                                       "diffusion", "spectral", "green"])
-    b.add_argument("--seeds", help="comma-separated vertex indices")
-    b.add_argument("--seeds-file", help="text file, one index per line")
-    b.add_argument("--fps", type=int, help="sample this many FPS seeds")
-    b.add_argument("--seed", type=int, help="single seed vertex")
+    src = b.add_mutually_exclusive_group()
+    src.add_argument("--seeds", help="comma-separated vertex indices")
+    src.add_argument("--seeds-file", help="text file, one index per line")
+    src.add_argument("--fps", type=int, help="sample this many FPS seeds")
+    src.add_argument("--seed", type=int, help="single seed vertex")
     b.add_argument("--start", type=int, help="FPS start vertex")
     b.add_argument("--t", type=float, default=0.1, help="diffusion scale")
     b.add_argument("--k", type=int, default=100, help="eigenpair count")
@@ -68,8 +69,6 @@ def build_parser():
                    help="filter expression, e.g. exp:t=0.1 or rat:num=1;den=1,0,1")
     b.add_argument("--method", choices=["chebyshev", "truncated"],
                    default="chebyshev")
-    b.add_argument("--role", choices=["harmonic", "diffusion", "general"],
-                   default="harmonic", help="green kernel operator")
 
     m = sub.add_parser("metrics", help="pairwise comparison matrix")
     _common(m)
@@ -78,8 +77,9 @@ def build_parser():
     m.add_argument("--family", choices=["diffusion", "eigen"],
                    default="diffusion", help="fields generated in-process")
     m.add_argument("--fields-dir", help="read field CSVs from a prior run")
-    m.add_argument("--seeds", help="comma-separated vertex indices")
-    m.add_argument("--fps", type=int, default=100)
+    src = m.add_mutually_exclusive_group()
+    src.add_argument("--seeds", help="comma-separated vertex indices")
+    src.add_argument("--fps", type=int, default=100)
     m.add_argument("--start", type=int)
     m.add_argument("--t", type=float, default=1e-3)
     m.add_argument("--k", type=int, default=20)
@@ -266,10 +266,12 @@ def cmd_basis(args, run, mesh, op):
         eig = basis_mod.eigen_basis(op, args.k)
         run.info["solver"] = {"max_rel_residual": _write_spectrum(run, op, eig)}
         _export_fields(run, mesh, basis_mod.eigen_fields(eig), "eigen")
-    elif fam in ("harmonic", "hamiltonian"):
+    elif fam in ("harmonic", "hamiltonian", "green"):
         seed_list = _parse_seed_args(args, mesh, op)
         if fam == "harmonic":
             bs = basis_mod.harmonic_basis(op, seed_list)
+        elif fam == "green":
+            bs = basis_mod.green_basis(op, seed_list)
         else:
             if args.potential:
                 V = _load_field_csv(args.potential)
@@ -288,12 +290,6 @@ def cmd_basis(args, run, mesh, op):
                                     method=args.method, r=args.r, k=args.k)
         run.info["path"] = bs.params["path"]
         _export_fields(run, mesh, bs, fam)
-    elif fam == "green":
-        filt = parse_filter(args.filter_text) if args.filter_text else None
-        bs = basis_mod.green_basis(op, _parse_seed_args(args, mesh, op),
-                                   role=args.role, t=args.t, filt=filt,
-                                   r=args.r)
-        _export_fields(run, mesh, bs, "green")
 
 
 def cmd_metrics(args, run, mesh, op):
@@ -306,7 +302,8 @@ def cmd_metrics(args, run, mesh, op):
         fields = BasisSet([_load_field_csv(p) for p in paths], "file")
     elif args.family == "diffusion":
         seed_list = _parse_seed_args(args, mesh, op)
-        fields = basis_mod.diffusion_set(op, args.t, seed_list, r=args.r)
+        fields = basis_mod.spectral_set(op, FilterSpec.exponential(args.t),
+                                        seed_list, r=args.r)
     else:
         eig = basis_mod.eigen_basis(op, args.k)
         fields = basis_mod.eigen_fields(eig)

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.io import mmwrite
 
-from .errors import AllDegenerate, SingularSystem
+from . import numerics
+from .errors import AllDegenerate
 from .fields import ScalarField, field_values
 from .mesh import DEGENERATE_AREA_FACTOR
 
@@ -169,12 +170,9 @@ def _mass_solve(op, rhs):
     """B^{-1} rhs for a vector or an (n, m) block: a diagonal divide for
     lumped mass, one sparse LU of B for consistent mass.  A vertex in no
     non-degenerate triangle has no mass and makes B singular."""
-    d = op.B.diagonal()
-    empty = np.flatnonzero(d <= 0.0)
-    if empty.size:
-        raise SingularSystem(f"mass matrix is singular: vertex {empty[0]} "
-                             "lies in no non-degenerate triangle")
+    numerics.check_mass(op.B)
     if op.mass_mode == "lumped":
+        d = op.B.diagonal()
         return rhs / (d[:, None] if rhs.ndim == 2 else d)
     return spla.splu(op.B.tocsc()).solve(rhs)
 

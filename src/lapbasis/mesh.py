@@ -6,6 +6,7 @@ once by the constructor and shared read-only by every caller.
 """
 
 import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,34 +139,19 @@ class TriangleMesh:
         return csgraph.connected_components(self.adjacency(), directed=False)
 
 
+@dataclass
 class MeshReport:
     """Validation summary produced by :func:`validate`."""
 
-    def __init__(
-        self,
-        n_vertices,
-        n_triangles,
-        n_boundary_edges,
-        n_components,
-        degenerate_triangles,
-        nonmanifold_edges,
-    ):
-        self.n_vertices = n_vertices
-        self.n_triangles = n_triangles
-        self.n_boundary_edges = n_boundary_edges
-        self.n_components = n_components
-        self.degenerate_triangles = degenerate_triangles
-        self.nonmanifold_edges = nonmanifold_edges
+    n_vertices: int
+    n_triangles: int
+    n_boundary_edges: int
+    n_components: int
+    degenerate_triangles: list
+    nonmanifold_edges: list
 
     def as_dict(self):
-        return {
-            "n_vertices": int(self.n_vertices),
-            "n_triangles": int(self.n_triangles),
-            "n_boundary_edges": int(self.n_boundary_edges),
-            "n_components": int(self.n_components),
-            "degenerate_triangles": [int(t) for t in self.degenerate_triangles],
-            "nonmanifold_edges": [[int(a), int(b)] for a, b in self.nonmanifold_edges],
-        }
+        return asdict(self)
 
 
 def validate(mesh):
@@ -178,9 +164,9 @@ def validate(mesh):
         n_vertices=mesh.n_vertices,
         n_triangles=mesh.n_triangles,
         n_boundary_edges=len(mesh.boundary_edges()),
-        n_components=ncomp,
+        n_components=int(ncomp),
         degenerate_triangles=[int(i) for i in mesh.degenerate_triangles()],
-        nonmanifold_edges=[tuple(map(int, e)) for e in mesh.nonmanifold_edges()],
+        nonmanifold_edges=[[int(a), int(b)] for a, b in mesh.nonmanifold_edges()],
     )
 
 

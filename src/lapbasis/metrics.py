@@ -5,7 +5,7 @@ f^T L g measures gradient alignment, and kernel metrics f^T B K g weigh the
 overlap through a filtered operator K.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class ComparisonMatrix:
 
     values: np.ndarray
     metric: str
-    labels: list = field(default_factory=list)
     normalized: bool = False
 
     @property
@@ -130,8 +129,7 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
         raise ValueError(f"unknown metric {metric!r}")
     if not np.all(np.isfinite(M)):
         raise ValueError("comparison matrix has non-finite entries")
-    labels = [getattr(f, "tag", f"field{i}") for i, f in enumerate(fields)]
-    return ComparisonMatrix(M, metric, labels=labels, normalized=normalize)
+    return ComparisonMatrix(M, metric, normalized=normalize)
 
 
 def save_comparison_csv(cm, path):

@@ -20,6 +20,7 @@ from .errors import (
     FactorizationFailed,
     NearSingularShift,
     NotConverged,
+    SingularSystem,
 )
 
 
@@ -41,14 +42,25 @@ class EigenSystem:
         return len(self.values)
 
 
+def check_mass(B):
+    """Raise SingularSystem, naming the vertex, if a diagonal entry of the
+    mass matrix B is not positive: a vertex in no non-degenerate triangle
+    has no mass, and B is then singular."""
+    empty = np.flatnonzero(B.diagonal() <= 0.0)
+    if empty.size:
+        raise SingularSystem(f"mass matrix is singular: vertex {empty[0]} "
+                             "lies in no non-degenerate triangle")
+
+
 def component_nullspace(L, B):
     """B-orthonormal kernel basis of L built from connected components.
 
     Candidate vectors are the indicator functions of the components of L's
     sparsity graph; only candidates that L actually annihilates are kept
     (a screened operator has the same sparsity but no kernel).  Returns an
-    (n, q) array, possibly with q = 0.
+    (n, q) array, possibly with q = 0.  B must have a positive diagonal.
     """
+    check_mass(B)
     Lm = L.tocsr()
     n = Lm.shape[0]
     ncomp, labels = csgraph.connected_components(Lm, directed=False)
@@ -74,7 +86,9 @@ def shifted_factor(B, L, beta):
     solved by sparse LU with iterative refinement.  Raises NearSingularShift
     when the factorisation looks numerically singular (estimated condition
     above 1e14); the closure raises NotConverged when refinement stalls.
+    B must have a positive diagonal (check_mass).
     """
+    check_mass(B)
     tol = 1e-10  # relative residual each solve must reach
     dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
     M = (B + beta * L).astype(dtype).tocsc()

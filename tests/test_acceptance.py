@@ -92,7 +92,8 @@ def test_criterion_02_spectrum_free_agreement(r10):
                     eig, FilterSpec.exponential(t), delta(op.n, seed)
                 )
             )
-            cheb = lb.field_values(lb.diffusion_basis(op, t, seed, r=5))
+            cheb = lb.field_values(lb.spectral_set(
+                op, FilterSpec.exponential(t), [seed], r=5)[0])
             err = np.abs(cheb - full).max() / full.max()
             worst = max(worst, err)
             assert err <= 1e-4
@@ -108,7 +109,8 @@ def test_criterion_03_gibbs_contrast(op4, eig100_2562):
                 eig100_2562, FilterSpec.exponential(t), delta(op4.n, seed)
             )
         )
-        cheb = lb.field_values(lb.diffusion_basis(op4, t, seed, r=5))
+        cheb = lb.field_values(lb.spectral_set(
+            op4, FilterSpec.exponential(t), [seed], r=5)[0])
         assert trunc.min() < 0
         assert trunc.min() < cheb.min()
         assert cheb.min() >= -1e-4 * cheb.max()
@@ -160,7 +162,7 @@ def test_criterion_06_orthogonality_small_scales(sphere4, op4):
         seeds = list(lb.farthest_point_sampling(sphere4, 100, start=0).indices)
         stats = {}
         for t in (1e-3, 1.0):
-            bs = lb.diffusion_set(op4, t, seeds)
+            bs = lb.spectral_set(op4, FilterSpec.exponential(t), seeds)
             M = lb.comparison_matrix(op4, bs, metric="area").values
             off = np.abs(M[~np.eye(100, dtype=bool)]).mean()
             stats[t] = (off, np.diag(M).mean())
@@ -235,7 +237,7 @@ def test_criterion_09_dense_oracle_equivalence():
             s0 = n // 2
             w = V.T @ B @ delta(n, s0)
             g_want = V[:, 1:] @ (w[1:] / lam[1:])
-            g = lb.field_values(lb.green_column(op, s0))
+            g = lb.field_values(lb.green_basis(op, [s0])[0])
             assert np.abs(g - g_want).max() <= 1e-6 * np.abs(g_want).max()
 
 
@@ -243,8 +245,9 @@ def test_criterion_10_robustness(sphere3, op3, op4):
     with criterion(10, "refinement and cut robustness"):
         seed = 0
         t = 1e-2
-        coarse = lb.field_values(lb.diffusion_basis(op3, t, seed))
-        fine = lb.field_values(lb.diffusion_basis(op4, t, seed))
+        filt = FilterSpec.exponential(t)
+        coarse = lb.field_values(lb.spectral_set(op3, filt, [seed])[0])
+        fine = lb.field_values(lb.spectral_set(op4, filt, [seed])[0])
         # the refined icosphere keeps coarse vertices first, so nearest
         # vertex transfer is the identity on them
         r = np.corrcoef(coarse, fine[: op3.n])[0, 1]
@@ -261,7 +264,8 @@ def test_criterion_10_robustness(sphere3, op3, op4):
         remap[used] = np.arange(len(used))
         sub = lb.TriangleMesh(sphere3.vertices[used], remap[keep])
         cut = lb.field_values(
-            lb.diffusion_basis(lb.assemble(sub), t, int(remap[seed]))
+            lb.spectral_set(lb.assemble(sub), FilterSpec.exponential(t),
+                            [int(remap[seed])])[0]
         )
         hops = csgraph.shortest_path(
             sphere3.adjacency(), unweighted=True, indices=seed

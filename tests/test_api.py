@@ -25,8 +25,6 @@ PUBLIC = [
     "coverage_curve",
     "coverage_loop",
     "curvature_field",
-    "diffusion_basis",
-    "diffusion_set",
     "eigen_basis",
     "eigen_fields",
     "evaluate",
@@ -34,7 +32,6 @@ PUBLIC = [
     "farthest_point_sampling",
     "field_values",
     "green_basis",
-    "green_column",
     "grid",
     "hamiltonian_basis",
     "harmonic_basis",

@@ -1,5 +1,7 @@
 """Basis families: harmonic, Hamiltonian, eigen, filtered, diffusion, Green."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,14 +35,14 @@ def check_green_defining_equation(op, s):
     # B-mean removal keeps the right-hand side in range(L)
     c = (np.ones(op.n) @ B @ e) / B.sum()
     rhs = B @ (e - c)
-    g = lb.field_values(lb.green_column(op, s))
+    g = lb.field_values(lb.green_basis(op, [s])[0])
     r = L @ g - rhs
     assert np.abs(r).max() <= 1e-8 * np.abs(rhs).max()
 
 
 def check_green_b_mean_free(op, s):
     _, B = dense_lb(op)
-    g = lb.field_values(lb.green_column(op, s))
+    g = lb.field_values(lb.green_basis(op, [s])[0])
     assert abs(np.ones(op.n) @ B @ g) <= 1e-10 * np.abs(g).max()
 
 
@@ -333,21 +335,24 @@ class TestChebyshevKernel:
 
 class TestDiffusion:
     def test_small_t_concentrates_at_seed(self, op3, sphere3):
-        d = lb.field_values(lb.diffusion_basis(op3, 1e-8, 17))
+        d = lb.field_values(
+            lb.spectral_set(op3, FilterSpec.exponential(1e-8), [17])[0])
         ring = set(sphere3.one_ring(17)) | {17}
         outside = np.array([i for i in range(op3.n) if i not in ring])
         assert d[17] == d.max()
         assert np.abs(d[outside]).max() <= 1e-3 * d.max()
 
     def test_large_t_flattens(self, op1):
-        d = lb.field_values(lb.diffusion_basis(op1, 10.0, 0))
+        d = lb.field_values(
+            lb.spectral_set(op1, FilterSpec.exponential(10.0), [0])[0])
         assert (d.max() - d.min()) <= 1e-3 * d.mean()
 
     def test_semigroup_property(self, op3):
         # K_{2t} e = K_t (K_t e)
         t = 0.05
         seed = 9
-        one = lb.field_values(lb.diffusion_basis(op3, 2 * t, seed))
+        one = lb.field_values(
+            lb.spectral_set(op3, FilterSpec.exponential(2 * t), [seed])[0])
         pf = lb.partial_fractions(FilterSpec.exponential(t))
         kern = ChebyshevKernel(op3, pf)
         half = kern.apply(lb.field_values(kern.apply(delta(op3.n, seed))))
@@ -359,34 +364,58 @@ class TestDiffusion:
 
         seed = 33
         t = 0.3
-        cheb = lb.field_values(lb.diffusion_basis(op2, t, seed))
+        filt = FilterSpec.exponential(t)
+        cheb = lb.field_values(lb.spectral_set(op2, filt, [seed])[0])
         trunc = lb.field_values(
-            lb.diffusion_basis(
-                op2, t, seed, method="truncated", k=op2.n, eig=eig162_full
-            )
+            lb.spectral_set(
+                op2, filt, [seed], method="truncated", k=op2.n, eig=eig162_full
+            )[0]
         )
         # unit delta input: rational sup error bounds the disagreement
         assert np.abs(cheb - trunc).max() <= 2 * exp_table_error(5)
 
     def test_truncation_warns(self, op2):
         with pytest.warns(UserWarning, match="spectrum"):
-            lb.diffusion_basis(op2, 0.1, 0, method="truncated", k=30)
+            lb.spectral_set(op2, FilterSpec.exponential(0.1), [0],
+                            method="truncated", k=30)
+
+    @pytest.mark.parametrize("text, method", [
+        ("exp:t=0.1", "truncated"),
+        ("poly:k=2", "chebyshev"),  # no rational form: the truncated fallback
+    ])
+    def test_truncation_warns_for_every_filter(self, op2, text, method):
+        with pytest.warns(UserWarning, match="spectrum"):
+            bs = lb.spectral_set(op2, lb.parse_filter(text), [0],
+                                 method=method, k=30)
+        assert bs.params["path"] == "truncated k=30"
+
+    @pytest.mark.parametrize("case", ["eig", "k>=n"])
+    def test_no_truncation_warning(self, op2, eig162_full, case):
+        kwargs = ({"eig": eig162_full, "k": 30} if case == "eig"
+                  else {"k": op2.n + 5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bs = lb.spectral_set(op2, lb.parse_filter("poly:k=2"), [0],
+                                 method="truncated", **kwargs)
+        assert bs.params["path"] == f"truncated k={op2.n}"
 
     def test_positivity_all_scales(self, op3):
         for t in (1e-3, 1e-2, 1e-1):
-            d = lb.field_values(lb.diffusion_basis(op3, t, 4))
+            d = lb.field_values(
+                lb.spectral_set(op3, FilterSpec.exponential(t), [4])[0])
             assert d.min() >= -1e-4 * d.max()
 
     def test_diffusion_set_shares_work(self, op2):
         seeds = [0, 50, 100]
-        bs = lb.diffusion_set(op2, 0.2, seeds)
+        filt = FilterSpec.exponential(0.2)
+        bs = lb.spectral_set(op2, filt, seeds)
         assert bs.matrix().shape == (op2.n, 3)
-        solo = lb.field_values(lb.diffusion_basis(op2, 0.2, 50))
+        solo = lb.field_values(lb.spectral_set(op2, filt, [50])[0])
         assert np.abs(bs.matrix()[:, 1] - solo).max() <= 1e-12
 
     def test_duplicate_seeds_rejected(self, op2):
         with pytest.raises(DuplicateSeeds):
-            lb.diffusion_set(op2, 0.1, [5, 5])
+            lb.spectral_set(op2, FilterSpec.exponential(0.1), [5, 5])
 
     @pytest.mark.parametrize("text, method, path", [
         ("exp:t=0.2", "chebyshev", "chebyshev table r=5"),
@@ -432,11 +461,12 @@ class TestDiffusion:
 
     def test_bad_arguments(self, op2):
         with pytest.raises(ValueError):
-            lb.diffusion_basis(op2, -1.0, 0)
+            lb.spectral_set(op2, FilterSpec.exponential(-1.0), [0])
         with pytest.raises(ValueError):
-            lb.diffusion_basis(op2, 0.1, 0, method="magic")
+            lb.spectral_set(op2, FilterSpec.exponential(0.1), [0],
+                            method="magic")
         with pytest.raises(IndexError):
-            lb.diffusion_basis(op2, 0.1, op2.n)
+            lb.spectral_set(op2, FilterSpec.exponential(0.1), [op2.n])
 
 
 class TestKernelStructure:
@@ -484,19 +514,13 @@ class TestGreen:
         _, B = dense_lb(op2)
         w = X.T @ B @ delta(op2.n, 12)
         want = X[:, 1:] @ (w[1:] / lam[1:])
-        got = lb.field_values(lb.green_column(op2, 12))
+        got = lb.field_values(lb.green_basis(op2, [12])[0])
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
-    def test_diffusion_role_delegates(self, op2):
-        a = lb.field_values(lb.green_column(op2, 5, role="diffusion", t=0.3))
-        b = lb.field_values(lb.diffusion_basis(op2, 0.3, 5))
-        assert np.abs(a - b).max() <= 1e-12
-
     def test_general_role_uses_filter(self, op2, eig162_full):
+        # a rational filter through spectral_set matches the full expansion
         spec = FilterSpec.rational([1.0], [1.0, 1.0])
-        a = lb.field_values(
-            lb.green_column(op2, 5, role="general", filt=spec)
-        )
+        a = lb.field_values(lb.spectral_set(op2, spec, [5])[0])
         b = lb.field_values(
             lb.truncated_spectral(eig162_full, spec, delta(op2.n, 5))
         )
@@ -505,28 +529,22 @@ class TestGreen:
     def test_mean_value_rejected(self, sphere2):
         op = lb.assemble(sphere2, scheme="mean_value")
         with pytest.raises(SchemeNotSymmetric):
-            lb.green_column(op, 0)
+            lb.green_basis(op, [0])
 
     def test_disconnected_rejected(self, two_spheres):
         op = lb.assemble(two_spheres)
         with pytest.raises(DisconnectedMesh):
-            lb.green_column(op, 0)
+            lb.green_basis(op, [0])
 
-    def test_bad_role(self, op2):
-        with pytest.raises(ValueError):
-            lb.green_column(op2, 0, role="nosuch")
-
-    @pytest.mark.parametrize("role, kwargs", [
-        ("harmonic", {}),
-        ("diffusion", {"t": 0.3}),
-        ("general", {"filt": FilterSpec.rational([1.0], [1.0, 1.0])}),
-    ])
+    # one case; the parameter names keep the test id stable
+    @pytest.mark.parametrize("role, kwargs", [("harmonic", {})])
     def test_basis_matches_columns(self, op2, role, kwargs):
-        bs = lb.green_basis(op2, [5, 12, 40], role=role, **kwargs)
-        assert bs.family == "green" and bs.params == {"role": role}
+        bs = lb.green_basis(op2, [5, 12, 40], **kwargs)
+        assert bs.family == "green" and bs.params == {}
         assert bs.seeds == [5, 12, 40]
         for s, f in zip(bs.seeds, bs):
-            col = lb.green_column(op2, s, role=role, **kwargs)
+            col = lb.green_basis(op2, [s], **kwargs)[0]
+            assert role in f.tag
             assert f.tag == col.tag
             assert np.array_equal(lb.field_values(f), lb.field_values(col))
 

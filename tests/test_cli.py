@@ -9,6 +9,7 @@ import pytest
 
 import lapbasis as lb
 from lapbasis.cli import build_parser, main
+from lapbasis.filters import FilterSpec
 from lapbasis.mesh import save_off
 
 
@@ -16,6 +17,16 @@ from lapbasis.mesh import save_off
 def mesh_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("meshes") / "sphere2.off"
     save_off(lb.icosphere(2), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def isolated_path(tmp_path_factory):
+    """icosphere(2) plus an isolated, massless vertex 162."""
+    m = lb.icosphere(2)
+    path = tmp_path_factory.mktemp("meshes") / "isolated.off"
+    save_off(lb.TriangleMesh(np.vstack([m.vertices, [[3.0, 0.0, 0.0]]]),
+                             m.triangles), path)
     return str(path)
 
 
@@ -51,8 +62,8 @@ class TestBasisCommand:
             assert sha256(out / entry["path"]) == entry["sha256"]
         field = load_field(out / names[0])
         assert len(field) == 162
-        want = lb.field_values(lb.diffusion_basis(lb.assemble(
-            lb.icosphere(2)), 0.1, 0))
+        want = lb.field_values(lb.spectral_set(
+            lb.assemble(lb.icosphere(2)), FilterSpec.exponential(0.1), [0])[0])
         # the mesh survives a 9-significant-digit OFF round trip
         assert np.abs(field - want).max() <= 1e-8 * want.max()
 
@@ -147,7 +158,7 @@ class TestBasisCommand:
         monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
         out = tmp_path / "run"
         rc = main([
-            "basis", "green", "--mesh", mesh_path, "--role", "general",
+            "basis", "spectral", "--mesh", mesh_path,
             "--filter", "rat:num=1;den=1,2,1", "--seeds=1,2,3,4",
             "--out", str(out),
         ])
@@ -320,7 +331,7 @@ OPERATOR = ["--help", "--mass", "--mesh", "--out", "--scheme", "-h"]
 OPTIONS = {
     "basis": sorted(OPERATOR + [
         "--filter", "--format", "--fps", "--k", "--method", "--mu",
-        "--potential", "--r", "--role", "--seed", "--seeds", "--seeds-file",
+        "--potential", "--r", "--seed", "--seeds", "--seeds-file",
         "--start", "--t"]),
     "metrics": sorted(OPERATOR + [
         "--family", "--fields-dir", "--fps", "--k", "--kernel-t", "--metric",
@@ -419,19 +430,50 @@ class TestErrors:
         assert "distinct" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mass", ["lumped", "consistent"])
-    def test_massless_vertex_fails_cleanly(self, tmp_path, capsys, mass):
-        m = lb.icosphere(2)
-        path = tmp_path / "isolated.off"
-        save_off(lb.TriangleMesh(np.vstack([m.vertices, [[3.0, 0.0, 0.0]]]),
-                                 m.triangles), path)
+    def test_massless_vertex_fails_cleanly(self, isolated_path, tmp_path,
+                                           capsys, mass):
         rc = main([
-            "basis", "diffusion", "--mesh", str(path), "--fps", "4",
+            "basis", "diffusion", "--mesh", isolated_path, "--fps", "4",
             "--mass", mass, "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
         err = capsys.readouterr().err
         assert "vertex 162" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--k", "5"],  # eigensolver
+        ["basis", "diffusion", "--seed", "0"],  # shifted solves
+        ["basis", "spectral", "--filter", "poly:k=2", "--seed", "0"],
+        ["basis", "green", "--seed", "0"],
+    ], ids=["spectrum", "diffusion", "poly", "green"])
+    def test_massless_vertex_named_on_every_route(self, isolated_path,
+                                                  tmp_path, capsys, argv):
+        # RuntimeWarnings are errors under the suite's warning filter
+        rc = main(argv + ["--mesh", isolated_path,
+                          "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "vertex 162" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "diffusion", "--seeds", "1,2", "--fps", "10"],
+        ["basis", "harmonic", "--seed", "0", "--seeds", "1,2"],
+        ["basis", "green", "--fps", "3", "--seeds-file", "seeds.txt"],
+        ["metrics", "--metric", "area", "--seeds", "1,2", "--fps", "10"],
+    ], ids=["basis-seeds-fps", "basis-seed-seeds", "basis-fps-file",
+            "metrics-seeds-fps"])
+    def test_conflicting_seed_sources_rejected(self, mesh_path, tmp_path,
+                                               argv):
+        with pytest.raises(SystemExit):
+            main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+
+    def test_green_role_option_removed(self, mesh_path, tmp_path):
+        # basis green is the harmonic Green kernel; filters go to spectral
+        with pytest.raises(SystemExit):
+            main(["basis", "green", "--role", "general", "--seed", "0",
+                  "--mesh", mesh_path, "--out", str(tmp_path / "o")])
 
     def test_meanvalue_green_fails_cleanly(self, mesh_path, tmp_path, capsys):
         rc = main([

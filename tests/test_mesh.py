@@ -212,7 +212,7 @@ class TestValidate:
 
     def test_nonmanifold_edge_reported(self):
         rep = lb.validate(mixed_mesh())
-        assert rep.nonmanifold_edges == [(0, 1)]
+        assert rep.nonmanifold_edges == [[0, 1]]
         assert rep.as_dict()["nonmanifold_edges"] == [[0, 1]]
         # two triangle components plus the isolated vertex
         assert rep.n_components == 3

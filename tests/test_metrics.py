@@ -104,7 +104,8 @@ class TestComparisonMatrix:
         assert np.abs(np.diag(cm.values) - lam).max() <= 1e-7 * lam.max()
 
     def test_symmetric_and_finite(self, op2):
-        bs = lb.diffusion_set(op2, 0.1, [0, 40, 80, 120])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1),
+                             [0, 40, 80, 120])
         cm = lb.comparison_matrix(op2, bs, metric="area")
         assert np.isfinite(cm.values).all()
         assert np.abs(cm.values - cm.values.T).max() <= 1e-9 * np.abs(
@@ -112,13 +113,14 @@ class TestComparisonMatrix:
         ).max()
 
     def test_gram_positive_definite(self, op2):
-        bs = lb.diffusion_set(op2, 0.1, [0, 40, 80, 120])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1),
+                             [0, 40, 80, 120])
         cm = lb.comparison_matrix(op2, bs, metric="area")
         assert np.linalg.eigvalsh(cm.values).min() > 0
 
     def test_kernel_metric_matrix(self, op2, heat_kernel, eig162_full):
         # F' B K F with K = exp(-t L~): oracle via the full spectrum
-        bs = lb.diffusion_set(op2, 0.1, [0, 40])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1), [0, 40])
         cm = lb.comparison_matrix(
             op2, bs, metric="kernel", kernel_apply=heat_kernel
         )
@@ -130,13 +132,13 @@ class TestComparisonMatrix:
         assert np.abs(cm.values - want).max() <= 1e-4 * np.abs(want).max()
 
     def test_kernel_metric_requires_apply(self, op2):
-        bs = lb.diffusion_set(op2, 0.1, [0, 40])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1), [0, 40])
         with pytest.raises(ValueError):
             lb.comparison_matrix(op2, bs, metric="kernel")
 
     def test_disjoint_supports_near_diagonal(self, op3):
         seeds = list(lb.farthest_point_sampling(op3_mesh(op3), 6, start=0))
-        bs = lb.diffusion_set(op3, 1e-4, seeds)
+        bs = lb.spectral_set(op3, FilterSpec.exponential(1e-4), seeds)
         cm = lb.comparison_matrix(op3, bs, metric="area")
         M = cm.values
         off = M[~np.eye(6, dtype=bool)]
@@ -146,7 +148,7 @@ class TestComparisonMatrix:
         seeds = list(lb.farthest_point_sampling(torus500, 30, start=0))
         stats = []
         for t in (1e-3, 1e-2, 1e-1, 1.0):
-            bs = lb.diffusion_set(op_torus500, t, seeds)
+            bs = lb.spectral_set(op_torus500, FilterSpec.exponential(t), seeds)
             M = lb.comparison_matrix(op_torus500, bs, metric="area").values
             stats.append(
                 np.abs(M[~np.eye(30, dtype=bool)]).mean() / np.diag(M).mean()
@@ -154,7 +156,7 @@ class TestComparisonMatrix:
         assert all(a < b for a, b in zip(stats, stats[1:]))
 
     def test_normalize_rescales_columns(self, op2):
-        bs = lb.diffusion_set(op2, 0.1, [0, 80])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1), [0, 80])
         raw = lb.comparison_matrix(op2, bs, metric="area")
         norm = lb.comparison_matrix(op2, bs, metric="area", normalize=True)
         assert not norm.normalized == raw.normalized
@@ -163,7 +165,7 @@ class TestComparisonMatrix:
         assert not np.allclose(raw.values, norm.values)
 
     def test_unknown_metric(self, op2):
-        bs = lb.diffusion_set(op2, 0.1, [0])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.1), [0])
         with pytest.raises(ValueError):
             lb.comparison_matrix(op2, bs, metric="hausdorff")
 
@@ -175,7 +177,7 @@ def op3_mesh(op3):
 
 class TestExport:
     def test_csv_round_trip_exact(self, op2, tmp_path):
-        bs = lb.diffusion_set(op2, 0.2, [0, 40, 80])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.2), [0, 40, 80])
         cm = lb.comparison_matrix(op2, bs, metric="area")
         path = tmp_path / "cm.csv"
         save_comparison_csv(cm, path)
@@ -185,7 +187,7 @@ class TestExport:
         assert (data == cm.values).all()
 
     def test_csv_deterministic(self, op2, tmp_path):
-        bs = lb.diffusion_set(op2, 0.2, [0, 40])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.2), [0, 40])
         cm = lb.comparison_matrix(op2, bs, metric="area")
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_comparison_csv(cm, p1)
@@ -193,7 +195,7 @@ class TestExport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_pgm_format(self, op2, tmp_path):
-        bs = lb.diffusion_set(op2, 0.2, [0, 40, 80])
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.2), [0, 40, 80])
         cm = lb.comparison_matrix(op2, bs, metric="area")
         path = tmp_path / "cm.pgm"
         save_comparison_pgm(cm, path)

@@ -186,7 +186,8 @@ class TestCoverage:
             lb.coverage_loop(sphere0, op, gen, k0=1, start=0)
 
     def test_coverage_curve_monotone(self, op2, sphere2):
-        bs = lb.diffusion_set(op2, 0.05, list(range(0, 162, 18)))
+        bs = lb.spectral_set(op2, FilterSpec.exponential(0.05),
+                             list(range(0, 162, 18)))
         frac = lb.coverage_curve(bs.fields)
         assert len(frac) == len(bs.fields)
         assert all(a <= b + 1e-12 for a, b in zip(frac, frac[1:]))
