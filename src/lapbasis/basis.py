@@ -191,53 +191,103 @@ def truncated_spectral(eig, filt, f):
     return ScalarField(out, tag=tag)
 
 
+# the Lanczos route runs when kappa-hat <= n / LANCZOS_C (see ChebyshevKernel)
+LANCZOS_C = 256
+
+
 class ChebyshevKernel:
     """Spectrum-free evaluator of K_phi via a rational partial fraction.
 
     K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and weights
     w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and g_0 = f: one
-    solve chain per pole, each shift factorised once, at construction, and
-    reused by every apply.
+    chain per pole.  Two routes solve the chains, chosen once, here:
+
+    - "lanczos": one Lanczos space on B^{-1/2} L B^{-1/2} serves every
+      pole and order of a column (numerics.shifted_lanczos), with no
+      factorisation.  Taken for a symmetric scheme with lumped mass when
+      kappa, the largest condition bound of the shifted systems over
+      [0, lambda-hat] (numerics.shift_condition, pencil_bound), is at most
+      n / LANCZOS_C: its steps grow like sqrt(kappa), while a column of
+      LU solves costs about the same at any kappa.
+    - "lu": each shift factorised once (numerics.shifted_factor) and
+      reused by every apply; every other case.
+
+    Both meet the residual numerics.SHIFTED_RTOL on every solve.  route,
+    kappa (inf where no bound applies: consistent mass, a non-symmetric
+    scheme) and max_lanczos_steps (the largest step count of an apply so
+    far) record what ran.
     """
 
     def __init__(self, op, pf):
         self.op = op
         self.pf = pf
-        self._chains = [(numerics.shifted_factor(op.B, op.L, beta), weights)
-                        for beta, weights in pf.poles]
+        self.kappa = math.inf
+        if op.is_symmetric and op.mass_mode == "lumped":
+            lam = numerics.pencil_bound(op.L, op.B)
+            self.kappa = max((numerics.shift_condition(beta, lam)
+                              for beta, _ in pf.poles), default=1.0)
+        self.route = "lanczos" if self.kappa <= op.n / LANCZOS_C else "lu"
+        self.max_lanczos_steps = 0
+        if self.route == "lanczos":
+            self._lanczos = numerics.shifted_lanczos(
+                op.B, op.L, [(beta, len(w)) for beta, w in pf.poles],
+                self.kappa)
+        else:
+            self._factors = [numerics.shifted_factor(op.B, op.L, beta)
+                             for beta, _ in pf.poles]
+
+    def _lu_chains(self, fv):
+        Bf = self.op.B @ fv
+        chains = []
+        for solve, (_, weights) in zip(self._factors, self.pf.poles):
+            chain = []
+            for _ in weights:
+                chain.append(solve(Bf if not chain else self.op.B @ chain[-1]))
+            chains.append(chain)
+        return chains
 
     def apply(self, f):
         fv = field_values(f)
-        Bf = self.op.B @ fv
+        if self.route == "lanczos":
+            chains, steps = self._lanczos(fv)
+            self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
+        else:
+            chains = self._lu_chains(fv)
         acc = self.pf.alpha0 * fv
-        for solve, weights in self._chains:
-            g = None
-            for w in weights:
-                g = solve(Bf if g is None else self.op.B @ g)
+        for (_, weights), chain in zip(self.pf.poles, chains):
+            for w, g in zip(weights, chain):
                 acc += (w * g).real
         return acc
+
+
+def _rational_path(filt, r, kernel):
+    """Path tag of a kernel's columns: the rational form, then the route."""
+    form = ("exact-rational" if filt.kind == "rational"
+            else f"table r={r}")
+    return f"chebyshev {form} {kernel.route}"
 
 
 def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet.
 
-    The rational route (one ChebyshevKernel shared by the columns, its
-    shifts factorised once) runs when method is "chebyshev" and the filter
+    The rational route (one ChebyshevKernel shared by the columns, on its
+    Lanczos or LU route) runs when method is "chebyshev" and the filter
     has a rational form; otherwise the truncated route expands over k
     eigenpairs, and warns when it computes them itself with k < n (the
     truncation error cannot be estimated without the whole spectrum).
     Diffusion columns are the filter FilterSpec.exponential(t).  Pass an
     EigenSystem to reuse it across calls; to reuse a kernel, call
-    ChebyshevKernel.apply.  The route is recorded in params["path"] and in
-    each field's tag.
+    ChebyshevKernel.apply.  The route, with the kernel's solver route
+    ("... lanczos" or "... lu"), is recorded in params["path"] and in each
+    field's tag.
     """
     idx = _seed_indices(seeds, op.n)
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
     if method == "chebyshev" and filt.has_rational_form:
-        column = ChebyshevKernel(op, partial_fractions(filt, r)).apply
-        path = ("chebyshev exact-rational" if filt.kind == "rational"
-                else f"chebyshev table r={r}")
+        kernel = ChebyshevKernel(op, partial_fractions(filt, r))
+        column = kernel.apply
+        path = _rational_path(filt, r, kernel)
     else:
         if eig is None:
             if k < op.n:

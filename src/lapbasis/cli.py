@@ -28,6 +28,7 @@ from .mesh import load_mesh, save_ply, validate
 SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
                "meanvalue": "mean_value"}
 FORMATS = ("csv", "ply")  # field exports; reports are always written
+METRICS_FPS = 100  # FPS seeds of metrics when no seed source is given
 
 
 def _common(parser, operator=True):
@@ -79,7 +80,8 @@ def build_parser():
     m.add_argument("--fields-dir", help="read field CSVs from a prior run")
     src = m.add_mutually_exclusive_group()
     src.add_argument("--seeds", help="comma-separated vertex indices")
-    src.add_argument("--fps", type=int, default=100)
+    src.add_argument("--fps", type=int,
+                     help=f"sample this many FPS seeds (default {METRICS_FPS})")
     m.add_argument("--start", type=int)
     m.add_argument("--t", type=float, default=1e-3)
     m.add_argument("--k", type=int, default=20)
@@ -301,6 +303,10 @@ def cmd_metrics(args, run, mesh, op):
         )
         fields = BasisSet([_load_field_csv(p) for p in paths], "file")
     elif args.family == "diffusion":
+        if args.seeds is None and args.fps is None:
+            # applied here, not as the option's default, so that argparse
+            # sees --fps as given whatever its value
+            args.fps = METRICS_FPS
         seed_list = _parse_seed_args(args, mesh, op)
         fields = basis_mod.spectral_set(op, FilterSpec.exponential(args.t),
                                         seed_list, r=args.r)
@@ -337,9 +343,9 @@ def cmd_seeds(args, run, mesh, op):
 
 
 def cmd_coverage(args, run, mesh, op):
-    heat = basis_mod.ChebyshevKernel(
-        op, partial_fractions(FilterSpec.exponential(args.t), args.r)
-    )
+    filt = FilterSpec.exponential(args.t)
+    heat = basis_mod.ChebyshevKernel(op, partial_fractions(filt, args.r))
+    run.info["path"] = basis_mod._rational_path(filt, args.r, heat)
 
     def generator(s):
         return heat.apply(basis_mod._delta(op.n, s))

@@ -5,6 +5,8 @@ f^T L g measures gradient alignment, and kernel metrics f^T B K g weigh the
 overlap through a filtered operator K.
 """
 
+import inspect
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +39,28 @@ def conformal_metric(op, f, g):
 
 ADJOINT_PROBES = 2  # random (u, v) pairs of the B-adjointness probe
 ADJOINT_RTOL = 1e-8
+# callables that passed the probe: the callable, or a bound method's
+# instance -> {the method's function (None for a plain callable): the B
+# it passed with}
+_ADJOINT_PASSED = weakref.WeakKeyDictionary()
 
 
 def _check_adjoint(op, kernel_apply, n):
-    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B."""
+    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B.
+
+    A callable that passed with this B is not probed again; one that
+    cannot be weakly referenced is probed on every call.
+    """
+    if inspect.ismethod(kernel_apply):
+        owner, fn = kernel_apply.__self__, kernel_apply.__func__
+    else:
+        owner, fn = kernel_apply, None
+    try:
+        passed = _ADJOINT_PASSED.setdefault(owner, {})
+    except TypeError:  # not weakly referenceable, or unhashable
+        passed = {}
+    if passed.get(fn) is op.B:
+        return
     rng = np.random.default_rng(0)
     for _ in range(ADJOINT_PROBES):
         u = rng.standard_normal(n)
@@ -55,13 +75,15 @@ def _check_adjoint(op, kernel_apply, n):
                 f"kernel fails the B-adjointness probe: |{left:.6g} - "
                 f"{right:.6g}| relative to {scale:.3g}"
             )
+    passed[fn] = op.B
 
 
 def kernel_metric(op, kernel_apply, f, g):
     """Kernel-weighted inner product f^T B (K g).
 
     kernel_apply maps a vertex vector to K applied to it and must be
-    B-adjoint; this is asserted on random probes, as in comparison_matrix.
+    B-adjoint; this is asserted on random probes, as in comparison_matrix,
+    once per callable and B.
     """
     fv = field_values(f)
     gv = field_values(g)

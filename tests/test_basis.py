@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 import lapbasis as lb
 from lapbasis import basis as basis_mod
@@ -12,6 +14,7 @@ from lapbasis.basis import GREEN_PIN, ChebyshevKernel
 from lapbasis.errors import (
     DisconnectedMesh,
     DuplicateSeeds,
+    NotConverged,
     SchemeNotSymmetric,
 )
 from lapbasis.filters import FilterSpec
@@ -333,6 +336,118 @@ class TestChebyshevKernel:
         assert np.abs(got - 1.0).max() <= 2e-5
 
 
+class TestLanczosRoute:
+    """The factorisation-free route of ChebyshevKernel (symmetric scheme,
+    lumped mass, kappa-hat <= n / LANCZOS_C) against the LU route."""
+
+    @staticmethod
+    def counting_factor(monkeypatch):
+        calls = []
+        original = lb.numerics.shifted_factor
+
+        def counting(B, L, beta):
+            calls.append(beta)
+            return original(B, L, beta)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        "exp:t=0.001",
+        "rat:num=1;den=1,2e-4,1e-8",  # double pole: 1/(1 + 1e-4 s)^2
+    ])
+    def test_matches_lu_route(self, op4, text, monkeypatch):
+        pf = lb.partial_fractions(lb.parse_filter(text))
+        lanczos = ChebyshevKernel(op4, pf)
+        monkeypatch.setattr(basis_mod, "LANCZOS_C", np.inf)
+        lu = ChebyshevKernel(op4, pf)
+        assert (lanczos.route, lu.route) == ("lanczos", "lu")
+        rng = np.random.default_rng(31)
+        inputs = [delta(op4.n, s) for s in (0, 1000, 2561)]
+        inputs.append(rng.standard_normal(op4.n))
+        for f in inputs:
+            want = lu.apply(f)
+            got = lanczos.apply(f)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert 0 < lanczos.max_lanczos_steps <= lb.numerics.lanczos_cap(
+            lanczos.kappa)
+
+    def test_small_t_lumped_factorises_nothing(self, op4, monkeypatch):
+        calls = self.counting_factor(monkeypatch)
+        kern = ChebyshevKernel(op4, lb.partial_fractions(
+            FilterSpec.exponential(0.001)))
+        kern.apply(delta(op4.n, 7))
+        assert kern.route == "lanczos" and calls == []
+        # kappa-hat well inside the rule's bound n / C = 10
+        assert 1.0 < kern.kappa <= 0.5 * op4.n / basis_mod.LANCZOS_C
+
+    @pytest.mark.parametrize("case", [
+        "large_t", "consistent", "mean_value", "pole_on_spectrum"])
+    def test_lu_kept(self, sphere4, op4, case, monkeypatch):
+        text, op = "exp:t=0.04", op4
+        if case == "consistent":
+            text, op = "exp:t=0.001", lb.assemble(sphere4, mass_mode="consistent")
+        elif case == "mean_value":
+            text, op = "exp:t=0.001", lb.assemble(sphere4, scheme="mean_value")
+        elif case == "pole_on_spectrum":
+            text = "rat:num=1;den=1,-1e-3"  # 1 + beta s = 0 at s = 1000
+        calls = self.counting_factor(monkeypatch)
+        pf = lb.partial_fractions(lb.parse_filter(text))
+        kern = ChebyshevKernel(op, pf)
+        assert kern.route == "lu"
+        assert len(calls) == len(pf.poles)
+        if case == "large_t":
+            assert kern.kappa >= 2 * op.n / basis_mod.LANCZOS_C
+        elif case == "pole_on_spectrum":
+            assert 1000 < lb.numerics.pencil_bound(op.L, op.B)
+            assert kern.kappa == np.inf
+        else:
+            assert kern.kappa == np.inf
+
+    def test_shift_condition_closed_form(self):
+        lam = 50.0
+        x = np.linspace(0.0, lam, 200001)
+        for beta in (0.02, -0.01, 0.01 + 0.03j, -0.002 + 0.01j, -0.05):
+            v = np.abs(1.0 + beta * x)
+            want = v.max() / v.min() if v.min() > 0 else np.inf
+            got = lb.numerics.shift_condition(beta, lam)
+            assert got == pytest.approx(want, rel=1e-6)
+
+    def test_constant_input_exact(self, op4):
+        pf = lb.partial_fractions(FilterSpec.exponential(0.001))
+        kern = ChebyshevKernel(op4, pf)
+        f = np.full(op4.n, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = kern.apply(f)
+        # the first Lanczos vector spans an invariant space: one step
+        assert kern.route == "lanczos" and kern.max_lanczos_steps == 1
+        assert np.abs(g - pf(0.0) * f).max() <= 4 * np.finfo(float).eps * 3.0
+
+    def test_not_converged_at_cap(self, op4, monkeypatch):
+        monkeypatch.setattr(lb.numerics, "lanczos_cap", lambda kappa: 3)
+        kern = ChebyshevKernel(op4, lb.partial_fractions(
+            FilterSpec.exponential(0.001)))
+        assert kern.route == "lanczos"
+        with pytest.raises(NotConverged):
+            kern.apply(delta(op4.n, 0))
+
+    def test_expm_multiply_cross_check_n10242(self):
+        op = lb.assemble(lb.icosphere(5))
+        t, seeds = 1e-3, [0, 5000, 10241]
+        bs = lb.spectral_set(op, FilterSpec.exponential(t), seeds)
+        assert bs.params["path"] == "chebyshev table r=5 lanczos"
+        A = -t * (sp.diags(1.0 / op.B.diagonal()) @ op.L)
+        E = np.zeros((op.n, len(seeds)))
+        E[seeds, np.arange(len(seeds))] = 1.0
+        want = expm_multiply(A.tocsr(), E)
+        got = bs.matrix()
+        # the r = 5 table's error at this n t (3.5e-5 measured); the
+        # Lanczos solves add at most 1e-10
+        err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert err.max() <= 1e-4
+
+
 class TestDiffusion:
     def test_small_t_concentrates_at_seed(self, op3, sphere3):
         d = lb.field_values(
@@ -427,6 +542,8 @@ class TestDiffusion:
         filt = lb.parse_filter(text)
         seeds = [0, 50, 100]
         bs = lb.spectral_set(op2, filt, seeds, method=method, eig=eig162_full)
+        if method == "chebyshev":
+            path += " lu"  # n = 162 < LANCZOS_C: every kernel takes LU
         assert bs.params["path"] == path
         assert bs.seeds == seeds
         for s, got in zip(seeds, bs):
@@ -442,8 +559,8 @@ class TestDiffusion:
     def test_path_reports_kernel_degree(self, op2):
         filt = FilterSpec.exponential(0.2)
         bs = lb.spectral_set(op2, filt, [0, 50], r=7)
-        assert bs.params["path"] == "chebyshev table r=7"
-        assert all("chebyshev table r=7" in f.tag for f in bs)
+        assert bs.params["path"] == "chebyshev table r=7 lu"
+        assert all("chebyshev table r=7 lu" in f.tag for f in bs)
 
     @pytest.mark.parametrize("den", [
         [1.0, 2.0],  # non-monic: 1/(1+2s)

@@ -224,6 +224,20 @@ class TestMetricsCommand:
         rows = (out / "metric_area.csv").read_text().strip().splitlines()
         assert len(rows) == 2
 
+    def test_fps_seeds_when_no_source_given(self, mesh_path, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_manifest(out)["matrix"]["m"] == 100
+        assert read_manifest(out)["parameters"]["fps"] == 100
+        out = tmp_path / "seeds"
+        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                   "--seeds", "1,2", "--out", str(out)])
+        assert rc == 0
+        assert read_manifest(out)["matrix"]["m"] == 2
+        assert "fps" not in read_manifest(out)["parameters"]
+
     def test_meanvalue_conformal_fails_cleanly(self, mesh_path, tmp_path, capsys):
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "conformal",
@@ -269,6 +283,38 @@ class TestCoverageCommand:
             assert json.load(fh)["iterations"] > 1
         # r = 5: one real pole and two conjugate pairs, factorised once
         assert len(calls) == 3
+
+    def test_path_records_lu_route(self, mesh_path, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["coverage", "--mesh", mesh_path, "--t", "0.005",
+                   "--k0", "5", "--out", str(out)])
+        assert rc == 0
+        # n = 162 < LANCZOS_C keeps every kernel on LU
+        assert read_manifest(out)["path"] == "chebyshev table r=5 lu"
+
+    def test_small_t_lanczos_reruns_byte_identical(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        factor = lb.numerics.shifted_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        mesh = tmp_path / "sphere3.off"
+        save_off(lb.icosphere(3), mesh)
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            rc = main(["coverage", "--mesh", str(mesh), "--t", "0.001",
+                       "--k0", "10", "--out", str(out)])
+            assert rc == 0
+            manifests.append(read_manifest(out))
+        assert manifests[0]["path"] == "chebyshev table r=5 lanczos"
+        assert calls == []
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+        assert len(manifests[0]["outputs"]) == 3
 
     def test_large_scale_single_iteration(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -462,8 +508,10 @@ class TestErrors:
         ["basis", "harmonic", "--seed", "0", "--seeds", "1,2"],
         ["basis", "green", "--fps", "3", "--seeds-file", "seeds.txt"],
         ["metrics", "--metric", "area", "--seeds", "1,2", "--fps", "10"],
+        # 100 is the count used when no source is given, not a default
+        ["metrics", "--metric", "area", "--seeds", "1,2", "--fps", "100"],
     ], ids=["basis-seeds-fps", "basis-seed-seeds", "basis-fps-file",
-            "metrics-seeds-fps"])
+            "metrics-seeds-fps", "metrics-seeds-fps100"])
     def test_conflicting_seed_sources_rejected(self, mesh_path, tmp_path,
                                                argv):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lapbasis as lb
+from lapbasis import metrics as metrics_mod
 from lapbasis.basis import ChebyshevKernel
 from lapbasis.errors import NotAdjoint, SchemeNotSymmetric
 from lapbasis.filters import FilterSpec
@@ -78,6 +79,44 @@ class TestKernelMetric:
             lb.kernel_metric(
                 op2, shift, np.ones(op2.n), np.ones(op2.n)
             )
+
+    def test_adjoint_probe_once_per_kernel(self, op2, monkeypatch):
+        applies = []
+        original = ChebyshevKernel.apply
+
+        def counting(self, f):
+            applies.append(1)
+            return original(self, f)
+
+        monkeypatch.setattr(ChebyshevKernel, "apply", counting)
+        kern = ChebyshevKernel(op2, lb.partial_fractions(
+            FilterSpec.exponential(0.5)))
+        f = np.ones(op2.n)
+        lb.kernel_metric(op2, kern.apply, f, f)
+        # the probe: two applies per (u, v) pair, then K g
+        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 1
+        for _ in range(3):
+            lb.kernel_metric(op2, kern.apply, f, f)
+        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 4
+        lb.comparison_matrix(op2, [f, f], metric="kernel",
+                             kernel_apply=kern.apply)
+        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 6
+
+    def test_adjoint_probe_repeats_for_failing_map(self, op2):
+        shift = lambda v: np.roll(np.asarray(v), 1)
+        for _ in range(2):
+            with pytest.raises(NotAdjoint):
+                lb.kernel_metric(op2, shift, np.ones(op2.n), np.ones(op2.n))
+
+    def test_adjoint_probe_per_mass_matrix(self, op2, op2_consistent):
+        # a kernel that passed with one B is probed again with another: the
+        # lumped-mass heat kernel is not adjoint in the consistent B
+        kern = ChebyshevKernel(op2, lb.partial_fractions(
+            FilterSpec.exponential(0.5)))
+        f = np.ones(op2.n)
+        lb.kernel_metric(op2, kern.apply, f, f)
+        with pytest.raises(NotAdjoint):
+            lb.kernel_metric(op2_consistent, kern.apply, f, f)
 
     def test_symmetry(self, op2, heat_kernel):
         rng = np.random.default_rng(21)
