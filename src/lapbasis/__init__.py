@@ -11,6 +11,7 @@ from .basis import (
     ChebyshevKernel,
     eigen_basis,
     eigen_fields,
+    filter_kernel,
     green_basis,
     hamiltonian_basis,
     harmonic_basis,
@@ -81,6 +82,7 @@ __all__ = [
     "exp_chebyshev_coefficients",
     "farthest_point_sampling",
     "field_values",
+    "filter_kernel",
     "grid",
     "green_basis",
     "hamiltonian_basis",

@@ -215,10 +215,11 @@ class ChebyshevKernel:
     Both meet the residual numerics.SHIFTED_RTOL on every solve.  route,
     kappa (inf where no bound applies: consistent mass, a non-symmetric
     scheme) and max_lanczos_steps (the largest step count of an apply so
-    far) record what ran.
+    far) record what ran; path is "chebyshev <form> <route>".
+    filter_kernel builds one from a filter and names its form.
     """
 
-    def __init__(self, op, pf):
+    def __init__(self, op, pf, form="rational"):
         self.op = op
         self.pf = pf
         self.kappa = math.inf
@@ -227,6 +228,7 @@ class ChebyshevKernel:
             self.kappa = max((numerics.shift_condition(beta, lam)
                               for beta, _ in pf.poles), default=1.0)
         self.route = "lanczos" if self.kappa <= op.n / LANCZOS_C else "lu"
+        self.path = f"chebyshev {form} {self.route}"
         self.max_lanczos_steps = 0
         if self.route == "lanczos":
             self._lanczos = numerics.shifted_lanczos(
@@ -260,55 +262,56 @@ class ChebyshevKernel:
         return acc
 
 
-def _rational_path(filt, r, kernel):
-    """Path tag of a kernel's columns: the rational form, then the route."""
-    form = ("exact-rational" if filt.kind == "rational"
-            else f"table r={r}")
-    return f"chebyshev {form} {kernel.route}"
+class TruncatedKernel:
+    """K_phi over the eigenpairs of eig; filter_kernel builds one."""
+
+    def __init__(self, eig, filt):
+        self.eig, self.filt = eig, filt
+        self.path = f"truncated k={eig.k}"
+
+    def apply(self, f):
+        return field_values(truncated_spectral(self.eig, self.filt, f))
 
 
-def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
-    """Filtered columns K_phi e_s for each seed s, as one BasisSet.
+def filter_kernel(op, filt, method="chebyshev", r=5, k=100, eig=None):
+    """The evaluator of K_phi: the one place its route is chosen.
 
-    The rational route (one ChebyshevKernel shared by the columns, on its
-    Lanczos or LU route) runs when method is "chebyshev" and the filter
-    has a rational form; otherwise the truncated route expands over k
-    eigenpairs, and warns when it computes them itself with k < n (the
-    truncation error cannot be estimated without the whole spectrum).
-    Diffusion columns are the filter FilterSpec.exponential(t).  Pass an
-    EigenSystem to reuse it across calls; to reuse a kernel, call
-    ChebyshevKernel.apply.  The route, with the kernel's solver route
-    ("... lanczos" or "... lu"), is recorded in params["path"] and in each
-    field's tag.
+    A ChebyshevKernel when method is "chebyshev" and the filter has a
+    rational form (the degree-r table for exp, exact partial fractions for
+    a rational filter); else a TruncatedKernel over eig, or over k
+    eigenpairs computed here, which warns for k < n.  Both have apply(f)
+    and path: "chebyshev table r=5 lu", "chebyshev exact-rational
+    lanczos", "truncated k=100", ...
     """
-    idx = _seed_indices(seeds, op.n)
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
     if method == "chebyshev" and filt.has_rational_form:
-        kernel = ChebyshevKernel(op, partial_fractions(filt, r))
-        column = kernel.apply
-        path = _rational_path(filt, r, kernel)
-    else:
-        if eig is None:
-            if k < op.n:
-                warnings.warn(
-                    "truncated route with k < n: approximation quality "
-                    "cannot be estimated without the whole spectrum",
-                    stacklevel=2,
-                )
-            eig = eigen_basis(op, min(k, op.n))
-        path = f"truncated k={eig.k}"
+        form = "exact-rational" if filt.kind == "rational" else f"table r={r}"
+        return ChebyshevKernel(op, partial_fractions(filt, r), form)
+    if eig is None:
+        if k < op.n:
+            warnings.warn("truncated route with k < n: approximation quality"
+                          " cannot be estimated without the whole spectrum",
+                          stacklevel=2)
+        eig = eigen_basis(op, min(k, op.n))
+    return TruncatedKernel(eig, filt)
 
-        def column(delta):
-            return field_values(truncated_spectral(eig, filt, delta))
 
+def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
+    """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
+    filter_kernel(op, filt, method, r, k, eig) applied to every e_s, its
+    path recorded in params["path"] and each field's tag.  Diffusion is
+    FilterSpec.exponential(t); other fields go to filter_kernel(...).apply.
+    """
+    idx = _seed_indices(seeds, op.n)
+    kernel = filter_kernel(op, filt, method, r, k, eig)
     fields = [
-        ScalarField(column(_delta(op.n, s)),
-                    tag=f"spectral[{filt.describe()},seed={s},{path}]")
+        ScalarField(kernel.apply(np.eye(1, op.n, s)[0]),
+                    tag=f"spectral[{filt.describe()},seed={s},{kernel.path}]")
         for s in idx
     ]
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
-                    params={"filter": filt.describe(), "path": path})
+                    params={"filter": filt.describe(), "path": kernel.path})
 
 
 def green_basis(op, seeds):
@@ -342,8 +345,3 @@ def green_basis(op, seeds):
         f.values -= (w @ f.values) / area
     return BasisSet(fields, "green", seeds=idx.tolist())
 
-
-def _delta(n, s):
-    v = np.zeros(n)
-    v[s] = 1.0
-    return v

@@ -20,7 +20,7 @@ from . import metrics as metrics_mod
 from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
-from .filters import FilterSpec, parse_filter, partial_fractions
+from .filters import FilterSpec, parse_filter
 from .ioutil import atomic_write_text, fmt, sha256_file
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
@@ -116,6 +116,32 @@ def build_parser():
     e.add_argument("--k", type=int, default=10)
 
     return p
+
+
+class Options(argparse.Namespace):
+    """Parsed options that record, in read, which of them the run reads."""
+
+    __slots__ = ("read",)  # a slot, so that vars() lists options only
+
+    def __init__(self):
+        self.read = set()
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _given(argv):
+    """{dest: flag} of the options argv names: argv parsed again with no
+    defaults, so that only given options reach the namespace."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    flags = {}
+    for action in (a for q in sub.choices.values() for a in q._actions):
+        action.default = argparse.SUPPRESS
+        flags[action.dest] = (action.option_strings or [action.dest])[0]
+    return {d: flags.get(d, d) for d in vars(parser.parse_args(argv))}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +316,9 @@ def cmd_basis(args, run, mesh, op):
             raise ValueError("basis spectral needs --filter")
         bs = basis_mod.spectral_set(op, filt, _parse_seed_args(args, mesh, op),
                                     method=args.method, r=args.r, k=args.k)
-        run.info["path"] = bs.params["path"]
+        path = run.info["path"] = bs.params["path"]
+        # of --r and --k, the kernel read the one its path names
+        args.read -= {"r", "k"} - {w.partition("=")[0] for w in path.split()}
         _export_fields(run, mesh, bs, fam)
 
 
@@ -310,13 +338,16 @@ def cmd_metrics(args, run, mesh, op):
         seed_list = _parse_seed_args(args, mesh, op)
         fields = basis_mod.spectral_set(op, FilterSpec.exponential(args.t),
                                         seed_list, r=args.r)
+        run.info["path"] = fields.params["path"]
     else:
         eig = basis_mod.eigen_basis(op, args.k)
         fields = basis_mod.eigen_fields(eig)
     kernel_apply = None
     if args.metric == "kernel":
-        pf = partial_fractions(FilterSpec.exponential(args.kernel_t), args.r)
-        kernel_apply = basis_mod.ChebyshevKernel(op, pf).apply
+        kernel = basis_mod.filter_kernel(
+            op, FilterSpec.exponential(args.kernel_t), r=args.r)
+        kernel_apply = kernel.apply
+        run.info["kernel_path"] = kernel.path
     cm = metrics_mod.comparison_matrix(
         op, fields, metric=args.metric, kernel_apply=kernel_apply,
         normalize=args.normalize,
@@ -343,16 +374,12 @@ def cmd_seeds(args, run, mesh, op):
 
 
 def cmd_coverage(args, run, mesh, op):
-    filt = FilterSpec.exponential(args.t)
-    heat = basis_mod.ChebyshevKernel(op, partial_fractions(filt, args.r))
-    run.info["path"] = basis_mod._rational_path(filt, args.r, heat)
-
-    def generator(s):
-        return heat.apply(basis_mod._delta(op.n, s))
-
+    heat = basis_mod.filter_kernel(op, FilterSpec.exponential(args.t),
+                                   r=args.r)
+    run.info["path"] = heat.path
     result = seeds_mod.coverage_loop(
-        mesh, op, generator, k0=args.k0, tau=args.tau, metric=args.metric,
-        start=args.start,
+        mesh, op, lambda s: heat.apply(np.eye(1, op.n, s)[0]), k0=args.k0,
+        tau=args.tau, metric=args.metric, start=args.start,
     )
     p = run.path("coverage_seeds.txt")
     seeds_mod.save_seeds(result.seeds, p)
@@ -391,7 +418,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, Options())
+    args.read.clear()  # argparse itself looks some options up
     try:
         run = Run(args)
         mesh = load_mesh(args.mesh)
@@ -404,6 +432,10 @@ def main(argv=None):
         t0 = time.perf_counter()
         COMMANDS[args.command](args, run, mesh, op)
         run.timings["compute_s"] = time.perf_counter() - t0
+        unread = [f for d, f in _given(argv).items() if d not in args.read]
+        if unread:
+            raise ValueError(f"{', '.join(unread)}: not read by this "
+                             f"{args.command} run; leave it out")
         print(run.finish())
         return 0
     except (LapBasisError, OSError, ValueError, IndexError) as exc:

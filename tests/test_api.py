@@ -31,6 +31,7 @@ PUBLIC = [
     "exp_chebyshev_coefficients",
     "farthest_point_sampling",
     "field_values",
+    "filter_kernel",
     "green_basis",
     "grid",
     "hamiltonian_basis",

@@ -586,6 +586,70 @@ class TestDiffusion:
             lb.spectral_set(op2, FilterSpec.exponential(0.1), [op2.n])
 
 
+class TestFilterKernel:
+    @pytest.mark.parametrize("op_name, text, method, kind, path", [
+        ("op2", "exp:t=0.2", "chebyshev", ChebyshevKernel,
+         "chebyshev table r=5 lu"),
+        ("op4", "exp:t=0.001", "chebyshev", ChebyshevKernel,
+         "chebyshev table r=5 lanczos"),
+        ("op2", "rat:num=1;den=1,2,1", "chebyshev", ChebyshevKernel,
+         "chebyshev exact-rational lu"),
+        ("op2", "exp:t=0.2", "truncated", basis_mod.TruncatedKernel,
+         "truncated k=162"),
+    ], ids=["table-lu", "table-lanczos", "exact-rational", "truncated"])
+    def test_path_of_each_route(self, request, eig162_full, op_name, text,
+                                method, kind, path):
+        op = request.getfixturevalue(op_name)
+        eig = eig162_full if op_name == "op2" else None
+        kernel = lb.filter_kernel(op, lb.parse_filter(text), method, eig=eig)
+        assert isinstance(kernel, kind)
+        assert kernel.path == path
+
+    def test_direct_kernel_path(self, op2):
+        pf = lb.partial_fractions(FilterSpec.exponential(0.2))
+        assert ChebyshevKernel(op2, pf).path == "chebyshev rational lu"
+
+    def test_no_rational_form_falls_back_to_truncated(self, op2):
+        with pytest.warns(UserWarning, match="spectrum"):
+            kernel = lb.filter_kernel(op2, lb.parse_filter("poly:k=2"),
+                                      method="chebyshev", k=30)
+        assert isinstance(kernel, basis_mod.TruncatedKernel)
+        assert kernel.path == "truncated k=30"
+
+    def test_unknown_method_rejected(self, op2):
+        with pytest.raises(ValueError, match="magic"):
+            lb.filter_kernel(op2, FilterSpec.exponential(0.1), "magic")
+
+    def test_truncation_warns_once_per_kernel(self, op2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lb.spectral_set(op2, FilterSpec.exponential(0.1), [0, 5, 9],
+                            method="truncated", k=30)
+            kernel = lb.filter_kernel(op2, FilterSpec.exponential(0.1),
+                                      "truncated", k=30)
+            for s in (0, 5, 9):
+                kernel.apply(delta(op2.n, s))
+        # one for the set and one for the kernel, none per column
+        assert ["spectrum" in str(w.message) for w in caught] == [True] * 2
+
+    @pytest.mark.parametrize("text, method", [
+        ("exp:t=0.2", "chebyshev"),
+        ("rat:num=1;den=1,2,1", "chebyshev"),
+        ("exp:t=0.2", "truncated"),
+        ("poly:k=2", "chebyshev"),
+    ])
+    def test_spectral_set_is_the_kernel_applied(self, op2, eig162_full,
+                                                text, method):
+        filt = lb.parse_filter(text)
+        seeds = [0, 50, 100]
+        bs = lb.spectral_set(op2, filt, seeds, method, eig=eig162_full)
+        kernel = lb.filter_kernel(op2, filt, method, eig=eig162_full)
+        assert bs.params["path"] == kernel.path
+        for s, got in zip(seeds, bs):
+            want = kernel.apply(delta(op2.n, s))
+            assert np.array_equal(lb.field_values(got), want)
+
+
 class TestKernelStructure:
     def test_b_adjoint_symmetry(self, op2):
         rng = np.random.default_rng(17)

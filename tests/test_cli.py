@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import argparse
+import ast
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import lapbasis as lb
+from lapbasis import cli as cli_mod
 from lapbasis.cli import build_parser, main
 from lapbasis.filters import FilterSpec
 from lapbasis.mesh import save_off
@@ -28,6 +30,14 @@ def isolated_path(tmp_path_factory):
     save_off(lb.TriangleMesh(np.vstack([m.vertices, [[3.0, 0.0, 0.0]]]),
                              m.triangles), path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def fields_dir(mesh_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("fields")
+    assert main(["basis", "diffusion", "--seeds", "0,40", "--mesh", mesh_path,
+                 "--out", str(out)]) == 0
+    return str(out)
 
 
 def read_manifest(out):
@@ -238,6 +248,20 @@ class TestMetricsCommand:
         assert read_manifest(out)["matrix"]["m"] == 2
         assert "fps" not in read_manifest(out)["parameters"]
 
+    def test_records_filter_paths(self, mesh_path, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["metrics", "--mesh", mesh_path, "--metric", "kernel",
+                   "--fps", "4", "--r", "7", "--out", str(out)])
+        assert rc == 0
+        manifest = read_manifest(out)
+        assert manifest["path"] == "chebyshev table r=7 lu"
+        assert manifest["kernel_path"] == "chebyshev table r=7 lu"
+        out = tmp_path / "eigen"
+        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                   "--family", "eigen", "--k", "4", "--out", str(out)])
+        assert rc == 0
+        assert "path" not in read_manifest(out)  # no filter evaluated
+
     def test_meanvalue_conformal_fails_cleanly(self, mesh_path, tmp_path, capsys):
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "conformal",
@@ -406,6 +430,21 @@ class TestOptions:
                   "--fps", "4", "--format", "ply",
                   "--out", str(tmp_path / "o")])
 
+    def test_cli_uses_public_basis_names_only(self):
+        with open(cli_mod.__file__) as fh:
+            tree = ast.parse(fh.read())
+        private = [node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "basis_mod"
+                   and node.attr.startswith("_")]
+        assert private == []
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        assert "partial_fractions" not in imported
+        assert not any(name.startswith("_") for name in imported)
+
     @pytest.mark.parametrize("argv, stages", [
         (["validate"], ["compute_s", "total_s"]),
         (["seeds", "--fps", "3"], ["assemble_s", "compute_s", "total_s"]),
@@ -516,6 +555,50 @@ class TestErrors:
                                                argv):
         with pytest.raises(SystemExit):
             main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["metrics", "--metric", "area", "--family", "eigen", "--k", "5",
+          "--seeds", "1,2"], "--seeds"),
+        (["metrics", "--metric", "area", "--fields-dir", "FIELDS",
+          "--t", "0.3"], "--t"),
+        (["metrics", "--metric", "area", "--fps", "4", "--kernel-t", "0.2"],
+         "--kernel-t"),
+        (["basis", "diffusion", "--seeds", "1,2", "--start", "5"], "--start"),
+        (["basis", "spectral", "--filter", "exp:t=0.1", "--t", "0.5",
+          "--mu", "3", "--seed", "1"], "--t, --mu"),
+        (["basis", "eigen", "--k", "5", "--seeds", "1,2"], "--seeds"),
+        (["basis", "spectral", "--filter", "exp:t=0.1", "--method",
+          "truncated", "--r", "9", "--seed", "1"], "--r"),
+        (["basis", "diffusion", "--k", "50", "--seed", "1"], "--k"),
+        # exact partial fractions have no degree to choose
+        (["basis", "spectral", "--filter", "rat:num=1;den=1,2,1", "--r", "7",
+          "--seed", "1"], "--r"),
+    ], ids=["metrics-eigen-seeds", "metrics-fields-dir-t",
+            "metrics-area-kernel-t", "basis-seeds-start", "basis-spectral-t-mu",
+            "basis-eigen-seeds", "basis-truncated-r", "basis-diffusion-k",
+            "basis-exact-rational-r"])
+    def test_unread_option_rejected(self, mesh_path, fields_dir, tmp_path,
+                                    capsys, argv, flag):
+        argv = [fields_dir if a == "FIELDS" else a for a in argv]
+        out = tmp_path / "o"
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(out)])
+        assert rc == 1
+        assert f"{flag}: not read" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the truncated fallback of a filter without rational form reads --k
+        ["basis", "spectral", "--filter", "poly:k=2", "--k", "50",
+         "--seed", "0"],
+        ["basis", "spectral", "--filter", "exp:t=0.1", "--method",
+         "truncated", "--k", "20", "--seed", "0"],
+        ["basis", "diffusion", "--fps", "3", "--start", "5", "--r", "7"],
+        ["metrics", "--metric", "kernel", "--family", "eigen", "--k", "4",
+         "--kernel-t", "0.2", "--r", "7"],
+    ], ids=["poly-k", "truncated-k", "fps-start-r", "kernel-eigen"])
+    def test_read_options_accepted(self, mesh_path, tmp_path, argv):
+        assert main(argv + ["--mesh", mesh_path,
+                            "--out", str(tmp_path / "o")]) == 0
 
     def test_green_role_option_removed(self, mesh_path, tmp_path):
         # basis green is the harmonic Green kernel; filters go to spectral
