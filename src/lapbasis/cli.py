@@ -9,6 +9,7 @@ orderings, so identical inputs give byte-identical files.
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -29,6 +30,8 @@ SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
                "meanvalue": "mean_value"}
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 METRICS_FPS = 100  # FPS seeds of metrics when no seed source is given
+FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
+FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
 
 
 def _common(parser, operator=True):
@@ -207,14 +210,19 @@ def _field_csv(run, name, f):
 
 
 def _load_field_csv(path):
+    """A field as _field_csv writes it: vertex ids 0, 1, 2, ... in order."""
     values = []
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("vertex_id"):
             raise ValueError(f"{path}: expected a vertex_id,value header")
-        for line in fh:
+        for row, line in enumerate(fh, start=2):
             if line.strip():
-                _, v = line.split(",", 1)
+                vid, v = line.split(",", 1)
+                if int(vid) != len(values):
+                    raise ValueError(
+                        f"{path}, row {row}: vertex id {vid.strip()}, expected "
+                        f"{len(values)}: ids must be 0, 1, 2, ... in order")
                 values.append(float(v))
     return ScalarField(np.array(values), tag=os.path.basename(path))
 
@@ -238,7 +246,7 @@ def _field_ply(run, name, mesh, f):
 def _export_fields(run, mesh, fields, stem):
     for i, f in enumerate(fields):
         tag = getattr(f, "tag", "")
-        base = f"{stem}_{i:04d}"
+        base = FIELD_STEM.format(stem, i)
         if "csv" in run.formats:
             _field_csv(run, base + ".csv", f)
         if "ply" in run.formats:
@@ -249,11 +257,11 @@ def _export_fields(run, mesh, fields, stem):
 
 
 def _parse_seed_args(args, mesh, op):
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         return [int(x) for x in args.seeds.split(",")]
-    if getattr(args, "seeds_file", None):
+    if getattr(args, "seeds_file", None) is not None:
         return list(seeds_mod.load_seeds(args.seeds_file))
-    if getattr(args, "fps", None):
+    if getattr(args, "fps", None) is not None:
         return list(
             seeds_mod.farthest_point_sampling(
                 mesh, args.fps, start=getattr(args, "start", None), op=op
@@ -324,11 +332,9 @@ def cmd_basis(args, run, mesh, op):
 
 def cmd_metrics(args, run, mesh, op):
     if args.fields_dir:
-        paths = sorted(
-            os.path.join(args.fields_dir, f)
-            for f in os.listdir(args.fields_dir)
-            if f.endswith(".csv") and f != "coverage_curve.csv"
-        )
+        paths = sorted(os.path.join(args.fields_dir, f)
+                       for f in os.listdir(args.fields_dir)
+                       if FIELD_CSV.fullmatch(f))
         fields = BasisSet([_load_field_csv(p) for p in paths], "file")
     elif args.family == "diffusion":
         if args.seeds is None and args.fps is None:

@@ -2,11 +2,9 @@
 
 The area metric f^T B g measures value overlap, the conformal metric
 f^T L g measures gradient alignment, and kernel metrics f^T B K g weigh the
-overlap through a filtered operator K.
+overlap through a filtered operator K.  One routine, _gram, forms all three.
 """
 
-import inspect
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,58 +13,18 @@ from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
 from .ioutil import atomic_write_text, fmt
 
-
-def area_metric(op, f, g):
-    """Value-overlap inner product f^T B g (total area for f = g = 1)."""
-    fv = field_values(f)
-    gv = field_values(g)
-    return float(fv @ (op.B @ gv))
-
-
-def conformal_metric(op, f, g):
-    """Gradient-alignment inner product f^T L g (Dirichlet energy form).
-
-    Needs a symmetric scheme; the mean-value operator is rejected.
-    """
-    if not op.is_symmetric:
-        raise SchemeNotSymmetric(
-            f"conformal metric undefined for scheme {op.scheme!r}"
-        )
-    fv = field_values(f)
-    gv = field_values(g)
-    return float(fv @ (op.L @ gv))
-
-
 ADJOINT_PROBES = 2  # random (u, v) pairs of the B-adjointness probe
 ADJOINT_RTOL = 1e-8
-# callables that passed the probe: the callable, or a bound method's
-# instance -> {the method's function (None for a plain callable): the B
-# it passed with}
-_ADJOINT_PASSED = weakref.WeakKeyDictionary()
 
 
 def _check_adjoint(op, kernel_apply, n):
-    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B.
-
-    A callable that passed with this B is not probed again; one that
-    cannot be weakly referenced is probed on every call.
-    """
-    if inspect.ismethod(kernel_apply):
-        owner, fn = kernel_apply.__self__, kernel_apply.__func__
-    else:
-        owner, fn = kernel_apply, None
-    try:
-        passed = _ADJOINT_PASSED.setdefault(owner, {})
-    except TypeError:  # not weakly referenceable, or unhashable
-        passed = {}
-    if passed.get(fn) is op.B:
-        return
+    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B."""
     rng = np.random.default_rng(0)
     for _ in range(ADJOINT_PROBES):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        Ku = np.asarray(field_values(kernel_apply(u)))
-        Kv = np.asarray(field_values(kernel_apply(v)))
+        Ku = field_values(kernel_apply(u))
+        Kv = field_values(kernel_apply(v))
         left = u @ (op.B @ Kv)
         right = Ku @ (op.B @ v)
         scale = abs(left) + abs(right) + np.linalg.norm(Ku) * np.linalg.norm(v)
@@ -75,21 +33,59 @@ def _check_adjoint(op, kernel_apply, n):
                 f"kernel fails the B-adjointness probe: |{left:.6g} - "
                 f"{right:.6g}| relative to {scale:.3g}"
             )
-    passed[fn] = op.B
+
+
+def _gram(op, metric, F, G, kernel_apply=None):
+    """F^T M G with M = B (area), L (conformal) or B K (kernel).
+
+    F and G are vertex vectors or (n, m) column stacks.  The conformal
+    metric needs a symmetric scheme; the kernel, applied column by column,
+    must be B-adjoint, which is probed on every call.
+    """
+    if metric == "area":
+        MG = op.B @ G
+    elif metric == "conformal":
+        if not op.is_symmetric:
+            raise SchemeNotSymmetric(
+                f"conformal metric undefined for scheme {op.scheme!r}"
+            )
+        MG = op.L @ G
+    elif metric == "kernel":
+        if kernel_apply is None:
+            raise ValueError("kernel metric needs kernel_apply")
+        _check_adjoint(op, kernel_apply, G.shape[0])
+        # each column of G, or G itself when it is one vector
+        KG = np.column_stack([field_values(kernel_apply(g))
+                              for g in np.atleast_2d(G.T)])
+        MG = op.B @ KG.reshape(G.shape)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return F.T @ MG
+
+
+def area_metric(op, f, g):
+    """Value-overlap inner product f^T B g (total area for f = g = 1)."""
+    return float(_gram(op, "area", field_values(f), field_values(g)))
+
+
+def conformal_metric(op, f, g):
+    """Gradient-alignment inner product f^T L g (Dirichlet energy form).
+
+    Needs a symmetric scheme; the mean-value operator is rejected.
+    """
+    return float(_gram(op, "conformal", field_values(f), field_values(g)))
 
 
 def kernel_metric(op, kernel_apply, f, g):
     """Kernel-weighted inner product f^T B (K g).
 
     kernel_apply maps a vertex vector to K applied to it and must be
-    B-adjoint; this is asserted on random probes, as in comparison_matrix,
-    once per callable and B.
+    B-adjoint; every call probes this at 2 * ADJOINT_PROBES applies, so
+    many pairs belong in one comparison_matrix call, which costs
+    m + 2 * ADJOINT_PROBES applies for m fields.
     """
-    fv = field_values(f)
-    gv = field_values(g)
-    _check_adjoint(op, kernel_apply, len(gv))
-    Kg = np.asarray(field_values(kernel_apply(gv)))
-    return float(fv @ (op.B @ Kg))
+    return float(_gram(op, "kernel", field_values(f), field_values(g),
+                       kernel_apply))
 
 
 @dataclass
@@ -120,35 +116,17 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
     """Pairwise metric matrix of a basis set.
 
     Costs m operator applications plus m^2 dot products (never m^2
-    solves).  normalize=True rescales each field to [0, 1] first; the flag
+    solves); a kernel metric adds the 2 * ADJOINT_PROBES applies of its
+    probe.  normalize=True rescales each field to [0, 1] first; the flag
     is recorded on the result.
     """
-    F = fields.matrix() if hasattr(fields, "matrix") else np.column_stack(
-        [field_values(f) for f in fields]
-    )
-    if F.shape[1] < 1:
+    columns = [field_values(f) for f in fields]
+    if not columns:
         raise ValueError("comparison needs at least one field")
+    F = np.column_stack(columns)
     if normalize:
         F = _normalize(F)
-    if metric == "area":
-        M = F.T @ (op.B @ F)
-    elif metric == "conformal":
-        if not op.is_symmetric:
-            raise SchemeNotSymmetric(
-                f"conformal metric undefined for scheme {op.scheme!r}"
-            )
-        M = F.T @ (op.L @ F)
-    elif metric == "kernel":
-        if kernel_apply is None:
-            raise ValueError("kernel metric needs kernel_apply")
-        _check_adjoint(op, kernel_apply, F.shape[0])
-        KF = np.column_stack(
-            [np.asarray(field_values(kernel_apply(F[:, j])))
-             for j in range(F.shape[1])]
-        )
-        M = F.T @ (op.B @ KF)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    M = _gram(op, metric, F, F, kernel_apply)
     if not np.all(np.isfinite(M)):
         raise ValueError("comparison matrix has non-finite entries")
     return ComparisonMatrix(M, metric, normalized=normalize)

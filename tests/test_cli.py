@@ -2,8 +2,10 @@
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -54,6 +56,25 @@ def sha256(path):
 def load_field(path):
     rows = path.read_text().strip().splitlines()[1:]
     return np.array([float(r.split(",")[1]) for r in rows])
+
+
+def on_truncated_route(argv):
+    """pytest.warns for a run on the truncated route with k < n (--method
+    truncated, or a poly filter, which has no rational form); a null
+    context for any other run."""
+    if "truncated" in argv or any(a.startswith("poly:") for a in argv):
+        return pytest.warns(UserWarning, match="truncated route")
+    return contextlib.nullcontext()
+
+
+def write_field_csv(path, ids, values):
+    rows = "".join(f"{i},{float(v)!r}\n" for i, v in zip(ids, values))
+    path.write_text("vertex_id,value\n" + rows)
+    return str(path)
+
+
+def field_csvs(out):
+    return sorted(p for p in out.iterdir() if p.suffix == ".csv")
 
 
 class TestBasisCommand:
@@ -127,6 +148,37 @@ class TestBasisCommand:
         f0 = load_field(csvs[0])
         assert f0[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(f0[10]) <= 1e-12 and abs(f0[20]) <= 1e-12
+
+    @pytest.mark.parametrize("potential", [True, False],
+                             ids=["potential", "unit-potential"])
+    def test_hamiltonian_equals_library(self, mesh_path, tmp_path, potential):
+        n = lb.icosphere(2).n_vertices
+        V = np.ones(n)
+        argv = ["basis", "hamiltonian", "--mesh", mesh_path, "--seeds",
+                "0,17,40", "--mu", "2", "--out", str(tmp_path / "run")]
+        if potential:
+            V = np.random.default_rng(5).random(n) + 0.5
+            argv += ["--potential",
+                     write_field_csv(tmp_path / "V.csv", range(n), V)]
+        assert main(argv) == 0
+        op = lb.assemble(lb.load_mesh(mesh_path))
+        want = lb.hamiltonian_basis(op, V, 2.0, [0, 17, 40])
+        csvs = field_csvs(tmp_path / "run")
+        assert len(csvs) == 3
+        for path, f in zip(csvs, want):
+            assert np.array_equal(load_field(path), lb.field_values(f))
+
+    def test_seeds_file_equals_seed_list(self, mesh_path, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0\n10\n20\n")
+        for name, source in [("list", ["--seeds", "0,10,20"]),
+                             ("file", ["--seeds-file", str(seeds)])]:
+            assert main(["basis", "harmonic", "--mesh", mesh_path, *source,
+                         "--out", str(tmp_path / name)]) == 0
+        listed = field_csvs(tmp_path / "list")
+        assert len(listed) == 3
+        assert ([p.read_bytes() for p in listed]
+                == [p.read_bytes() for p in field_csvs(tmp_path / "file")])
 
     def test_spectral_rational_records_exact_path(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -233,6 +285,27 @@ class TestMetricsCommand:
         assert rc == 0
         rows = (out / "metric_area.csv").read_text().strip().splitlines()
         assert len(rows) == 2
+
+    def test_fields_dir_rerun_into_itself(self, mesh_path, tmp_path):
+        d = tmp_path / "fields"
+        assert main(["basis", "diffusion", "--mesh", mesh_path, "--seeds",
+                     "0,40", "--out", str(d)]) == 0
+        written = []
+        for _ in range(2):
+            assert main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                         "--fields-dir", str(d), "--out", str(d)]) == 0
+            written.append((d / "metric_area.csv").read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 2
+
+    def test_field_pattern_reads_exports_only(self, mesh_path, fields_dir):
+        names = {p.name for p in field_csvs(pathlib.Path(fields_dir))}
+        assert names == {cli_mod.FIELD_STEM.format("diffusion", i) + ".csv"
+                         for i in range(2)}
+        assert all(cli_mod.FIELD_CSV.fullmatch(f) for f in names)
+        for other in ("metric_area.csv", "coverage_curve.csv", "V.csv",
+                      "diffusion_01.csv"):
+            assert not cli_mod.FIELD_CSV.fullmatch(other)
 
     def test_fps_seeds_when_no_source_given(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -535,8 +608,9 @@ class TestErrors:
     def test_massless_vertex_named_on_every_route(self, isolated_path,
                                                   tmp_path, capsys, argv):
         # RuntimeWarnings are errors under the suite's warning filter
-        rc = main(argv + ["--mesh", isolated_path,
-                          "--out", str(tmp_path / "o")])
+        with on_truncated_route(argv):
+            rc = main(argv + ["--mesh", isolated_path,
+                              "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
         assert "vertex 162" in err
@@ -581,7 +655,8 @@ class TestErrors:
                                     capsys, argv, flag):
         argv = [fields_dir if a == "FIELDS" else a for a in argv]
         out = tmp_path / "o"
-        rc = main(argv + ["--mesh", mesh_path, "--out", str(out)])
+        with on_truncated_route(argv):
+            rc = main(argv + ["--mesh", mesh_path, "--out", str(out)])
         assert rc == 1
         assert f"{flag}: not read" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
@@ -597,8 +672,39 @@ class TestErrors:
          "--kernel-t", "0.2", "--r", "7"],
     ], ids=["poly-k", "truncated-k", "fps-start-r", "kernel-eigen"])
     def test_read_options_accepted(self, mesh_path, tmp_path, argv):
-        assert main(argv + ["--mesh", mesh_path,
-                            "--out", str(tmp_path / "o")]) == 0
+        with on_truncated_route(argv):
+            rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 0
+
+    @pytest.mark.parametrize("ids", ["shuffled", "repeated"])
+    @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])
+    def test_field_ids_out_of_order_rejected(self, mesh_path, tmp_path,
+                                             capsys, ids, option):
+        n = lb.icosphere(2).n_vertices
+        order = (np.random.default_rng(3).permutation(n) if ids == "shuffled"
+                 else [0, 1, 1, *range(3, n)])
+        d = tmp_path / "fields"
+        d.mkdir()
+        path = write_field_csv(d / "spectral_0000.csv", order, np.ones(n))
+        if option == "--potential":
+            argv = ["basis", "hamiltonian", "--seeds", "0,17,40",
+                    "--potential", path]
+        else:
+            argv = ["metrics", "--metric", "area", "--fields-dir", str(d)]
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        row = 2 if ids == "shuffled" else 4  # the header is row 1
+        assert f"{path}, row {row}: vertex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "harmonic"],
+        ["metrics", "--metric", "area"],
+    ], ids=["basis", "metrics"])
+    def test_fps_zero_reports_range(self, mesh_path, tmp_path, capsys, argv):
+        rc = main(argv + ["--fps", "0", "--mesh", mesh_path,
+                          "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "k=0 out of range for n=162" in capsys.readouterr().err
 
     def test_green_role_option_removed(self, mesh_path, tmp_path):
         # basis green is the harmonic Green kernel; filters go to spectral

@@ -1,5 +1,8 @@
 """Inner products, kernel metrics, and comparison matrices."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -80,7 +83,7 @@ class TestKernelMetric:
                 op2, shift, np.ones(op2.n), np.ones(op2.n)
             )
 
-    def test_adjoint_probe_once_per_kernel(self, op2, monkeypatch):
+    def test_adjoint_probe_on_every_call(self, op2, monkeypatch):
         applies = []
         original = ChebyshevKernel.apply
 
@@ -92,15 +95,14 @@ class TestKernelMetric:
         kern = ChebyshevKernel(op2, lb.partial_fractions(
             FilterSpec.exponential(0.5)))
         f = np.ones(op2.n)
-        lb.kernel_metric(op2, kern.apply, f, f)
-        # the probe: two applies per (u, v) pair, then K g
-        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 1
-        for _ in range(3):
+        probe = 2 * metrics_mod.ADJOINT_PROBES  # two applies per (u, v) pair
+        for calls in range(1, 4):
             lb.kernel_metric(op2, kern.apply, f, f)
-        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 4
-        lb.comparison_matrix(op2, [f, f], metric="kernel",
+            assert len(applies) == calls * (probe + 1)
+        del applies[:]
+        lb.comparison_matrix(op2, [f, 2 * f, 3 * f], metric="kernel",
                              kernel_apply=kern.apply)
-        assert len(applies) == 2 * metrics_mod.ADJOINT_PROBES + 6
+        assert len(applies) == 3 + probe
 
     def test_adjoint_probe_repeats_for_failing_map(self, op2):
         shift = lambda v: np.roll(np.asarray(v), 1)
@@ -202,6 +204,41 @@ class TestComparisonMatrix:
         assert norm.normalized
         # normalised fields span [0, 1], so diagonals change
         assert not np.allclose(raw.values, norm.values)
+
+    def test_no_fields_rejected(self, op2):
+        with pytest.raises(ValueError, match="at least one field"):
+            lb.comparison_matrix(op2, [], metric="area")
+
+    def test_every_metric_is_one_gram_routine(self, op2, heat_kernel,
+                                              monkeypatch):
+        calls = []
+        original = metrics_mod._gram
+
+        def recording(op, metric, F, G, kernel_apply=None):
+            calls.append((metric, np.ndim(F)))
+            return original(op, metric, F, G, kernel_apply)
+
+        monkeypatch.setattr(metrics_mod, "_gram", recording)
+        f = np.ones(op2.n)
+        lb.area_metric(op2, f, f)
+        lb.conformal_metric(op2, f, f)
+        lb.kernel_metric(op2, heat_kernel, f, f)
+        for metric in ("area", "conformal", "kernel"):
+            lb.comparison_matrix(op2, [f], metric=metric,
+                                 kernel_apply=heat_kernel)
+        assert calls == [("area", 1), ("conformal", 1), ("kernel", 1),
+                         ("area", 2), ("conformal", 2), ("kernel", 2)]
+
+    def test_metrics_module_keeps_no_state(self):
+        tree = ast.parse(inspect.getsource(metrics_mod))
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                    for a in n.names}
+        assert not imported & {"inspect", "weakref"}
+        assert not [n for n in ast.walk(tree) if isinstance(n, ast.Global)]
+        mutable = (ast.Dict, ast.List, ast.Set, ast.Call)
+        assert not [n for n in tree.body if isinstance(n, ast.Assign)
+                    and isinstance(n.value, mutable)]
 
     def test_unknown_metric(self, op2):
         bs = lb.spectral_set(op2, FilterSpec.exponential(0.1), [0])
