@@ -3,8 +3,8 @@
 Assembles discrete Laplace-Beltrami operators, computes harmonic /
 Hamiltonian / eigen / filtered-spectral / diffusion / Green-kernel basis
 functions by truncated eigen-expansion or by the spectrum-free rational
-(Pade-Chebyshev) method, and compares them through area, conformal, and
-kernel metrics.
+method (a Caratheodory-Fejer table for the exponential), and compares them
+through area, conformal, and kernel metrics.
 """
 
 from .basis import (

@@ -209,8 +209,9 @@ def _field_csv(run, name, f):
     return run.write_text(name, "\n".join(lines) + "\n")
 
 
-def _load_field_csv(path):
-    """A field as _field_csv writes it: vertex ids 0, 1, 2, ... in order."""
+def _load_field_csv(path, n):
+    """A field as _field_csv writes it on an n-vertex mesh: one row per
+    vertex, ids 0, 1, 2, ... in order."""
     values = []
     with open(path) as fh:
         header = fh.readline()
@@ -218,12 +219,19 @@ def _load_field_csv(path):
             raise ValueError(f"{path}: expected a vertex_id,value header")
         for row, line in enumerate(fh, start=2):
             if line.strip():
-                vid, v = line.split(",", 1)
-                if int(vid) != len(values):
+                try:
+                    vid, v = line.split(",", 1)
+                    vid, v = int(vid), float(v)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, row {row}: {exc}") from None
+                if vid != len(values):
                     raise ValueError(
-                        f"{path}, row {row}: vertex id {vid.strip()}, expected "
+                        f"{path}, row {row}: vertex id {vid}, expected "
                         f"{len(values)}: ids must be 0, 1, 2, ... in order")
-                values.append(float(v))
+                values.append(v)
+    if len(values) != n:
+        raise ValueError(f"{path}: {len(values)} rows, expected one per "
+                         f"vertex of the {n}-vertex mesh")
     return ScalarField(np.array(values), tag=os.path.basename(path))
 
 
@@ -310,7 +318,7 @@ def cmd_basis(args, run, mesh, op):
             bs = basis_mod.green_basis(op, seed_list)
         else:
             if args.potential:
-                V = _load_field_csv(args.potential)
+                V = _load_field_csv(args.potential, mesh.n_vertices)
             else:
                 V = ScalarField(np.ones(mesh.n_vertices), tag="V=1")
             bs = basis_mod.hamiltonian_basis(op, V, args.mu, seed_list)
@@ -335,7 +343,8 @@ def cmd_metrics(args, run, mesh, op):
         paths = sorted(os.path.join(args.fields_dir, f)
                        for f in os.listdir(args.fields_dir)
                        if FIELD_CSV.fullmatch(f))
-        fields = BasisSet([_load_field_csv(p) for p in paths], "file")
+        fields = BasisSet([_load_field_csv(p, mesh.n_vertices)
+                           for p in paths], "file")
     elif args.family == "diffusion":
         if args.seeds is None and args.fps is None:
             # applied here, not as the option's default, so that argparse

@@ -65,11 +65,6 @@ class UnsupportedDegree(LapBasisError):
     """No precomputed rational table for the requested degree."""
 
 
-class RepeatedRoots(LapBasisError):
-    """Denominator has repeated complex roots; only repeated real roots
-    are supported (via chained first-order stages)."""
-
-
 class DegreeMismatch(LapBasisError):
     """Rational filter numerator degree exceeds denominator degree."""
 

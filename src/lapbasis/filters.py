@@ -3,7 +3,8 @@
 A filter phi maps eigenvalues s >= 0 to positive weights.  The spectrum-free
 evaluation path needs phi as alpha0 + sum alpha_j (1 + beta_j s)^{-m_j}: for
 the exponential this comes from a precomputed rational approximation table,
-for rational filters from exact partial fractions.
+for rational filters from their denominator's roots and a least-squares
+fit of the weights.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from ._exp_cheb import SUP_ERROR, TABLE
 from .errors import (
     DegreeMismatch,
     InaccurateDecomposition,
-    RepeatedRoots,
     SingularEvaluation,
     UnsupportedDegree,
     UnsupportedFeature,
@@ -145,8 +145,8 @@ class PartialFraction:
 
     poles are ((beta, (w_1, ..., w_m)), ...), each distinct pole once: beta
     a float when real, else in the upper half-plane, its conjugate implied.
-    The form is real by construction; m > 1 arises only for repeated real
-    poles.
+    The form is real by construction; m > 1 arises for a repeated root,
+    real or complex.
     """
 
     alpha0: float
@@ -190,40 +190,17 @@ def exp_table_error(r):
     return SUP_ERROR[r]
 
 
-def _taylor_at(coeffs, mu, order):
-    """First `order` Taylor coefficients of a polynomial about s = mu."""
-    c = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(order, dtype=complex)
-    for i in range(order):
-        if len(c) == 0:
-            break
-        out[i] = np.polynomial.polynomial.polyval(mu, c)
-        c = np.polynomial.polynomial.polyder(c)
-        c /= i + 1.0
-    return out
-
-
-def _series_divide(num, den, order):
-    """Truncated power-series division num/den (den[0] != 0)."""
-    q = np.zeros(order, dtype=complex)
-    for i in range(order):
-        acc = num[i] if i < len(num) else 0.0
-        for j in range(i):
-            acc -= q[j] * den[i - j]
-        q[i] = acc / den[0]
-    return q
-
-
 # np.roots splits an m-fold root by about eps^(1/m) (6e-6 at m = 3): root
 # groupings, relative to the largest root, tried until the check passes
 CLUSTER_RTOLS = (1e-6, 1e-4, 1e-2)
 DECOMPOSITION_RTOL = 1e-10  # relative to max |phi| on the check grid
 
 
-def _poles(num, den, roots, tol):
-    """Real-form (beta, weights) poles of num/den, roots within tol grouped.
+def _poles(roots, tol):
+    """(beta, m) per distinct pole of the roots, those within tol grouped.
 
-    A complex pair keeps its upper-half-plane root with twice its weight.
+    beta = -1/root is a float when real; a complex pair appears once, as
+    its upper-half-plane root.
     """
     groups = []
     for r in roots:
@@ -236,44 +213,41 @@ def _poles(num, den, roots, tol):
     poles = []
     for g in groups:
         mu = np.mean(g)
-        m = len(g)
-        if m > 1 and abs(mu.imag) > tol:
-            raise RepeatedRoots("repeated complex denominator roots unsupported")
-        if mu.imag < -tol:
-            continue  # its residue is the mirror root's conjugate: folded
-        real = abs(mu.imag) <= tol
-        if real:
-            mu = complex(mu.real, 0.0)
-        # Taylor expansion of num/(den with this root removed) about mu;
-        # the quotient keeps den's leading coefficient
-        reduced = den[::-1]
-        for _ in range(m):
-            reduced, rem = np.polydiv(reduced, np.array([1.0, -mu]))
-        series = _series_divide(_taylor_at(num, mu, m),
-                                _taylor_at(reduced[::-1], mu, m), m)
-        # the residue of order j is series[m-j], and
-        # r/(s-mu)^j = r*(-mu)^{-j} (1 + beta s)^{-j}, beta = -1/mu
-        w = [c * (-mu) ** (-j) for j, c in enumerate(series[::-1], 1)]
-        w = [x.real if real else 2 * x for x in w]
-        nonzero = np.flatnonzero(w)
-        if len(nonzero):
-            beta = -1.0 / mu
-            key = (nonzero[0], beta.real, -abs(beta.imag))
-            poles.append((key, beta.real if real else beta,
-                          tuple(w[:nonzero[-1] + 1])))
-    # summation order: lowest nonzero order, real part, pairs before reals
-    poles.sort(key=lambda p: p[0])
-    return tuple(p[1:] for p in poles)
+        if abs(mu.imag) <= tol:
+            poles.append((-1.0 / float(mu.real), len(g)))
+        elif mu.imag > 0:  # a lower root is its mirror's conjugate: folded
+            poles.append((-1.0 / mu, len(g)))
+    return poles
+
+
+def _fit(poles, s, target):
+    """Weights w_j of sum Re(w_j (1 + beta s)^{-j}) ~ target on the grid s.
+
+    One real least-squares fit: a real pole gives one column per order, a
+    complex one two, Re and Im of (1 + beta s)^{-j}, and then w = x_re -
+    i x_im.
+    """
+    cols = []
+    for beta, m in poles:
+        for j in range(1, m + 1):
+            z = (1.0 + beta * s) ** -j
+            cols += [z.real, z.imag] if isinstance(beta, complex) else [z]
+    x = iter(np.linalg.lstsq(np.column_stack(cols), target, rcond=None)[0])
+    return tuple(
+        (beta, tuple(complex(next(x), -next(x)) if isinstance(beta, complex)
+                     else float(next(x)) for _ in range(m)))
+        for beta, m in poles)
 
 
 def rational_partial_fractions(spec):
-    """Exact partial fractions of a rational filter in (1+beta s) form.
+    """Partial fractions of a rational filter in (1+beta s) form.
 
-    Repeated real denominator roots become higher-multiplicity terms
-    (evaluated by chained solves); repeated complex roots are rejected.
-    A root at s=0 is not representable in this form.  Raises
-    InaccurateDecomposition unless the result matches evaluate() on a log
-    grid around the roots for some grouping of them (CLUSTER_RTOLS).
+    The poles are the denominator's roots, an m-fold root giving orders
+    1..m (evaluated by chained solves); the weights are one least-squares
+    fit to the filter on a log grid around the roots.  A root at s=0 is
+    not representable in this form.  Raises InaccurateDecomposition unless
+    the result matches evaluate() on that grid to DECOMPOSITION_RTOL for
+    some grouping of the roots (CLUSTER_RTOLS).
     """
     if spec.kind != "rational":
         raise ValueError("rational_partial_fractions needs a rational filter")
@@ -284,15 +258,7 @@ def rational_partial_fractions(spec):
         return PartialFraction(num[0] / den[0] if len(num) else 0.0, (), 0)
 
     # alpha0 = limit at infinity: leading-coefficient ratio at equal degree
-    if len(num) == len(den):
-        alpha0 = num[-1] / den[-1]
-        num = num - alpha0 * den
-        num = np.trim_zeros(num, "b")
-        if len(num) == 0:
-            return PartialFraction(alpha0, (), den_deg)
-    else:
-        alpha0 = 0.0
-
+    alpha0 = num[-1] / den[-1] if len(num) == len(den) else 0.0
     roots = np.roots(den[::-1])
     scale = max(1.0, np.abs(roots).max())
     if np.abs(roots).min() < CLUSTER_RTOLS[0] * scale:
@@ -303,7 +269,7 @@ def rational_partial_fractions(spec):
     s = np.r_[0.0, np.logspace(-9, 3, 800) * scale]
     want = evaluate(spec, s)
     for rtol in CLUSTER_RTOLS:
-        poles = _poles(num, den, roots, rtol * scale)
+        poles = _fit(_poles(roots, rtol * scale), s, want - alpha0)
         pf = PartialFraction(float(alpha0), poles, den_deg)
         err = np.abs(pf(s) - want).max()
         if err <= DECOMPOSITION_RTOL * np.abs(want).max():
@@ -317,8 +283,8 @@ def partial_fractions(spec, r=5):
     """Rational form of a filter for the spectrum-free path.
 
     exponential uses the precomputed table (scaled by t); rational filters
-    decompose exactly.  Other filters have no rational form and are usable
-    only on the truncated path.
+    decompose over their roots (rational_partial_fractions).  Other filters
+    have no rational form and are usable only on the truncated path.
     """
     if not spec.has_rational_form:
         raise UnsupportedFeature(

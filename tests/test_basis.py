@@ -26,6 +26,15 @@ def dense_lb(op):
     return op.L.toarray(), op.B.toarray()
 
 
+def dense_filtered(op, spec, F):
+    """phi(B^{-1} L) F for a lumped mass, from every eigenpair of
+    B^{-1/2} L B^{-1/2} (dense eigh); F holds one input per column."""
+    d = 1.0 / np.sqrt(op.B.diagonal())
+    lam, W = np.linalg.eigh(d[:, None] * op.L.toarray() * d)
+    phi = lb.evaluate(spec, np.clip(lam, 0.0, None))
+    return d[:, None] * (W @ (phi[:, None] * (W.T @ (F / d[:, None]))))
+
+
 def delta(n, i):
     e = np.zeros(n)
     e[i] = 1.0
@@ -282,6 +291,19 @@ class TestChebyshevKernel:
         want = M @ f
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
+    @pytest.mark.parametrize("den", [
+        [1.0, 0.0, 2.0, 0.0, 1.0],  # 1/(1+s^2)^2
+        [1.0, 2.0, 2.0, 1.0, 0.25],  # 1/(1+s+s^2/2)^2
+    ])
+    def test_repeated_complex_pole_matches_dense(self, op3, den):
+        spec = FilterSpec.rational([1.0], den)
+        kern = ChebyshevKernel(op3, lb.rational_partial_fractions(spec))
+        assert kern.route == "lu"
+        f = np.random.default_rng(17).standard_normal(op3.n)
+        (want,) = dense_filtered(op3, spec, f[:, None]).T
+        got = kern.apply(f)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
     def test_factor_cache_shared_across_applies(self, op2, monkeypatch):
         calls = []
         original = lb.numerics.shifted_factor
@@ -371,6 +393,16 @@ class TestLanczosRoute:
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert 0 < lanczos.max_lanczos_steps <= lb.numerics.lanczos_cap(
             lanczos.kappa)
+
+    def test_repeated_complex_pole_matches_dense(self, op4):
+        spec = FilterSpec.rational([1.0], [1.0, 0.0, 2e-6, 0.0, 1e-12])
+        kern = ChebyshevKernel(op4, lb.rational_partial_fractions(spec))
+        assert kern.route == "lanczos"  # 1/(1 + 1e-6 s^2)^2
+        F = np.column_stack([delta(op4.n, 1000),
+                             np.random.default_rng(32).standard_normal(op4.n)])
+        for f, want in zip(F.T, dense_filtered(op4, spec, F).T):
+            got = kern.apply(f)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_small_t_lumped_factorises_nothing(self, op4, monkeypatch):
         calls = self.counting_factor(monkeypatch)

@@ -5,7 +5,10 @@ import ast
 import contextlib
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,18 @@ def write_field_csv(path, ids, values):
 
 def field_csvs(out):
     return sorted(p for p in out.iterdir() if p.suffix == ".csv")
+
+
+def test_import_loads_no_scipy_signal():
+    # scipy.signal alone raises a fresh process's peak RSS by about 40 MiB
+    code = ("import sys, lapbasis.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['scipy', 'signal']))")
+    src = str(pathlib.Path(lb.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ,
+                                                       "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBasisCommand:
@@ -189,6 +204,15 @@ class TestBasisCommand:
         assert rc == 0
         manifest = read_manifest(out)
         assert "exact-rational" in manifest["path"]
+
+    def test_spectral_repeated_complex_pole(self, mesh_path, tmp_path):
+        out = tmp_path / "run"
+        rc = main([
+            "basis", "spectral", "--mesh", mesh_path, "--seeds", "1,2",
+            "--filter", "rat:num=1;den=1,0,2,0,1", "--out", str(out),
+        ])  # 1/(1+s^2)^2
+        assert rc == 0
+        assert len(field_csvs(out)) == 2
 
     def test_spectral_exponential_records_table_path(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -695,6 +719,32 @@ class TestErrors:
         assert rc == 1
         row = 2 if ids == "shuffled" else 4  # the header is row 1
         assert f"{path}, row {row}: vertex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["short", "long", "bad-value"])
+    @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])
+    def test_field_csv_checked_against_mesh(self, mesh_path, tmp_path,
+                                            capsys, fault, option):
+        n = lb.icosphere(2).n_vertices
+        rows = {"short": 100, "long": n + 1}.get(fault, n)
+        d = tmp_path / "fields"
+        d.mkdir()
+        path = write_field_csv(d / "x_0000.csv", range(rows), np.ones(rows))
+        if fault == "bad-value":  # vertex 5 is row 7: the header is row 1
+            csv = pathlib.Path(path)
+            csv.write_text(csv.read_text().replace("\n5,1.0\n", "\n5,abc\n"))
+        if option == "--potential":
+            argv = ["basis", "hamiltonian", "--seeds", "0,17,40",
+                    "--potential", path]
+        else:
+            argv = ["metrics", "--metric", "area", "--fields-dir", str(d)]
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        if fault == "bad-value":
+            assert f"{path}, row 7: could not convert" in err
+        else:
+            assert f"{path}: {rows} rows, expected one per vertex of the " \
+                f"{n}-vertex mesh" in err
 
     @pytest.mark.parametrize("argv", [
         ["basis", "harmonic"],

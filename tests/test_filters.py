@@ -7,7 +7,6 @@ import lapbasis as lb
 from lapbasis.errors import (
     DegreeMismatch,
     InaccurateDecomposition,
-    RepeatedRoots,
     SingularEvaluation,
     UnsupportedDegree,
     UnsupportedFeature,
@@ -162,10 +161,18 @@ class TestRationalPartialFractions:
         with pytest.raises(DegreeMismatch):
             FilterSpec.rational([1.0, 0.0, 1.0], [1.0, 1.0])
 
-    def test_repeated_complex_pole_unsupported(self):
-        spec = FilterSpec.rational([1.0], [1.0, 0.0, 2.0, 0.0, 1.0])
-        with pytest.raises(RepeatedRoots):
-            lb.rational_partial_fractions(spec)
+    @pytest.mark.parametrize("den", [
+        [1.0, 0.0, 2.0, 0.0, 1.0],  # 1/(1+s^2)^2
+        [1.0, 2.0, 2.0, 1.0, 0.25],  # 1/(1+s+s^2/2)^2
+    ])
+    def test_repeated_complex_pole(self, den):
+        spec = FilterSpec.rational([1.0], den)
+        pf = lb.rational_partial_fractions(spec)
+        ((beta, weights),) = pf.poles  # one double pair, as its upper pole
+        assert beta.imag > 0 and len(weights) == 2
+        s = self.grid()
+        want = lb.evaluate(spec, s)
+        assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_pole_at_zero_rejected(self):
         spec = FilterSpec.rational([1.0], [0.0, 1.0])  # 1/s
