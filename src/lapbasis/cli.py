@@ -29,7 +29,6 @@ from .mesh import load_mesh, save_ply, validate
 SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
                "meanvalue": "mean_value"}
 FORMATS = ("csv", "ply")  # field exports; reports are always written
-METRICS_FPS = 100  # FPS seeds of metrics when no seed source is given
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
 
@@ -61,7 +60,6 @@ def build_parser():
     src.add_argument("--seeds", help="comma-separated vertex indices")
     src.add_argument("--seeds-file", help="text file, one index per line")
     src.add_argument("--fps", type=int, help="sample this many FPS seeds")
-    src.add_argument("--seed", type=int, help="single seed vertex")
     b.add_argument("--start", type=int, help="FPS start vertex")
     b.add_argument("--t", type=float, default=0.1, help="diffusion scale")
     b.add_argument("--k", type=int, default=100, help="eigenpair count")
@@ -78,17 +76,10 @@ def build_parser():
     _common(m)
     m.add_argument("--metric", choices=["area", "conformal", "kernel"],
                    required=True)
-    m.add_argument("--family", choices=["diffusion", "eigen"],
-                   default="diffusion", help="fields generated in-process")
-    m.add_argument("--fields-dir", help="read field CSVs from a prior run")
-    src = m.add_mutually_exclusive_group()
-    src.add_argument("--seeds", help="comma-separated vertex indices")
-    src.add_argument("--fps", type=int,
-                     help=f"sample this many FPS seeds (default {METRICS_FPS})")
-    m.add_argument("--start", type=int)
-    m.add_argument("--t", type=float, default=1e-3)
-    m.add_argument("--k", type=int, default=20)
-    m.add_argument("--r", type=int, default=5)
+    m.add_argument("--fields-dir", required=True,
+                   help="the field CSVs of a prior basis run")
+    m.add_argument("--r", type=int, default=5,
+                   help="rational degree of the kernel metric")
     m.add_argument("--kernel-t", type=float, default=0.1,
                    help="diffusion scale of the kernel metric")
     m.add_argument("--normalize", action="store_true",
@@ -265,19 +256,14 @@ def _export_fields(run, mesh, fields, stem):
 
 
 def _parse_seed_args(args, mesh, op):
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         return [int(x) for x in args.seeds.split(",")]
-    if getattr(args, "seeds_file", None) is not None:
+    if args.seeds_file is not None:
         return list(seeds_mod.load_seeds(args.seeds_file))
-    if getattr(args, "fps", None) is not None:
-        return list(
-            seeds_mod.farthest_point_sampling(
-                mesh, args.fps, start=getattr(args, "start", None), op=op
-            )
-        )
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    raise ValueError("no seeds given: use --seeds, --seeds-file, --fps or --seed")
+    if args.fps is not None:
+        return list(seeds_mod.farthest_point_sampling(
+            mesh, args.fps, start=args.start, op=op))
+    raise ValueError("no seeds given: use --seeds, --seeds-file or --fps")
 
 
 def _write_spectrum(run, op, eig):
@@ -339,24 +325,13 @@ def cmd_basis(args, run, mesh, op):
 
 
 def cmd_metrics(args, run, mesh, op):
-    if args.fields_dir:
-        paths = sorted(os.path.join(args.fields_dir, f)
-                       for f in os.listdir(args.fields_dir)
-                       if FIELD_CSV.fullmatch(f))
-        fields = BasisSet([_load_field_csv(p, mesh.n_vertices)
-                           for p in paths], "file")
-    elif args.family == "diffusion":
-        if args.seeds is None and args.fps is None:
-            # applied here, not as the option's default, so that argparse
-            # sees --fps as given whatever its value
-            args.fps = METRICS_FPS
-        seed_list = _parse_seed_args(args, mesh, op)
-        fields = basis_mod.spectral_set(op, FilterSpec.exponential(args.t),
-                                        seed_list, r=args.r)
-        run.info["path"] = fields.params["path"]
-    else:
-        eig = basis_mod.eigen_basis(op, args.k)
-        fields = basis_mod.eigen_fields(eig)
+    names = sorted(f for f in os.listdir(args.fields_dir)
+                   if FIELD_CSV.fullmatch(f))
+    if not names:
+        raise ValueError(f"{args.fields_dir}: no field exports; metrics reads"
+                         " the <stem>_NNNN.csv files of a basis run")
+    fields = BasisSet([_load_field_csv(os.path.join(args.fields_dir, f),
+                                       mesh.n_vertices) for f in names], "file")
     kernel_apply = None
     if args.metric == "kernel":
         kernel = basis_mod.filter_kernel(

@@ -17,7 +17,8 @@ class UnsupportedFeature(LapBasisError):
 
 
 class DisconnectedMesh(LapBasisError):
-    """Graph distances are infinite for part of the mesh."""
+    """The operation needs one connected component and the mesh has more
+    (green_basis).  vertex_distances only warns on a disconnected mesh."""
 
 
 # operator assembly

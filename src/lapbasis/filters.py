@@ -227,6 +227,8 @@ def _fit(poles, s, target):
     complex one two, Re and Im of (1 + beta s)^{-j}, and then w = x_re -
     i x_im.
     """
+    if not poles:
+        return ()
     cols = []
     for beta, m in poles:
         for j in range(1, m + 1):
@@ -244,10 +246,13 @@ def rational_partial_fractions(spec):
 
     The poles are the denominator's roots, an m-fold root giving orders
     1..m (evaluated by chained solves); the weights are one least-squares
-    fit to the filter on a log grid around the roots.  A root at s=0 is
-    not representable in this form.  Raises InaccurateDecomposition unless
-    the result matches evaluate() on that grid to DECOMPOSITION_RTOL for
-    some grouping of the roots (CLUSTER_RTOLS).
+    fit to the filter on a log grid around the roots.  A pole whose weights
+    all fit below DECOMPOSITION_RTOL max |phi| (a root the numerator
+    cancels) is dropped and the rest refitted, if that still passes the
+    check.  A root at s=0 is not representable in this form.  Raises
+    InaccurateDecomposition unless the result matches evaluate() on that
+    grid to DECOMPOSITION_RTOL for some grouping of the roots
+    (CLUSTER_RTOLS).
     """
     if spec.kind != "rational":
         raise ValueError("rational_partial_fractions needs a rational filter")
@@ -268,12 +273,15 @@ def rational_partial_fractions(spec):
     # every root lies in [1e-6, 1] * scale: three decades beyond both ends
     s = np.r_[0.0, np.logspace(-9, 3, 800) * scale]
     want = evaluate(spec, s)
+    tol = DECOMPOSITION_RTOL * np.abs(want).max()
     for rtol in CLUSTER_RTOLS:
-        poles = _fit(_poles(roots, rtol * scale), s, want - alpha0)
-        pf = PartialFraction(float(alpha0), poles, den_deg)
-        err = np.abs(pf(s) - want).max()
-        if err <= DECOMPOSITION_RTOL * np.abs(want).max():
-            return pf
+        full = _fit(_poles(roots, rtol * scale), s, want - alpha0)
+        kept = [(beta, len(w)) for beta, w in full if max(map(abs, w)) > tol]
+        for poles in (_fit(kept, s, want - alpha0), full):
+            pf = PartialFraction(float(alpha0), poles, den_deg)
+            err = np.abs(pf(s) - want).max()
+            if err <= tol:
+                return pf
     raise InaccurateDecomposition(
         f"partial fractions of {spec.describe()} are off by {err:.1e}"
     )

@@ -124,7 +124,7 @@ def _mean_value_stiffness(n, tris, p):
     rowsum = np.asarray(W.sum(axis=1)).ravel()
     rowsum[rowsum == 0.0] = 1.0  # isolated vertices keep an identity row
     W = sp.diags(1.0 / rowsum) @ W
-    return (sp.eye(n) - W).tocsr(), W
+    return (sp.eye(n) - W).tocsr()
 
 
 def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
@@ -133,7 +133,7 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     linear_fem: cotangent stiffness with consistent or lumped FEM mass.
     voronoi_cotangent: the same stiffness with the mass necessarily lumped.
     mean_value: positive row-normalised weights, non-symmetric, for
-    harmonic-type solves only; mass as in lumped FEM.
+    harmonic-type solves only; mass necessarily lumped, as in lumped FEM.
 
     Degenerate triangles (area below 1e-12 x squared bbox diagonal)
     contribute nothing.  Boundaries are natural: sums simply run over the
@@ -143,27 +143,20 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if mass_mode not in MASS_MODES:
         raise ValueError(f"unknown mass mode {mass_mode!r}")
-    if scheme == "voronoi_cotangent" and mass_mode == "consistent":
-        raise ValueError("voronoi_cotangent is defined by lumping; use lumped mass")
+    if scheme != "linear_fem" and mass_mode == "consistent":
+        raise ValueError(f"{scheme} is defined with lumped mass only")
 
     tris, p, areas = _triangle_geometry(mesh)
     n = mesh.n_vertices
-
     if scheme == "mean_value":
-        L, W = _mean_value_stiffness(n, tris, p)
-        B = _mass(n, tris, areas, lumped=True)
-        negatives = int(np.sum(W.data < 0.0))
-        return LaplacianOperator(L, B, scheme, "lumped", negatives)
-
-    L = _fem_stiffness(n, tris, p, areas)
-    lumped = mass_mode == "lumped" or scheme == "voronoi_cotangent"
-    B = _mass(n, tris, areas, lumped=lumped)
+        L = _mean_value_stiffness(n, tris, p)
+    else:
+        L = _fem_stiffness(n, tris, p, areas)
+    B = _mass(n, tris, areas, lumped=mass_mode == "lumped")
     off = L.copy()
     off.setdiag(0.0)
     negatives = int(np.sum(off.data > 0.0))  # positive off-diagonal = negative weight
-    return LaplacianOperator(
-        L, B, scheme, "lumped" if lumped else "consistent", negatives
-    )
+    return LaplacianOperator(L, B, scheme, mass_mode, negatives)
 
 
 def _mass_solve(op, rhs):

@@ -664,6 +664,28 @@ class TestFilterKernel:
         # one for the set and one for the kernel, none per column
         assert ["spectrum" in str(w.message) for w in caught] == [True] * 2
 
+    @pytest.mark.parametrize("text, reduced, factors", [
+        ("rat:num=1,1;den=1,3,2", "rat:num=1;den=1,2", 1),  # 1/(1+2s)
+        ("rat:num=2,2;den=1,1", "rat:num=2;den=1", 0),  # 2
+    ], ids=["one-left", "none-left"])
+    def test_cancelled_pole_not_factorised(self, op2, monkeypatch, text,
+                                           reduced, factors):
+        calls = []
+        factor = lb.numerics.shifted_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+        kernel = lb.filter_kernel(op2, lb.parse_filter(text))
+        assert kernel.route == "lu" and len(calls) == factors
+        want = lb.filter_kernel(op2, lb.parse_filter(reduced))
+        for s in (0, 50, 100):
+            ref = want.apply(delta(op2.n, s))
+            got = kernel.apply(delta(op2.n, s))
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("text, method", [
         ("exp:t=0.2", "chebyshev"),
         ("rat:num=1;den=1,2,1", "chebyshev"),

@@ -37,12 +37,22 @@ def isolated_path(tmp_path_factory):
     return str(path)
 
 
+def export_fields(mesh_path, out, argv):
+    """Run basis with argv, exporting its fields to out; returns out."""
+    assert main(["basis", *argv, "--mesh", mesh_path, "--out", str(out)]) == 0
+    return str(out)
+
+
 @pytest.fixture(scope="module")
 def fields_dir(mesh_path, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fields")
-    assert main(["basis", "diffusion", "--seeds", "0,40", "--mesh", mesh_path,
-                 "--out", str(out)]) == 0
-    return str(out)
+    return export_fields(mesh_path, tmp_path_factory.mktemp("fields"),
+                         ["diffusion", "--seeds", "0,40"])
+
+
+@pytest.fixture(scope="module")
+def eigen_dir(mesh_path, tmp_path_factory):
+    return export_fields(mesh_path, tmp_path_factory.mktemp("eigen"),
+                         ["eigen", "--k", "8"])
 
 
 def read_manifest(out):
@@ -59,6 +69,11 @@ def sha256(path):
 def load_field(path):
     rows = path.read_text().strip().splitlines()[1:]
     return np.array([float(r.split(",")[1]) for r in rows])
+
+
+def load_matrix(path):
+    rows = path.read_text().strip().splitlines()
+    return np.array([[float(x) for x in r.split(",")] for r in rows])
 
 
 def on_truncated_route(argv):
@@ -96,7 +111,7 @@ class TestBasisCommand:
     def test_diffusion_writes_csv_and_manifest(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "basis", "diffusion", "--mesh", mesh_path, "--seed", "0",
+            "basis", "diffusion", "--mesh", mesh_path, "--seeds", "0",
             "--t", "0.1", "--out", str(out),
         ])
         assert rc == 0
@@ -118,7 +133,7 @@ class TestBasisCommand:
         for name in ("a", "b"):
             out = tmp_path / name
             rc = main([
-                "basis", "diffusion", "--mesh", mesh_path, "--seed", "3",
+                "basis", "diffusion", "--mesh", mesh_path, "--seeds", "3",
                 "--t", "0.05", "--out", str(out),
             ])
             assert rc == 0
@@ -198,7 +213,7 @@ class TestBasisCommand:
     def test_spectral_rational_records_exact_path(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "basis", "spectral", "--mesh", mesh_path, "--seed", "0",
+            "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
             "--filter", "rat:num=1;den=1,2,1", "--out", str(out),
         ])
         assert rc == 0
@@ -217,7 +232,7 @@ class TestBasisCommand:
     def test_spectral_exponential_records_table_path(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "basis", "spectral", "--mesh", mesh_path, "--seed", "0",
+            "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
             "--filter", "exp:t=0.2", "--out", str(out),
         ])
         assert rc == 0
@@ -227,7 +242,7 @@ class TestBasisCommand:
     def test_green_runs(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "basis", "green", "--mesh", mesh_path, "--seed", "4",
+            "basis", "green", "--mesh", mesh_path, "--seeds", "4",
             "--out", str(out),
         ])
         assert rc == 0
@@ -256,7 +271,7 @@ class TestBasisCommand:
     def test_ply_export_colors(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([
-            "basis", "diffusion", "--mesh", mesh_path, "--seed", "0",
+            "basis", "diffusion", "--mesh", mesh_path, "--seeds", "0",
             "--t", "0.1", "--out", str(out), "--format", "ply",
         ])
         assert rc == 0
@@ -268,43 +283,56 @@ class TestBasisCommand:
 
 class TestMetricsCommand:
     def test_area_matrix_csv_and_pgm(self, mesh_path, tmp_path):
+        gen = export_fields(mesh_path, tmp_path / "gen", [
+            "diffusion", "--fps", "6", "--start", "0", "--t", "0.01"])
         out = tmp_path / "run"
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "area",
-            "--fps", "6", "--start", "0", "--t", "0.01", "--out", str(out),
+            "--fields-dir", gen, "--out", str(out),
         ])
         assert rc == 0
         files = {p.name for p in out.iterdir()}
         assert "metric_area.csv" in files
         assert "metric_area.pgm" in files
-        rows = (out / "metric_area.csv").read_text().strip().splitlines()
-        M = np.array([[float(x) for x in r.split(",")] for r in rows])
+        M = load_matrix(out / "metric_area.csv")
         assert M.shape == (6, 6)
         assert np.abs(M - M.T).max() <= 1e-9 * np.abs(M).max()
 
-    def test_eigen_family_conformal_diagonal(self, mesh_path, tmp_path):
+    def test_eigen_family_conformal_diagonal(self, mesh_path, eigen_dir,
+                                             tmp_path):
         out = tmp_path / "run"
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "conformal",
-            "--family", "eigen", "--k", "8", "--out", str(out),
+            "--fields-dir", eigen_dir, "--out", str(out),
         ])
         assert rc == 0
-        rows = (out / "metric_conformal.csv").read_text().strip().splitlines()
-        M = np.array([[float(x) for x in r.split(",")] for r in rows])
+        M = load_matrix(out / "metric_conformal.csv")
         eig = lb.eigen_basis(lb.assemble(lb.icosphere(2)), 8)
         assert np.abs(np.diag(M) - eig.values).max() <= 1e-7 * eig.values.max()
 
+    def test_kernel_matrix_equals_library(self, mesh_path, tmp_path):
+        gen = export_fields(mesh_path, tmp_path / "gen", [
+            "diffusion", "--fps", "6", "--t", "0.01"])
+        out = tmp_path / "run"
+        assert main(["metrics", "--mesh", mesh_path, "--metric", "kernel",
+                     "--fields-dir", gen, "--out", str(out)]) == 0
+        mesh = lb.load_mesh(mesh_path)
+        op = lb.assemble(mesh)
+        fields = lb.spectral_set(op, FilterSpec.exponential(0.01),
+                                 lb.farthest_point_sampling(mesh, 6, op=op))
+        kernel = lb.filter_kernel(op, FilterSpec.exponential(0.1))
+        want = lb.comparison_matrix(op, fields, metric="kernel",
+                                    kernel_apply=kernel.apply)
+        assert np.array_equal(load_matrix(out / "metric_kernel.csv"),
+                              want.values)
+
     def test_fields_dir_round_trip(self, mesh_path, tmp_path):
-        gen = tmp_path / "gen"
-        rc = main([
-            "basis", "diffusion", "--mesh", mesh_path, "--seeds", "0,40",
-            "--t", "0.05", "--out", str(gen),
-        ])
-        assert rc == 0
+        gen = export_fields(mesh_path, tmp_path / "gen", [
+            "diffusion", "--seeds", "0,40", "--t", "0.05"])
         out = tmp_path / "cmp"
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "area",
-            "--fields-dir", str(gen), "--out", str(out),
+            "--fields-dir", gen, "--out", str(out),
         ])
         assert rc == 0
         rows = (out / "metric_area.csv").read_text().strip().splitlines()
@@ -312,8 +340,7 @@ class TestMetricsCommand:
 
     def test_fields_dir_rerun_into_itself(self, mesh_path, tmp_path):
         d = tmp_path / "fields"
-        assert main(["basis", "diffusion", "--mesh", mesh_path, "--seeds",
-                     "0,40", "--out", str(d)]) == 0
+        export_fields(mesh_path, d, ["diffusion", "--seeds", "0,40"])
         written = []
         for _ in range(2):
             assert main(["metrics", "--mesh", mesh_path, "--metric", "area",
@@ -331,38 +358,37 @@ class TestMetricsCommand:
                       "diffusion_01.csv"):
             assert not cli_mod.FIELD_CSV.fullmatch(other)
 
-    def test_fps_seeds_when_no_source_given(self, mesh_path, tmp_path):
-        out = tmp_path / "run"
-        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
-                   "--out", str(out)])
-        assert rc == 0
-        assert read_manifest(out)["matrix"]["m"] == 100
-        assert read_manifest(out)["parameters"]["fps"] == 100
-        out = tmp_path / "seeds"
-        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
-                   "--seeds", "1,2", "--out", str(out)])
-        assert rc == 0
-        assert read_manifest(out)["matrix"]["m"] == 2
-        assert "fps" not in read_manifest(out)["parameters"]
+    def test_fields_dir_required(self, mesh_path, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                  "--out", str(tmp_path / "o")])
+        assert "--fields-dir" in capsys.readouterr().err
 
-    def test_records_filter_paths(self, mesh_path, tmp_path):
+    def test_fields_dir_without_exports(self, mesh_path, tmp_path, capsys):
+        d = tmp_path / "empty"
+        d.mkdir()
+        (d / "metric_area.csv").write_text("1\n")  # not a field export
+        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                   "--fields-dir", str(d), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{d}: no field exports" in err
+        assert "<stem>_NNNN.csv" in err
+
+    def test_records_filter_paths(self, mesh_path, fields_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(["metrics", "--mesh", mesh_path, "--metric", "kernel",
-                   "--fps", "4", "--r", "7", "--out", str(out)])
+                   "--fields-dir", fields_dir, "--r", "7", "--out", str(out)])
         assert rc == 0
         manifest = read_manifest(out)
-        assert manifest["path"] == "chebyshev table r=7 lu"
         assert manifest["kernel_path"] == "chebyshev table r=7 lu"
-        out = tmp_path / "eigen"
-        rc = main(["metrics", "--mesh", mesh_path, "--metric", "area",
-                   "--family", "eigen", "--k", "4", "--out", str(out)])
-        assert rc == 0
-        assert "path" not in read_manifest(out)  # no filter evaluated
+        assert "path" not in manifest  # the fields were read, not evaluated
 
-    def test_meanvalue_conformal_fails_cleanly(self, mesh_path, tmp_path, capsys):
+    def test_meanvalue_conformal_fails_cleanly(self, mesh_path, fields_dir,
+                                               tmp_path, capsys):
         rc = main([
             "metrics", "--mesh", mesh_path, "--metric", "conformal",
-            "--scheme", "meanvalue", "--fps", "4",
+            "--scheme", "meanvalue", "--fields-dir", fields_dir,
             "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
@@ -498,11 +524,9 @@ OPERATOR = ["--help", "--mass", "--mesh", "--out", "--scheme", "-h"]
 OPTIONS = {
     "basis": sorted(OPERATOR + [
         "--filter", "--format", "--fps", "--k", "--method", "--mu",
-        "--potential", "--r", "--seed", "--seeds", "--seeds-file",
-        "--start", "--t"]),
+        "--potential", "--r", "--seeds", "--seeds-file", "--start", "--t"]),
     "metrics": sorted(OPERATOR + [
-        "--family", "--fields-dir", "--fps", "--k", "--kernel-t", "--metric",
-        "--normalize", "--r", "--seeds", "--start", "--t"]),
+        "--fields-dir", "--kernel-t", "--metric", "--normalize", "--r"]),
     "seeds": sorted(OPERATOR + ["--fps", "--metric", "--start"]),
     "coverage": sorted(OPERATOR + [
         "--k0", "--metric", "--r", "--start", "--t", "--tau"]),
@@ -524,7 +548,7 @@ class TestOptions:
     def test_format_only_on_basis(self, mesh_path, tmp_path):
         with pytest.raises(SystemExit):
             main(["metrics", "--mesh", mesh_path, "--metric", "area",
-                  "--fps", "4", "--format", "ply",
+                  "--fields-dir", str(tmp_path), "--format", "ply",
                   "--out", str(tmp_path / "o")])
 
     def test_cli_uses_public_basis_names_only(self):
@@ -565,7 +589,7 @@ class TestErrors:
 
     def test_unknown_format_rejected(self, mesh_path, tmp_path, capsys):
         rc = main([
-            "basis", "diffusion", "--mesh", mesh_path, "--seed", "0",
+            "basis", "diffusion", "--mesh", mesh_path, "--seeds", "0",
             "--format", "json", "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
@@ -573,7 +597,7 @@ class TestErrors:
 
     def test_bad_filter_expression(self, mesh_path, tmp_path, capsys):
         rc = main([
-            "basis", "spectral", "--mesh", mesh_path, "--seed", "0",
+            "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
             "--filter", "bogus:t=1", "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
@@ -588,7 +612,7 @@ class TestErrors:
 
     def test_seed_out_of_range(self, mesh_path, tmp_path, capsys):
         rc = main([
-            "basis", "diffusion", "--mesh", mesh_path, "--seed", "9999",
+            "basis", "diffusion", "--mesh", mesh_path, "--seeds", "9999",
             "--out", str(tmp_path / "o"),
         ])
         assert rc == 1
@@ -625,9 +649,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--k", "5"],  # eigensolver
-        ["basis", "diffusion", "--seed", "0"],  # shifted solves
-        ["basis", "spectral", "--filter", "poly:k=2", "--seed", "0"],
-        ["basis", "green", "--seed", "0"],
+        ["basis", "diffusion", "--seeds", "0"],  # shifted solves
+        ["basis", "spectral", "--filter", "poly:k=2", "--seeds", "0"],
+        ["basis", "green", "--seeds", "0"],
     ], ids=["spectrum", "diffusion", "poly", "green"])
     def test_massless_vertex_named_on_every_route(self, isolated_path,
                                                   tmp_path, capsys, argv):
@@ -642,37 +666,32 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [
         ["basis", "diffusion", "--seeds", "1,2", "--fps", "10"],
-        ["basis", "harmonic", "--seed", "0", "--seeds", "1,2"],
+        ["basis", "harmonic", "--seeds-file", "seeds.txt", "--seeds", "1,2"],
         ["basis", "green", "--fps", "3", "--seeds-file", "seeds.txt"],
-        ["metrics", "--metric", "area", "--seeds", "1,2", "--fps", "10"],
-        # 100 is the count used when no source is given, not a default
-        ["metrics", "--metric", "area", "--seeds", "1,2", "--fps", "100"],
-    ], ids=["basis-seeds-fps", "basis-seed-seeds", "basis-fps-file",
-            "metrics-seeds-fps", "metrics-seeds-fps100"])
+    ], ids=["basis-seeds-fps", "basis-file-seeds", "basis-fps-file"])
     def test_conflicting_seed_sources_rejected(self, mesh_path, tmp_path,
                                                argv):
         with pytest.raises(SystemExit):
             main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize("argv, flag", [
-        (["metrics", "--metric", "area", "--family", "eigen", "--k", "5",
-          "--seeds", "1,2"], "--seeds"),
+        # --r and --kernel-t belong to the kernel metric
         (["metrics", "--metric", "area", "--fields-dir", "FIELDS",
-          "--t", "0.3"], "--t"),
-        (["metrics", "--metric", "area", "--fps", "4", "--kernel-t", "0.2"],
-         "--kernel-t"),
+          "--r", "7"], "--r"),
+        (["metrics", "--metric", "area", "--fields-dir", "FIELDS",
+          "--kernel-t", "0.2"], "--kernel-t"),
         (["basis", "diffusion", "--seeds", "1,2", "--start", "5"], "--start"),
         (["basis", "spectral", "--filter", "exp:t=0.1", "--t", "0.5",
-          "--mu", "3", "--seed", "1"], "--t, --mu"),
+          "--mu", "3", "--seeds", "1"], "--t, --mu"),
         (["basis", "eigen", "--k", "5", "--seeds", "1,2"], "--seeds"),
         (["basis", "spectral", "--filter", "exp:t=0.1", "--method",
-          "truncated", "--r", "9", "--seed", "1"], "--r"),
-        (["basis", "diffusion", "--k", "50", "--seed", "1"], "--k"),
+          "truncated", "--r", "9", "--seeds", "1"], "--r"),
+        (["basis", "diffusion", "--k", "50", "--seeds", "1"], "--k"),
         # exact partial fractions have no degree to choose
         (["basis", "spectral", "--filter", "rat:num=1;den=1,2,1", "--r", "7",
-          "--seed", "1"], "--r"),
-    ], ids=["metrics-eigen-seeds", "metrics-fields-dir-t",
-            "metrics-area-kernel-t", "basis-seeds-start", "basis-spectral-t-mu",
+          "--seeds", "1"], "--r"),
+    ], ids=["metrics-area-r", "metrics-area-kernel-t", "basis-seeds-start",
+            "basis-spectral-t-mu",
             "basis-eigen-seeds", "basis-truncated-r", "basis-diffusion-k",
             "basis-exact-rational-r"])
     def test_unread_option_rejected(self, mesh_path, fields_dir, tmp_path,
@@ -688,14 +707,15 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         # the truncated fallback of a filter without rational form reads --k
         ["basis", "spectral", "--filter", "poly:k=2", "--k", "50",
-         "--seed", "0"],
+         "--seeds", "0"],
         ["basis", "spectral", "--filter", "exp:t=0.1", "--method",
-         "truncated", "--k", "20", "--seed", "0"],
+         "truncated", "--k", "20", "--seeds", "0"],
         ["basis", "diffusion", "--fps", "3", "--start", "5", "--r", "7"],
-        ["metrics", "--metric", "kernel", "--family", "eigen", "--k", "4",
+        ["metrics", "--metric", "kernel", "--fields-dir", "EIGEN",
          "--kernel-t", "0.2", "--r", "7"],
     ], ids=["poly-k", "truncated-k", "fps-start-r", "kernel-eigen"])
-    def test_read_options_accepted(self, mesh_path, tmp_path, argv):
+    def test_read_options_accepted(self, mesh_path, eigen_dir, tmp_path, argv):
+        argv = [eigen_dir if a == "EIGEN" else a for a in argv]
         with on_truncated_route(argv):
             rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -748,8 +768,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [
         ["basis", "harmonic"],
-        ["metrics", "--metric", "area"],
-    ], ids=["basis", "metrics"])
+        ["seeds"],
+    ], ids=["basis", "seeds"])
     def test_fps_zero_reports_range(self, mesh_path, tmp_path, capsys, argv):
         rc = main(argv + ["--fps", "0", "--mesh", mesh_path,
                           "--out", str(tmp_path / "o")])
@@ -759,12 +779,24 @@ class TestErrors:
     def test_green_role_option_removed(self, mesh_path, tmp_path):
         # basis green is the harmonic Green kernel; filters go to spectral
         with pytest.raises(SystemExit):
-            main(["basis", "green", "--role", "general", "--seed", "0",
+            main(["basis", "green", "--role", "general", "--seeds", "0",
                   "--mesh", mesh_path, "--out", str(tmp_path / "o")])
+
+    def test_meanvalue_consistent_mass_rejected(self, mesh_path, tmp_path,
+                                                capsys):
+        out = tmp_path / "o"
+        rc = main([
+            "basis", "harmonic", "--mesh", mesh_path, "--seeds", "0,40",
+            "--scheme", "meanvalue", "--mass", "consistent", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "mean_value is defined with lumped mass only" in \
+            capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_meanvalue_green_fails_cleanly(self, mesh_path, tmp_path, capsys):
         rc = main([
-            "basis", "green", "--mesh", mesh_path, "--seed", "4",
+            "basis", "green", "--mesh", mesh_path, "--seeds", "4",
             "--scheme", "meanvalue", "--out", str(tmp_path / "o"),
         ])
         assert rc == 1

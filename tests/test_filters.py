@@ -174,6 +174,18 @@ class TestRationalPartialFractions:
         want = lb.evaluate(spec, s)
         assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("num, den, betas", [
+        ([1.0, 1.0], [1.0, 3.0, 2.0], [2.0]),  # (1+s)/((1+s)(1+2s))
+        ([2.0, 2.0], [1.0, 1.0], []),  # 2(1+s)/(1+s)
+    ], ids=["one-left", "none-left"])
+    def test_cancelled_pole_dropped(self, num, den, betas):
+        spec = FilterSpec.rational(num, den)
+        pf = lb.rational_partial_fractions(spec)
+        assert [beta for beta, _ in pf.poles] == pytest.approx(betas)
+        s = self.grid()
+        want = lb.evaluate(spec, s)
+        assert np.abs(pf(s) - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_pole_at_zero_rejected(self):
         spec = FilterSpec.rational([1.0], [0.0, 1.0])  # 1/s
         with pytest.raises(ValueError):

@@ -191,6 +191,14 @@ class TestMeanValue:
         op = lb.assemble(sphere2, scheme="mean_value")
         assert not op.is_symmetric
 
+    def test_lumped_mass_only(self, sphere2):
+        op = lb.assemble(sphere2, scheme="mean_value")
+        assert op.mass_mode == "lumped"
+        assert op.negative_weight_count == 0  # W is non-negative
+        assert (abs(op.B - lb.assemble(sphere2).B) > 0).nnz == 0
+        with pytest.raises(ValueError, match="lumped mass only"):
+            lb.assemble(sphere2, scheme="mean_value", mass_mode="consistent")
+
     def test_constants_in_kernel(self, sphere2):
         op = lb.assemble(sphere2, scheme="mean_value")
         r = op.L @ np.ones(op.n)
