@@ -3,9 +3,11 @@
 harmonic Green-kernel columns.
 
 Two evaluation routes exist for a spectral operator K_phi.  The truncated
-route expands over k computed eigenpairs; the spectrum-free route replaces
-phi by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
-few shifted sparse solves (B + beta_j L) g_j = B f, no eigendecomposition.
+route expands over k computed eigenpairs; the spectrum-free route needs no
+eigendecomposition.  For the heat kernel exp(-t B^{-1} L) it reads K_phi f
+off a Lanczos tridiagonal; otherwise it replaces phi by a rational partial
+fraction and evaluates K_phi f as alpha0 f plus a few shifted sparse solves
+(B + beta_j L) g_j = B f.
 """
 
 import math
@@ -195,46 +197,72 @@ def truncated_spectral(eig, filt, f):
 LANCZOS_C = 256
 
 
+def _symmetric_lumped(op):
+    """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
+    which the Lanczos routes need."""
+    return op.is_symmetric and op.mass_mode == "lumped"
+
+
 class ChebyshevKernel:
-    """Spectrum-free evaluator of K_phi via a rational partial fraction.
+    """Spectrum-free evaluator of K_phi: a rational partial fraction
+    through shifted solves, or the exponential straight from a Lanczos
+    tridiagonal.
 
-    K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and weights
-    w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and g_0 = f: one
-    chain per pole.  Two routes solve the chains, chosen once, here:
+    Given pf, K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and
+    weights w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and
+    g_0 = f: one chain per pole.  Given t instead, K_phi = exp(-t B^{-1} L)
+    with no rational form.  Three routes, chosen once, here:
 
-    - "lanczos": one Lanczos space on B^{-1/2} L B^{-1/2} serves every
-      pole and order of a column (numerics.shifted_lanczos), with no
-      factorisation.  Taken for a symmetric scheme with lumped mass when
-      kappa, the largest condition bound of the shifted systems over
-      [0, lambda-hat] (numerics.shift_condition, pencil_bound), is at most
-      n / LANCZOS_C: its steps grow like sqrt(kappa), while a column of
-      LU solves costs about the same at any kappa.
-    - "lu": each shift factorised once (numerics.shifted_factor) and
+    - "lanczos-exp" (t): m Lanczos steps on B^{-1/2} L B^{-1/2} per column
+      (numerics.lanczos_exp), m fixed by the Hochbruck-Lubich bound; no
+      factorisation and no table.  Needs a symmetric scheme and lumped
+      mass, or raises ValueError.
+    - "lanczos" (pf): one Lanczos space serves every pole and order of a
+      column (numerics.shifted_lanczos), with no factorisation.  Taken
+      for a symmetric scheme with lumped mass when kappa, the largest
+      condition bound of the shifted systems over [0, lambda-hat]
+      (numerics.shift_condition, pencil_bound), is at most n / LANCZOS_C:
+      its steps grow like sqrt(kappa), while a column of LU solves costs
+      about the same at any kappa.
+    - "lu" (pf): each shift factorised once (numerics.shifted_factor) and
       reused by every apply; every other case.
 
-    Both meet the residual numerics.SHIFTED_RTOL on every solve.  route,
-    kappa (inf where no bound applies: consistent mass, a non-symmetric
-    scheme) and max_lanczos_steps (the largest step count of an apply so
-    far) record what ran; path is "chebyshev <form> <route>".
-    filter_kernel builds one from a filter and names its form.
+    The shifted routes meet the residual numerics.SHIFTED_RTOL on every
+    solve.  route, kappa (inf where no bound applies: consistent mass, a
+    non-symmetric scheme, lanczos-exp), steps (the a-priori m of
+    lanczos-exp, else None) and max_lanczos_steps (the largest step count
+    of an apply so far) record what ran; path is "chebyshev <form>
+    <route>", with form "m=<m>" on lanczos-exp.  filter_kernel builds one
+    from a filter and names its form.
     """
 
-    def __init__(self, op, pf, form="rational"):
+    def __init__(self, op, pf=None, form="rational", t=None):
+        if (pf is None) == (t is None):
+            raise ValueError("give a partial fraction pf or a scale t")
         self.op = op
         self.pf = pf
         self.kappa = math.inf
-        if op.is_symmetric and op.mass_mode == "lumped":
-            lam = numerics.pencil_bound(op.L, op.B)
-            self.kappa = max((numerics.shift_condition(beta, lam)
-                              for beta, _ in pf.poles), default=1.0)
-        self.route = "lanczos" if self.kappa <= op.n / LANCZOS_C else "lu"
-        self.path = f"chebyshev {form} {self.route}"
+        self.steps = None
         self.max_lanczos_steps = 0
+        if pf is None:
+            if not _symmetric_lumped(op):
+                raise ValueError("the Lanczos exponential needs a symmetric"
+                                 " scheme with lumped mass")
+            self.route = "lanczos-exp"
+            self.steps, self._lanczos = numerics.lanczos_exp(op.B, op.L, t)
+            form = f"m={self.steps}"
+        else:
+            if _symmetric_lumped(op):
+                lam = numerics.pencil_bound(op.L, op.B)
+                self.kappa = max((numerics.shift_condition(beta, lam)
+                                  for beta, _ in pf.poles), default=1.0)
+            self.route = "lanczos" if self.kappa <= op.n / LANCZOS_C else "lu"
+        self.path = f"chebyshev {form} {self.route}"
         if self.route == "lanczos":
             self._lanczos = numerics.shifted_lanczos(
                 op.B, op.L, [(beta, len(w)) for beta, w in pf.poles],
                 self.kappa)
-        else:
+        elif self.route == "lu":
             self._factors = [numerics.shifted_factor(op.B, op.L, beta)
                              for beta, _ in pf.poles]
 
@@ -250,6 +278,10 @@ class ChebyshevKernel:
 
     def apply(self, f):
         fv = field_values(f)
+        if self.route == "lanczos-exp":
+            g, steps = self._lanczos(fv)
+            self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
+            return g
         if self.route == "lanczos":
             chains, steps = self._lanczos(fv)
             self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
@@ -273,21 +305,29 @@ class TruncatedKernel:
         return field_values(truncated_spectral(self.eig, self.filt, f))
 
 
-def filter_kernel(op, filt, method="chebyshev", r=5, k=100, eig=None):
+def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     """The evaluator of K_phi: the one place its route is chosen.
 
     A ChebyshevKernel when method is "chebyshev" and the filter has a
-    rational form (the degree-r table for exp, exact partial fractions for
-    a rational filter); else a TruncatedKernel over eig, or over k
+    rational form.  For exp with r None on a symmetric scheme with lumped
+    mass, that kernel takes exp straight from the Lanczos tridiagonal
+    (route lanczos-exp); an explicit r, consistent mass and mean_value
+    use the degree-r table (r = 5 when None), and a rational filter its
+    exact partial fractions.  Else a TruncatedKernel over eig, or over k
     eigenpairs computed here, which warns for k < n.  Both have apply(f)
-    and path: "chebyshev table r=5 lu", "chebyshev exact-rational
-    lanczos", "truncated k=100", ...
+    and path: "chebyshev m=63 lanczos-exp", "chebyshev table r=5 lu",
+    "chebyshev exact-rational lanczos", "truncated k=100", ...
     """
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
     if method == "chebyshev" and filt.has_rational_form:
-        form = "exact-rational" if filt.kind == "rational" else f"table r={r}"
-        return ChebyshevKernel(op, partial_fractions(filt, r), form)
+        if filt.kind == "rational":
+            return ChebyshevKernel(op, partial_fractions(filt),
+                                   "exact-rational")
+        if r is None and _symmetric_lumped(op):
+            return ChebyshevKernel(op, t=filt.t)
+        pf = partial_fractions(filt, 5 if r is None else r)
+        return ChebyshevKernel(op, pf, f"table r={pf.degree}")
     if eig is None:
         if k < op.n:
             warnings.warn("truncated route with k < n: approximation quality"
@@ -297,7 +337,8 @@ def filter_kernel(op, filt, method="chebyshev", r=5, k=100, eig=None):
     return TruncatedKernel(eig, filt)
 
 
-def spectral_set(op, filt, seeds, method="chebyshev", r=5, k=100, eig=None):
+def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
+                 eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
     filter_kernel(op, filt, method, r, k, eig) applied to every e_s, its
     path recorded in params["path"] and each field's tag.  Diffusion is

@@ -31,6 +31,9 @@ SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
+R_HELP = ("degree of the exp rational table, 3..14; without it exp comes "
+          "straight from a Lanczos tridiagonal (the r = 5 table with "
+          "consistent mass or --scheme meanvalue)")
 
 
 def _common(parser, operator=True):
@@ -63,7 +66,7 @@ def build_parser():
     b.add_argument("--start", type=int, help="FPS start vertex")
     b.add_argument("--t", type=float, default=0.1, help="diffusion scale")
     b.add_argument("--k", type=int, default=100, help="eigenpair count")
-    b.add_argument("--r", type=int, default=5, help="rational degree")
+    b.add_argument("--r", type=int, help=R_HELP)
     b.add_argument("--mu", type=float, default=1.0,
                    help="Hamiltonian potential weight")
     b.add_argument("--potential", help="CSV (vertex_id,value) potential")
@@ -78,8 +81,8 @@ def build_parser():
                    required=True)
     m.add_argument("--fields-dir", required=True,
                    help="the field CSVs of a prior basis run")
-    m.add_argument("--r", type=int, default=5,
-                   help="rational degree of the kernel metric")
+    m.add_argument("--r", type=int,
+                   help="the kernel metric's " + R_HELP)
     m.add_argument("--kernel-t", type=float, default=0.1,
                    help="diffusion scale of the kernel metric")
     m.add_argument("--normalize", action="store_true",
@@ -98,7 +101,7 @@ def build_parser():
     c.add_argument("--k0", type=int, default=10)
     c.add_argument("--start", type=int, help="FPS start vertex")
     c.add_argument("--tau", type=float, default=seeds_mod.DEFAULT_TAU)
-    c.add_argument("--r", type=int, default=5)
+    c.add_argument("--r", type=int, help=R_HELP)
     c.add_argument("--metric", choices=list(seeds_mod.METRIC_CHOICES),
                    default="euclidean")
 
@@ -173,9 +176,9 @@ class Run:
         return self.add(p)
 
     def finish(self):
-        params = {
-            k: v for k, v in vars(self.args).items() if v is not None
-        }
+        read = self.args.read
+        params = {k: v for k, v in vars(self.args).items()
+                  if k in read and v is not None}
         manifest = {
             "command": self.args.command,
             "parameters": params,
@@ -330,8 +333,11 @@ def cmd_metrics(args, run, mesh, op):
     if not names:
         raise ValueError(f"{args.fields_dir}: no field exports; metrics reads"
                          " the <stem>_NNNN.csv files of a basis run")
-    fields = BasisSet([_load_field_csv(os.path.join(args.fields_dir, f),
-                                       mesh.n_vertices) for f in names], "file")
+    paths = [os.path.join(args.fields_dir, f) for f in names]
+    fields = BasisSet([_load_field_csv(p, mesh.n_vertices) for p in paths],
+                      "file")
+    run.info["inputs"] = [{"path": p, "sha256": sha256_file(p)}
+                          for p in paths]
     kernel_apply = None
     if args.metric == "kernel":
         kernel = basis_mod.filter_kernel(

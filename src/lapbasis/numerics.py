@@ -8,7 +8,10 @@ sparse LU per shift (shifted_factor, any scheme and mass) or, for a
 symmetric L with lumped B, by one Lanczos space that serves every shift
 at once (shifted_lanczos); both meet the relative residual SHIFTED_RTOL.
 pencil_bound and shift_condition give the conditioning that chooses
-between them.  Solves with L itself (harmonic, Hamiltonian and Green
+between them.  The same Lanczos recurrence (lanczos, on scaled_operator)
+gives the heat kernel exp(-t B^{-1} L) f directly from its tridiagonal,
+with a step count fixed in advance by an a-priori error bound
+(lanczos_exp).  Solves with L itself (harmonic, Hamiltonian and Green
 columns) eliminate fixed vertices and factorise once in
 basis._constrained_solve; B^{-1} is laplacian._mass_solve.  Matrices are
 plain scipy sparse matrices.
@@ -22,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg.blas import daxpy
 from scipy.sparse import csgraph
 
 from .errors import (
@@ -171,32 +175,67 @@ def lanczos_cap(kappa):
     return 2 * math.ceil(cg) + LANCZOS_CHECK_EVERY
 
 
+def scaled_operator(L, B):
+    """(A, root): A = B^{-1/2} L B^{-1/2} as CSR and root = sqrt(diag B),
+    the symmetric matrix whose shifts and functions the Lanczos routes
+    take for a symmetric L and a diagonal (lumped) B; y = root * g maps a
+    field g to A's variable.  B must have a positive diagonal."""
+    check_mass(B)
+    root = np.sqrt(B.diagonal())
+    return (sp.diags(1.0 / root) @ L @ sp.diags(1.0 / root)).tocsr(), root
+
+
+def lanczos(A, y0, Q, breakdown):
+    """The three-term Lanczos recurrence on the symmetric A from y0, with
+    no reorthogonalisation: a generator that yields (alpha, beta, b) after
+    each step j.  alpha (j entries) and beta (j - 1 entries) are the
+    diagonal and off-diagonal of the tridiagonal T_j = Q_j^T A Q_j, and b
+    is the norm of the next residual vector, so A Q_j = Q_j T_j +
+    b q e_j^T.  The basis goes into the rows of Q (Q[0] = y0 / |y0|, y0
+    nonzero); the lists grow in place between yields.  The run ends when
+    Q is full or when b <= breakdown (an invariant space).
+    """
+    Q[0] = y0 / np.linalg.norm(y0)
+    alpha, beta = [], []
+    for j in range(len(Q)):
+        w = A @ Q[j]
+        alpha.append(Q[j] @ w)
+        # BLAS axpy updates w in place, with no temporary per term
+        w = daxpy(Q[j], w, a=-alpha[-1])
+        if beta:
+            w = daxpy(Q[j - 1], w, a=-beta[-1])
+        b = math.sqrt(w @ w)
+        yield alpha, beta, b
+        if b <= breakdown or j + 1 == len(Q):
+            return
+        beta.append(b)
+        np.divide(w, b, out=Q[j + 1])
+
+
 def shifted_lanczos(B, L, shifts, kappa):
     """Solve every chain (B + beta L) g_j = B g_{j-1}, g_0 = f, j = 1..m, of
     shifts ((beta, m), ...) from one Lanczos space; returns a closure
     f -> (chains, steps), chains[i] = [g_1, ..., g_m] of shifts[i].
 
     For a symmetric L and a diagonal B, the systems are shifts of one
-    symmetric matrix A = B^{-1/2} L B^{-1/2}: with y = B^{1/2} g they read
+    symmetric matrix A (scaled_operator): with y = B^{1/2} g they read
     (I + beta A) y_j = y_{j-1}.  One Lanczos recurrence on A from
-    y_0 = B^{1/2} f, storing its basis Q and not reorthogonalising, gives
-    A Q = Q T + b q e_m^T; with T = V diag(theta) V^T, every chain is the
-    Galerkin (FOM) iterate y_j = |y_0| Q V (1 + beta theta)^{-j} V^T e_1,
-    whose residual has norm |y_0| |beta| b |e_m^T V (1 + beta theta)^{-j}
-    V^T e_1|.  That estimate is tested every LANCZOS_CHECK_EVERY steps
-    against SHIFTED_RTOL, scaled by sqrt(min B / max B) to bound the
-    residual in the original norm.  An invariant space (b below
-    LANCZOS_BREAKDOWN lambda-hat, e.g. for constant f) ends the run with
-    no division by b.  Then every solve is checked on the original system,
+    y_0 = B^{1/2} f (lanczos) gives A Q = Q T + b q e_m^T; with
+    T = V diag(theta) V^T, every chain is the Galerkin (FOM) iterate
+    y_j = |y_0| Q V (1 + beta theta)^{-j} V^T e_1, whose residual has norm
+    |y_0| |beta| b |e_m^T V (1 + beta theta)^{-j} V^T e_1|.  That estimate
+    is tested every LANCZOS_CHECK_EVERY steps against SHIFTED_RTOL, scaled
+    by sqrt(min B / max B) to bound the residual in the original norm.  An
+    invariant space (b below LANCZOS_BREAKDOWN lambda-hat, e.g. for
+    constant f) ends the run with no division by b.  Then every solve is
+    checked on the original system,
     |(B + beta L) g_j - B g_{j-1}| <= SHIFTED_RTOL |B g_{j-1}|; a failed
     check takes more steps, and NotConverged is raised when the space is
     invariant or lanczos_cap(kappa) steps are spent.  kappa bounds the
     condition of the shifted systems (shift_condition).
     """
-    check_mass(B)
+    A, root = scaled_operator(L, B)
     d = B.diagonal()
-    root = np.sqrt(d)
-    A = (sp.diags(1.0 / root) @ L @ sp.diags(1.0 / root)).tocsr()
     breakdown = LANCZOS_BREAKDOWN * pencil_bound(L, B)
     target = 0.5 * SHIFTED_RTOL * math.sqrt(d.min() / d.max())
     cap = lanczos_cap(kappa)
@@ -244,17 +283,8 @@ def shifted_lanczos(B, L, shifts, kappa):
         if scale == 0.0 or not shifts:
             return [[np.zeros_like(f)] * order for _, order in shifts], 0
         Q = np.empty((cap, len(f)))  # rows past the last step stay untouched
-        Q[0] = y / scale
-        alpha, beta = [], []
-        while True:
-            m = len(alpha)
-            w = A @ Q[m]
-            alpha.append(Q[m] @ w)
-            w -= alpha[-1] * Q[m]
-            if beta:
-                w -= beta[-1] * Q[m - 1]
-            b = np.linalg.norm(w)
-            steps = m + 1
+        for alpha, beta, b in lanczos(A, y, Q, breakdown):
+            steps = len(alpha)
             invariant = b <= breakdown
             if invariant or steps % LANCZOS_CHECK_EVERY == 0 or steps >= cap:
                 coeffs = galerkin_coeffs(alpha, beta, 0.0 if invariant else b)
@@ -266,10 +296,87 @@ def shifted_lanczos(B, L, shifts, kappa):
                     raise NotConverged(
                         f"Lanczos shifted solves unconverged after {steps} "
                         f"steps (cap {cap}, kappa {kappa:.3g})")
-            beta.append(b)
-            np.divide(w, b, out=Q[steps])
 
     return solve
+
+
+EXP_RTOL = 1e-12  # error asked of a Lanczos exponential, relative to |y_0|
+
+
+def exp_error_bound(rho_tau, m):
+    """Hochbruck & Lubich (1997, Thm 2): the error of m Lanczos steps for
+    exp(-tau A) v, |v| = 1, A symmetric with spectrum in [0, 4 rho], with
+    rho_tau = rho tau.  It is 10 exp(-m^2 / (5 rho tau)) for
+    sqrt(4 rho tau) <= m <= 2 rho tau and (10 / rho tau) exp(-rho tau)
+    (e rho tau / m)^m for m >= 2 rho tau; below sqrt(4 rho tau) only the
+    trivial bound 2 holds (both exponentials have norm at most 1)."""
+    if m >= 2.0 * rho_tau:
+        log = (math.log(10.0 / rho_tau) - rho_tau
+               + m * (1.0 + math.log(rho_tau / m)))
+    elif m * m >= 4.0 * rho_tau:
+        log = math.log(10.0) - m * m / (5.0 * rho_tau)
+    else:
+        return 2.0
+    return min(2.0, math.exp(log))
+
+
+def lanczos_exp(B, L, t):
+    """exp(-t B^{-1} L) f from the Lanczos tridiagonal, with no rational
+    approximation and no factorisation; returns (m, closure), the closure
+    f -> (g, steps).
+
+    For a symmetric L and a diagonal B, exp(-t B^{-1} L) f =
+    B^{-1/2} exp(-t A) B^{1/2} f with A = B^{-1/2} L B^{-1/2}
+    (scaled_operator), and m Lanczos steps on A from y_0 = B^{1/2} f give
+    exp(-t A) y_0 ~ |y_0| Q V exp(-t theta) V^T e_1 (Saad 1992), T =
+    V diag(theta) V^T.  The step count m is fixed before the run: the
+    smallest count, at least LANCZOS_CHECK_EVERY + 1, whose
+    exp_error_bound with rho tau = t lambda-hat / 4 (pencil_bound) meets
+    tol = EXP_RTOL sqrt(min B / max B), so that the pointwise error is at
+    most EXP_RTOL |y_0| / sqrt(max B), or EXP_RTOL for a unit column e_s.
+    So m depends on the mesh and t alone, Q is allocated once as (m, n),
+    and reruns are byte-identical.  An invariant space (b below LANCZOS_BREAKDOWN lambda-hat) ends a run
+    early, exactly.  Otherwise the guard compares the coefficients of step
+    m with those of step m - LANCZOS_CHECK_EVERY: they may differ by at
+    most tol + exp_error_bound(rho tau, m - LANCZOS_CHECK_EVERY), or
+    NotConverged is raised.
+    """
+    A, root = scaled_operator(L, B)
+    d = B.diagonal()
+    lam = pencil_bound(L, B)
+    rho_tau = 0.25 * t * lam
+    tol = EXP_RTOL * math.sqrt(d.min() / d.max())
+    m = LANCZOS_CHECK_EVERY + 1
+    while exp_error_bound(rho_tau, m) > tol:
+        m += 1
+    slack = tol + exp_error_bound(rho_tau, m - LANCZOS_CHECK_EVERY)
+    breakdown = LANCZOS_BREAKDOWN * lam
+    Q = np.empty((m, A.shape[0]))
+
+    def coeffs(alpha, beta):
+        theta, V = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        return V @ (np.exp(-t * theta) * V[0])
+
+    def solve(f):
+        y = root * f
+        scale = np.linalg.norm(y)
+        if scale == 0.0:
+            return np.zeros_like(f), 0
+        for alpha, beta, b in lanczos(A, y, Q, breakdown):
+            steps = len(alpha)
+            if steps == m - LANCZOS_CHECK_EVERY:
+                early = coeffs(alpha, beta)
+        c = coeffs(alpha, beta)
+        if b > breakdown:
+            change = np.linalg.norm(c - np.pad(early, (0, len(c) - len(early))))
+            if change > slack:
+                raise NotConverged(
+                    f"Lanczos exponential moved {change:.2e} over its last "
+                    f"{LANCZOS_CHECK_EVERY} of {m} steps (allowed "
+                    f"{slack:.2e}, t lambda-hat {t * lam:.3g})")
+        return (scale * (c @ Q[:steps])) / root, steps
+
+    return m, solve
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import eval_legendre
 
 import lapbasis as lb
 from lapbasis import basis as basis_mod
@@ -467,7 +468,7 @@ class TestLanczosRoute:
     def test_expm_multiply_cross_check_n10242(self):
         op = lb.assemble(lb.icosphere(5))
         t, seeds = 1e-3, [0, 5000, 10241]
-        bs = lb.spectral_set(op, FilterSpec.exponential(t), seeds)
+        bs = lb.spectral_set(op, FilterSpec.exponential(t), seeds, r=5)
         assert bs.params["path"] == "chebyshev table r=5 lanczos"
         A = -t * (sp.diags(1.0 / op.B.diagonal()) @ op.L)
         E = np.zeros((op.n, len(seeds)))
@@ -478,6 +479,116 @@ class TestLanczosRoute:
         # Lanczos solves add at most 1e-10
         err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
         assert err.max() <= 1e-4
+
+
+class TestLanczosExp:
+    """The default heat route: exp(-t B^{-1} L) e_s straight from the
+    Lanczos tridiagonal, m steps fixed by the Hochbruck-Lubich bound."""
+
+    @pytest.fixture(scope="class")
+    def bumpy4(self):
+        return lb.assemble(lb.bumpy_sphere(4, seed=1))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.04])
+    def test_guard_quiet_and_accurate(self, bumpy4, t):
+        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(t))
+        assert kernel.route == "lanczos-exp"
+        assert kernel.path == f"chebyshev m={kernel.steps} lanczos-exp"
+        seeds = [0, 1000, bumpy4.n - 1]
+        A = -t * (sp.diags(1.0 / bumpy4.B.diagonal()) @ bumpy4.L)
+        E = np.zeros((bumpy4.n, len(seeds)))
+        E[seeds, np.arange(len(seeds))] = 1.0
+        want = expm_multiply(A.tocsr(), E)
+        for f, ref in zip(E.T, want.T):
+            got = kernel.apply(f)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert kernel.max_lanczos_steps == kernel.steps
+
+    def test_step_count_is_the_smallest_meeting_the_bound(self, bumpy4):
+        t = 0.04
+        m, _ = lb.numerics.lanczos_exp(bumpy4.B, bumpy4.L, t)
+        d = bumpy4.B.diagonal()
+        rho_tau = 0.25 * t * lb.numerics.pencil_bound(bumpy4.L, bumpy4.B)
+        tol = lb.numerics.EXP_RTOL * np.sqrt(d.min() / d.max())
+        bound = lb.numerics.exp_error_bound
+        assert bound(rho_tau, m) <= tol < bound(rho_tau, m - 1)
+
+    def test_guard_raises_when_m_too_small(self, op3, monkeypatch):
+        # a bound that claims too much gives too few steps
+        monkeypatch.setattr(lb.numerics, "exp_error_bound",
+                            lambda rho_tau, m: 0.0)
+        kernel = lb.filter_kernel(op3, FilterSpec.exponential(0.04))
+        assert kernel.steps == lb.numerics.LANCZOS_CHECK_EVERY + 1
+        with pytest.raises(NotConverged, match="Lanczos exponential"):
+            kernel.apply(delta(op3.n, 0))
+
+    def test_constant_input_exact(self, op4):
+        kernel = lb.filter_kernel(op4, FilterSpec.exponential(0.04))
+        f = np.full(op4.n, 3.0)
+        g = kernel.apply(f)
+        # the first Lanczos vector spans an invariant space: one step
+        assert kernel.max_lanczos_steps == 1
+        assert np.abs(g - f).max() <= 4 * np.finfo(float).eps * 3.0
+
+    def test_factorises_nothing(self, op3, monkeypatch):
+        calls = TestLanczosRoute.counting_factor(monkeypatch)
+        bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), [0, 5, 9])
+        assert bs.params["path"].endswith(" lanczos-exp") and calls == []
+
+    def test_one_recurrence_for_both_lanczos_routes(self, op4, monkeypatch):
+        runs = []
+        original = lb.numerics.lanczos
+
+        def counting(*args):
+            runs.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lb.numerics, "lanczos", counting)
+        exp = lb.filter_kernel(op4, FilterSpec.exponential(0.001))
+        table = lb.filter_kernel(op4, FilterSpec.exponential(0.001), r=5)
+        assert (exp.route, table.route) == ("lanczos-exp", "lanczos")
+        want = table.apply(delta(op4.n, 7))
+        got = exp.apply(delta(op4.n, 7))
+        assert len(runs) == 2
+        # the r = 5 table's error at this n t
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(got).max()
+
+    @pytest.mark.parametrize("case, path", [
+        ("consistent", "chebyshev table r=5 lu"),
+        ("mean_value", "chebyshev table r=5 lu"),
+        ("explicit r", "chebyshev table r=7 lu"),
+    ])
+    def test_table_kept(self, sphere2, op2, case, path):
+        op, r = op2, None
+        if case == "consistent":
+            op = lb.assemble(sphere2, mass_mode="consistent")
+        elif case == "mean_value":
+            op = lb.assemble(sphere2, scheme="mean_value")
+        else:
+            r = 7
+        kernel = lb.filter_kernel(op, FilterSpec.exponential(0.04), r=r)
+        assert kernel.path == path
+        if r is None:  # built directly, the route refuses such an operator
+            with pytest.raises(ValueError, match="lumped mass"):
+                ChebyshevKernel(op, t=0.04)
+
+    def test_sphere_heat_kernel_closed_form(self):
+        # on the unit sphere k_t(x, y) = sum_l (2l + 1) / (4 pi)
+        # P_l(cos theta) exp(-l (l + 1) t); the column over its seed's mass
+        # approximates k_t(., seed), to discretisation error (1/h^2 rate)
+        t, lmax = 0.05, 60
+        errs = []
+        for level in (4, 5):
+            mesh = lb.icosphere(level)
+            op = lb.assemble(mesh)
+            (col,) = lb.spectral_set(op, FilterSpec.exponential(t), [0])
+            got = lb.field_values(col) / op.B.diagonal()[0]
+            cos = np.clip(mesh.vertices @ mesh.vertices[0], -1.0, 1.0)
+            want = sum((2 * l + 1) / (4 * np.pi) * eval_legendre(l, cos)
+                       * np.exp(-l * (l + 1) * t) for l in range(lmax + 1))
+            errs.append(np.abs(got - want).max() / np.abs(want).max())
+        assert errs[1] < 2e-3
+        assert errs[0] >= 3 * errs[1]
 
 
 class TestDiffusion:
@@ -573,7 +684,8 @@ class TestDiffusion:
                                            method, path):
         filt = lb.parse_filter(text)
         seeds = [0, 50, 100]
-        bs = lb.spectral_set(op2, filt, seeds, method=method, eig=eig162_full)
+        bs = lb.spectral_set(op2, filt, seeds, method=method, r=5,
+                             eig=eig162_full)
         if method == "chebyshev":
             path += " lu"  # n = 162 < LANCZOS_C: every kernel takes LU
         assert bs.params["path"] == path
@@ -633,7 +745,8 @@ class TestFilterKernel:
                                 method, kind, path):
         op = request.getfixturevalue(op_name)
         eig = eig162_full if op_name == "op2" else None
-        kernel = lb.filter_kernel(op, lb.parse_filter(text), method, eig=eig)
+        kernel = lb.filter_kernel(op, lb.parse_filter(text), method, r=5,
+                                  eig=eig)
         assert isinstance(kernel, kind)
         assert kernel.path == path
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -140,6 +141,10 @@ class TestBasisCommand:
             csvs = sorted(p for p in out.iterdir() if p.suffix == ".csv")
             outs.append(b"".join(p.read_bytes() for p in csvs))
         assert outs[0] == outs[1]
+        # the default route: m is fixed before the run, by the mesh and t
+        manifest = read_manifest(out)
+        assert re.fullmatch(r"chebyshev m=\d+ lanczos-exp", manifest["path"])
+        assert "r" not in manifest["parameters"]
 
     def test_eigen_spectrum_json(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -233,7 +238,7 @@ class TestBasisCommand:
         out = tmp_path / "run"
         rc = main([
             "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
-            "--filter", "exp:t=0.2", "--out", str(out),
+            "--filter", "exp:t=0.2", "--r", "5", "--out", str(out),
         ])
         assert rc == 0
         manifest = read_manifest(out)
@@ -349,6 +354,25 @@ class TestMetricsCommand:
         assert written[0] == written[1]
         assert len(written[0].splitlines()) == 2
 
+    def test_manifest_names_its_inputs(self, mesh_path, tmp_path):
+        d = tmp_path / "fields"
+        export_fields(mesh_path, d, ["diffusion", "--seeds", "0,40"])
+        inputs = []
+        for name in ("before", "after"):
+            out = tmp_path / name
+            assert main(["metrics", "--mesh", mesh_path, "--metric", "area",
+                         "--fields-dir", str(d), "--out", str(out)]) == 0
+            inputs.append(read_manifest(out)["inputs"])
+            for entry in inputs[-1]:
+                assert sha256(pathlib.Path(entry["path"])) == entry["sha256"]
+            n = len(load_field(d / "diffusion_0001.csv"))
+            write_field_csv(d / "diffusion_0001.csv", range(n), np.ones(n))
+        paths = [str(d / "diffusion_0000.csv"), str(d / "diffusion_0001.csv")]
+        assert [e["path"] for e in inputs[0]] == paths
+        assert [e["path"] for e in inputs[1]] == paths
+        assert inputs[0][0] == inputs[1][0]
+        assert inputs[0][1]["sha256"] != inputs[1][1]["sha256"]
+
     def test_field_pattern_reads_exports_only(self, mesh_path, fields_dir):
         names = {p.name for p in field_csvs(pathlib.Path(fields_dir))}
         assert names == {cli_mod.FIELD_STEM.format("diffusion", i) + ".csv"
@@ -423,7 +447,7 @@ class TestCoverageCommand:
         out = tmp_path / "run"
         rc = main([
             "coverage", "--mesh", mesh_path, "--t", "0.005", "--k0", "5",
-            "--start", "0", "--out", str(out),
+            "--start", "0", "--r", "5", "--out", str(out),
         ])
         assert rc == 0
         with open(out / "coverage_report.json") as fh:
@@ -434,7 +458,7 @@ class TestCoverageCommand:
     def test_path_records_lu_route(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main(["coverage", "--mesh", mesh_path, "--t", "0.005",
-                   "--k0", "5", "--out", str(out)])
+                   "--k0", "5", "--r", "5", "--out", str(out)])
         assert rc == 0
         # n = 162 < LANCZOS_C keeps every kernel on LU
         assert read_manifest(out)["path"] == "chebyshev table r=5 lu"
@@ -455,7 +479,7 @@ class TestCoverageCommand:
         for name in ("a", "b"):
             out = tmp_path / name
             rc = main(["coverage", "--mesh", str(mesh), "--t", "0.001",
-                       "--k0", "10", "--out", str(out)])
+                       "--k0", "10", "--r", "5", "--out", str(out)])
             assert rc == 0
             manifests.append(read_manifest(out))
         assert manifests[0]["path"] == "chebyshev table r=5 lanczos"
@@ -565,6 +589,21 @@ class TestOptions:
                     for alias in node.names]
         assert "partial_fractions" not in imported
         assert not any(name.startswith("_") for name in imported)
+
+    @pytest.mark.parametrize("argv, params", [
+        (["metrics", "--metric", "area", "--fields-dir", "FIELDS"],
+         ["command", "fields_dir", "mass", "mesh", "metric", "normalize",
+          "out", "scheme"]),
+        (["basis", "harmonic", "--seeds", "0,17,40"],
+         ["command", "family", "format", "mesh", "mass", "out", "scheme",
+          "seeds"]),
+    ], ids=["metrics-area", "basis-harmonic"])
+    def test_manifest_records_read_options_only(self, mesh_path, fields_dir,
+                                                tmp_path, argv, params):
+        argv = [fields_dir if a == "FIELDS" else a for a in argv]
+        out = tmp_path / "run"
+        assert main(argv + ["--mesh", mesh_path, "--out", str(out)]) == 0
+        assert sorted(read_manifest(out)["parameters"]) == sorted(params)
 
     @pytest.mark.parametrize("argv, stages", [
         (["validate"], ["compute_s", "total_s"]),
