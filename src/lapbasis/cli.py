@@ -7,6 +7,7 @@ orderings, so identical inputs give byte-identical files.
 """
 
 import argparse
+import io
 import json
 import os
 import re
@@ -129,10 +130,10 @@ class Options(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-def _given(argv):
-    """{dest: flag} of the options argv names: argv parsed again with no
-    defaults, so that only given options reach the namespace."""
-    parser = build_parser()
+def _given(parser, argv):
+    """{dest: flag} of the options argv names: argv parsed again by parser
+    with its defaults removed, so that only given options reach the
+    namespace.  The parser keeps no defaults afterwards."""
     (sub,) = [a for a in parser._actions if a.dest == "command"]
     flags = {}
     for action in (a for q in sub.choices.values() for a in q._actions):
@@ -206,27 +207,42 @@ def _field_csv(run, name, f):
 def _load_field_csv(path, n):
     """A field as _field_csv writes it on an n-vertex mesh: one row per
     vertex, ids 0, 1, 2, ... in order."""
-    values = []
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("vertex_id"):
             raise ValueError(f"{path}: expected a vertex_id,value header")
-        for row, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    vid, v = line.split(",", 1)
-                    vid, v = int(vid), float(v)
-                except ValueError as exc:
-                    raise ValueError(f"{path}, row {row}: {exc}") from None
-                if vid != len(values):
-                    raise ValueError(
-                        f"{path}, row {row}: vertex id {vid}, expected "
-                        f"{len(values)}: ids must be 0, 1, 2, ... in order")
-                values.append(v)
+        body = fh.read()
+    tag = os.path.basename(path)
+    # n rows of one "id,value" each convert in one call per column
+    cells = [line.split(",") for line in body.rstrip("\n").split("\n")]
+    if len(cells) == n and set(map(len, cells)) == {2}:
+        ids, values = zip(*cells)
+        try:
+            ids = np.array(ids, dtype=np.int64)
+            values = np.array(values, dtype=float)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if (ids == np.arange(n)).all():
+                return ScalarField(values, tag=tag)
+    # any other file is read row by row, which names its first bad row
+    values = []
+    for row, line in enumerate(io.StringIO(body), start=2):
+        if line.strip():
+            try:
+                vid, v = line.split(",", 1)
+                vid, v = int(vid), float(v)
+            except ValueError as exc:
+                raise ValueError(f"{path}, row {row}: {exc}") from None
+            if vid != len(values):
+                raise ValueError(
+                    f"{path}, row {row}: vertex id {vid}, expected "
+                    f"{len(values)}: ids must be 0, 1, 2, ... in order")
+            values.append(v)
     if len(values) != n:
         raise ValueError(f"{path}: {len(values)} rows, expected one per "
                          f"vertex of the {n}-vertex mesh")
-    return ScalarField(np.array(values), tag=os.path.basename(path))
+    return ScalarField(np.array(values), tag=tag)
 
 
 def _ramp_colors(values):
@@ -414,11 +430,14 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv, Options())
+    parser = build_parser()
+    args = parser.parse_args(argv, Options())
     args.read.clear()  # argparse itself looks some options up
     try:
         run = Run(args)
+        t0 = time.perf_counter()
         mesh = load_mesh(args.mesh)
+        run.timings["load_s"] = time.perf_counter() - t0
         op = None
         if "scheme" in args:  # every command but validate reads an operator
             t0 = time.perf_counter()
@@ -428,7 +447,8 @@ def main(argv=None):
         t0 = time.perf_counter()
         COMMANDS[args.command](args, run, mesh, op)
         run.timings["compute_s"] = time.perf_counter() - t0
-        unread = [f for d, f in _given(argv).items() if d not in args.read]
+        unread = [f for d, f in _given(parser, argv).items()
+                  if d not in args.read]
         if unread:
             raise ValueError(f"{', '.join(unread)}: not read by this "
                              f"{args.command} run; leave it out")

@@ -5,7 +5,10 @@ are write-protected; the edge list and the CSR adjacency matrices are built
 once by the constructor and shared read-only by every caller.
 """
 
+import itertools
+import operator
 import os
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -237,42 +240,105 @@ def _triangulate(face, warnings):
     raise UnsupportedFeature(f"{len(face)}-sided face not supported")
 
 
+# "#" up to the end of its line, where lines end as for str.splitlines
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _face_block(tokens, nf):
+    """The (nf, 3) triangles of the nf face records that open tokens, a
+    list of str, converted in one call; None unless every record is
+    ``3 i j k``."""
+    if nf <= 0:
+        return None
+    try:
+        block = np.array(tokens[: 4 * nf], dtype=np.int64).reshape(nf, 4)
+    except (ValueError, OverflowError):
+        return None
+    return block[:, 1:] if (block[:, 0] == 3).all() else None
+
+
+def _walk_faces(tokens, nf, warnings, truncated):
+    """Triangles of the nf face records ``k i0 ... i(k-1)`` that open
+    tokens, read one record at a time: faces of mixed size, and the first
+    bad record of a block that _face_block cannot convert.  A record short
+    of its k indices raises ParseError(truncated)."""
+    tris, pos = [], 0
+    for _ in range(nf):
+        k = int(tokens[pos])
+        face = [int(t) for t in tokens[pos + 1 : pos + 1 + k]]
+        if len(face) != k:
+            raise ParseError(truncated)
+        pos += 1 + k
+        tris.extend(_triangulate(face, warnings))
+    return tris
+
+
 def _parse_off(text):
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = _COMMENT.sub("", text).split()
     if not tokens:
         raise ParseError("empty OFF file")
     pos = 0
     if tokens[0].upper() == "OFF":
         pos = 1
+    warnings = []
     try:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         pos += 3  # vertex, face, and (ignored) edge counts
         verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-        pos += 3 * nv
-        warnings, tris = [], []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            face = [int(t) for t in tokens[pos + 1 : pos + 1 + k]]
-            if len(face) != k:
-                raise ParseError("truncated face record in OFF file")
-            pos += 1 + k
-            tris.extend(_triangulate(face, warnings))
+        faces = tokens[pos + 3 * nv :]
+        tris = _face_block(faces, nf)
+        if tris is None:
+            tris = _walk_faces(faces, nf, warnings,
+                               "truncated face record in OFF file")
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
     return TriangleMesh(verts, tris, warnings)
 
 
 def _parse_obj(text):
+    lines = _COMMENT.sub("", text).splitlines()
+    bulk = _obj_triangles(lines)
+    return TriangleMesh(*bulk) if bulk else _walk_obj(lines)
+
+
+def _obj_triangles(lines):
+    """(vertices, triangles) of OBJ lines whose faces are all triangles,
+    converted in bulk; None for any other lines, which _walk_obj reads."""
+    rows = [line.split() for line in lines]
+    heads = [r[0] if r else "" for r in rows]
+    v_rows = [r[1:4] for r, h in zip(rows, heads) if h == "v"]
+    f_rows = [r for r, h in zip(rows, heads) if h == "f"]
+    if (not v_rows or not f_rows or set(map(len, v_rows)) != {3}
+            or set(map(len, f_rows)) != {4}):
+        return None
+    # a face reference is v, v/vt, v//vn or v/vt/vn: keep the v
+    refs = " ".join(itertools.chain.from_iterable(f_rows))
+    refs = re.sub(r"/\S*", "", refs).split()
+    if len(refs) != 4 * len(f_rows):  # a reference without its v
+        return None
+    del refs[::4]  # the "f" that opens each record
+    try:
+        verts = np.array(v_rows, dtype=float)
+        idx = np.array(refs, dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError):
+        return None
+    # OBJ indices are 1-based; negative values count back from the
+    # vertices read so far
+    if (idx <= 0).any():
+        seen = np.cumsum([h == "v" for h in heads])[[h == "f" for h in heads]]
+        return verts, np.where(idx > 0, idx - 1, seen[:, None] + idx)
+    return verts, idx - 1
+
+
+def _walk_obj(lines):
+    """The mesh of OBJ lines read one record at a time: files with quads,
+    and files that _obj_triangles cannot convert, whose first bad line it
+    names."""
     verts, tris, warnings = [], [], []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, 1):
         parts = line.split()
+        if not parts:
+            continue
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ParseError(f"line {lineno}: vertex needs 3 coordinates")
@@ -322,34 +388,42 @@ def _parse_ply(text):
     else:
         raise ParseError("PLY header not terminated")
 
-    verts, tris, warnings = None, [], []
+    data, pos = list(lines), 0
+    verts, faces, warnings = None, [], []
     for name, count, props in elements:
-        rows = []
-        for _ in range(count):
-            try:
-                rows.append(next(lines).split())
-            except StopIteration:
-                raise ParseError("PLY data shorter than declared counts") from None
+        rows = list(map(str.split, data[pos : pos + max(count, 0)]))
+        if len(rows) < count:
+            raise ParseError("PLY data shorter than declared counts")
+        pos += len(rows)
         if name == "vertex":
             try:
-                ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
+                cols = [props.index(c) for c in "xyz"]
             except ValueError:
                 raise ParseError("PLY vertex element lacks x/y/z") from None
             try:
-                verts = [[float(r[ix]), float(r[iy]), float(r[iz])] for r in rows]
+                try:
+                    xyz = operator.itemgetter(*cols)
+                    verts = np.array(list(map(xyz, rows)), dtype=float)
+                except (ValueError, IndexError):  # raise at the first bad row
+                    verts = [[float(r[i]) for i in cols] for r in rows]
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad PLY vertex record: {exc}") from exc
         elif name == "face":
-            for r in rows:
-                try:
-                    k = int(r[0])
-                    face = [int(t) for t in r[1 : 1 + k]]
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(f"bad PLY face record: {exc}") from exc
-                if len(face) != k:
-                    raise ParseError("truncated PLY face record")
-                tris.extend(_triangulate(face, warnings))
-    if verts is None or not tris:
+            # one record per line: lines that each hold one triangle
+            # record are converted as one block
+            try:
+                tris = None
+                if set(map(len, rows)) == {4}:
+                    tris = _face_block(
+                        list(itertools.chain.from_iterable(rows)), count)
+                if tris is None:
+                    tris = [t for r in rows for t in _walk_faces(
+                        r, 1, warnings, "truncated PLY face record")]
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"bad PLY face record: {exc}") from exc
+            faces.append(tris)
+    tris = faces[0] if len(faces) == 1 else [t for f in faces for t in f]
+    if verts is None or not len(tris):
         raise ParseError("PLY file lacks vertex or face elements")
     return TriangleMesh(verts, tris, warnings)
 

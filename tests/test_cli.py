@@ -605,9 +605,22 @@ class TestOptions:
         assert main(argv + ["--mesh", mesh_path, "--out", str(out)]) == 0
         assert sorted(read_manifest(out)["parameters"]) == sorted(params)
 
+    def test_one_parser_per_run(self, mesh_path, tmp_path, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counted)
+        assert main(["seeds", "--fps", "3", "--mesh", mesh_path,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1
+
     @pytest.mark.parametrize("argv, stages", [
-        (["validate"], ["compute_s", "total_s"]),
-        (["seeds", "--fps", "3"], ["assemble_s", "compute_s", "total_s"]),
+        (["validate"], ["compute_s", "load_s", "total_s"]),
+        (["seeds", "--fps", "3"],
+         ["assemble_s", "compute_s", "load_s", "total_s"]),
     ])
     def test_manifest_stage_times(self, mesh_path, tmp_path, argv, stages):
         out = tmp_path / "run"
@@ -804,6 +817,45 @@ class TestErrors:
         else:
             assert f"{path}: {rows} rows, expected one per vertex of the " \
                 f"{n}-vertex mesh" in err
+
+    @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])
+    def test_field_csv_last_row_not_a_number(self, mesh_path, tmp_path,
+                                             capsys, option):
+        n = lb.icosphere(2).n_vertices
+        d = tmp_path / "fields"
+        d.mkdir()
+        path = write_field_csv(d / "x_0000.csv", range(n), np.ones(n))
+        csv = pathlib.Path(path)
+        csv.write_text(csv.read_text().replace(f"\n{n - 1},1.0\n",
+                                               f"\n{n - 1},one\n"))
+        if option == "--potential":
+            argv = ["basis", "hamiltonian", "--seeds", "0,17,40",
+                    "--potential", path]
+        else:
+            argv = ["metrics", "--metric", "area", "--fields-dir", str(d)]
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        # the header is row 1, so vertex n - 1 is row n + 1
+        assert (f"{path}, row {n + 1}: could not convert string to float: "
+                "'one\\n'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout", ["blank-lines", "crlf", "spaces",
+                                        "no-final-newline"])
+    def test_field_csv_layouts_read_alike(self, tmp_path, layout):
+        values = np.random.default_rng(5).standard_normal(20)
+        plain = pathlib.Path(write_field_csv(tmp_path / "a.csv", range(20),
+                                             values))
+        text = plain.read_text()
+        text = {"blank-lines": text.replace("\n3,", "\n\n \n3,"),
+                "crlf": text.replace("\n", "\r\n"),
+                "spaces": text.replace(",", " , "),
+                "no-final-newline": text.rstrip("\n")}[layout]
+        other = tmp_path / "b.csv"
+        other.write_bytes(text.encode())
+        a = cli_mod._load_field_csv(str(plain), 20)
+        b = cli_mod._load_field_csv(str(other), 20)
+        assert np.array_equal(a.values, values)
+        assert np.array_equal(b.values, values)
 
     @pytest.mark.parametrize("argv", [
         ["basis", "harmonic"],

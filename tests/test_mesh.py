@@ -1,5 +1,6 @@
 """Mesh loading, validation, distances, connectivity, and round-trips."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -150,6 +151,204 @@ class TestParsing:
         path = tmp_path / "mesh.stl"
         path.write_text("solid nothing\n")
         with pytest.raises(UnsupportedFeature):
+            lb.load_mesh(path)
+
+
+def off_by_token(text):
+    """Vertices, triangles and warnings of an OFF text, read with one
+    float() or int() per token: the reference for the bulk reader."""
+    tokens = [t for line in text.splitlines()
+              for t in line.split("#", 1)[0].split()]
+    pos = 3 if tokens[0] == "OFF" else 2  # past the header and counts
+    nv, nf = int(tokens[pos - 2]), int(tokens[pos - 1])
+    pos += 1  # the edge count
+    verts = [[float(t) for t in tokens[pos + 3 * i : pos + 3 * i + 3]]
+             for i in range(nv)]
+    pos += 3 * nv
+    tris, warnings = [], []
+    for _ in range(nf):
+        k = int(tokens[pos])
+        face = [int(t) for t in tokens[pos + 1 : pos + 1 + k]]
+        pos += 1 + k
+        if k == 4:
+            tris += [face[:3], [face[0], face[2], face[3]]]
+            warnings.append("quad face fan-triangulated")
+        else:
+            tris.append(face)
+    return verts, tris, warnings
+
+
+def assert_read_as(mesh, verts, tris, warnings=()):
+    assert np.array_equal(mesh.vertices, np.array(verts, dtype=float))
+    assert mesh.triangles.tolist() == tris
+    assert mesh.warnings == tuple(warnings)
+
+
+OFF_QUAD = """\
+OFF
+5 2 0
+0 0 0
+1 0 0
+1 1 0
+0 1 0
+2 0.5 0
+4 0 1 2 3
+3 1 4 2
+"""
+
+PLY_HEADER = """\
+ply
+format ascii 1.0
+element vertex 5
+property float x
+property float y
+property float z
+element face {}
+property list uchar int vertex_indices
+{}end_header
+0 0 0
+1 0 0
+1 1 0
+0 1 0
+2 0.5 0
+"""
+
+
+def ply_text(*faces, face_props=""):
+    return PLY_HEADER.format(len(faces), face_props) + "\n".join(faces) + "\n"
+
+
+@pytest.mark.filterwarnings("error")  # malformed input raises, never warns
+class TestBulkReaders:
+    """The readers convert numbers in bulk and fall back to one record at a
+    time; either way a file reads as its tokens read one by one."""
+
+    @pytest.mark.parametrize("text", [
+        OFF_SQUARE,
+        # every token on one line, past the comment
+        "OFF " + " ".join(OFF_SQUARE.split("\n", 2)[2].split()),
+        OFF_SQUARE.replace("OFF\n# a unit square made of two triangles\n\n"
+                           "4 2 0", "OFF 4 2 0"),
+        "# lead\nOFF # magic\n4 2 0 # counts\n\n0 0 0 1 0 0\n1 1 0\n\n"
+        "0 1 0 # last\n3 0 1 2 3 0 2 3\n",
+    ], ids=["comments-blank-lines", "one-line", "counts-on-magic-line",
+            "records-across-lines"])
+    def test_off_layouts(self, tmp_path, text):
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        mesh = lb.load_mesh(path)
+        assert_read_as(mesh, *off_by_token(text))
+        assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+    def test_off_quad_fans_with_warning(self, tmp_path):
+        path = tmp_path / "q.off"
+        path.write_text(OFF_QUAD)
+        verts, tris, warnings = off_by_token(OFF_QUAD)
+        assert tris == [[0, 1, 2], [0, 2, 3], [1, 4, 2]]
+        assert_read_as(lb.load_mesh(path), verts, tris, warnings)
+
+    def test_off_bumpy_sphere_bit_identical(self, tmp_path):
+        path = tmp_path / "b.off"
+        mesh = lb.bumpy_sphere(4, seed=1)
+        save_off(mesh, path)
+        again = lb.load_mesh(path)
+        verts, tris, _ = off_by_token(path.read_text())
+        assert np.array_equal(again.vertices, np.array(verts))
+        assert np.array_equal(again.triangles, np.array(tris))
+        assert np.array_equal(again.triangles, mesh.triangles)
+        assert again.warnings == ()
+
+    def test_ply_bumpy_sphere_reads_as_off(self, tmp_path):
+        mesh = lb.bumpy_sphere(3, seed=1)
+        save_off(mesh, tmp_path / "b.off")
+        save_ply(mesh, tmp_path / "b.ply")
+        off, ply = (lb.load_mesh(tmp_path / f) for f in ("b.off", "b.ply"))
+        assert np.array_equal(ply.vertices, off.vertices)
+        assert np.array_equal(ply.triangles, off.triangles)
+
+    @pytest.mark.parametrize("faces, face_props, tris, quads", [
+        (["3 0 1 2", "3 1 4 2"], "", [[0, 1, 2], [1, 4, 2]], 0),
+        (["4 0 1 2 3", "3 1 4 2"], "", [[0, 1, 2], [0, 2, 3], [1, 4, 2]], 1),
+        # a face property after the index list is skipped
+        (["3 0 1 2 7", "3 1 4 2 8"], "property uchar flags\n",
+         [[0, 1, 2], [1, 4, 2]], 0),
+    ], ids=["triangles", "quad", "trailing-property"])
+    def test_ply_faces(self, tmp_path, faces, face_props, tris, quads):
+        path = tmp_path / "m.ply"
+        path.write_text(ply_text(*faces, face_props=face_props))
+        mesh = lb.load_mesh(path)
+        assert mesh.triangles.tolist() == tris
+        assert mesh.warnings == ("quad face fan-triangulated",) * quads
+        assert np.array_equal(mesh.vertices[4], [2.0, 0.5, 0.0])
+
+    def test_obj_references_and_negative_indices(self, tmp_path):
+        # negative indices count back from the vertices read so far
+        text = ("v 0 0 0\nv 1 0 0 # x\nv 1 1 0\nf -3/1 -2/2 -1/3\n"
+                "vn 0 0 1\nv 0 1 0\nf 1//1 3//1 -1//1\nf 2/5 3 4\n")
+        path = tmp_path / "m.obj"
+        path.write_text(text)
+        mesh = lb.load_mesh(path)
+        assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3], [1, 2, 3]]
+        assert mesh.warnings == ()
+
+    def test_obj_matches_off(self, tmp_path):
+        mesh = lb.bumpy_sphere(3, seed=1)
+        save_off(mesh, tmp_path / "b.off")
+        off = lb.load_mesh(tmp_path / "b.off")
+        lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in off.vertices.tolist()]
+        lines += [f"f {a + 1}/{a + 1} {b + 1}/{b + 1} {c + 1}/{c + 1}"
+                  for a, b, c in off.triangles.tolist()]
+        (tmp_path / "b.obj").write_text("\n".join(lines) + "\n")
+        obj = lb.load_mesh(tmp_path / "b.obj")
+        assert np.array_equal(obj.vertices, off.vertices)
+        assert np.array_equal(obj.triangles, off.triangles)
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("index.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1.5\n",
+         ParseError),
+        ("count.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         ParseError),
+        ("range.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+         ParseError),
+        ("vertex.off", "OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n",
+         ParseError),
+        ("penta.off", "OFF\n5 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 0 0\n"
+         "5 0 1 2 3 4\n", UnsupportedFeature),
+        ("index.ply", ply_text("3 0 1 1.5"), ParseError),
+        ("count.ply", ply_text("3 0 1 2").replace("face 1", "face 2"),
+         ParseError),
+        ("range.ply", ply_text("3 0 1 5"), ParseError),
+        ("penta.ply", ply_text("5 0 1 2 3 4"), UnsupportedFeature),
+        # a PLY record ends with its line: a short quad is truncated, not
+        # continued on the next line
+        ("short.ply", ply_text("4 0 1 2", "3 1 4 2"), ParseError),
+        ("index.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1.5\n", ParseError),
+        ("range.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", ParseError),
+        ("slash.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 /3\n", ParseError),
+    ])
+    def test_malformed_input_raises(self, tmp_path, name, text, error):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(error):
+            lb.load_mesh(path)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("count.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 4 0 1\n",
+         "truncated face record in OFF file"),
+        ("short.ply", ply_text("4 0 1 2", "3 1 4 2"),
+         "truncated PLY face record"),
+        ("index.ply", ply_text("3 1 4 2", "3 0 x 2"),
+         "bad PLY face record: invalid literal for int() with base 10: 'x'"),
+        ("index.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 x\n",
+         "line 5: bad face index 'x'"),
+        ("vertex.obj", "v 0 0 0\nv 1 0 q\nv 0 1 0\nf 1 2 3\n",
+         "line 2: could not convert string to float: 'q'"),
+    ])
+    def test_error_names_the_first_bad_record(self, tmp_path, name, text,
+                                              message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
             lb.load_mesh(path)
 
 
