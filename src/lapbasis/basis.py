@@ -193,47 +193,33 @@ def truncated_spectral(eig, filt, f):
     return ScalarField(out, tag=tag)
 
 
-# the Lanczos route runs when kappa-hat <= n / LANCZOS_C (see ChebyshevKernel)
-LANCZOS_C = 256
-
-
 def _symmetric_lumped(op):
     """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
-    which the Lanczos routes need."""
+    which the Lanczos exponential needs."""
     return op.is_symmetric and op.mass_mode == "lumped"
 
 
 class ChebyshevKernel:
     """Spectrum-free evaluator of K_phi: a rational partial fraction
     through shifted solves, or the exponential straight from a Lanczos
-    tridiagonal.
+    tridiagonal.  Two routes, one per constructor argument:
 
-    Given pf, K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta and
-    weights w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and
-    g_0 = f: one chain per pole.  Given t instead, K_phi = exp(-t B^{-1} L)
-    with no rational form.  Three routes, chosen once, here:
-
-    - "lanczos-exp" (t): m Lanczos steps on B^{-1/2} L B^{-1/2} per column
+    - "lu" (pf): K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta
+      and weights w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and
+      g_0 = f: one chain per pole.  Each pole is factorised once, here
+      (numerics.shifted_factor), and reused by every apply; every solve
+      meets the residual numerics.SHIFTED_RTOL.  Any scheme and mass.
+    - "lanczos-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form,
+      from m Lanczos steps on B^{-1/2} L B^{-1/2} per column
       (numerics.lanczos_exp), m fixed by the Hochbruck-Lubich bound; no
       factorisation and no table.  Needs a symmetric scheme and lumped
       mass, or raises ValueError.
-    - "lanczos" (pf): one Lanczos space serves every pole and order of a
-      column (numerics.shifted_lanczos), with no factorisation.  Taken
-      for a symmetric scheme with lumped mass when kappa, the largest
-      condition bound of the shifted systems over [0, lambda-hat]
-      (numerics.shift_condition, pencil_bound), is at most n / LANCZOS_C:
-      its steps grow like sqrt(kappa), while a column of LU solves costs
-      about the same at any kappa.
-    - "lu" (pf): each shift factorised once (numerics.shifted_factor) and
-      reused by every apply; every other case.
 
-    The shifted routes meet the residual numerics.SHIFTED_RTOL on every
-    solve.  route, kappa (inf where no bound applies: consistent mass, a
-    non-symmetric scheme, lanczos-exp), steps (the a-priori m of
-    lanczos-exp, else None) and max_lanczos_steps (the largest step count
-    of an apply so far) record what ran; path is "chebyshev <form>
-    <route>", with form "m=<m>" on lanczos-exp.  filter_kernel builds one
-    from a filter and names its form.
+    route, steps (the a-priori m of lanczos-exp, else None) and
+    max_lanczos_steps (the largest step count of an apply so far, 0 on
+    lu) record what ran; path is "chebyshev <form> <route>", with form
+    "m=<m>" on lanczos-exp.  filter_kernel builds one from a filter and
+    names its form.
     """
 
     def __init__(self, op, pf=None, form="rational", t=None):
@@ -241,7 +227,6 @@ class ChebyshevKernel:
             raise ValueError("give a partial fraction pf or a scale t")
         self.op = op
         self.pf = pf
-        self.kappa = math.inf
         self.steps = None
         self.max_lanczos_steps = 0
         if pf is None:
@@ -252,29 +237,10 @@ class ChebyshevKernel:
             self.steps, self._lanczos = numerics.lanczos_exp(op.B, op.L, t)
             form = f"m={self.steps}"
         else:
-            if _symmetric_lumped(op):
-                lam = numerics.pencil_bound(op.L, op.B)
-                self.kappa = max((numerics.shift_condition(beta, lam)
-                                  for beta, _ in pf.poles), default=1.0)
-            self.route = "lanczos" if self.kappa <= op.n / LANCZOS_C else "lu"
-        self.path = f"chebyshev {form} {self.route}"
-        if self.route == "lanczos":
-            self._lanczos = numerics.shifted_lanczos(
-                op.B, op.L, [(beta, len(w)) for beta, w in pf.poles],
-                self.kappa)
-        elif self.route == "lu":
+            self.route = "lu"
             self._factors = [numerics.shifted_factor(op.B, op.L, beta)
                              for beta, _ in pf.poles]
-
-    def _lu_chains(self, fv):
-        Bf = self.op.B @ fv
-        chains = []
-        for solve, (_, weights) in zip(self._factors, self.pf.poles):
-            chain = []
-            for _ in weights:
-                chain.append(solve(Bf if not chain else self.op.B @ chain[-1]))
-            chains.append(chain)
-        return chains
+        self.path = f"chebyshev {form} {self.route}"
 
     def apply(self, f):
         fv = field_values(f)
@@ -282,14 +248,11 @@ class ChebyshevKernel:
             g, steps = self._lanczos(fv)
             self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
             return g
-        if self.route == "lanczos":
-            chains, steps = self._lanczos(fv)
-            self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
-        else:
-            chains = self._lu_chains(fv)
         acc = self.pf.alpha0 * fv
-        for (_, weights), chain in zip(self.pf.poles, chains):
-            for w, g in zip(weights, chain):
+        for solve, (_, weights) in zip(self._factors, self.pf.poles):
+            g = fv
+            for w in weights:
+                g = solve(self.op.B @ g)
                 acc += (w * g).real
         return acc
 
@@ -316,7 +279,7 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     exact partial fractions.  Else a TruncatedKernel over eig, or over k
     eigenpairs computed here, which warns for k < n.  Both have apply(f)
     and path: "chebyshev m=63 lanczos-exp", "chebyshev table r=5 lu",
-    "chebyshev exact-rational lanczos", "truncated k=100", ...
+    "chebyshev exact-rational lu", "truncated k=100", ...
     """
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")

@@ -224,9 +224,10 @@ def load_mesh(path, format="auto"):
         raise UnsupportedFeature(f"unknown mesh format {format!r}")
     try:
         return parsers[format](text)
-    except ValueError as exc:
-        # constructor-level defects (bad indices, repeated vertices) are
-        # file defects when they come from a parse
+    except (ParseError, ValueError, OverflowError) as exc:
+        # the parsers' own errors, constructor-level defects (bad indices,
+        # repeated vertices) and numbers beyond int64 are file defects when
+        # they come from a parse: name the file
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -374,6 +375,8 @@ def _parse_ply(text):
         parts = raw.strip().split()
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < {"format": 2, "element": 3}.get(parts[0], 0):
+            raise ParseError(f"PLY header line {raw.strip()!r} lacks fields")
         if parts[0] == "format":
             if parts[1] != "ascii":
                 raise UnsupportedFeature("only ascii PLY is supported")

@@ -1,23 +1,20 @@
-"""Shifted sparse solves and the certified shift-invert eigensolver.
+"""Shifted sparse solves, the Lanczos exponential and the certified
+shift-invert eigensolver.
 
-The spectral routes reduce to two primitives: shifted (complex-)symmetric
-solves with B + beta L, and the smallest generalized eigenpairs of a
-stiffness/mass pencil, from scipy's eigsh (or dense eigh) and certified
-complete by an inertia count.  A shifted system is solved either by one
-sparse LU per shift (shifted_factor, any scheme and mass) or, for a
-symmetric L with lumped B, by one Lanczos space that serves every shift
-at once (shifted_lanczos); both meet the relative residual SHIFTED_RTOL.
-pencil_bound and shift_condition give the conditioning that chooses
-between them.  The same Lanczos recurrence (lanczos, on scaled_operator)
-gives the heat kernel exp(-t B^{-1} L) f directly from its tridiagonal,
-with a step count fixed in advance by an a-priori error bound
-(lanczos_exp).  Solves with L itself (harmonic, Hamiltonian and Green
-columns) eliminate fixed vertices and factorise once in
-basis._constrained_solve; B^{-1} is laplacian._mass_solve.  Matrices are
-plain scipy sparse matrices.
+The spectral routes reduce to three primitives.  A shifted
+(complex-)symmetric system B + beta L is factorised once per shift by
+sparse LU (shifted_factor, any scheme and mass), and every solve meets the
+relative residual SHIFTED_RTOL.  For a symmetric L with lumped B, the heat
+kernel exp(-t B^{-1} L) f comes straight from the tridiagonal of the
+Lanczos recurrence (lanczos, on scaled_operator), with a step count fixed
+in advance by an a-priori error bound (lanczos_exp, pencil_bound).  The
+smallest generalized eigenpairs of a stiffness/mass pencil come from
+scipy's eigsh (or dense eigh), certified complete by an inertia count.
+Solves with L itself (harmonic, Hamiltonian and Green columns) eliminate
+fixed vertices and factorise once in basis._constrained_solve; B^{-1} is
+laplacian._mass_solve.  Matrices are plain scipy sparse matrices.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -137,7 +134,7 @@ def shifted_factor(B, L, beta):
     return solve
 
 
-LANCZOS_CHECK_EVERY = 4  # Lanczos steps between residual estimates
+LANCZOS_CHECK_EVERY = 4  # Lanczos steps between the guard and the result
 LANCZOS_BREAKDOWN = 1e-12  # next-vector norm, relative to lambda-hat, that
 # ends the Lanczos space as invariant
 
@@ -150,36 +147,11 @@ def pencil_bound(L, B):
     return float((np.asarray(abs(L).sum(axis=1)).ravel() / B.diagonal()).max())
 
 
-def shift_condition(beta, lam):
-    """max |1 + beta x| / min |1 + beta x| over x in [0, lam]: the condition
-    of I + beta A for every symmetric A with spectrum in [0, lam].
-
-    |1 + beta x|^2 = 1 + 2 Re(beta) x + |beta|^2 x^2 is convex in x, so the
-    max is at an end and the min at an end or at x* = -Re(beta) / |beta|^2,
-    where it is |Im beta| / |beta|.  Infinite when 1 + beta x vanishes on
-    the interval.
-    """
-    ends = (1.0, abs(1.0 + beta * lam))
-    lo = min(ends)
-    if beta != 0 and 0.0 < -np.real(beta) / abs(beta) ** 2 < lam:
-        lo = abs(np.imag(beta)) / abs(beta)
-    return max(ends) / lo if lo > 0.0 else math.inf
-
-
-def lanczos_cap(kappa):
-    """Step cap of a Lanczos run whose shifted systems have condition at
-    most kappa: twice the CG bound 1/2 sqrt(kappa) ln(2/eps) for a residual
-    eps = SHIFTED_RTOL / 100, for the delay that lost orthogonality costs,
-    plus one estimate interval."""
-    cg = 0.5 * math.sqrt(kappa) * math.log(200.0 / SHIFTED_RTOL)
-    return 2 * math.ceil(cg) + LANCZOS_CHECK_EVERY
-
-
 def scaled_operator(L, B):
     """(A, root): A = B^{-1/2} L B^{-1/2} as CSR and root = sqrt(diag B),
-    the symmetric matrix whose shifts and functions the Lanczos routes
-    take for a symmetric L and a diagonal (lumped) B; y = root * g maps a
-    field g to A's variable.  B must have a positive diagonal."""
+    the symmetric matrix whose exponential lanczos_exp takes for a
+    symmetric L and a diagonal (lumped) B; y = root * g maps a field g to
+    A's variable.  B must have a positive diagonal."""
     check_mass(B)
     root = np.sqrt(B.diagonal())
     return (sp.diags(1.0 / root) @ L @ sp.diags(1.0 / root)).tocsr(), root
@@ -210,94 +182,6 @@ def lanczos(A, y0, Q, breakdown):
             return
         beta.append(b)
         np.divide(w, b, out=Q[j + 1])
-
-
-def shifted_lanczos(B, L, shifts, kappa):
-    """Solve every chain (B + beta L) g_j = B g_{j-1}, g_0 = f, j = 1..m, of
-    shifts ((beta, m), ...) from one Lanczos space; returns a closure
-    f -> (chains, steps), chains[i] = [g_1, ..., g_m] of shifts[i].
-
-    For a symmetric L and a diagonal B, the systems are shifts of one
-    symmetric matrix A (scaled_operator): with y = B^{1/2} g they read
-    (I + beta A) y_j = y_{j-1}.  One Lanczos recurrence on A from
-    y_0 = B^{1/2} f (lanczos) gives A Q = Q T + b q e_m^T; with
-    T = V diag(theta) V^T, every chain is the Galerkin (FOM) iterate
-    y_j = |y_0| Q V (1 + beta theta)^{-j} V^T e_1, whose residual has norm
-    |y_0| |beta| b |e_m^T V (1 + beta theta)^{-j} V^T e_1|.  That estimate
-    is tested every LANCZOS_CHECK_EVERY steps against SHIFTED_RTOL, scaled
-    by sqrt(min B / max B) to bound the residual in the original norm.  An
-    invariant space (b below LANCZOS_BREAKDOWN lambda-hat, e.g. for
-    constant f) ends the run with no division by b.  Then every solve is
-    checked on the original system,
-    |(B + beta L) g_j - B g_{j-1}| <= SHIFTED_RTOL |B g_{j-1}|; a failed
-    check takes more steps, and NotConverged is raised when the space is
-    invariant or lanczos_cap(kappa) steps are spent.  kappa bounds the
-    condition of the shifted systems (shift_condition).
-    """
-    A, root = scaled_operator(L, B)
-    d = B.diagonal()
-    breakdown = LANCZOS_BREAKDOWN * pencil_bound(L, B)
-    target = 0.5 * SHIFTED_RTOL * math.sqrt(d.min() / d.max())
-    cap = lanczos_cap(kappa)
-
-    def galerkin_coeffs(alpha, beta, b):
-        """Galerkin coefficients (in Q) of every chain, or None while a
-        residual estimate misses the target."""
-        theta, V = eigh_tridiagonal(np.array(alpha), np.array(beta))
-        first, last = V[0], V[-1]
-        coeffs = []
-        for shift, order in shifts:
-            u = first
-            for _ in range(order):
-                prev = np.linalg.norm(u)
-                u = u / (1.0 + shift * theta)
-                if abs(shift) * b * abs(last @ u) > target * prev:
-                    return None
-                coeffs.append(V @ u)
-        return coeffs
-
-    def checked_chains(f, Q, coeffs, scale):
-        """The chains from their coefficients, or None if a solve fails
-        its check on the original system."""
-        Z = np.array(coeffs)
-        G = Z.real @ Q
-        if np.iscomplexobj(Z):
-            G = G + 1j * (Z.imag @ Q)
-        G *= scale / root
-        chains, rows = [], iter(G)
-        for shift, order in shifts:
-            chain, prev = [], d * f
-            for g in itertools.islice(rows, order):
-                Bg = d * g
-                r = Bg + shift * (L @ g) - prev
-                if np.linalg.norm(r) > SHIFTED_RTOL * np.linalg.norm(prev):
-                    return None
-                chain.append(g)
-                prev = Bg
-            chains.append(chain)
-        return chains
-
-    def solve(f):
-        y = root * f
-        scale = np.linalg.norm(y)
-        if scale == 0.0 or not shifts:
-            return [[np.zeros_like(f)] * order for _, order in shifts], 0
-        Q = np.empty((cap, len(f)))  # rows past the last step stay untouched
-        for alpha, beta, b in lanczos(A, y, Q, breakdown):
-            steps = len(alpha)
-            invariant = b <= breakdown
-            if invariant or steps % LANCZOS_CHECK_EVERY == 0 or steps >= cap:
-                coeffs = galerkin_coeffs(alpha, beta, 0.0 if invariant else b)
-                if coeffs is not None:
-                    chains = checked_chains(f, Q[:steps], coeffs, scale)
-                    if chains is not None:
-                        return chains, steps
-                if invariant or steps >= cap:
-                    raise NotConverged(
-                        f"Lanczos shifted solves unconverged after {steps} "
-                        f"steps (cap {cap}, kappa {kappa:.3g})")
-
-    return solve
 
 
 EXP_RTOL = 1e-12  # error asked of a Lanczos exponential, relative to |y_0|

@@ -1,6 +1,7 @@
 """Basis families: harmonic, Hamiltonian, eigen, filtered, diffusion, Green."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,19 +28,38 @@ def dense_lb(op):
     return op.L.toarray(), op.B.toarray()
 
 
-def dense_filtered(op, spec, F):
-    """phi(B^{-1} L) F for a lumped mass, from every eigenpair of
-    B^{-1/2} L B^{-1/2} (dense eigh); F holds one input per column."""
+def dense_eig(op):
+    """(d, lam, W) for a lumped mass: d = diag(B)^{-1/2} and every
+    eigenpair of B^{-1/2} L B^{-1/2} (dense eigh), lam clipped at 0."""
     d = 1.0 / np.sqrt(op.B.diagonal())
     lam, W = np.linalg.eigh(d[:, None] * op.L.toarray() * d)
-    phi = lb.evaluate(spec, np.clip(lam, 0.0, None))
-    return d[:, None] * (W @ (phi[:, None] * (W.T @ (F / d[:, None]))))
+    return d, np.clip(lam, 0.0, None), W
+
+
+def dense_filtered(eig, phi, F):
+    """phi(B^{-1} L) F from eig = dense_eig(op); phi maps the eigenvalues
+    to the filter's values, and F holds one input per column."""
+    d, lam, W = eig
+    return d[:, None] * (W @ (phi(lam)[:, None] * (W.T @ (F / d[:, None]))))
 
 
 def delta(n, i):
     e = np.zeros(n)
     e[i] = 1.0
     return e
+
+
+def counting_factor(monkeypatch):
+    """Record the shift of every numerics.shifted_factor call."""
+    calls = []
+    original = lb.numerics.shifted_factor
+
+    def counting(B, L, beta):
+        calls.append(beta)
+        return original(B, L, beta)
+
+    monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
+    return calls
 
 
 def check_green_defining_equation(op, s):
@@ -301,7 +321,8 @@ class TestChebyshevKernel:
         kern = ChebyshevKernel(op3, lb.rational_partial_fractions(spec))
         assert kern.route == "lu"
         f = np.random.default_rng(17).standard_normal(op3.n)
-        (want,) = dense_filtered(op3, spec, f[:, None]).T
+        (want,) = dense_filtered(dense_eig(op3), partial(lb.evaluate, spec),
+                                 f[:, None]).T
         got = kern.apply(f)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -360,91 +381,62 @@ class TestChebyshevKernel:
 
 
 class TestLanczosRoute:
-    """The factorisation-free route of ChebyshevKernel (symmetric scheme,
-    lumped mass, kappa-hat <= n / LANCZOS_C) against the LU route."""
+    """Every partial fraction takes the LU route: one factorisation per
+    pole, reused by every apply.  That includes small poles (exp at small
+    t, rat filters with |beta| below about 0.005), which a
+    factorisation-free shifted-Lanczos route once served."""
 
-    @staticmethod
-    def counting_factor(monkeypatch):
-        calls = []
-        original = lb.numerics.shifted_factor
-
-        def counting(B, L, beta):
-            calls.append(beta)
-            return original(B, L, beta)
-
-        monkeypatch.setattr(lb.numerics, "shifted_factor", counting)
-        return calls
+    @pytest.fixture(scope="class")
+    def dense4(self, op4):
+        return dense_eig(op4)
 
     @pytest.mark.parametrize("text", [
-        "exp:t=0.001",
+        "exp:t=0.001",  # the r = 5 table
         "rat:num=1;den=1,2e-4,1e-8",  # double pole: 1/(1 + 1e-4 s)^2
     ])
-    def test_matches_lu_route(self, op4, text, monkeypatch):
+    def test_small_poles_match_dense(self, op4, dense4, text):
         pf = lb.partial_fractions(lb.parse_filter(text))
-        lanczos = ChebyshevKernel(op4, pf)
-        monkeypatch.setattr(basis_mod, "LANCZOS_C", np.inf)
-        lu = ChebyshevKernel(op4, pf)
-        assert (lanczos.route, lu.route) == ("lanczos", "lu")
-        rng = np.random.default_rng(31)
-        inputs = [delta(op4.n, s) for s in (0, 1000, 2561)]
-        inputs.append(rng.standard_normal(op4.n))
-        for f in inputs:
-            want = lu.apply(f)
-            got = lanczos.apply(f)
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        assert 0 < lanczos.max_lanczos_steps <= lb.numerics.lanczos_cap(
-            lanczos.kappa)
-
-    def test_repeated_complex_pole_matches_dense(self, op4):
-        spec = FilterSpec.rational([1.0], [1.0, 0.0, 2e-6, 0.0, 1e-12])
-        kern = ChebyshevKernel(op4, lb.rational_partial_fractions(spec))
-        assert kern.route == "lanczos"  # 1/(1 + 1e-6 s^2)^2
-        F = np.column_stack([delta(op4.n, 1000),
-                             np.random.default_rng(32).standard_normal(op4.n)])
-        for f, want in zip(F.T, dense_filtered(op4, spec, F).T):
+        kern = ChebyshevKernel(op4, pf)
+        assert kern.route == "lu"
+        F = np.column_stack([delta(op4.n, s) for s in (0, 1000, 2561)]
+                            + [np.random.default_rng(31).standard_normal(op4.n)])
+        # against the partial fraction itself: the solves alone
+        for f, want in zip(F.T, dense_filtered(dense4, pf, F).T):
             got = kern.apply(f)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_small_t_lumped_factorises_nothing(self, op4, monkeypatch):
-        calls = self.counting_factor(monkeypatch)
-        kern = ChebyshevKernel(op4, lb.partial_fractions(
-            FilterSpec.exponential(0.001)))
-        kern.apply(delta(op4.n, 7))
-        assert kern.route == "lanczos" and calls == []
-        # kappa-hat well inside the rule's bound n / C = 10
-        assert 1.0 < kern.kappa <= 0.5 * op4.n / basis_mod.LANCZOS_C
+    def test_repeated_complex_pole_matches_dense(self, op4, dense4):
+        spec = FilterSpec.rational([1.0], [1.0, 0.0, 2e-6, 0.0, 1e-12])
+        kern = ChebyshevKernel(op4, lb.rational_partial_fractions(spec))
+        assert kern.route == "lu"  # 1/(1 + 1e-6 s^2)^2
+        F = np.column_stack([delta(op4.n, 1000),
+                             np.random.default_rng(32).standard_normal(op4.n)])
+        phi = partial(lb.evaluate, spec)
+        for f, want in zip(F.T, dense_filtered(dense4, phi, F).T):
+            got = kern.apply(f)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("case", [
-        "large_t", "consistent", "mean_value", "pole_on_spectrum"])
+        "large_t", "small_t", "small_pole", "consistent", "mean_value",
+        "pole_on_spectrum"])
     def test_lu_kept(self, sphere4, op4, case, monkeypatch):
         text, op = "exp:t=0.04", op4
-        if case == "consistent":
+        if case == "small_t":
+            text = "exp:t=0.001"
+        elif case == "small_pole":
+            text = "rat:num=1;den=1,2e-4,1e-8"
+        elif case == "consistent":
             text, op = "exp:t=0.001", lb.assemble(sphere4, mass_mode="consistent")
         elif case == "mean_value":
             text, op = "exp:t=0.001", lb.assemble(sphere4, scheme="mean_value")
         elif case == "pole_on_spectrum":
             text = "rat:num=1;den=1,-1e-3"  # 1 + beta s = 0 at s = 1000
-        calls = self.counting_factor(monkeypatch)
+            assert 1000 < lb.numerics.pencil_bound(op.L, op.B)
+        calls = counting_factor(monkeypatch)
         pf = lb.partial_fractions(lb.parse_filter(text))
         kern = ChebyshevKernel(op, pf)
         assert kern.route == "lu"
-        assert len(calls) == len(pf.poles)
-        if case == "large_t":
-            assert kern.kappa >= 2 * op.n / basis_mod.LANCZOS_C
-        elif case == "pole_on_spectrum":
-            assert 1000 < lb.numerics.pencil_bound(op.L, op.B)
-            assert kern.kappa == np.inf
-        else:
-            assert kern.kappa == np.inf
-
-    def test_shift_condition_closed_form(self):
-        lam = 50.0
-        x = np.linspace(0.0, lam, 200001)
-        for beta in (0.02, -0.01, 0.01 + 0.03j, -0.002 + 0.01j, -0.05):
-            v = np.abs(1.0 + beta * x)
-            want = v.max() / v.min() if v.min() > 0 else np.inf
-            got = lb.numerics.shift_condition(beta, lam)
-            assert got == pytest.approx(want, rel=1e-6)
+        assert calls == [beta for beta, _ in pf.poles]
 
     def test_constant_input_exact(self, op4):
         pf = lb.partial_fractions(FilterSpec.exponential(0.001))
@@ -453,30 +445,22 @@ class TestLanczosRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = kern.apply(f)
-        # the first Lanczos vector spans an invariant space: one step
-        assert kern.route == "lanczos" and kern.max_lanczos_steps == 1
-        assert np.abs(g - pf(0.0) * f).max() <= 4 * np.finfo(float).eps * 3.0
-
-    def test_not_converged_at_cap(self, op4, monkeypatch):
-        monkeypatch.setattr(lb.numerics, "lanczos_cap", lambda kappa: 3)
-        kern = ChebyshevKernel(op4, lb.partial_fractions(
-            FilterSpec.exponential(0.001)))
-        assert kern.route == "lanczos"
-        with pytest.raises(NotConverged):
-            kern.apply(delta(op4.n, 0))
+        assert kern.route == "lu" and kern.max_lanczos_steps == 0
+        # K f = p_r(0) f to the solves' rounding: 11.3 eps on this mesh
+        assert np.abs(g - pf(0.0) * f).max() <= 32 * np.finfo(float).eps * 3.0
 
     def test_expm_multiply_cross_check_n10242(self):
         op = lb.assemble(lb.icosphere(5))
         t, seeds = 1e-3, [0, 5000, 10241]
         bs = lb.spectral_set(op, FilterSpec.exponential(t), seeds, r=5)
-        assert bs.params["path"] == "chebyshev table r=5 lanczos"
+        assert bs.params["path"] == "chebyshev table r=5 lu"
         A = -t * (sp.diags(1.0 / op.B.diagonal()) @ op.L)
         E = np.zeros((op.n, len(seeds)))
         E[seeds, np.arange(len(seeds))] = 1.0
         want = expm_multiply(A.tocsr(), E)
         got = bs.matrix()
         # the r = 5 table's error at this n t (3.5e-5 measured); the
-        # Lanczos solves add at most 1e-10
+        # LU solves add at most 1e-10
         err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
         assert err.max() <= 1e-4
 
@@ -531,7 +515,7 @@ class TestLanczosExp:
         assert np.abs(g - f).max() <= 4 * np.finfo(float).eps * 3.0
 
     def test_factorises_nothing(self, op3, monkeypatch):
-        calls = TestLanczosRoute.counting_factor(monkeypatch)
+        calls = counting_factor(monkeypatch)
         bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), [0, 5, 9])
         assert bs.params["path"].endswith(" lanczos-exp") and calls == []
 
@@ -546,10 +530,11 @@ class TestLanczosExp:
         monkeypatch.setattr(lb.numerics, "lanczos", counting)
         exp = lb.filter_kernel(op4, FilterSpec.exponential(0.001))
         table = lb.filter_kernel(op4, FilterSpec.exponential(0.001), r=5)
-        assert (exp.route, table.route) == ("lanczos-exp", "lanczos")
+        assert (exp.route, table.route) == ("lanczos-exp", "lu")
         want = table.apply(delta(op4.n, 7))
         got = exp.apply(delta(op4.n, 7))
-        assert len(runs) == 2
+        # the table's LU route runs no Lanczos recurrence
+        assert len(runs) == 1
         # the r = 5 table's error at this n t
         assert np.abs(got - want).max() <= 1e-4 * np.abs(got).max()
 
@@ -687,7 +672,7 @@ class TestDiffusion:
         bs = lb.spectral_set(op2, filt, seeds, method=method, r=5,
                              eig=eig162_full)
         if method == "chebyshev":
-            path += " lu"  # n = 162 < LANCZOS_C: every kernel takes LU
+            path += " lu"  # every partial fraction takes LU
         assert bs.params["path"] == path
         assert bs.seeds == seeds
         for s, got in zip(seeds, bs):
@@ -731,22 +716,17 @@ class TestDiffusion:
 
 
 class TestFilterKernel:
-    @pytest.mark.parametrize("op_name, text, method, kind, path", [
-        ("op2", "exp:t=0.2", "chebyshev", ChebyshevKernel,
-         "chebyshev table r=5 lu"),
-        ("op4", "exp:t=0.001", "chebyshev", ChebyshevKernel,
-         "chebyshev table r=5 lanczos"),
-        ("op2", "rat:num=1;den=1,2,1", "chebyshev", ChebyshevKernel,
+    @pytest.mark.parametrize("text, method, kind, path", [
+        ("exp:t=0.2", "chebyshev", ChebyshevKernel, "chebyshev table r=5 lu"),
+        ("rat:num=1;den=1,2,1", "chebyshev", ChebyshevKernel,
          "chebyshev exact-rational lu"),
-        ("op2", "exp:t=0.2", "truncated", basis_mod.TruncatedKernel,
+        ("exp:t=0.2", "truncated", basis_mod.TruncatedKernel,
          "truncated k=162"),
-    ], ids=["table-lu", "table-lanczos", "exact-rational", "truncated"])
-    def test_path_of_each_route(self, request, eig162_full, op_name, text,
-                                method, kind, path):
-        op = request.getfixturevalue(op_name)
-        eig = eig162_full if op_name == "op2" else None
-        kernel = lb.filter_kernel(op, lb.parse_filter(text), method, r=5,
-                                  eig=eig)
+    ], ids=["table-lu", "exact-rational", "truncated"])
+    def test_path_of_each_route(self, op2, eig162_full, text, method, kind,
+                                path):
+        kernel = lb.filter_kernel(op2, lb.parse_filter(text), method, r=5,
+                                  eig=eig162_full)
         assert isinstance(kernel, kind)
         assert kernel.path == path
 

@@ -460,7 +460,7 @@ class TestCoverageCommand:
         rc = main(["coverage", "--mesh", mesh_path, "--t", "0.005",
                    "--k0", "5", "--r", "5", "--out", str(out)])
         assert rc == 0
-        # n = 162 < LANCZOS_C keeps every kernel on LU
+        # an explicit r takes the table, whose poles take LU
         assert read_manifest(out)["path"] == "chebyshev table r=5 lu"
 
     def test_small_t_lanczos_reruns_byte_identical(self, tmp_path,
@@ -478,12 +478,14 @@ class TestCoverageCommand:
         manifests = []
         for name in ("a", "b"):
             out = tmp_path / name
+            calls.clear()
             rc = main(["coverage", "--mesh", str(mesh), "--t", "0.001",
                        "--k0", "10", "--r", "5", "--out", str(out)])
             assert rc == 0
             manifests.append(read_manifest(out))
-        assert manifests[0]["path"] == "chebyshev table r=5 lanczos"
-        assert calls == []
+            # r = 5: one real pole and two conjugate pairs, factorised once
+            assert len(calls) == 3
+        assert manifests[0]["path"] == "chebyshev table r=5 lu"
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
         assert len(manifests[0]["outputs"]) == 3
 
@@ -638,6 +640,19 @@ class TestErrors:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+         "3 0 1 99999999999999999999\n"),  # an index past int64
+        ("short.ply", "ply\nformat\nend_header\n"),
+    ], ids=["big.off", "short.ply"])
+    def test_malformed_mesh_named(self, tmp_path, capsys, name, text):
+        mesh = tmp_path / name
+        mesh.write_text(text)
+        rc = main(["validate", "--mesh", str(mesh),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"lapbasis: error: {mesh}: " in capsys.readouterr().err
 
     def test_unknown_format_rejected(self, mesh_path, tmp_path, capsys):
         rc = main([

@@ -325,6 +325,16 @@ class TestBulkReaders:
         ("index.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1.5\n", ParseError),
         ("range.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", ParseError),
         ("slash.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 /3\n", ParseError),
+        # an index past int64 overflows the conversion
+        ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+         "3 0 1 99999999999999999999\n", ParseError),
+        ("big.ply", ply_text("3 0 1 99999999999999999999"), ParseError),
+        # header lines without the field they are read for
+        ("format.ply", ply_text("3 0 1 2").replace("format ascii 1.0",
+                                                   "format"), ParseError),
+        ("element.ply", ply_text("3 0 1 2").replace("element vertex 5",
+                                                    "element vertex"),
+         ParseError),
     ])
     def test_malformed_input_raises(self, tmp_path, name, text, error):
         path = tmp_path / name
@@ -349,6 +359,18 @@ class TestBulkReaders:
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ParseError, match=re.escape(message)):
+            lb.load_mesh(path)
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+         "3 0 1 99999999999999999999\n"),
+        ("format.ply", ply_text("3 0 1 2").replace("format ascii 1.0",
+                                                   "format")),
+    ], ids=["big.off", "format.ply"])
+    def test_error_names_the_file(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
             lb.load_mesh(path)
 
 
