@@ -2,9 +2,12 @@
 
 Assembles discrete Laplace-Beltrami operators, computes harmonic /
 Hamiltonian / eigen / filtered-spectral / diffusion / Green-kernel basis
-functions by truncated eigen-expansion or by the spectrum-free rational
-method (a Caratheodory-Fejer table for the exponential), and compares them
-through area, conformal, and kernel metrics.
+functions by truncated eigen-expansion or spectrum-free, and compares them
+through area, conformal, and kernel metrics.  Spectrum-free evaluation has
+two routes: lanczos-exp reads the heat kernel off a Lanczos tridiagonal on
+a symmetric scheme with lumped mass; any other filter is applied as
+partial fractions (a Caratheodory-Fejer table for the exponential) through
+one sparse LU and shifted solve per pole.
 """
 
 from .basis import (

@@ -7,7 +7,6 @@ orderings, so identical inputs give byte-identical files.
 """
 
 import argparse
-import io
 import json
 import os
 import re
@@ -211,38 +210,23 @@ def _load_field_csv(path, n):
         header = fh.readline()
         if not header.startswith("vertex_id"):
             raise ValueError(f"{path}: expected a vertex_id,value header")
-        body = fh.read()
-    tag = os.path.basename(path)
-    # n rows of one "id,value" each convert in one call per column
-    cells = [line.split(",") for line in body.rstrip("\n").split("\n")]
-    if len(cells) == n and set(map(len, cells)) == {2}:
-        ids, values = zip(*cells)
-        try:
-            ids = np.array(ids, dtype=np.int64)
-            values = np.array(values, dtype=float)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if (ids == np.arange(n)).all():
-                return ScalarField(values, tag=tag)
-    # any other file is read row by row, which names its first bad row
-    values = []
-    for row, line in enumerate(io.StringIO(body), start=2):
-        if line.strip():
-            try:
-                vid, v = line.split(",", 1)
-                vid, v = int(vid), float(v)
-            except ValueError as exc:
-                raise ValueError(f"{path}, row {row}: {exc}") from None
-            if vid != len(values):
-                raise ValueError(
-                    f"{path}, row {row}: vertex id {vid}, expected "
-                    f"{len(values)}: ids must be 0, 1, 2, ... in order")
-            values.append(v)
+        values = []
+        for row, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    vid, v = line.split(",", 1)
+                    vid, v = int(vid), float(v)
+                except ValueError as exc:
+                    raise ValueError(f"{path}, row {row}: {exc}") from None
+                if vid != len(values):
+                    raise ValueError(
+                        f"{path}, row {row}: vertex id {vid}, expected "
+                        f"{len(values)}: ids must be 0, 1, 2, ... in order")
+                values.append(v)
     if len(values) != n:
         raise ValueError(f"{path}: {len(values)} rows, expected one per "
                          f"vertex of the {n}-vertex mesh")
-    return ScalarField(np.array(values), tag=tag)
+    return ScalarField(np.array(values), tag=os.path.basename(path))
 
 
 def _ramp_colors(values):

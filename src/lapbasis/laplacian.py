@@ -26,16 +26,14 @@ class LaplacianOperator:
 
     L is symmetric PSD for the FEM schemes; the mean-value scheme stores a
     row-normalised non-symmetric matrix which participates only in
-    harmonic-type and spectrum-free solves.  negative_weight_count reports
-    edge weights with the "wrong" sign (obtuse cotangents), surfaced rather
-    than corrected.
+    harmonic-type and spectrum-free solves.  Edge weights with the "wrong"
+    sign (obtuse cotangents) are kept, not corrected.
     """
 
     L: sp.csr_matrix
     B: sp.csr_matrix
     scheme: str
     mass_mode: str
-    negative_weight_count: int = 0
 
     @property
     def n(self):
@@ -153,10 +151,7 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     else:
         L = _fem_stiffness(n, tris, p, areas)
     B = _mass(n, tris, areas, lumped=mass_mode == "lumped")
-    off = L.copy()
-    off.setdiag(0.0)
-    negatives = int(np.sum(off.data > 0.0))  # positive off-diagonal = negative weight
-    return LaplacianOperator(L, B, scheme, mass_mode, negatives)
+    return LaplacianOperator(L, B, scheme, mass_mode)
 
 
 def _mass_solve(op, rhs):

@@ -5,8 +5,6 @@ are write-protected; the edge list and the CSR adjacency matrices are built
 once by the constructor and shared read-only by every caller.
 """
 
-import itertools
-import operator
 import os
 import re
 from dataclasses import asdict, dataclass
@@ -205,25 +203,23 @@ def vertex_distances(mesh, source, metric="euclidean"):
 # file ingestion
 
 
-def load_mesh(path, format="auto"):
-    """Load an OFF, OBJ, or ascii PLY file into a TriangleMesh.
+def load_mesh(path):
+    """Load an OFF, OBJ, or ascii PLY file into a TriangleMesh; the file
+    extension names the format.
 
     Quads are fan-triangulated with a recorded warning; polygons with more
     than four sides are rejected.
     """
-    if format == "auto":
-        ext = os.path.splitext(path)[1].lower().lstrip(".")
-        format = {"off": "OFF", "obj": "OBJ", "ply": "PLY"}.get(ext)
-        if format is None:
-            raise UnsupportedFeature(f"cannot infer mesh format from {path!r}")
-    format = format.upper()
+    ext = os.path.splitext(path)[1].lower()
+    parse = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}.get(ext)
+    if parse is None:
+        raise UnsupportedFeature(f"cannot infer mesh format from {path!r}")
     with open(path, "r") as fh:
         text = fh.read()
-    parsers = {"OFF": _parse_off, "OBJ": _parse_obj, "PLY": _parse_ply}
-    if format not in parsers:
-        raise UnsupportedFeature(f"unknown mesh format {format!r}")
     try:
-        return parsers[format](text)
+        return parse(text)
+    except UnsupportedFeature as exc:
+        raise UnsupportedFeature(f"{path}: {exc}") from exc
     except (ParseError, ValueError, OverflowError) as exc:
         # the parsers' own errors, constructor-level defects (bad indices,
         # repeated vertices) and numbers beyond int64 are file defects when
@@ -260,9 +256,10 @@ def _face_block(tokens, nf):
 
 def _walk_faces(tokens, nf, warnings, truncated):
     """Triangles of the nf face records ``k i0 ... i(k-1)`` that open
-    tokens, read one record at a time: faces of mixed size, and the first
-    bad record of a block that _face_block cannot convert.  A record short
-    of its k indices raises ParseError(truncated)."""
+    tokens, read one record at a time: the faces of a PLY file, and OFF
+    faces that _face_block cannot convert (mixed sizes, or a bad record,
+    which this raises at).  A record short of its k indices raises
+    ParseError(truncated)."""
     tris, pos = [], 0
     for _ in range(nf):
         k = int(tokens[pos])
@@ -297,46 +294,10 @@ def _parse_off(text):
 
 
 def _parse_obj(text):
-    lines = _COMMENT.sub("", text).splitlines()
-    bulk = _obj_triangles(lines)
-    return TriangleMesh(*bulk) if bulk else _walk_obj(lines)
-
-
-def _obj_triangles(lines):
-    """(vertices, triangles) of OBJ lines whose faces are all triangles,
-    converted in bulk; None for any other lines, which _walk_obj reads."""
-    rows = [line.split() for line in lines]
-    heads = [r[0] if r else "" for r in rows]
-    v_rows = [r[1:4] for r, h in zip(rows, heads) if h == "v"]
-    f_rows = [r for r, h in zip(rows, heads) if h == "f"]
-    if (not v_rows or not f_rows or set(map(len, v_rows)) != {3}
-            or set(map(len, f_rows)) != {4}):
-        return None
-    # a face reference is v, v/vt, v//vn or v/vt/vn: keep the v
-    refs = " ".join(itertools.chain.from_iterable(f_rows))
-    refs = re.sub(r"/\S*", "", refs).split()
-    if len(refs) != 4 * len(f_rows):  # a reference without its v
-        return None
-    del refs[::4]  # the "f" that opens each record
-    try:
-        verts = np.array(v_rows, dtype=float)
-        idx = np.array(refs, dtype=np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError):
-        return None
-    # OBJ indices are 1-based; negative values count back from the
-    # vertices read so far
-    if (idx <= 0).any():
-        seen = np.cumsum([h == "v" for h in heads])[[h == "f" for h in heads]]
-        return verts, np.where(idx > 0, idx - 1, seen[:, None] + idx)
-    return verts, idx - 1
-
-
-def _walk_obj(lines):
-    """The mesh of OBJ lines read one record at a time: files with quads,
-    and files that _obj_triangles cannot convert, whose first bad line it
-    names."""
+    """The mesh of an OBJ file, read one record at a time; a bad record
+    raises ParseError naming its line."""
     verts, tris, warnings = [], [], []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_COMMENT.sub("", text).splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -392,7 +353,7 @@ def _parse_ply(text):
         raise ParseError("PLY header not terminated")
 
     data, pos = list(lines), 0
-    verts, faces, warnings = None, [], []
+    verts, tris, warnings = None, [], []
     for name, count, props in elements:
         rows = list(map(str.split, data[pos : pos + max(count, 0)]))
         if len(rows) < count:
@@ -404,29 +365,18 @@ def _parse_ply(text):
             except ValueError:
                 raise ParseError("PLY vertex element lacks x/y/z") from None
             try:
-                try:
-                    xyz = operator.itemgetter(*cols)
-                    verts = np.array(list(map(xyz, rows)), dtype=float)
-                except (ValueError, IndexError):  # raise at the first bad row
-                    verts = [[float(r[i]) for i in cols] for r in rows]
+                verts = [[float(r[i]) for i in cols] for r in rows]
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad PLY vertex record: {exc}") from exc
         elif name == "face":
-            # one record per line: lines that each hold one triangle
-            # record are converted as one block
+            # one record per line
             try:
-                tris = None
-                if set(map(len, rows)) == {4}:
-                    tris = _face_block(
-                        list(itertools.chain.from_iterable(rows)), count)
-                if tris is None:
-                    tris = [t for r in rows for t in _walk_faces(
-                        r, 1, warnings, "truncated PLY face record")]
+                for r in rows:
+                    tris.extend(_walk_faces(r, 1, warnings,
+                                            "truncated PLY face record"))
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"bad PLY face record: {exc}") from exc
-            faces.append(tris)
-    tris = faces[0] if len(faces) == 1 else [t for f in faces for t in f]
-    if verts is None or not len(tris):
+    if verts is None or not tris:
         raise ParseError("PLY file lacks vertex or face elements")
     return TriangleMesh(verts, tris, warnings)
 

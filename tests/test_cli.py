@@ -645,7 +645,10 @@ class TestErrors:
         ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
          "3 0 1 99999999999999999999\n"),  # an index past int64
         ("short.ply", "ply\nformat\nend_header\n"),
-    ], ids=["big.off", "short.ply"])
+        ("penta.off", "OFF\n5 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 0 0\n"
+         "5 0 1 2 3 4\n"),  # a 5-sided face
+        ("binary.ply", "ply\nformat binary_little_endian 1.0\nend_header\n"),
+    ], ids=["big.off", "short.ply", "penta.off", "binary.ply"])
     def test_malformed_mesh_named(self, tmp_path, capsys, name, text):
         mesh = tmp_path / name
         mesh.write_text(text)
@@ -871,6 +874,17 @@ class TestErrors:
         b = cli_mod._load_field_csv(str(other), 20)
         assert np.array_equal(a.values, values)
         assert np.array_equal(b.values, values)
+
+    def test_field_csv_first_bad_row_named(self, tmp_path):
+        # row 3 (vertex 1) is out of order and row 6 is not a number:
+        # the error names row 3
+        ids = [0, 2, 1, 3, 4] + list(range(5, 20))
+        path = pathlib.Path(write_field_csv(tmp_path / "a.csv", ids,
+                                            np.ones(20)))
+        path.write_text(path.read_text().replace("\n4,1.0\n", "\n4,x\n"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, row 3: vertex id 2, expected 1")):
+            cli_mod._load_field_csv(str(path), 20)
 
     @pytest.mark.parametrize("argv", [
         ["basis", "harmonic"],

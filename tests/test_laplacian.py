@@ -131,7 +131,6 @@ class TestAssembly:
         )
         tris = np.array([[0, 1, 2], [0, 3, 1]])
         op = lb.assemble(lb.TriangleMesh(verts, tris))
-        assert op.negative_weight_count > 0
         L, _ = dense(op)
         assert L[0, 1] > 0  # the "wrong"-sign weight survives
 
@@ -194,7 +193,8 @@ class TestMeanValue:
     def test_lumped_mass_only(self, sphere2):
         op = lb.assemble(sphere2, scheme="mean_value")
         assert op.mass_mode == "lumped"
-        assert op.negative_weight_count == 0  # W is non-negative
+        off = op.L - sp.diags(op.L.diagonal())
+        assert (off.data <= 0.0).all()  # W is non-negative
         assert (abs(op.B - lb.assemble(sphere2).B) > 0).nnz == 0
         with pytest.raises(ValueError, match="lumped mass only"):
             lb.assemble(sphere2, scheme="mean_value", mass_mode="consistent")

@@ -95,7 +95,7 @@ class TestParsing:
     def test_format_detected_from_extension(self, tmp_path):
         path = tmp_path / "square.off"
         path.write_text(OFF_SQUARE)
-        mesh = lb.load_mesh(path, format="auto")
+        mesh = lb.load_mesh(path)
         assert mesh.n_triangles == 2
 
     def test_obj_one_based_and_quad_fan(self, tmp_path):
@@ -220,8 +220,9 @@ def ply_text(*faces, face_props=""):
 
 @pytest.mark.filterwarnings("error")  # malformed input raises, never warns
 class TestBulkReaders:
-    """The readers convert numbers in bulk and fall back to one record at a
-    time; either way a file reads as its tokens read one by one."""
+    """Only OFF converts in bulk, falling back to one record at a time;
+    OBJ and PLY are read one record at a time.  Either way a file reads as
+    its tokens read one by one."""
 
     @pytest.mark.parametrize("text", [
         OFF_SQUARE,
@@ -353,6 +354,10 @@ class TestBulkReaders:
          "line 5: bad face index 'x'"),
         ("vertex.obj", "v 0 0 0\nv 1 0 q\nv 0 1 0\nf 1 2 3\n",
          "line 2: could not convert string to float: 'q'"),
+        # a bad coordinate in vertex row 2 is named before the short row 4
+        ("vertex.ply", ply_text("3 0 1 2").replace("1 0 0\n", "1 0 q\n")
+         .replace("0 1 0\n", "0 1\n"),
+         "bad PLY vertex record: could not convert string to float: 'q'"),
     ])
     def test_error_names_the_first_bad_record(self, tmp_path, name, text,
                                               message):
@@ -361,16 +366,21 @@ class TestBulkReaders:
         with pytest.raises(ParseError, match=re.escape(message)):
             lb.load_mesh(path)
 
-    @pytest.mark.parametrize("name, text", [
+    @pytest.mark.parametrize("name, text, error", [
         ("big.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
-         "3 0 1 99999999999999999999\n"),
+         "3 0 1 99999999999999999999\n", ParseError),
         ("format.ply", ply_text("3 0 1 2").replace("format ascii 1.0",
-                                                   "format")),
-    ], ids=["big.off", "format.ply"])
-    def test_error_names_the_file(self, tmp_path, name, text):
+                                                   "format"), ParseError),
+        ("penta.off", "OFF\n5 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 0 0\n"
+         "5 0 1 2 3 4\n", UnsupportedFeature),
+        ("binary.ply", ply_text("3 0 1 2").replace(
+            "format ascii 1.0", "format binary_little_endian 1.0"),
+         UnsupportedFeature),
+    ], ids=["big.off", "format.ply", "penta.off", "binary.ply"])
+    def test_error_names_the_file(self, tmp_path, name, text, error):
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(ParseError, match=re.escape(f"{path}: ")):
+        with pytest.raises(error, match=re.escape(f"{path}: ")):
             lb.load_mesh(path)
 
 
