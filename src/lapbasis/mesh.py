@@ -184,9 +184,7 @@ def vertex_distances(mesh, source, metric="euclidean"):
     if metric == "euclidean":
         d = np.linalg.norm(mesh.vertices - mesh.vertices[source], axis=1)
     elif metric == "graph_geodesic":
-        d = csgraph.dijkstra(
-            mesh.adjacency(weighted=True), directed=False, indices=source
-        )
+        d = _graph_distances(mesh, [source])
         if np.any(np.isinf(d)):
             import warnings
 
@@ -197,6 +195,17 @@ def vertex_distances(mesh, source, metric="euclidean"):
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return ScalarField(d, tag=f"distance:{metric}:{source}")
+
+
+def _graph_distances(mesh, sources, limit=np.inf):
+    """Length of the shortest edge path from the nearest of the sources to
+    every vertex; +inf where that exceeds limit, or no path exists.
+
+    The adjacency is stored symmetric, so the directed search finds the
+    undirected distances without the copy that directed=False makes.
+    """
+    return csgraph.dijkstra(mesh.adjacency(weighted=True), directed=True,
+                            indices=sources, min_only=True, limit=limit)
 
 
 # ---------------------------------------------------------------------------

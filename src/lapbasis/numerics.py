@@ -7,8 +7,9 @@ sparse LU (shifted_factor, any scheme and mass), and every solve meets the
 relative residual SHIFTED_RTOL.  For a symmetric L with lumped B, the heat
 kernel exp(-t B^{-1} L) f comes straight from the tridiagonal of the
 Lanczos recurrence (lanczos, on scaled_operator), with a step count fixed
-in advance by an a-priori error bound (lanczos_exp, pencil_bound).  The
-smallest generalized eigenpairs of a stiffness/mass pencil come from
+in advance by an a-priori error bound (lanczos_exp, pencil_bound) and
+checked by Saad's a-posteriori estimate from the same eigendecomposition
+of the tridiagonal.  The smallest generalized eigenpairs of a stiffness/mass pencil come from
 scipy's eigsh (or dense eigh), certified complete by an inertia count.
 Solves with L itself (harmonic, Hamiltonian and Green columns) eliminate
 fixed vertices and factorise once in basis._constrained_solve; B^{-1} is
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dstevd
 from scipy.sparse import csgraph
 
 from .errors import (
@@ -134,7 +136,7 @@ def shifted_factor(B, L, beta):
     return solve
 
 
-LANCZOS_CHECK_EVERY = 4  # Lanczos steps between the guard and the result
+LANCZOS_MIN_STEPS = 5  # smallest a-priori step count of lanczos_exp
 LANCZOS_BREAKDOWN = 1e-12  # next-vector norm, relative to lambda-hat, that
 # ends the Lanczos space as invariant
 
@@ -157,31 +159,28 @@ def scaled_operator(L, B):
     return (sp.diags(1.0 / root) @ L @ sp.diags(1.0 / root)).tocsr(), root
 
 
-def lanczos(A, y0, Q, breakdown):
+def lanczos(A, y0, Q, alpha, beta, breakdown):
     """The three-term Lanczos recurrence on the symmetric A from y0, with
-    no reorthogonalisation: a generator that yields (alpha, beta, b) after
-    each step j.  alpha (j entries) and beta (j - 1 entries) are the
-    diagonal and off-diagonal of the tridiagonal T_j = Q_j^T A Q_j, and b
-    is the norm of the next residual vector, so A Q_j = Q_j T_j +
-    b q e_j^T.  The basis goes into the rows of Q (Q[0] = y0 / |y0|, y0
-    nonzero); the lists grow in place between yields.  The run ends when
-    Q is full or when b <= breakdown (an invariant space).
+    no reorthogonalisation; returns the step count j.  alpha[:j] and
+    beta[:j - 1] are the diagonal and off-diagonal of the tridiagonal
+    T_j = Q_j^T A Q_j, and beta[j - 1] is the norm b of the next residual
+    vector, so A Q_j = Q_j T_j + b q e_j^T.  The basis goes into the rows
+    of Q (Q[0] = y0 / |y0|, y0 nonzero); alpha and beta have len(Q)
+    entries.  The run ends when Q is full or when b <= breakdown (an
+    invariant space).
     """
     Q[0] = y0 / np.linalg.norm(y0)
-    alpha, beta = [], []
     for j in range(len(Q)):
         w = A @ Q[j]
-        alpha.append(Q[j] @ w)
+        alpha[j] = Q[j] @ w
         # BLAS axpy updates w in place, with no temporary per term
-        w = daxpy(Q[j], w, a=-alpha[-1])
-        if beta:
-            w = daxpy(Q[j - 1], w, a=-beta[-1])
-        b = math.sqrt(w @ w)
-        yield alpha, beta, b
-        if b <= breakdown or j + 1 == len(Q):
-            return
-        beta.append(b)
-        np.divide(w, b, out=Q[j + 1])
+        w = daxpy(Q[j], w, a=-alpha[j])
+        if j:
+            w = daxpy(Q[j - 1], w, a=-beta[j - 1])
+        beta[j] = math.sqrt(w @ w)
+        if beta[j] <= breakdown or j + 1 == len(Q):
+            return j + 1
+        np.divide(w, beta[j], out=Q[j + 1])
 
 
 EXP_RTOL = 1e-12  # error asked of a Lanczos exponential, relative to |y_0|
@@ -214,50 +213,52 @@ def lanczos_exp(B, L, t):
     (scaled_operator), and m Lanczos steps on A from y_0 = B^{1/2} f give
     exp(-t A) y_0 ~ |y_0| Q V exp(-t theta) V^T e_1 (Saad 1992), T =
     V diag(theta) V^T.  The step count m is fixed before the run: the
-    smallest count, at least LANCZOS_CHECK_EVERY + 1, whose
-    exp_error_bound with rho tau = t lambda-hat / 4 (pencil_bound) meets
+    smallest count, at least LANCZOS_MIN_STEPS, whose exp_error_bound
+    with rho tau = t lambda-hat / 4 (pencil_bound) meets
     tol = EXP_RTOL sqrt(min B / max B), so that the pointwise error is at
     most EXP_RTOL |y_0| / sqrt(max B), or EXP_RTOL for a unit column e_s.
     So m depends on the mesh and t alone, Q is allocated once as (m, n),
-    and reruns are byte-identical.  An invariant space (b below LANCZOS_BREAKDOWN lambda-hat) ends a run
-    early, exactly.  Otherwise the guard compares the coefficients of step
-    m with those of step m - LANCZOS_CHECK_EVERY: they may differ by at
-    most tol + exp_error_bound(rho tau, m - LANCZOS_CHECK_EVERY), or
-    NotConverged is raised.
+    and reruns are byte-identical.  An invariant space (b below
+    LANCZOS_BREAKDOWN lambda-hat) ends a run early, exactly.  Otherwise
+    the guard is Saad's (1992) error estimate t b |e_m^T phi_1(-t T) e_1|,
+    phi_1(z) = (e^z - 1) / z, with b the next residual norm; it comes
+    from the one tridiagonal eigendecomposition per column that the
+    result needs, and NotConverged is raised when it exceeds tol.
     """
     A, root = scaled_operator(L, B)
     d = B.diagonal()
     lam = pencil_bound(L, B)
     rho_tau = 0.25 * t * lam
     tol = EXP_RTOL * math.sqrt(d.min() / d.max())
-    m = LANCZOS_CHECK_EVERY + 1
+    m = LANCZOS_MIN_STEPS
     while exp_error_bound(rho_tau, m) > tol:
         m += 1
-    slack = tol + exp_error_bound(rho_tau, m - LANCZOS_CHECK_EVERY)
     breakdown = LANCZOS_BREAKDOWN * lam
     Q = np.empty((m, A.shape[0]))
-
-    def coeffs(alpha, beta):
-        theta, V = eigh_tridiagonal(np.array(alpha), np.array(beta))
-        return V @ (np.exp(-t * theta) * V[0])
+    alpha, beta = np.empty(m), np.empty(m)
 
     def solve(f):
         y = root * f
         scale = np.linalg.norm(y)
         if scale == 0.0:
             return np.zeros_like(f), 0
-        for alpha, beta, b in lanczos(A, y, Q, breakdown):
-            steps = len(alpha)
-            if steps == m - LANCZOS_CHECK_EVERY:
-                early = coeffs(alpha, beta)
-        c = coeffs(alpha, beta)
+        steps = lanczos(A, y, Q, alpha, beta, breakdown)
+        # dstevd (eigh_tridiagonal's driver) wants an off-diagonal of
+        # length at least 1; for a 1 x 1 T it reads none of it
+        theta, V, info = dstevd(alpha[:steps], beta[:max(steps - 1, 1)])
+        if info:
+            raise NotConverged(f"tridiagonal eigensolver failed (info {info})")
+        c = V @ (np.exp(-t * theta) * V[0])
+        b = beta[steps - 1]
         if b > breakdown:
-            change = np.linalg.norm(c - np.pad(early, (0, len(c) - len(early))))
-            if change > slack:
+            z = -t * theta
+            phi = np.divide(np.expm1(z), z, out=np.ones(steps), where=z != 0.0)
+            estimate = t * b * abs(V[-1] @ (phi * V[0]))
+            if estimate > tol:
                 raise NotConverged(
-                    f"Lanczos exponential moved {change:.2e} over its last "
-                    f"{LANCZOS_CHECK_EVERY} of {m} steps (allowed "
-                    f"{slack:.2e}, t lambda-hat {t * lam:.3g})")
+                    f"Lanczos exponential error estimate {estimate:.2e} "
+                    f"after {m} steps exceeds {tol:.2e} "
+                    f"(t lambda-hat {t * lam:.3g})")
         return (scale * (c @ Q[:steps])) / root, steps
 
     return m, solve

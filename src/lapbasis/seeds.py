@@ -10,7 +10,7 @@ from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text
 from .laplacian import _mass_solve, assemble
-from .mesh import vertex_distances
+from .mesh import _graph_distances, vertex_distances
 
 DEFAULT_TAU = 1e-3
 
@@ -57,7 +57,9 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
     chosen ones; ties break to the lowest vertex index.
 
     start=None picks the curvature maximum (assembling a default operator
-    when none is supplied).
+    when none is supplied).  A geodesic search from a new seed stops at
+    the current farthest distance of the unchosen vertices, beyond which
+    it cannot lower their minimum.
     """
     n = mesh.n_vertices
     if not 1 <= k <= n:
@@ -80,9 +82,11 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         nxt = int(np.argmax(np.where(taken, -np.inf, dist)))
         chosen.append(nxt)
         taken[nxt] = True
-        dist = np.minimum(
-            dist, field_values(vertex_distances(mesh, nxt, metric))
-        )
+        if metric == "graph_geodesic":
+            d = _graph_distances(mesh, [nxt], limit=dist[nxt])
+        else:
+            d = field_values(vertex_distances(mesh, nxt, metric))
+        dist = np.minimum(dist, d)
     return SeedSet(chosen, method="fps", start=int(start), metric=metric)
 
 
@@ -121,6 +125,13 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     farthest (graph distance) from the covered set, ties to the lowest
     index.  Seeds are never reselected.  Each new seed must cover at least
     its own vertex, which guarantees termination in at most n iterations.
+
+    The distance to the covered set is kept across iterations: each
+    iteration searches only from the vertices it newly covered, stops at
+    the largest distance of a still-uncovered vertex (a longer path cannot
+    lower it), and takes the minimum with the kept distances.  So every
+    vertex is a search source at most once per run, and the distances of
+    uncovered vertices equal those of a full search from the covered set.
     """
     n = mesh.n_vertices
     fps = farthest_point_sampling(mesh, min(k0, n), start=start,
@@ -128,11 +139,12 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     seed_list = list(fps)
     pending = list(fps)
     covered = np.zeros(n, dtype=bool)
+    d_cov = np.full(n, np.inf)
     fields = []
     history = []
     adj = mesh.adjacency()
-    wadj = mesh.adjacency(weighted=True)
     for _ in range(n):
+        was_covered = covered.copy()
         for s in pending:
             f = generator(s)
             sup = support(f, tau)
@@ -153,9 +165,9 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
         uncovered = np.flatnonzero(~covered)
         sub = adj[uncovered][:, uncovered]
         ncomp, labels = csgraph.connected_components(sub, directed=False)
-        d_cov = csgraph.dijkstra(wadj, directed=False,
-                                 indices=np.flatnonzero(covered),
-                                 min_only=True)
+        d_cov = np.minimum(d_cov, _graph_distances(
+            mesh, np.flatnonzero(covered & ~was_covered),
+            limit=d_cov[uncovered].max()))
         reps = []
         for c in range(ncomp):
             verts = uncovered[labels == c]

@@ -488,6 +488,35 @@ class TestLanczosExp:
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
         assert kernel.max_lanczos_steps == kernel.steps
 
+    def test_guard_quiet_at_large_t(self, bumpy4):
+        # m = 141 here; Saad's estimate stays below 1e-3 of the tolerance
+        t = 0.25
+        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(t))
+        seeds = [0, 1000, bumpy4.n - 1]
+        A = -t * (sp.diags(1.0 / bumpy4.B.diagonal()) @ bumpy4.L)
+        E = np.zeros((bumpy4.n, len(seeds)))
+        E[seeds, np.arange(len(seeds))] = 1.0
+        want = expm_multiply(A.tocsr(), E)
+        for f, ref in zip(E.T, want.T):
+            got = kernel.apply(f)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert kernel.max_lanczos_steps == kernel.steps
+
+    def test_one_eigensolve_per_column(self, bumpy4, monkeypatch):
+        calls = []
+        original = lb.numerics.dstevd
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(lb.numerics, "dstevd", counting)
+        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(0.04))
+        for s in (0, 17, 1000):
+            kernel.apply(delta(bumpy4.n, s))
+        # one m x m tridiagonal per column; the guard reuses it
+        assert calls == [kernel.steps] * 3
+
     def test_step_count_is_the_smallest_meeting_the_bound(self, bumpy4):
         t = 0.04
         m, _ = lb.numerics.lanczos_exp(bumpy4.B, bumpy4.L, t)
@@ -502,7 +531,7 @@ class TestLanczosExp:
         monkeypatch.setattr(lb.numerics, "exp_error_bound",
                             lambda rho_tau, m: 0.0)
         kernel = lb.filter_kernel(op3, FilterSpec.exponential(0.04))
-        assert kernel.steps == lb.numerics.LANCZOS_CHECK_EVERY + 1
+        assert kernel.steps == lb.numerics.LANCZOS_MIN_STEPS
         with pytest.raises(NotConverged, match="Lanczos exponential"):
             kernel.apply(delta(op3.n, 0))
 

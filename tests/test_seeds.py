@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import lapbasis as lb
 from lapbasis.basis import ChebyshevKernel
@@ -184,6 +185,69 @@ class TestCoverage:
 
         with pytest.raises(NoProgress):
             lb.coverage_loop(sphere0, op, gen, k0=1, start=0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "graph_geodesic"])
+    @pytest.mark.parametrize("k0", [1, 5])
+    @pytest.mark.parametrize("mesh_name", ["icosphere3", "bumpy3", "torus"])
+    def test_matches_full_search_every_iteration(self, mesh_name, k0, metric,
+                                                 monkeypatch):
+        mesh = {"icosphere3": lambda: lb.icosphere(3),
+                "bumpy3": lambda: lb.bumpy_sphere(3, seed=2),
+                "torus": lambda: lb.torus(40, 12)}[mesh_name]()
+        op = lb.assemble(mesh)
+        n = mesh.n_vertices
+        kern = lb.filter_kernel(op, FilterSpec.exponential(2e-3))
+
+        def gen(seed):
+            return kern.apply(delta_field(n, seed).values)
+
+        # reference: farthest points and distances to the covered set from
+        # a full search every time
+        chosen = [int(np.argmax(lb.field_values(lb.curvature_field(mesh, op))))]
+        dist = np.full(n, np.inf)
+        while len(chosen) < k0:
+            d = lb.field_values(lb.vertex_distances(mesh, chosen[-1], metric))
+            dist = np.minimum(dist, d)
+            dist[chosen] = -np.inf
+            chosen.append(int(np.argmax(dist)))
+        fps = lb.farthest_point_sampling(mesh, k0, metric=metric, op=op)
+        assert fps.indices == chosen
+        seeds, pending, history = list(chosen), list(chosen), []
+        covered = np.zeros(n, dtype=bool)
+        adj, wadj = mesh.adjacency(), mesh.adjacency(weighted=True)
+        while True:
+            for s in pending:
+                covered[lb.support(gen(s))] = True
+            history.append(float(covered.mean()))
+            if covered.all():
+                break
+            uncovered = np.flatnonzero(~covered)
+            _, labels = csgraph.connected_components(
+                adj[uncovered][:, uncovered], directed=False)
+            d_cov = csgraph.dijkstra(wadj, directed=False, min_only=True,
+                                     indices=np.flatnonzero(covered))
+            pending = sorted(
+                int(verts[np.argmax(d_cov[verts])])
+                for verts in (uncovered[labels == c]
+                              for c in range(labels.max() + 1)))
+            seeds += pending
+
+        sources = []
+        original = lb.seeds._graph_distances
+
+        def counting(mesh, src, limit=np.inf):
+            sources.extend(src)
+            return original(mesh, src, limit)
+
+        monkeypatch.setattr(lb.seeds, "farthest_point_sampling",
+                            lambda *args, **kwargs: fps)
+        monkeypatch.setattr(lb.seeds, "_graph_distances", counting)
+        result = lb.coverage_loop(mesh, op, gen, k0=k0, metric=metric)
+        assert result.seeds.indices == seeds
+        assert result.history == history
+        assert len(history) > 2
+        # each vertex is a search source at most once
+        assert len(sources) == len(set(sources)) <= n
 
     def test_coverage_curve_monotone(self, op2, sphere2):
         bs = lb.spectral_set(op2, FilterSpec.exponential(0.05),
