@@ -272,14 +272,17 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     """The evaluator of K_phi: the one place its route is chosen.
 
     A ChebyshevKernel when method is "chebyshev" and the filter has a
-    rational form.  For exp with r None on a symmetric scheme with lumped
-    mass, that kernel takes exp straight from the Lanczos tridiagonal
-    (route lanczos-exp); an explicit r, consistent mass and mean_value
-    use the degree-r table (r = 5 when None), and a rational filter its
-    exact partial fractions.  Else a TruncatedKernel over eig, or over k
-    eigenpairs computed here, which warns for k < n.  Both have apply(f)
-    and path: "chebyshev m=63 lanczos-exp", "chebyshev table r=5 lu",
-    "chebyshev exact-rational lu", "truncated k=100", ...
+    rational form.  The operator picks the exp route: on a symmetric
+    scheme with lumped mass the kernel takes exp straight from the
+    Lanczos tridiagonal (route lanczos-exp); consistent mass and
+    mean_value use the degree-r table (r = 5 when None).  A rational
+    filter takes its exact partial fractions.  Else a TruncatedKernel
+    over eig, or over k eigenpairs computed here, which warns for k < n.
+    r is read only by the table and k only by the truncated route.  Both
+    kernels have apply(f) and path: "chebyshev m=63 lanczos-exp",
+    "chebyshev table r=5 lu", "chebyshev exact-rational lu",
+    "truncated k=100", ...  The table runs on a lumped operator when
+    built directly: ChebyshevKernel(op, partial_fractions(filt, r)).
     """
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
@@ -287,7 +290,7 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
         if filt.kind == "rational":
             return ChebyshevKernel(op, partial_fractions(filt),
                                    "exact-rational")
-        if r is None and _symmetric_lumped(op):
+        if _symmetric_lumped(op):
             return ChebyshevKernel(op, t=filt.t)
         pf = partial_fractions(filt, 5 if r is None else r)
         return ChebyshevKernel(op, pf, f"table r={pf.degree}")
@@ -304,7 +307,8 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
                  eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
     filter_kernel(op, filt, method, r, k, eig) applied to every e_s, its
-    path recorded in params["path"] and each field's tag.  Diffusion is
+    path recorded in params["path"] and each field's tag; that path names
+    r or k where the kernel read one.  Diffusion is
     FilterSpec.exponential(t); other fields go to filter_kernel(...).apply.
     """
     idx = _seed_indices(seeds, op.n)

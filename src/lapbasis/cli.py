@@ -31,9 +31,9 @@ SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
-R_HELP = ("degree of the exp rational table, 3..14; without it exp comes "
-          "straight from a Lanczos tridiagonal (the r = 5 table with "
-          "consistent mass or --scheme meanvalue)")
+R_HELP = ("degree of the exp rational table, 3..14 (default 5), read only "
+          "with consistent mass or --scheme meanvalue; otherwise exp comes "
+          "straight from a Lanczos tridiagonal")
 
 
 def _common(parser, operator=True):
@@ -321,9 +321,7 @@ def cmd_basis(args, run, mesh, op):
             raise ValueError("basis spectral needs --filter")
         bs = basis_mod.spectral_set(op, filt, _parse_seed_args(args, mesh, op),
                                     method=args.method, r=args.r, k=args.k)
-        path = run.info["path"] = bs.params["path"]
-        # of --r and --k, the kernel read the one its path names
-        args.read -= {"r", "k"} - {w.partition("=")[0] for w in path.split()}
+        run.info["path"] = bs.params["path"]
         _export_fields(run, mesh, bs, fam)
 
 
@@ -431,6 +429,9 @@ def main(argv=None):
         t0 = time.perf_counter()
         COMMANDS[args.command](args, run, mesh, op)
         run.timings["compute_s"] = time.perf_counter() - t0
+        path = run.info.get("path", run.info.get("kernel_path"))
+        if path:  # of --r and --k, the kernel read the one its path names
+            args.read -= {"r", "k"} - {w.partition("=")[0] for w in path.split()}
         unread = [f for d, f in _given(parser, argv).items()
                   if d not in args.read]
         if unread:

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmwrite
 
 from . import numerics
 from .errors import AllDegenerate
@@ -172,11 +171,3 @@ def apply(op, f):
         raise ValueError("field length does not match operator dimension")
     return ScalarField(_mass_solve(op, op.L @ values), tag="laplacian")
 
-
-def save_matrix_market(op, prefix):
-    """Export L and B as Matrix Market files ``<prefix>.L.mtx``/``.B.mtx``."""
-    paths = (f"{prefix}.L.mtx", f"{prefix}.B.mtx")
-    symmetry = "symmetric" if op.is_symmetric else "general"
-    mmwrite(paths[0], op.L.tocoo(), symmetry=symmetry)
-    mmwrite(paths[1], op.B.tocoo(), symmetry="symmetric")
-    return paths

@@ -49,6 +49,13 @@ def delta(n, i):
     return e
 
 
+def exp_table(op, t, r=5):
+    """The degree-r exp table on the LU route, built directly: on a
+    symmetric lumped operator filter_kernel takes lanczos-exp instead."""
+    pf = lb.partial_fractions(FilterSpec.exponential(t), r)
+    return ChebyshevKernel(op, pf, f"table r={pf.degree}")
+
+
 def counting_factor(monkeypatch):
     """Record the shift of every numerics.shifted_factor call."""
     calls = []
@@ -298,6 +305,26 @@ class TestChebyshevKernel:
         # rational sup error 9.35e-6 times the input's B-norm scale
         assert np.abs(cheb - truncated).max() <= 5e-5 * np.abs(f).max()
 
+    def test_table_agrees_with_full_spectrum_r10(self):
+        # acceptance criterion 2 on the r = 5 table itself: the lumped
+        # operator there now takes lanczos-exp
+        op = lb.assemble(lb.icosphere(3, radius=10.0))
+        eig = lb.eigen_basis(op, op.n)
+        for t in (0.1, 1.0):
+            full = lb.field_values(lb.truncated_spectral(
+                eig, FilterSpec.exponential(t), delta(op.n, 0)))
+            table = exp_table(op, t).apply(delta(op.n, 0))
+            assert np.abs(table - full).max() <= 1e-4 * full.max()
+
+    def test_table_gibbs_contrast(self, op4, eig100_2562):
+        # acceptance criterion 3 on the r = 5 table itself
+        t = 1e-2
+        trunc = lb.field_values(lb.truncated_spectral(
+            eig100_2562, FilterSpec.exponential(t), delta(op4.n, 0)))
+        table = exp_table(op4, t).apply(delta(op4.n, 0))
+        assert trunc.min() < table.min()
+        assert table.min() >= -1e-4 * table.max()
+
     def test_exact_rational_matches_dense(self, op2):
         rng = np.random.default_rng(16)
         L, B = dense_lb(op2)
@@ -452,13 +479,13 @@ class TestLanczosRoute:
     def test_expm_multiply_cross_check_n10242(self):
         op = lb.assemble(lb.icosphere(5))
         t, seeds = 1e-3, [0, 5000, 10241]
-        bs = lb.spectral_set(op, FilterSpec.exponential(t), seeds, r=5)
-        assert bs.params["path"] == "chebyshev table r=5 lu"
+        kern = exp_table(op, t)
+        assert kern.path == "chebyshev table r=5 lu"
         A = -t * (sp.diags(1.0 / op.B.diagonal()) @ op.L)
         E = np.zeros((op.n, len(seeds)))
         E[seeds, np.arange(len(seeds))] = 1.0
         want = expm_multiply(A.tocsr(), E)
-        got = bs.matrix()
+        got = np.column_stack([kern.apply(e) for e in E.T])
         # the r = 5 table's error at this n t (3.5e-5 measured); the
         # LU solves add at most 1e-10
         err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
@@ -558,7 +585,7 @@ class TestLanczosExp:
 
         monkeypatch.setattr(lb.numerics, "lanczos", counting)
         exp = lb.filter_kernel(op4, FilterSpec.exponential(0.001))
-        table = lb.filter_kernel(op4, FilterSpec.exponential(0.001), r=5)
+        table = exp_table(op4, 0.001)
         assert (exp.route, table.route) == ("lanczos-exp", "lu")
         want = table.apply(delta(op4.n, 7))
         got = exp.apply(delta(op4.n, 7))
@@ -572,19 +599,23 @@ class TestLanczosExp:
         ("mean_value", "chebyshev table r=5 lu"),
         ("explicit r", "chebyshev table r=7 lu"),
     ])
-    def test_table_kept(self, sphere2, op2, case, path):
-        op, r = op2, None
-        if case == "consistent":
-            op = lb.assemble(sphere2, mass_mode="consistent")
-        elif case == "mean_value":
+    def test_table_kept(self, sphere2, op2_consistent, case, path):
+        op, r = op2_consistent, None
+        if case == "mean_value":
             op = lb.assemble(sphere2, scheme="mean_value")
-        else:
+        elif case == "explicit r":
             r = 7
         kernel = lb.filter_kernel(op, FilterSpec.exponential(0.04), r=r)
         assert kernel.path == path
-        if r is None:  # built directly, the route refuses such an operator
-            with pytest.raises(ValueError, match="lumped mass"):
-                ChebyshevKernel(op, t=0.04)
+        # built directly, the route refuses such an operator
+        with pytest.raises(ValueError, match="lumped mass"):
+            ChebyshevKernel(op, t=0.04)
+
+    def test_lumped_operator_ignores_r(self, op2):
+        # r is the table's degree, and the table is not the route here
+        for r in (None, *range(3, 15)):
+            kernel = lb.filter_kernel(op2, FilterSpec.exponential(0.04), r=r)
+            assert kernel.path == f"chebyshev m={kernel.steps} lanczos-exp"
 
     def test_sphere_heat_kernel_closed_form(self):
         # on the unit sphere k_t(x, y) = sum_l (2l + 1) / (4 pi)
@@ -632,8 +663,6 @@ class TestDiffusion:
         assert np.abs(one - two).max() <= 1e-3 * one.max()
 
     def test_methods_agree(self, op2, eig162_full):
-        from lapbasis.filters import exp_table_error
-
         seed = 33
         t = 0.3
         filt = FilterSpec.exponential(t)
@@ -643,8 +672,9 @@ class TestDiffusion:
                 op2, filt, [seed], method="truncated", k=op2.n, eig=eig162_full
             )[0]
         )
-        # unit delta input: rational sup error bounds the disagreement
-        assert np.abs(cheb - trunc).max() <= 2 * exp_table_error(5)
+        # unit delta input: the lanczos-exp tolerance bounds the
+        # disagreement (2.0e-16 measured)
+        assert np.abs(cheb - trunc).max() <= lb.numerics.EXP_RTOL
 
     def test_truncation_warns(self, op2):
         with pytest.warns(UserWarning, match="spectrum"):
@@ -694,11 +724,13 @@ class TestDiffusion:
         ("exp:t=0.2", "truncated", "truncated k=162"),
         ("rat:num=1;den=1,2,1", "chebyshev", "chebyshev exact-rational"),
     ])
-    def test_spectral_set_matches_per_seed(self, op2, eig162_full, text,
-                                           method, path):
+    def test_spectral_set_matches_per_seed(self, op2, op2_consistent,
+                                           eig162_full, text, method, path):
         filt = lb.parse_filter(text)
         seeds = [0, 50, 100]
-        bs = lb.spectral_set(op2, filt, seeds, method=method, r=5,
+        # exp takes the table only where the mass is not lumped
+        op = op2_consistent if "table" in path else op2
+        bs = lb.spectral_set(op, filt, seeds, method=method, r=5,
                              eig=eig162_full)
         if method == "chebyshev":
             path += " lu"  # every partial fraction takes LU
@@ -706,17 +738,17 @@ class TestDiffusion:
         assert bs.seeds == seeds
         for s, got in zip(seeds, bs):
             if method == "chebyshev":
-                kern = ChebyshevKernel(op2, lb.partial_fractions(filt))
-                want = kern.apply(delta(op2.n, s))
+                kern = ChebyshevKernel(op, lb.partial_fractions(filt))
+                want = kern.apply(delta(op.n, s))
             else:
                 want = lb.truncated_spectral(eig162_full, filt, delta(op2.n, s))
             want = lb.field_values(want)
             assert np.abs(lb.field_values(got) - want).max() <= 1e-12
             assert path in got.tag
 
-    def test_path_reports_kernel_degree(self, op2):
+    def test_path_reports_kernel_degree(self, op2_consistent):
         filt = FilterSpec.exponential(0.2)
-        bs = lb.spectral_set(op2, filt, [0, 50], r=7)
+        bs = lb.spectral_set(op2_consistent, filt, [0, 50], r=7)
         assert bs.params["path"] == "chebyshev table r=7 lu"
         assert all("chebyshev table r=7 lu" in f.tag for f in bs)
 
@@ -745,16 +777,18 @@ class TestDiffusion:
 
 
 class TestFilterKernel:
-    @pytest.mark.parametrize("text, method, kind, path", [
-        ("exp:t=0.2", "chebyshev", ChebyshevKernel, "chebyshev table r=5 lu"),
-        ("rat:num=1;den=1,2,1", "chebyshev", ChebyshevKernel,
+    @pytest.mark.parametrize("mass, text, method, kind, path", [
+        ("consistent", "exp:t=0.2", "chebyshev", ChebyshevKernel,
+         "chebyshev table r=5 lu"),
+        ("lumped", "rat:num=1;den=1,2,1", "chebyshev", ChebyshevKernel,
          "chebyshev exact-rational lu"),
-        ("exp:t=0.2", "truncated", basis_mod.TruncatedKernel,
+        ("lumped", "exp:t=0.2", "truncated", basis_mod.TruncatedKernel,
          "truncated k=162"),
     ], ids=["table-lu", "exact-rational", "truncated"])
-    def test_path_of_each_route(self, op2, eig162_full, text, method, kind,
-                                path):
-        kernel = lb.filter_kernel(op2, lb.parse_filter(text), method, r=5,
+    def test_path_of_each_route(self, op2, op2_consistent, eig162_full, mass,
+                                text, method, kind, path):
+        op = op2_consistent if mass == "consistent" else op2
+        kernel = lb.filter_kernel(op, lb.parse_filter(text), method, r=5,
                                   eig=eig162_full)
         assert isinstance(kernel, kind)
         assert kernel.path == path

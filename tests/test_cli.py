@@ -238,7 +238,8 @@ class TestBasisCommand:
         out = tmp_path / "run"
         rc = main([
             "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
-            "--filter", "exp:t=0.2", "--r", "5", "--out", str(out),
+            "--filter", "exp:t=0.2", "--r", "5", "--mass", "consistent",
+            "--out", str(out),
         ])
         assert rc == 0
         manifest = read_manifest(out)
@@ -402,7 +403,8 @@ class TestMetricsCommand:
     def test_records_filter_paths(self, mesh_path, fields_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(["metrics", "--mesh", mesh_path, "--metric", "kernel",
-                   "--fields-dir", fields_dir, "--r", "7", "--out", str(out)])
+                   "--fields-dir", fields_dir, "--r", "7",
+                   "--mass", "consistent", "--out", str(out)])
         assert rc == 0
         manifest = read_manifest(out)
         assert manifest["kernel_path"] == "chebyshev table r=7 lu"
@@ -447,7 +449,8 @@ class TestCoverageCommand:
         out = tmp_path / "run"
         rc = main([
             "coverage", "--mesh", mesh_path, "--t", "0.005", "--k0", "5",
-            "--start", "0", "--r", "5", "--out", str(out),
+            "--start", "0", "--r", "5", "--mass", "consistent",
+            "--out", str(out),
         ])
         assert rc == 0
         with open(out / "coverage_report.json") as fh:
@@ -458,9 +461,10 @@ class TestCoverageCommand:
     def test_path_records_lu_route(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main(["coverage", "--mesh", mesh_path, "--t", "0.005",
-                   "--k0", "5", "--r", "5", "--out", str(out)])
+                   "--k0", "5", "--r", "5", "--mass", "consistent",
+                   "--out", str(out)])
         assert rc == 0
-        # an explicit r takes the table, whose poles take LU
+        # consistent mass takes the table, whose poles take LU
         assert read_manifest(out)["path"] == "chebyshev table r=5 lu"
 
     def test_small_t_lanczos_reruns_byte_identical(self, tmp_path,
@@ -480,7 +484,8 @@ class TestCoverageCommand:
             out = tmp_path / name
             calls.clear()
             rc = main(["coverage", "--mesh", str(mesh), "--t", "0.001",
-                       "--k0", "10", "--r", "5", "--out", str(out)])
+                       "--k0", "10", "--r", "5", "--mass", "consistent",
+                       "--out", str(out)])
             assert rc == 0
             manifests.append(read_manifest(out))
             # r = 5: one real pole and two conjugate pairs, factorised once
@@ -780,15 +785,42 @@ class TestErrors:
          "--seeds", "0"],
         ["basis", "spectral", "--filter", "exp:t=0.1", "--method",
          "truncated", "--k", "20", "--seeds", "0"],
-        ["basis", "diffusion", "--fps", "3", "--start", "5", "--r", "7"],
+        ["basis", "diffusion", "--fps", "3", "--start", "5", "--r", "7",
+         "--mass", "consistent"],
         ["metrics", "--metric", "kernel", "--fields-dir", "EIGEN",
-         "--kernel-t", "0.2", "--r", "7"],
+         "--kernel-t", "0.2", "--r", "7", "--mass", "consistent"],
     ], ids=["poly-k", "truncated-k", "fps-start-r", "kernel-eigen"])
     def test_read_options_accepted(self, mesh_path, eigen_dir, tmp_path, argv):
         argv = [eigen_dir if a == "EIGEN" else a for a in argv]
         with on_truncated_route(argv):
             rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "diffusion", "--seeds", "1,2"],
+        ["basis", "spectral", "--filter", "exp:t=0.1", "--seeds", "1"],
+        ["coverage", "--t", "0.05", "--k0", "3", "--start", "0"],
+        ["metrics", "--metric", "kernel", "--fields-dir", "FIELDS"],
+    ], ids=["basis-diffusion", "basis-spectral-exp", "coverage",
+            "metrics-kernel"])
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_r_read_by_the_table_only(self, mesh_path, fields_dir, tmp_path,
+                                      capsys, argv, mass):
+        # lumped mass takes lanczos-exp, which has no table degree to read
+        argv = [fields_dir if a == "FIELDS" else a for a in argv]
+        out = tmp_path / "o"
+        rc = main(argv + ["--r", "5", "--mass", mass, "--mesh", mesh_path,
+                          "--out", str(out)])
+        if mass == "lumped":
+            assert rc == 1
+            assert "--r: not read" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+        else:
+            assert rc == 0
+            manifest = read_manifest(out)
+            path = manifest.get("path", manifest.get("kernel_path"))
+            assert path == "chebyshev table r=5 lu"
+            assert manifest["parameters"]["r"] == 5
 
     @pytest.mark.parametrize("ids", ["shuffled", "repeated"])
     @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])

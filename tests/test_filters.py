@@ -1,5 +1,8 @@
 """Spectral filters: closed forms, partial fractions, the exp table."""
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from lapbasis.errors import (
 )
 from lapbasis._exp_cheb import TABLE
 from lapbasis.filters import FilterSpec, exp_table_error
+
+GENERATOR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools", "gen_exp_cheb_table.py")
 
 
 class TestEvaluate:
@@ -111,6 +117,24 @@ class TestExpTable:
         scaled = pf.scaled(t)
         for s in (0.0, 0.4, 2.0, 50.0):
             assert scaled(s) == pytest.approx(pf(t * s), abs=1e-15)
+
+    def test_table_reproduced_by_its_generator(self):
+        # loaded from its file; main, the one function that writes, not run
+        spec = importlib.util.spec_from_file_location("gen_exp_cheb_table",
+                                                      GENERATOR)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for r in (3, 5, 14):
+            alpha0, alpha, beta = gen.to_partial_fraction(
+                *gen.cf_exp_negative_axis(r), gen.GRID)
+            got = np.array(gen.symmetrize(alpha, beta))
+            want_alpha0, pairs = TABLE[r]
+            want = np.array(pairs)
+            # alpha0 on the scale of exp(-s), at most 1; each column of
+            # (alpha, beta) normwise: 1.3e-12 measured at r = 14
+            assert abs(alpha0 - want_alpha0) <= 1e-9
+            err = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+            assert err.max() <= 1e-9
 
     def test_evaluation_is_real(self):
         pf = lb.exp_chebyshev_coefficients(6)

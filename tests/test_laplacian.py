@@ -5,12 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 import lapbasis as lb
 from lapbasis.errors import AllDegenerate
-from lapbasis.laplacian import save_matrix_market
 
 
 def dense(op):
@@ -219,12 +217,3 @@ class TestMeanValue:
         assert np.count_nonzero(np.delete(L[4], 4)) >= 2
         assert np.abs(L.sum(axis=1)).max() <= 1e-12
 
-
-class TestExport:
-    def test_matrix_market_round_trip(self, op1, tmp_path):
-        prefix = tmp_path / "op"
-        paths = [str(p) for p in save_matrix_market(op1, prefix)]
-        L = scipy.io.mmread(paths[0]).tocsr()
-        B = scipy.io.mmread(paths[1]).tocsr()
-        assert (abs(L - op1.L) > 1e-15).nnz == 0
-        assert (abs(B - op1.B) > 1e-15).nnz == 0

@@ -18,6 +18,8 @@ import numpy as np
 from scipy.linalg import hankel, svd
 
 DEGREES = range(3, 15)
+# alpha0 is fitted, and each degree's error checked, on this grid
+GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 200001)])
 
 
 def cf_exp_negative_axis(n, big_k=75, nf=1024, scl=9.0):
@@ -94,17 +96,16 @@ def symmetrize(alpha, beta):
 
 
 def main(out_path):
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 200001)])
     table = {}
     errors = {}
     for n in DEGREES:
         zk, ck = cf_exp_negative_axis(n)
-        alpha0, alpha, beta = to_partial_fraction(zk, ck, grid)
+        alpha0, alpha, beta = to_partial_fraction(zk, ck, GRID)
         pairs = symmetrize(alpha, beta)
-        vals = np.full_like(grid, alpha0)
+        vals = np.full_like(GRID, alpha0)
         for a, b in pairs:
-            vals += (a / (1.0 + b * grid)).real
-        err = float(np.max(np.abs(vals - np.exp(-grid))))
+            vals += (a / (1.0 + b * GRID)).real
+        err = float(np.max(np.abs(vals - np.exp(-GRID))))
         table[n] = (alpha0, pairs)
         errors[n] = err
         print(f"degree {n:2d}: sup error {err:.3e} over [0, 1e4]")
