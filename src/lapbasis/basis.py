@@ -15,7 +15,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import numerics
 from .errors import (
@@ -48,9 +47,9 @@ def _constrained_solve(M, fixed, values, rhs=None):
     """Solve M G = rhs for an (n, m) block G fixed to values on rows fixed.
 
     Elimination form: the fixed rows of M are dropped and the free block
-    M_ff G_f = rhs_f - M_fs values is factorised once with splu, every
-    column solved in one call (rhs None is zero).  Works for non-symmetric
-    M too (general sparse LU).
+    M_ff G_f = rhs_f - M_fs values is factorised once (numerics.factor),
+    every column solved in one call (rhs None is zero).  Works for
+    non-symmetric M too (general sparse LU).
     """
     n = M.shape[0]
     free = np.ones(n, dtype=bool)
@@ -59,16 +58,11 @@ def _constrained_solve(M, fixed, values, rhs=None):
     R = -(Mf[:, fixed] @ values)
     if rhs is not None:
         R += rhs[free]
-    try:
-        lu = spla.splu(Mf[:, free].tocsc())
-    except RuntimeError as exc:
-        raise SingularSystem(
-            "constrained system is singular; is the mesh connected?"
-        ) from exc
+    _, solve = numerics.factor(Mf[:, free])
     G = np.zeros((n, values.shape[1]))
     G[fixed] = values
     if len(R):
-        G[free] = lu.solve(R)
+        G[free] = solve(R)
     return G
 
 
@@ -79,10 +73,16 @@ def _seed_fields(G, idx, tag):
             for j, s in enumerate(idx)]
 
 
-def _interpolants(M, seeds, family, params):
+def _interpolants(op, M, seeds, family, params):
     """Columns of M^{-1} with every seed row replaced by a unit row:
-    g_i = delta_ij at the seeds, M g_i = 0 elsewhere."""
-    idx = _seed_indices(seeds, M.shape[0])
+    g_i = delta_ij at the seeds, M g_i = 0 elsewhere.  M is singular on a
+    component that it annihilates and no seed touches: SingularSystem."""
+    idx = _seed_indices(seeds, op.n)
+    bare = [np.flatnonzero(v)[0] for v in
+            numerics.component_nullspace(M, op.B).T if not v[idx].any()]
+    if bare:
+        raise SingularSystem(f"{family} system is singular: no seed on the "
+                             "component of vertex " + ", ".join(map(str, bare)))
     G = _constrained_solve(M, idx, np.eye(len(idx)))
     return BasisSet(_seed_fields(G, idx, family + "[seed={}]"), family,
                     seeds=idx.tolist(), params=params)
@@ -95,7 +95,7 @@ def harmonic_basis(op, seeds):
     All seed rows are constrained simultaneously, so the returned set is an
     exact partition of unity on a connected mesh.
     """
-    return _interpolants(op.L, seeds, "harmonic", {"scheme": op.scheme})
+    return _interpolants(op, op.L, seeds, "harmonic", {"scheme": op.scheme})
 
 
 def hamiltonian_basis(op, V, mu, seeds):
@@ -114,7 +114,8 @@ def hamiltonian_basis(op, V, mu, seeds):
             stacklevel=2,
         )
     H = (op.L + mu * (op.B @ sp.diags(v))).tocsc()
-    return _interpolants(H, seeds, "hamiltonian", {"scheme": op.scheme, "mu": mu})
+    return _interpolants(op, H, seeds, "hamiltonian",
+                         {"scheme": op.scheme, "mu": mu})
 
 
 def eigen_basis(op, k):

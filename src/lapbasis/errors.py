@@ -52,7 +52,7 @@ class NearSingularShift(SolverFailure):
 
 
 class FactorizationFailed(SolverFailure):
-    """Sparse factorisation of the shifted matrix failed."""
+    """Sparse LU factorisation failed (numerics.factor)."""
 
 
 # filters

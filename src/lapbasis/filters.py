@@ -46,8 +46,9 @@ class FilterSpec:
 
     @classmethod
     def exponential(cls, t):
-        if t <= 0:
-            raise ValueError("diffusion scale t must be positive")
+        if not 0 < t < np.inf:
+            raise ValueError(f"diffusion scale t must be finite and positive,"
+                             f" got {t!r}")
         return cls("exponential", t=float(t))
 
     @classmethod
@@ -76,6 +77,9 @@ class FilterSpec:
             raise DegreeMismatch("numerator degree exceeds denominator degree")
         if not any(den):
             raise ValueError("denominator is identically zero")
+        if not np.isfinite(num + den).all():
+            raise ValueError(f"rational coefficients must be finite, got "
+                             f"num={num}, den={den}")
         return cls("rational", num=num, den=den)
 
     @classmethod
@@ -83,6 +87,9 @@ class FilterSpec:
         samples = tuple(sorted((float(s), float(v)) for s, v in samples))
         if len(samples) < 2:
             raise ValueError("custom filter needs at least two samples")
+        if not np.isfinite(samples).all():
+            raise ValueError(f"custom filter samples must be finite, got "
+                             f"{samples}")
         return cls("custom", table=samples)
 
     @property

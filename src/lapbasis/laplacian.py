@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import numerics
 from .errors import AllDegenerate
@@ -155,13 +154,13 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
 
 def _mass_solve(op, rhs):
     """B^{-1} rhs for a vector or an (n, m) block: a diagonal divide for
-    lumped mass, one sparse LU of B for consistent mass.  A vertex in no
+    lumped mass, numerics.factor(B) for consistent mass.  A vertex in no
     non-degenerate triangle has no mass and makes B singular."""
     numerics.check_mass(op.B)
     if op.mass_mode == "lumped":
         d = op.B.diagonal()
         return rhs / (d[:, None] if rhs.ndim == 2 else d)
-    return spla.splu(op.B.tocsc()).solve(rhs)
+    return numerics.factor(op.B)[1](rhs)
 
 
 def apply(op, f):

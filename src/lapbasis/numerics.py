@@ -1,19 +1,20 @@
-"""Shifted sparse solves, the Lanczos exponential and the certified
-shift-invert eigensolver.
+"""Sparse solves, the Lanczos exponential and the certified shift-invert
+eigensolver.
 
-The spectral routes reduce to three primitives.  A shifted
-(complex-)symmetric system B + beta L is factorised once per shift by
-sparse LU (shifted_factor, any scheme and mass), and every solve meets the
-relative residual SHIFTED_RTOL.  For a symmetric L with lumped B, the heat
-kernel exp(-t B^{-1} L) f comes straight from the tridiagonal of the
-Lanczos recurrence (lanczos, on scaled_operator), with a step count fixed
-in advance by an a-priori error bound (lanczos_exp, pencil_bound) and
-checked by Saad's a-posteriori estimate from the same eigendecomposition
-of the tridiagonal.  The smallest generalized eigenpairs of a stiffness/mass pencil come from
-scipy's eigsh (or dense eigh), certified complete by an inertia count.
-Solves with L itself (harmonic, Hamiltonian and Green columns) eliminate
-fixed vertices and factorise once in basis._constrained_solve; B^{-1} is
-laplacian._mass_solve.  Matrices are plain scipy sparse matrices.
+The spectral routes reduce to three primitives.  Every solve with a sparse
+matrix goes through one sparse LU (factor), and each of its columns meets
+the relative residual SHIFTED_RTOL: the shifted (complex-)symmetric
+B + beta L (shifted_factor, any scheme and mass), the constrained blocks
+of the harmonic, Hamiltonian and Green columns (basis._constrained_solve)
+and B^{-1} for consistent mass (laplacian._mass_solve).  For a symmetric L
+with lumped B, the heat kernel exp(-t B^{-1} L) f comes straight from the
+tridiagonal of the Lanczos recurrence (lanczos, on scaled_operator), with
+a step count fixed in advance by an a-priori error bound (lanczos_exp,
+pencil_bound) and checked by Saad's a-posteriori estimate from the same
+eigendecomposition of the tridiagonal.  The smallest generalized
+eigenpairs of a stiffness/mass pencil come from scipy's eigsh (or dense
+eigh), certified complete by an inertia count.  Matrices are plain scipy
+sparse matrices.
 """
 
 import math
@@ -87,52 +88,56 @@ def component_nullspace(L, B):
 
 
 # ---------------------------------------------------------------------------
-# shifted solves
+# sparse solves
 
-SHIFTED_RTOL = 1e-10  # relative residual every shifted solve must reach
+SHIFTED_RTOL = 1e-10  # relative residual every sparse solve must reach
 
 
-def shifted_factor(B, L, beta):
-    """Factorise (B + beta L) once; returns a solver closure rhs -> g.
-
-    Complex shifts give complex symmetric (non-Hermitian) systems; these are
-    solved by sparse LU with iterative refinement.  Raises NearSingularShift
-    when the factorisation looks numerically singular (estimated condition
-    above 1e14); the closure raises NotConverged when refinement stalls.
-    B must have a positive diagonal (check_mass).
-    """
-    check_mass(B)
-    dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
-    M = (B + beta * L).astype(dtype).tocsc()
+def factor(M):
+    """One sparse LU of M (FactorizationFailed if SuperLU fails); returns
+    (lu, solve).  solve takes a vector or an (n, m) block; each column is
+    refined, x <- x + lu.solve(b - M x) up to 3 times, until its residual
+    meets SHIFTED_RTOL |b|, else NotConverged.  A zero column gives zeros."""
+    M = M.tocsc()
     try:
         lu = spla.splu(M)
     except RuntimeError as exc:
-        raise FactorizationFailed(f"shifted factorisation failed: {exc}") from exc
+        raise FactorizationFailed(f"sparse factorisation failed: {exc}") from exc
 
+    def solve(rhs):
+        b = np.asarray(rhs).astype(M.dtype)
+        x = lu.solve(b)
+        for col in np.ndindex(b.shape[1:]):  # one empty index for a vector
+            c = (slice(None), *col)
+            bnorm = np.linalg.norm(b[c])
+            for step in range(4):
+                r = b[c] - M @ x[c]
+                if np.linalg.norm(r) <= SHIFTED_RTOL * bnorm:
+                    break
+                if step == 3:
+                    rel = np.linalg.norm(r) / bnorm
+                    raise NotConverged(f"sparse solve residual {rel:.2e}")
+                x[c] += lu.solve(r)
+            if bnorm == 0.0:
+                x[c] = 0.0
+        return x
+
+    return lu, solve
+
+
+def shifted_factor(B, L, beta):
+    """The solve of factor(B + beta L), complex symmetric for a complex
+    beta.  NearSingularShift, naming beta, when the pivot ratio exceeds
+    1e14: only a shift lands on -1/lambda.  B must pass check_mass."""
+    check_mass(B)
+    dtype = complex if np.iscomplexobj(np.asarray(beta)) else float
+    lu, solve = factor((B + beta * L).astype(dtype))
     u = np.abs(lu.U.diagonal())
     if u.min() == 0.0 or u.max() / u.min() > 1e14:
         raise NearSingularShift(
             f"estimated condition {u.max() / max(u.min(), 1e-300):.1e} "
             "for shift beta=" + repr(beta)
         )
-
-    def solve(rhs):
-        b = np.asarray(rhs).astype(dtype)
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b, dtype=dtype)
-        x = lu.solve(b)
-        for _ in range(3):
-            r = b - M @ x
-            if np.linalg.norm(r) <= SHIFTED_RTOL * bnorm:
-                break
-            x = x + lu.solve(r)
-        else:
-            rel = np.linalg.norm(b - M @ x) / bnorm
-            if rel > SHIFTED_RTOL:
-                raise NotConverged(f"shifted solve residual {rel:.2e}")
-        return x
-
     return solve
 
 
@@ -301,6 +306,7 @@ def smallest_eigenpairs(L, B, k, seed=0):
         vals, X = eigh(Lm.toarray(), Bm.toarray(), subset_by_index=[q, k - 1])
         return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B)
 
+    # raw splu: ARPACK's solves must not be refined; SIGMA sits next to ker L
     try:
         lu = spla.splu((Lm - SIGMA * Bm).tocsc())
     except RuntimeError as exc:

@@ -12,12 +12,14 @@ from scipy.special import eval_legendre
 
 import lapbasis as lb
 from lapbasis import basis as basis_mod
+from lapbasis import numerics
 from lapbasis.basis import GREEN_PIN, ChebyshevKernel
 from lapbasis.errors import (
     DisconnectedMesh,
     DuplicateSeeds,
     NotConverged,
     SchemeNotSymmetric,
+    SingularSystem,
 )
 from lapbasis.filters import FilterSpec
 
@@ -132,6 +134,34 @@ class TestHarmonic:
         F = lb.harmonic_basis(op3, seeds).matrix()
         want = np.eye(3)
         assert np.allclose(F[seeds], want, atol=1e-12)
+
+
+class TestSeedlessComponent:
+    """Two disjoint icosphere(2)s with seeds on the first one only."""
+
+    @pytest.fixture(scope="class")
+    def spheres(self, sphere2):
+        return merge_meshes(sphere2, sphere2)
+
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    @pytest.mark.parametrize("make", [
+        lb.harmonic_basis,
+        lambda op, seeds: lb.hamiltonian_basis(op, np.ones(op.n), 0.0, seeds),
+    ], ids=["harmonic", "hamiltonian-mu0"])
+    def test_singular_system_names_the_component(self, spheres, mass, make):
+        op = lb.assemble(spheres, mass_mode=mass)
+        with pytest.raises(SingularSystem, match="vertex 162"):
+            make(op, [0, 40, 99])
+
+    def test_screened_operator_returns_zero_columns(self, spheres):
+        op = lb.assemble(spheres)
+        F = lb.hamiltonian_basis(op, np.ones(op.n), 2.0, [0, 40, 99]).matrix()
+        assert np.array_equal(F[162:], np.zeros((162, 3)))
+        assert np.allclose(F[[0, 40, 99]], np.eye(3), atol=1e-12)
+
+    def test_seeds_on_every_component_accepted(self, spheres):
+        F = lb.harmonic_basis(lb.assemble(spheres), [0, 200]).matrix()
+        assert np.abs(F.sum(axis=1) - 1.0).max() <= 1e-8
 
 
 class TestHamiltonian:
@@ -958,13 +988,13 @@ class TestEliminationSolve:
     @pytest.mark.parametrize("family", sorted(ELIMINATION_FAMILIES))
     def test_one_factorisation_per_seed_set(self, op2, family, monkeypatch):
         calls = []
-        splu = basis_mod.spla.splu
+        splu = numerics.spla.splu
 
         def counting(*args, **kwargs):
             calls.append(args)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(basis_mod.spla, "splu", counting)
+        monkeypatch.setattr(numerics.spla, "splu", counting)
         bs = ELIMINATION_FAMILIES[family](op2, self.SEEDS)
         assert len(bs) == len(self.SEEDS)
         assert len(calls) == 1

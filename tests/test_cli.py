@@ -727,7 +727,10 @@ class TestErrors:
         ["basis", "diffusion", "--seeds", "0"],  # shifted solves
         ["basis", "spectral", "--filter", "poly:k=2", "--seeds", "0"],
         ["basis", "green", "--seeds", "0"],
-    ], ids=["spectrum", "diffusion", "poly", "green"])
+        ["basis", "harmonic", "--seeds", "0"],  # constrained solves
+        ["basis", "hamiltonian", "--seeds", "0"],
+    ], ids=["spectrum", "diffusion", "poly", "green", "harmonic",
+            "hamiltonian"])
     def test_massless_vertex_named_on_every_route(self, isolated_path,
                                                   tmp_path, capsys, argv):
         # RuntimeWarnings are errors under the suite's warning filter
@@ -737,6 +740,29 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "vertex 162" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["basis", "diffusion", "--t", "nan", "--seeds", "0"], "nan"),
+        (["coverage", "--t", "inf", "--k0", "3"], "inf"),
+        (["basis", "spectral", "--filter", "exp:t=nan", "--seeds", "0"],
+         "nan"),
+        (["metrics", "--metric", "kernel", "--fields-dir", "FIELDS",
+          "--kernel-t", "nan"], "nan"),
+        (["basis", "spectral", "--filter", "rat:num=nan;den=1,1",
+          "--seeds", "0"], "nan"),
+    ], ids=["diffusion-t", "coverage-t", "spectral-exp", "kernel-t",
+            "spectral-rat"])
+    def test_non_finite_filter_parameter_rejected(self, mesh_path, fields_dir,
+                                                  tmp_path, capsys, argv,
+                                                  shown):
+        # a non-finite heat scale once sent the Lanczos step search into
+        # an endless loop
+        argv = [fields_dir if a == "FIELDS" else a for a in argv]
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "finite" in err and shown in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

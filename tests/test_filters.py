@@ -67,6 +67,21 @@ class TestEvaluate:
         # beyond the last node the tail value holds
         assert lb.evaluate(spec, 5.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("make, shown", [
+        (lambda: FilterSpec.exponential(float("nan")), "nan"),
+        (lambda: FilterSpec.exponential(float("inf")), "inf"),
+        (lambda: FilterSpec.rational([float("nan")], [1.0, 1.0]), "nan"),
+        (lambda: FilterSpec.rational([1.0], [float("nan"), 1.0]), "nan"),
+        (lambda: FilterSpec.rational([1.0], [1.0, float("-inf")]), "-inf"),
+        (lambda: FilterSpec.custom([(0.0, 1.0), (1.0, float("nan"))]), "nan"),
+        (lambda: FilterSpec.custom([(0.0, 1.0), (float("inf"), 0.5)]), "inf"),
+    ], ids=["exp-nan", "exp-inf", "rat-num-nan", "rat-den-nan",
+            "rat-den-inf", "custom-value-nan", "custom-node-inf"])
+    def test_non_finite_parameters_rejected(self, make, shown):
+        with pytest.raises(ValueError, match="finite") as info:
+            make()
+        assert shown in str(info.value)
+
     def test_describe_mentions_kind(self):
         assert "exp" in FilterSpec.exponential(0.5).describe()
 

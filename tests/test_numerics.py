@@ -1,5 +1,8 @@
 """Sparse solvers and the shift-invert eigensolver against dense oracles."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +18,9 @@ from lapbasis.errors import (
     SolverFailure,
 )
 from lapbasis.numerics import (
+    SHIFTED_RTOL,
     component_nullspace,
+    factor,
     shifted_factor,
     smallest_eigenpairs,
 )
@@ -90,6 +95,78 @@ class TestSolveShifted:
             kappa = np.linalg.cond(C)
             want = (1 + beta * lam[-1]) / (1 + beta * lam[0])
             assert kappa == pytest.approx(want, rel=0.01)
+
+
+class TestFactor:
+    def test_block_columns_meet_residual(self, op2):
+        rng = np.random.default_rng(6)
+        M = op2.B + 0.7 * op2.L
+        rhs = rng.standard_normal((op2.n, 5)) * [1.0, 1e-8, 1e8, 3.0, 1e-3]
+        _, solve = factor(M)
+        X = solve(rhs)
+        assert X.shape == rhs.shape
+        for j in range(rhs.shape[1]):
+            r = rhs[:, j] - M @ X[:, j]
+            assert np.linalg.norm(r) <= SHIFTED_RTOL * np.linalg.norm(rhs[:, j])
+
+    def test_zero_column_gives_zeros(self, op2):
+        rng = np.random.default_rng(7)
+        rhs = np.zeros((op2.n, 3))
+        rhs[:, 1] = rng.standard_normal(op2.n)
+        # negative pivots would turn a raw zero solve into -0.0
+        _, solve = factor(-(op2.B + op2.L))
+        X = solve(rhs)
+        assert X[:, 1].any()
+        for j in (0, 2):
+            assert np.array_equal(X[:, j], np.zeros(op2.n))
+            assert not np.signbit(X[:, j]).any()
+        assert np.array_equal(solve(np.zeros(op2.n)), np.zeros(op2.n))
+
+    @pytest.mark.parametrize("m", [None, 2], ids=["vector", "block"])
+    def test_unreachable_residual_raises(self, op2, monkeypatch, m):
+        monkeypatch.setattr(numerics, "SHIFTED_RTOL", 0.0)
+        _, solve = factor(op2.B + op2.L)
+        shape = (op2.n,) if m is None else (op2.n, m)
+        with pytest.raises(NotConverged, match="residual"):
+            solve(np.random.default_rng(8).standard_normal(shape))
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(FactorizationFailed):
+            factor(sp.csc_matrix((3, 3)))
+
+    @pytest.mark.parametrize("beta", [0.3, 0.3 + 0.2j])
+    def test_shifted_vector_solve_is_the_raw_lu(self, op2, beta):
+        # with no refinement step, shifted_factor returns splu's own bits
+        rng = np.random.default_rng(9)
+        rhs = op2.B @ rng.standard_normal(op2.n)
+        dtype = complex if np.iscomplexobj(beta) else float
+        M = (op2.B + beta * op2.L).astype(dtype).tocsc()
+        raw = numerics.spla.splu(M).solve(rhs.astype(dtype))
+        assert (np.linalg.norm(rhs - M @ raw)
+                <= SHIFTED_RTOL * np.linalg.norm(rhs))
+        g = shifted_factor(op2.B, op2.L, beta)(rhs)
+        assert g.dtype == dtype
+        assert np.array_equal(g, raw)
+
+    def test_splu_called_in_numerics_only(self):
+        # every other module solves through numerics.factor; the two raw
+        # LUs of the eigensolver are the only other users
+        src = pathlib.Path(numerics.__file__).parent
+        users = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}  # node -> name of the outermost def around it
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owner.setdefault(node, fn.name)
+            for node in ast.walk(tree):
+                if "splu" in (getattr(node, "attr", None),
+                              getattr(node, "id", None),
+                              getattr(node, "name", None)):
+                    users.add((path.name, owner.get(node, "<module>")))
+        assert users == {("numerics.py", "factor"),
+                         ("numerics.py", "smallest_eigenpairs")}
 
 
 def patch_eigsh(monkeypatch, drops):
