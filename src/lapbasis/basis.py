@@ -26,8 +26,6 @@ from .errors import (
 from .fields import BasisSet, ScalarField, field_values
 from .filters import evaluate, partial_fractions
 
-# eigenvalues at or below this (relative) size count as the kernel of L
-KERNEL_REL_TOL = 1e-8
 # vertex held at 0 by the harmonic Green solve, before the B-mean is removed
 GREEN_PIN = 0
 
@@ -168,23 +166,16 @@ def reconstruct(eig, alpha, k_use, f=None):
     return ScalarField(fk, tag=f"reconstruct[k={k_use}]"), report
 
 
-def _deflated(values, filt):
-    """Mode mask after deflating the kernel for singular filters."""
-    lam = np.maximum(values, 0.0)  # clamp rounding noise at the kernel
-    keep = np.ones(len(lam), dtype=bool)
-    if filt.singular_at_zero:
-        keep = lam > KERNEL_REL_TOL * max(1.0, lam.max(initial=0.0))
-    return lam, keep
-
-
 def truncated_spectral(eig, filt, f):
     """Filtered expansion sum_j phi(lambda_j) (x_j^T B f) x_j.
 
-    Filters singular at zero drop the kernel modes (constant on a closed
-    connected mesh); the deflation is recorded in the provenance tag.
+    Filters singular at zero drop the kernel modes, the pairs of value
+    exactly 0 (smallest_eigenpairs builds them from component_nullspace);
+    the deflation is recorded in the provenance tag.
     """
     fv = field_values(f)
-    lam, keep = _deflated(eig.values, filt)
+    lam = np.maximum(eig.values, 0.0)  # clamp rounding noise at the kernel
+    keep = lam > 0.0 if filt.singular_at_zero else np.ones(eig.k, dtype=bool)
     phi = evaluate(filt, lam[keep])
     alpha = eig.vectors[:, keep].T @ (eig.B @ fv)
     out = eig.vectors[:, keep] @ (phi * alpha)

@@ -2,8 +2,9 @@
 CSV/PLY/JSON/PGM artifacts with a manifest for external plotting.
 
 Every run writes a ``manifest.json`` listing each output file with its
-sha256.  Numeric CSV output uses shortest round-trip decimals and fixed
-orderings, so identical inputs give byte-identical files.
+sha256, and the mesh's load warnings (mesh_warnings) if it has any.
+Numeric CSV output uses shortest round-trip decimals and fixed orderings,
+so identical inputs give byte-identical files.
 """
 
 import argparse
@@ -420,6 +421,8 @@ def main(argv=None):
         t0 = time.perf_counter()
         mesh = load_mesh(args.mesh)
         run.timings["load_s"] = time.perf_counter() - t0
+        if mesh.warnings:  # triangle-only inputs keep their manifests
+            run.info["mesh_warnings"] = mesh.warning_counts
         op = None
         if "scheme" in args:  # every command but validate reads an operator
             t0 = time.perf_counter()

@@ -272,8 +272,8 @@ def rational_partial_fractions(spec):
     # alpha0 = limit at infinity: leading-coefficient ratio at equal degree
     alpha0 = num[-1] / den[-1] if len(num) == len(den) else 0.0
     roots = np.roots(den[::-1])
-    scale = max(1.0, np.abs(roots).max())
-    if np.abs(roots).min() < CLUSTER_RTOLS[0] * scale:
+    scale = np.abs(roots).max()  # the filter's own scale, not a unit length
+    if np.abs(roots).min() <= CLUSTER_RTOLS[0] * scale:
         raise ValueError(
             "denominator root at s=0; use a singular filter kind instead"
         )

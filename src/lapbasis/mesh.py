@@ -7,6 +7,7 @@ once by the constructor and shared read-only by every caller.
 
 import os
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ class TriangleMesh:
         self.triangles = triangles
         self.warnings = tuple(warnings)
         self._build_adjacency()
+
+    @property
+    def warning_counts(self):
+        """The load warnings as a sorted {message: count}."""
+        return dict(sorted(Counter(self.warnings).items()))
 
     @property
     def n_vertices(self):
@@ -150,13 +156,15 @@ class MeshReport:
     n_components: int
     degenerate_triangles: list
     nonmanifold_edges: list
+    warnings: dict  # load warnings, {message: count}
 
     def as_dict(self):
         return asdict(self)
 
 
 def validate(mesh):
-    """Report counts, degenerate triangles, and non-manifold edges.
+    """Report counts, degenerate triangles, non-manifold edges and load
+    warnings.
 
     Never mutates or rejects the mesh; problems are reported, not thrown.
     """
@@ -168,6 +176,7 @@ def validate(mesh):
         n_components=int(ncomp),
         degenerate_triangles=[int(i) for i in mesh.degenerate_triangles()],
         nonmanifold_edges=[[int(a), int(b)] for a, b in mesh.nonmanifold_edges()],
+        warnings=mesh.warning_counts,
     )
 
 

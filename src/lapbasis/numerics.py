@@ -221,14 +221,17 @@ def lanczos_exp(B, L, t):
     smallest count, at least LANCZOS_MIN_STEPS, whose exp_error_bound
     with rho tau = t lambda-hat / 4 (pencil_bound) meets
     tol = EXP_RTOL sqrt(min B / max B), so that the pointwise error is at
-    most EXP_RTOL |y_0| / sqrt(max B), or EXP_RTOL for a unit column e_s.
+    most EXP_RTOL |y_0| / sqrt(max B), or EXP_RTOL for a unit column e_s;
+    the search stops at m = n, since n steps span the whole space.
     So m depends on the mesh and t alone, Q is allocated once as (m, n),
     and reruns are byte-identical.  An invariant space (b below
     LANCZOS_BREAKDOWN lambda-hat) ends a run early, exactly.  Otherwise
     the guard is Saad's (1992) error estimate t b |e_m^T phi_1(-t T) e_1|,
     phi_1(z) = (e^z - 1) / z, with b the next residual norm; it comes
     from the one tridiagonal eigendecomposition per column that the
-    result needs, and NotConverged is raised when it exceeds tol.
+    result needs.  NotConverged is raised unless the result is finite and
+    the estimate meets tol (a huge t overflows e^(-t theta) on a Ritz
+    value rounded below 0).
     """
     A, root = scaled_operator(L, B)
     d = B.diagonal()
@@ -236,7 +239,7 @@ def lanczos_exp(B, L, t):
     rho_tau = 0.25 * t * lam
     tol = EXP_RTOL * math.sqrt(d.min() / d.max())
     m = LANCZOS_MIN_STEPS
-    while exp_error_bound(rho_tau, m) > tol:
+    while m < A.shape[0] and exp_error_bound(rho_tau, m) > tol:
         m += 1
     breakdown = LANCZOS_BREAKDOWN * lam
     Q = np.empty((m, A.shape[0]))
@@ -253,17 +256,19 @@ def lanczos_exp(B, L, t):
         theta, V, info = dstevd(alpha[:steps], beta[:max(steps - 1, 1)])
         if info:
             raise NotConverged(f"tridiagonal eigensolver failed (info {info})")
-        c = V @ (np.exp(-t * theta) * V[0])
-        b = beta[steps - 1]
-        if b > breakdown:
-            z = -t * theta
-            phi = np.divide(np.expm1(z), z, out=np.ones(steps), where=z != 0.0)
-            estimate = t * b * abs(V[-1] @ (phi * V[0]))
-            if estimate > tol:
-                raise NotConverged(
-                    f"Lanczos exponential error estimate {estimate:.2e} "
-                    f"after {m} steps exceeds {tol:.2e} "
-                    f"(t lambda-hat {t * lam:.3g})")
+        b, estimate = beta[steps - 1], 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = V @ (np.exp(-t * theta) * V[0])
+            if b > breakdown:
+                z = -t * theta
+                phi = np.divide(np.expm1(z), z, out=np.ones(steps),
+                                where=z != 0.0)
+                estimate = t * b * abs(V[-1] @ (phi * V[0]))
+        if not (np.isfinite(c).all() and estimate <= tol):
+            raise NotConverged(
+                f"Lanczos exponential error estimate {estimate:.2e} after "
+                f"{m} steps exceeds {tol:.2e} (t lambda-hat {t * lam:.3g}, "
+                f"finite result {np.isfinite(c).all()})")
         return (scale * (c @ Q[:steps])) / root, steps
 
     return m, solve
@@ -272,7 +277,7 @@ def lanczos_exp(B, L, t):
 # ---------------------------------------------------------------------------
 # eigensolver
 
-SIGMA = -1e-8  # shift of the shift-invert solves, just below the kernel of L
+SIGMA = -1e-8  # shift-invert shift, in units of pencil_bound: just below ker L
 EIGSH_TOL = 1e-10  # relative accuracy asked of eigsh
 CLUSTER_RTOL = 1e-7  # values this close to lambda_k, relative, are its cluster
 CERTIFY_RETRIES = 3  # eigsh calls after the first to fill in missed pairs
@@ -283,15 +288,17 @@ def smallest_eigenpairs(L, B, k, seed=0):
 
     The kernel of L (constants per component) is analytic; dense eigh gives
     the other pairs when 2k + 1 > n, else scipy's eigsh (ARPACK) in
-    shift-invert mode at SIGMA, with all pairs found so far projected out of
-    each solve.  seed fixes eigsh's v0.
+    shift-invert mode at sigma = SIGMA lambda-hat (pencil_bound, the
+    pencil's scale; a bound only for lumped B), with all pairs found so far
+    projected out of each solve.  seed fixes eigsh's v0.
 
     Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
-    max(lambda_k, 1) below the lowest value of lambda_k's cluster, or halfway
-    to the next lower value if closer; an inertia count (Sylvester's law)
-    finds the eigenvalues below s.  Missing pairs cost a further eigsh call
-    (at most CERTIFY_RETRIES); spurious ones raise NotConverged.  If k splits
-    a degenerate cluster, the result holds some basis of its share of it.
+    lambda_k (> 0, as k > q) below the lowest value of lambda_k's cluster,
+    or halfway to the next lower value if closer; an inertia count
+    (Sylvester's law) finds the eigenvalues below s.  Missing pairs cost a
+    further eigsh call (at most CERTIFY_RETRIES); spurious ones raise
+    NotConverged.  If k splits a degenerate cluster, the result holds some
+    basis of its share of it.
     """
     Lm, Bm = L.tocsr(), B.tocsr()
     n = Lm.shape[0]
@@ -306,9 +313,10 @@ def smallest_eigenpairs(L, B, k, seed=0):
         vals, X = eigh(Lm.toarray(), Bm.toarray(), subset_by_index=[q, k - 1])
         return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B)
 
-    # raw splu: ARPACK's solves must not be refined; SIGMA sits next to ker L
+    # raw splu: ARPACK's solves must not be refined; sigma sits next to ker L
+    sigma = SIGMA * pencil_bound(Lm, Bm)
     try:
-        lu = spla.splu((Lm - SIGMA * Bm).tocsc())
+        lu = spla.splu((Lm - sigma * Bm).tocsc())
     except RuntimeError as exc:
         raise FactorizationFailed(f"shift factorisation failed: {exc}") from exc
 
@@ -326,14 +334,14 @@ def smallest_eigenpairs(L, B, k, seed=0):
         v0 = rng.standard_normal(n)
         OP = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
         try:
-            found, Xf = spla.eigsh(Lm, missing, M=Bm, sigma=SIGMA, OPinv=OP,
+            found, Xf = spla.eigsh(Lm, missing, M=Bm, sigma=sigma, OPinv=OP,
                                    v0=v0 - X @ (BX.T @ v0), tol=EIGSH_TOL)
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise NotConverged(f"eigsh failed: {exc}") from exc
         order = np.argsort(np.r_[vals, found], kind="stable")
         vals, X = np.r_[vals, found][order], np.c_[X, Xf][:, order]
 
-        margin = CLUSTER_RTOL * max(vals[k - 1], 1.0)
+        margin = CLUSTER_RTOL * vals[k - 1]
         i = np.searchsorted(vals, vals[k - 1] - margin)
         s = max(vals[i] - margin, 0.5 * (vals[i - 1] + vals[i]) if i else -np.inf)
         # with no off-diagonal pivot, P (L - sB) P^T = LU is an LDL^T with

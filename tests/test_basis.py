@@ -592,6 +592,29 @@ class TestLanczosExp:
         with pytest.raises(NotConverged, match="Lanczos exponential"):
             kernel.apply(delta(op3.n, 0))
 
+    def test_huge_t_raises(self, op2):
+        # t lambda-hat ~ 1e302: the bound never meets tol, so the step
+        # search stops at m = n, where e^(-t theta) overflows on a Ritz
+        # value rounded below 0
+        kernel = lb.filter_kernel(op2, FilterSpec.exponential(1e300))
+        assert kernel.steps == op2.n
+        with pytest.raises(NotConverged, match="finite result False"):
+            kernel.apply(delta(op2.n, 0))
+
+    def test_step_count_capped_at_n(self, op2):
+        # the bound asks for m = 2118 at t = 1e3; n = 162 steps span the
+        # whole space.  The dense functional calculus is the reference:
+        # expm_multiply takes seconds at this t
+        t = 1e3
+        kernel = lb.filter_kernel(op2, FilterSpec.exponential(t))
+        assert kernel.steps == op2.n
+        E = np.eye(op2.n)[:, [0, 100]]
+        want = dense_filtered(dense_eig(op2), lambda lam: np.exp(-t * lam), E)
+        for f, ref in zip(E.T, want.T):
+            got = kernel.apply(f)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert kernel.max_lanczos_steps <= op2.n
+
     def test_constant_input_exact(self, op4):
         kernel = lb.filter_kernel(op4, FilterSpec.exponential(0.04))
         f = np.full(op4.n, 3.0)

@@ -522,6 +522,29 @@ class TestValidateCommand:
         assert rep["n_vertices"] == 162
         assert rep["n_boundary_edges"] == 0
         assert rep["n_components"] == 1
+        assert rep["warnings"] == {}
+        assert "mesh_warnings" not in read_manifest(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["basis", "harmonic", "--seeds", "0,6"],
+    ], ids=["validate", "basis-harmonic"])
+    def test_quad_mesh_warnings_reported(self, tmp_path, argv):
+        # a cube of six quads, each fan-triangulated on load
+        corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6),
+                 (0, 2, 6, 4), (1, 5, 7, 3)]
+        path = tmp_path / "cube.off"
+        path.write_text("OFF\n8 6 0\n"
+                        + "".join("%d %d %d\n" % c for c in corners)
+                        + "".join("4 %d %d %d %d\n" % q for q in quads))
+        out = tmp_path / "run"
+        assert main([*argv, "--mesh", str(path), "--out", str(out)]) == 0
+        want = {"quad face fan-triangulated": 6}
+        assert read_manifest(out)["mesh_warnings"] == want
+        if argv == ["validate"]:
+            with open(out / "mesh_report.json") as fh:
+                assert json.load(fh)["warnings"] == want
 
 
 class TestSpectrumCommand:

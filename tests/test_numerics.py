@@ -168,6 +168,23 @@ class TestFactor:
         assert users == {("numerics.py", "factor"),
                          ("numerics.py", "smallest_eigenpairs")}
 
+    def test_no_unit_length_floor(self):
+        # a tolerance multiplies a scale the code holds: no max(x, 1.0) or
+        # max(1.0, x) treats every mesh as one unit across (an int 1, as
+        # in an array length, is not a tolerance)
+        src = pathlib.Path(numerics.__file__).parent
+        floors = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "max"
+                        and any(isinstance(a, ast.Constant)
+                                and isinstance(a.value, float)
+                                and a.value == 1.0 for a in node.args)):
+                    floors.append((path.name, node.lineno))
+        assert floors == []
+        assert not hasattr(lb.basis, "KERNEL_REL_TOL")
+
 
 def patch_eigsh(monkeypatch, drops):
     """Make numerics' eigsh lose the lowest pair it finds in its first calls.
