@@ -4,10 +4,11 @@ Assembles discrete Laplace-Beltrami operators, computes harmonic /
 Hamiltonian / eigen / filtered-spectral / diffusion / Green-kernel basis
 functions by truncated eigen-expansion or spectrum-free, and compares them
 through area, conformal, and kernel metrics.  Spectrum-free evaluation has
-two routes: lanczos-exp reads the heat kernel off a Lanczos tridiagonal on
-a symmetric scheme with lumped mass; any other filter is applied as
-partial fractions (a Caratheodory-Fejer table for the exponential) through
-one sparse LU and shifted solve per pole.
+two routes: cheb-exp sums the heat kernel as a Chebyshev expansion on a
+symmetric scheme with lumped mass, its degree fixed by a coefficient tail
+below rounding; any other filter is applied as partial fractions (a
+Caratheodory-Fejer table for the exponential) through one sparse LU and
+shifted solve per pole.
 """
 
 from .basis import (

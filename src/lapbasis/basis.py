@@ -4,9 +4,10 @@ harmonic Green-kernel columns.
 
 Two evaluation routes exist for a spectral operator K_phi.  The truncated
 route expands over k computed eigenpairs; the spectrum-free route needs no
-eigendecomposition.  For the heat kernel exp(-t B^{-1} L) it reads K_phi f
-off a Lanczos tridiagonal; otherwise it replaces phi by a rational partial
-fraction and evaluates K_phi f as alpha0 f plus a few shifted sparse solves
+eigendecomposition.  For the heat kernel exp(-t B^{-1} L) on a symmetric
+scheme with lumped mass it sums a Chebyshev expansion of degree K, one
+SpMV per degree; otherwise it replaces phi by a rational partial fraction
+and evaluates K_phi f as alpha0 f plus a few shifted sparse solves
 (B + beta_j L) g_j = B f.
 """
 
@@ -187,30 +188,30 @@ def truncated_spectral(eig, filt, f):
 
 def _symmetric_lumped(op):
     """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
-    which the Lanczos exponential needs."""
+    which the Chebyshev heat expansion needs."""
     return op.is_symmetric and op.mass_mode == "lumped"
 
 
 class ChebyshevKernel:
     """Spectrum-free evaluator of K_phi: a rational partial fraction
-    through shifted solves, or the exponential straight from a Lanczos
-    tridiagonal.  Two routes, one per constructor argument:
+    through shifted solves, or the exponential as a Chebyshev expansion.
+    Two routes, one per constructor argument:
 
     - "lu" (pf): K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta
       and weights w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and
       g_0 = f: one chain per pole.  Each pole is factorised once, here
       (numerics.shifted_factor), and reused by every apply; every solve
       meets the residual numerics.SHIFTED_RTOL.  Any scheme and mass.
-    - "lanczos-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form,
-      from m Lanczos steps on B^{-1/2} L B^{-1/2} per column
-      (numerics.lanczos_exp), m fixed by the Hochbruck-Lubich bound; no
-      factorisation and no table.  Needs a symmetric scheme and lumped
-      mass, or raises ValueError.
+    - "cheb-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form, a
+      degree-K Chebyshev expansion in B^{-1/2} L B^{-1/2}
+      (numerics.cheb_exp), K fixed by its coefficient tail: K SpMVs per
+      column, no factorisation, no table and no stored basis.  Needs a
+      symmetric scheme and lumped mass, or raises ValueError.
 
-    route, steps (the a-priori m of lanczos-exp, else None) and
-    max_lanczos_steps (the largest step count of an apply so far, 0 on
-    lu) record what ran; path is "chebyshev <form> <route>", with form
-    "m=<m>" on lanczos-exp.  filter_kernel builds one from a filter and
+    route, degree (K on cheb-exp, else None) and error_bound (on
+    cheb-exp the coefficient tail, a B-norm bound per unit |f|_B; else
+    None) record what runs; path is "chebyshev <form> <route>", with form
+    "deg=<K>" on cheb-exp.  filter_kernel builds one from a filter and
     names its form.
     """
 
@@ -219,15 +220,15 @@ class ChebyshevKernel:
             raise ValueError("give a partial fraction pf or a scale t")
         self.op = op
         self.pf = pf
-        self.steps = None
-        self.max_lanczos_steps = 0
+        self.degree = self.error_bound = None
         if pf is None:
             if not _symmetric_lumped(op):
-                raise ValueError("the Lanczos exponential needs a symmetric"
+                raise ValueError("the Chebyshev exponential needs a symmetric"
                                  " scheme with lumped mass")
-            self.route = "lanczos-exp"
-            self.steps, self._lanczos = numerics.lanczos_exp(op.B, op.L, t)
-            form = f"m={self.steps}"
+            self.route = "cheb-exp"
+            self.degree, self.error_bound, self._cheb = numerics.cheb_exp(
+                op.B, op.L, t)
+            form = f"deg={self.degree}"
         else:
             self.route = "lu"
             self._factors = [numerics.shifted_factor(op.B, op.L, beta)
@@ -236,10 +237,8 @@ class ChebyshevKernel:
 
     def apply(self, f):
         fv = field_values(f)
-        if self.route == "lanczos-exp":
-            g, steps = self._lanczos(fv)
-            self.max_lanczos_steps = max(self.max_lanczos_steps, steps)
-            return g
+        if self.route == "cheb-exp":
+            return self._cheb(fv)
         acc = self.pf.alpha0 * fv
         for solve, (_, weights) in zip(self._factors, self.pf.poles):
             g = fv
@@ -250,7 +249,10 @@ class ChebyshevKernel:
 
 
 class TruncatedKernel:
-    """K_phi over the eigenpairs of eig; filter_kernel builds one."""
+    """K_phi over the eigenpairs of eig; filter_kernel builds one.  It
+    states no error_bound yet."""
+
+    error_bound = None
 
     def __init__(self, eig, filt):
         self.eig, self.filt = eig, filt
@@ -265,13 +267,13 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
 
     A ChebyshevKernel when method is "chebyshev" and the filter has a
     rational form.  The operator picks the exp route: on a symmetric
-    scheme with lumped mass the kernel takes exp straight from the
-    Lanczos tridiagonal (route lanczos-exp); consistent mass and
-    mean_value use the degree-r table (r = 5 when None).  A rational
-    filter takes its exact partial fractions.  Else a TruncatedKernel
-    over eig, or over k eigenpairs computed here, which warns for k < n.
-    r is read only by the table and k only by the truncated route.  Both
-    kernels have apply(f) and path: "chebyshev m=63 lanczos-exp",
+    scheme with lumped mass the kernel sums a Chebyshev expansion of exp
+    (route cheb-exp); consistent mass and mean_value use the degree-r
+    table (r = 5 when None).  A rational filter takes its exact partial
+    fractions.  Else a TruncatedKernel over eig, or over k eigenpairs
+    computed here, which warns for k < n.  r is read only by the table
+    and k only by the truncated route.  Both kernels have apply(f),
+    error_bound (None but on cheb-exp) and path: "chebyshev deg=60 cheb-exp",
     "chebyshev table r=5 lu", "chebyshev exact-rational lu",
     "truncated k=100", ...  The table runs on a lumped operator when
     built directly: ChebyshevKernel(op, partial_fractions(filt, r)).
@@ -299,9 +301,10 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
                  eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
     filter_kernel(op, filt, method, r, k, eig) applied to every e_s, its
-    path recorded in params["path"] and each field's tag; that path names
-    r or k where the kernel read one.  Diffusion is
-    FilterSpec.exponential(t); other fields go to filter_kernel(...).apply.
+    path recorded in params["path"] and each field's tag, its error_bound
+    in params["error_bound"]; that path names r or k where the kernel
+    read one.  Diffusion is FilterSpec.exponential(t); other fields go to
+    filter_kernel(...).apply.
     """
     idx = _seed_indices(seeds, op.n)
     kernel = filter_kernel(op, filt, method, r, k, eig)
@@ -311,7 +314,8 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
         for s in idx
     ]
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
-                    params={"filter": filt.describe(), "path": kernel.path})
+                    params={"filter": filt.describe(), "path": kernel.path,
+                            "error_bound": kernel.error_bound})
 
 
 def green_basis(op, seeds):

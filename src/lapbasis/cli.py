@@ -33,8 +33,16 @@ FORMATS = ("csv", "ply")  # field exports; reports are always written
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
 R_HELP = ("degree of the exp rational table, 3..14 (default 5), read only "
-          "with consistent mass or --scheme meanvalue; otherwise exp comes "
-          "straight from a Lanczos tridiagonal")
+          "with consistent mass or --scheme meanvalue; otherwise exp is a "
+          "Chebyshev expansion whose degree its error bound fixes")
+
+
+def _record_kernel(run, key, path, error_bound):
+    """Put a filtered run's kernel path into the manifest under key, and
+    its error bound (B-norm, per unit |f|_B) as error_bound if it has one."""
+    run.info[key] = path
+    if error_bound is not None:
+        run.info["error_bound"] = error_bound
 
 
 def _common(parser, operator=True):
@@ -322,7 +330,8 @@ def cmd_basis(args, run, mesh, op):
             raise ValueError("basis spectral needs --filter")
         bs = basis_mod.spectral_set(op, filt, _parse_seed_args(args, mesh, op),
                                     method=args.method, r=args.r, k=args.k)
-        run.info["path"] = bs.params["path"]
+        _record_kernel(run, "path", bs.params["path"],
+                       bs.params["error_bound"])
         _export_fields(run, mesh, bs, fam)
 
 
@@ -342,7 +351,7 @@ def cmd_metrics(args, run, mesh, op):
         kernel = basis_mod.filter_kernel(
             op, FilterSpec.exponential(args.kernel_t), r=args.r)
         kernel_apply = kernel.apply
-        run.info["kernel_path"] = kernel.path
+        _record_kernel(run, "kernel_path", kernel.path, kernel.error_bound)
     cm = metrics_mod.comparison_matrix(
         op, fields, metric=args.metric, kernel_apply=kernel_apply,
         normalize=args.normalize,
@@ -371,7 +380,7 @@ def cmd_seeds(args, run, mesh, op):
 def cmd_coverage(args, run, mesh, op):
     heat = basis_mod.filter_kernel(op, FilterSpec.exponential(args.t),
                                    r=args.r)
-    run.info["path"] = heat.path
+    _record_kernel(run, "path", heat.path, heat.error_bound)
     result = seeds_mod.coverage_loop(
         mesh, op, lambda s: heat.apply(np.eye(1, op.n, s)[0]), k0=args.k0,
         tau=args.tau, metric=args.metric, start=args.start,

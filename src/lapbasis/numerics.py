@@ -1,5 +1,5 @@
-"""Sparse solves, the Lanczos exponential and the certified shift-invert
-eigensolver.
+"""Sparse solves, the Chebyshev heat expansion and the certified
+shift-invert eigensolver.
 
 The spectral routes reduce to three primitives.  Every solve with a sparse
 matrix goes through one sparse LU (factor), and each of its columns meets
@@ -7,14 +7,14 @@ the relative residual SHIFTED_RTOL: the shifted (complex-)symmetric
 B + beta L (shifted_factor, any scheme and mass), the constrained blocks
 of the harmonic, Hamiltonian and Green columns (basis._constrained_solve)
 and B^{-1} for consistent mass (laplacian._mass_solve).  For a symmetric L
-with lumped B, the heat kernel exp(-t B^{-1} L) f comes straight from the
-tridiagonal of the Lanczos recurrence (lanczos, on scaled_operator), with
-a step count fixed in advance by an a-priori error bound (lanczos_exp,
-pencil_bound) and checked by Saad's a-posteriori estimate from the same
-eigendecomposition of the tridiagonal.  The smallest generalized
-eigenpairs of a stiffness/mass pencil come from scipy's eigsh (or dense
-eigh), certified complete by an inertia count.  Matrices are plain scipy
-sparse matrices.
+with lumped B, the heat kernel exp(-t B^{-1} L) f is a Chebyshev
+expansion in B^{-1/2} L B^{-1/2} on [0, lambda-hat] (cheb_exp,
+scaled_operator, pencil_bound): Bessel coefficients from Miller's
+recurrence (bessel_coefficients), a degree fixed in advance by their
+tail, one SpMV per degree, and a B-norm contraction check on the
+result.  The smallest generalized eigenpairs of a stiffness/mass pencil
+come from scipy's eigsh (or dense eigh), certified complete by an
+inertia count.  Matrices are plain scipy sparse matrices.
 """
 
 import math
@@ -24,8 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dstevd
 from scipy.sparse import csgraph
 
 from .errors import (
@@ -141,9 +139,8 @@ def shifted_factor(B, L, beta):
     return solve
 
 
-LANCZOS_MIN_STEPS = 5  # smallest a-priori step count of lanczos_exp
-LANCZOS_BREAKDOWN = 1e-12  # next-vector norm, relative to lambda-hat, that
-# ends the Lanczos space as invariant
+MAX_DEGREE = 100_000  # largest degree of the heat expansion (one SpMV per
+# degree and column): cheb_exp refuses t lambda-hat above about 2.8e8
 
 
 def pencil_bound(L, B):
@@ -156,122 +153,117 @@ def pencil_bound(L, B):
 
 def scaled_operator(L, B):
     """(A, root): A = B^{-1/2} L B^{-1/2} as CSR and root = sqrt(diag B),
-    the symmetric matrix whose exponential lanczos_exp takes for a
-    symmetric L and a diagonal (lumped) B; y = root * g maps a field g to
-    A's variable.  B must have a positive diagonal."""
+    the symmetric matrix whose exponential cheb_exp takes for a symmetric
+    L and a diagonal (lumped) B; y = root * g maps a field g to A's
+    variable.  B must have a positive diagonal."""
     check_mass(B)
     root = np.sqrt(B.diagonal())
     return (sp.diags(1.0 / root) @ L @ sp.diags(1.0 / root)).tocsr(), root
 
 
-def lanczos(A, y0, Q, alpha, beta, breakdown):
-    """The three-term Lanczos recurrence on the symmetric A from y0, with
-    no reorthogonalisation; returns the step count j.  alpha[:j] and
-    beta[:j - 1] are the diagonal and off-diagonal of the tridiagonal
-    T_j = Q_j^T A Q_j, and beta[j - 1] is the norm b of the next residual
-    vector, so A Q_j = Q_j T_j + b q e_j^T.  The basis goes into the rows
-    of Q (Q[0] = y0 / |y0|, y0 nonzero); alpha and beta have len(Q)
-    entries.  The run ends when Q is full or when b <= breakdown (an
-    invariant space).
+def _bessel_decay(k, z):
+    """-log(I_k(z) / I_0(z)) to leading order: Debye's exponent
+    k asinh(k / z) - sqrt(k^2 + z^2) + z, written without cancellation."""
+    return k * math.asinh(k / z) - k * k / (math.hypot(k, z) + z)
+
+
+def bessel_coefficients(z, tol):
+    """(c, tail): the Chebyshev coefficients c_0..c_K of
+    exp(-z (1 + x)) = sum_k c_k T_k(x) on [-1, 1], c_k = (2 - delta_k0)
+    (-1)^k e^{-z} I_k(z), with K the smallest degree whose tail
+    sum_{k > K} |c_k| is at most tol, and that tail.
+
+    Miller's backward recurrence in ratio form, so nothing overflows:
+    rho_k = I_k / I_{k-1} = 1 / (2k / z + rho_{k+1}) from rho_{N+1} = 0,
+    with N the first power of 2 where Debye's estimate of I_N / I_0 is
+    below tol^2.  The running products are the I_k / I_0, normalised by
+    e^{-z} (I_0 + 2 sum_k I_k) = 1.  NotConverged, before any loop over
+    the degree, when the estimate puts K above MAX_DEGREE.
     """
-    Q[0] = y0 / np.linalg.norm(y0)
-    for j in range(len(Q)):
-        w = A @ Q[j]
-        alpha[j] = Q[j] @ w
-        # BLAS axpy updates w in place, with no temporary per term
-        w = daxpy(Q[j], w, a=-alpha[j])
-        if j:
-            w = daxpy(Q[j - 1], w, a=-beta[j - 1])
-        beta[j] = math.sqrt(w @ w)
-        if beta[j] <= breakdown or j + 1 == len(Q):
-            return j + 1
-        np.divide(w, beta[j], out=Q[j + 1])
+    if z == 0.0:  # t lambda-hat underflowed: exp(-z (1 + x)) = 1
+        return np.ones(1), 0.0
+    decay = -math.log(tol)
+    if _bessel_decay(MAX_DEGREE, z) < decay:
+        raise NotConverged(f"Chebyshev degree above MAX_DEGREE = "
+                           f"{MAX_DEGREE} needed (z = {z:.3g})")
+    top = 1
+    while _bessel_decay(top, z) < 2.0 * decay:
+        top *= 2
+    rho = np.empty(top + 1)
+    rho[0] = r = 1.0
+    for k in range(top, 0, -1):
+        r = 1.0 / (2.0 * k / z + r)
+        rho[k] = r
+    c = np.cumprod(rho)  # I_k / I_0
+    c *= 2.0 / (2.0 * c.sum() - 1.0)
+    c[0] *= 0.5
+    c[1::2] *= -1.0
+    tails = np.cumsum(np.abs(c[::-1]))[::-1]  # tails[k] = sum_{j >= k} |c_j|
+    K = int(np.argmax(tails <= tol)) - 1
+    if K < 0:
+        raise NotConverged(f"Bessel coefficient tail above {tol:.2e} at "
+                           f"degree {top} (z = {z:.3g})")
+    return c[:K + 1], float(tails[K + 1])
 
 
-EXP_RTOL = 1e-12  # error asked of a Lanczos exponential, relative to |y_0|
-
-
-def exp_error_bound(rho_tau, m):
-    """Hochbruck & Lubich (1997, Thm 2): the error of m Lanczos steps for
-    exp(-tau A) v, |v| = 1, A symmetric with spectrum in [0, 4 rho], with
-    rho_tau = rho tau.  It is 10 exp(-m^2 / (5 rho tau)) for
-    sqrt(4 rho tau) <= m <= 2 rho tau and (10 / rho tau) exp(-rho tau)
-    (e rho tau / m)^m for m >= 2 rho tau; below sqrt(4 rho tau) only the
-    trivial bound 2 holds (both exponentials have norm at most 1)."""
-    if m >= 2.0 * rho_tau:
-        log = (math.log(10.0 / rho_tau) - rho_tau
-               + m * (1.0 + math.log(rho_tau / m)))
-    elif m * m >= 4.0 * rho_tau:
-        log = math.log(10.0) - m * m / (5.0 * rho_tau)
-    else:
-        return 2.0
-    return min(2.0, math.exp(log))
-
-
-def lanczos_exp(B, L, t):
-    """exp(-t B^{-1} L) f from the Lanczos tridiagonal, with no rational
-    approximation and no factorisation; returns (m, closure), the closure
-    f -> (g, steps).
+def cheb_exp(B, L, t):
+    """exp(-t B^{-1} L) f by a Chebyshev expansion, with no rational
+    approximation, no factorisation and no stored basis; returns
+    (degree, bound, closure f -> g).
 
     For a symmetric L and a diagonal B, exp(-t B^{-1} L) f =
     B^{-1/2} exp(-t A) B^{1/2} f with A = B^{-1/2} L B^{-1/2}
-    (scaled_operator), and m Lanczos steps on A from y_0 = B^{1/2} f give
-    exp(-t A) y_0 ~ |y_0| Q V exp(-t theta) V^T e_1 (Saad 1992), T =
-    V diag(theta) V^T.  The step count m is fixed before the run: the
-    smallest count, at least LANCZOS_MIN_STEPS, whose exp_error_bound
-    with rho tau = t lambda-hat / 4 (pencil_bound) meets
-    tol = EXP_RTOL sqrt(min B / max B), so that the pointwise error is at
-    most EXP_RTOL |y_0| / sqrt(max B), or EXP_RTOL for a unit column e_s;
-    the search stops at m = n, since n steps span the whole space.
-    So m depends on the mesh and t alone, Q is allocated once as (m, n),
-    and reruns are byte-identical.  An invariant space (b below
-    LANCZOS_BREAKDOWN lambda-hat) ends a run early, exactly.  Otherwise
-    the guard is Saad's (1992) error estimate t b |e_m^T phi_1(-t T) e_1|,
-    phi_1(z) = (e^z - 1) / z, with b the next residual norm; it comes
-    from the one tridiagonal eigendecomposition per column that the
-    result needs.  NotConverged is raised unless the result is finite and
-    the estimate meets tol (a huge t overflows e^(-t theta) on a Ritz
-    value rounded below 0).
+    (scaled_operator), whose spectrum lies in [0, lambda-hat]
+    (pencil_bound).  With x = 2 lambda / lambda-hat - 1 and
+    z = t lambda-hat / 2, exp(-t lambda) = sum_k c_k T_k(x)
+    (bessel_coefficients; Tal-Ezer & Kosloff 1984).  T_{k+1} =
+    A_2 T_k - T_{k-1} on A_2 = (4 / lambda-hat) A - 2I, built once, costs
+    one SpMV, one subtraction and one axpy per degree.  The degree K is
+    the smallest whose tail, bound = sum_{k > K} |c_k|, is at most
+    eps sqrt(min B / max B): a B-norm error bound per unit |f|_B, so a
+    unit column e_s has a pointwise truncation error of at most eps.  K
+    depends on the mesh and t alone, so reruns are byte-identical.
+
+    Guard: NotConverged unless the result is finite and, as exp(-t A)
+    is, a B-norm contraction to rounding, |g|_B <= (1 + bound +
+    K^2 eps) |f|_B; T_k grows exponentially on a spectrum outside
+    [0, lambda-hat].  The recurrence rounds like K^2 eps, not K eps (a
+    constant's error was 0.002 K^2 eps at K = 1840 and 3187).
     """
-    A, root = scaled_operator(L, B)
-    d = B.diagonal()
     lam = pencil_bound(L, B)
-    rho_tau = 0.25 * t * lam
-    tol = EXP_RTOL * math.sqrt(d.min() / d.max())
-    m = LANCZOS_MIN_STEPS
-    while m < A.shape[0] and exp_error_bound(rho_tau, m) > tol:
-        m += 1
-    breakdown = LANCZOS_BREAKDOWN * lam
-    Q = np.empty((m, A.shape[0]))
-    alpha, beta = np.empty(m), np.empty(m)
+    d = B.diagonal()
+    eps = np.finfo(float).eps
+    try:
+        c, bound = bessel_coefficients(0.5 * t * lam,
+                                       eps * math.sqrt(d.min() / d.max()))
+    except NotConverged as exc:
+        raise NotConverged(f"heat kernel at t={t:g}: {exc}") from None
+    degree = len(c) - 1
+    A, root = scaled_operator(L, B)
+    A2 = (4.0 / lam) * A - 2.0 * sp.identity(A.shape[0], format="csr")
+    slack = 1.0 + bound + degree * degree * eps
 
     def solve(f):
-        y = root * f
-        scale = np.linalg.norm(y)
-        if scale == 0.0:
-            return np.zeros_like(f), 0
-        steps = lanczos(A, y, Q, alpha, beta, breakdown)
-        # dstevd (eigh_tridiagonal's driver) wants an off-diagonal of
-        # length at least 1; for a 1 x 1 T it reads none of it
-        theta, V, info = dstevd(alpha[:steps], beta[:max(steps - 1, 1)])
-        if info:
-            raise NotConverged(f"tridiagonal eigensolver failed (info {info})")
-        b, estimate = beta[steps - 1], 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = V @ (np.exp(-t * theta) * V[0])
-            if b > breakdown:
-                z = -t * theta
-                phi = np.divide(np.expm1(z), z, out=np.ones(steps),
-                                where=z != 0.0)
-                estimate = t * b * abs(V[-1] @ (phi * V[0]))
-        if not (np.isfinite(c).all() and estimate <= tol):
+        prev = root * f
+        scale = np.linalg.norm(prev)  # |f|_B
+        acc = c[0] * prev
+        if degree:
+            cur = 0.5 * (A2 @ prev)
+            acc += c[1] * cur
+            for ck in c[2:]:
+                nxt = A2 @ cur
+                nxt -= prev
+                acc += ck * nxt
+                prev, cur = cur, nxt
+        grow = np.linalg.norm(acc)  # |g|_B, not finite with acc
+        if not grow <= slack * scale:
             raise NotConverged(
-                f"Lanczos exponential error estimate {estimate:.2e} after "
-                f"{m} steps exceeds {tol:.2e} (t lambda-hat {t * lam:.3g}, "
-                f"finite result {np.isfinite(c).all()})")
-        return (scale * (c @ Q[:steps])) / root, steps
+                f"heat kernel at t={t:g}, degree {degree}: |g|_B = {grow:.3e}"
+                f" exceeds (1 + {slack - 1.0:.2e}) |f|_B = {scale:.3e}"
+                " (spectrum outside [0, lambda-hat]?)")
+        return acc / root
 
-    return m, solve
+    return degree, bound, solve
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Basis families: harmonic, Hamiltonian, eigen, filtered, diffusion, Green."""
 
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, ive
 
 import lapbasis as lb
 from lapbasis import basis as basis_mod
@@ -24,6 +25,9 @@ from lapbasis.errors import (
 from lapbasis.filters import FilterSpec
 
 from conftest import merge_meshes
+
+
+EPS = np.finfo(float).eps
 
 
 def dense_lb(op):
@@ -53,7 +57,7 @@ def delta(n, i):
 
 def exp_table(op, t, r=5):
     """The degree-r exp table on the LU route, built directly: on a
-    symmetric lumped operator filter_kernel takes lanczos-exp instead."""
+    symmetric lumped operator filter_kernel takes cheb-exp instead."""
     pf = lb.partial_fractions(FilterSpec.exponential(t), r)
     return ChebyshevKernel(op, pf, f"table r={pf.degree}")
 
@@ -337,7 +341,7 @@ class TestChebyshevKernel:
 
     def test_table_agrees_with_full_spectrum_r10(self):
         # acceptance criterion 2 on the r = 5 table itself: the lumped
-        # operator there now takes lanczos-exp
+        # operator there now takes cheb-exp
         op = lb.assemble(lb.icosphere(3, radius=10.0))
         eig = lb.eigen_basis(op, op.n)
         for t in (0.1, 1.0):
@@ -502,7 +506,8 @@ class TestLanczosRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             g = kern.apply(f)
-        assert kern.route == "lu" and kern.max_lanczos_steps == 0
+        assert kern.route == "lu"
+        assert kern.degree is None and kern.error_bound is None
         # K f = p_r(0) f to the solves' rounding: 11.3 eps on this mesh
         assert np.abs(g - pf(0.0) * f).max() <= 32 * np.finfo(float).eps * 3.0
 
@@ -523,129 +528,135 @@ class TestLanczosRoute:
 
 
 class TestLanczosExp:
-    """The default heat route: exp(-t B^{-1} L) e_s straight from the
-    Lanczos tridiagonal, m steps fixed by the Hochbruck-Lubich bound."""
+    """The default heat route, cheb-exp (the class keeps the name of the
+    Lanczos route it replaced): exp(-t B^{-1} L) e_s as a Chebyshev
+    expansion whose degree K is fixed by the tail of its Bessel
+    coefficients."""
 
     @pytest.fixture(scope="class")
     def bumpy4(self):
         return lb.assemble(lb.bumpy_sphere(4, seed=1))
 
+    def check_expm_multiply(self, op, t):
+        kernel = lb.filter_kernel(op, FilterSpec.exponential(t))
+        assert kernel.route == "cheb-exp"
+        assert kernel.path == f"chebyshev deg={kernel.degree} cheb-exp"
+        # cli.main reads k=... and r=... path words as options a run read
+        assert not any(w.startswith(("k=", "r=")) for w in kernel.path.split())
+        seeds = [0, 1000, op.n - 1]
+        A = -t * (sp.diags(1.0 / op.B.diagonal()) @ op.L)
+        E = np.zeros((op.n, len(seeds)))
+        E[seeds, np.arange(len(seeds))] = 1.0
+        want = expm_multiply(A.tocsr(), E)
+        for f, ref in zip(E.T, want.T):
+            got = kernel.apply(f)
+            # 2.1e-16, 4.8e-15 and 2.0e-14 measured at the three t
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        return kernel
+
     @pytest.mark.parametrize("t", [1e-3, 0.04])
     def test_guard_quiet_and_accurate(self, bumpy4, t):
-        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(t))
-        assert kernel.route == "lanczos-exp"
-        assert kernel.path == f"chebyshev m={kernel.steps} lanczos-exp"
-        seeds = [0, 1000, bumpy4.n - 1]
-        A = -t * (sp.diags(1.0 / bumpy4.B.diagonal()) @ bumpy4.L)
-        E = np.zeros((bumpy4.n, len(seeds)))
-        E[seeds, np.arange(len(seeds))] = 1.0
-        want = expm_multiply(A.tocsr(), E)
-        for f, ref in zip(E.T, want.T):
-            got = kernel.apply(f)
-            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert kernel.max_lanczos_steps == kernel.steps
+        kernel = self.check_expm_multiply(bumpy4, t)
+        assert kernel.degree == {1e-3: 14, 0.04: 56}[t]
 
     def test_guard_quiet_at_large_t(self, bumpy4):
-        # m = 141 here; Saad's estimate stays below 1e-3 of the tolerance
-        t = 0.25
-        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(t))
-        seeds = [0, 1000, bumpy4.n - 1]
-        A = -t * (sp.diags(1.0 / bumpy4.B.diagonal()) @ bumpy4.L)
-        E = np.zeros((bumpy4.n, len(seeds)))
-        E[seeds, np.arange(len(seeds))] = 1.0
-        want = expm_multiply(A.tocsr(), E)
-        for f, ref in zip(E.T, want.T):
-            got = kernel.apply(f)
-            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert kernel.max_lanczos_steps == kernel.steps
-
-    def test_one_eigensolve_per_column(self, bumpy4, monkeypatch):
-        calls = []
-        original = lb.numerics.dstevd
-
-        def counting(*args):
-            calls.append(len(args[0]))
-            return original(*args)
-
-        monkeypatch.setattr(lb.numerics, "dstevd", counting)
-        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(0.04))
-        for s in (0, 17, 1000):
-            kernel.apply(delta(bumpy4.n, s))
-        # one m x m tridiagonal per column; the guard reuses it
-        assert calls == [kernel.steps] * 3
+        assert self.check_expm_multiply(bumpy4, 0.25).degree == 135
 
     def test_step_count_is_the_smallest_meeting_the_bound(self, bumpy4):
+        # K is the smallest degree whose coefficient tail, from scipy's
+        # scaled Bessel functions, is at most eps sqrt(min B / max B)
         t = 0.04
-        m, _ = lb.numerics.lanczos_exp(bumpy4.B, bumpy4.L, t)
+        kernel = lb.filter_kernel(bumpy4, FilterSpec.exponential(t))
+        z = 0.5 * t * numerics.pencil_bound(bumpy4.L, bumpy4.B)
         d = bumpy4.B.diagonal()
-        rho_tau = 0.25 * t * lb.numerics.pencil_bound(bumpy4.L, bumpy4.B)
-        tol = lb.numerics.EXP_RTOL * np.sqrt(d.min() / d.max())
-        bound = lb.numerics.exp_error_bound
-        assert bound(rho_tau, m) <= tol < bound(rho_tau, m - 1)
+        tol = EPS * np.sqrt(d.min() / d.max())
+        c = 2.0 * ive(np.arange(400), z)
+        tail = np.cumsum(c[::-1])[::-1]  # tail[k] = sum_{j >= k} |c_j|
+        K = kernel.degree
+        assert tail[K + 1] <= tol < tail[K]
+        assert kernel.error_bound == pytest.approx(tail[K + 1], rel=1e-10)
 
-    def test_guard_raises_when_m_too_small(self, op3, monkeypatch):
-        # a bound that claims too much gives too few steps
-        monkeypatch.setattr(lb.numerics, "exp_error_bound",
-                            lambda rho_tau, m: 0.0)
+    def test_guard_raises_when_spectrum_leaves_interval(self, op3,
+                                                         monkeypatch):
+        # an interval [0, lambda-hat / 10] leaves most of the spectrum
+        # outside, where the Chebyshev polynomials grow: the result is
+        # no B-norm contraction
+        bound = numerics.pencil_bound
+        monkeypatch.setattr(numerics, "pencil_bound",
+                            lambda L, B: 0.1 * bound(L, B))
         kernel = lb.filter_kernel(op3, FilterSpec.exponential(0.04))
-        assert kernel.steps == lb.numerics.LANCZOS_MIN_STEPS
-        with pytest.raises(NotConverged, match="Lanczos exponential"):
+        with pytest.raises(NotConverged, match=f"degree {kernel.degree}"):
             kernel.apply(delta(op3.n, 0))
 
-    def test_huge_t_raises(self, op2):
-        # t lambda-hat ~ 1e302: the bound never meets tol, so the step
-        # search stops at m = n, where e^(-t theta) overflows on a Ritz
-        # value rounded below 0
-        kernel = lb.filter_kernel(op2, FilterSpec.exponential(1e300))
-        assert kernel.steps == op2.n
-        with pytest.raises(NotConverged, match="finite result False"):
-            kernel.apply(delta(op2.n, 0))
+    def test_huge_t_raises(self, op2, monkeypatch):
+        # t lambda-hat ~ 1e302 needs a degree beyond MAX_DEGREE: refused
+        # from the coefficient estimate, before the operator is built or
+        # any loop over the degree runs
+        monkeypatch.setattr(numerics, "scaled_operator", None)
+        with pytest.raises(NotConverged, match=r"t=1e\+300.*MAX_DEGREE = "
+                           f"{numerics.MAX_DEGREE}"):
+            lb.filter_kernel(op2, FilterSpec.exponential(1e300))
 
-    def test_step_count_capped_at_n(self, op2):
-        # the bound asks for m = 2118 at t = 1e3; n = 162 steps span the
-        # whole space.  The dense functional calculus is the reference:
-        # expm_multiply takes seconds at this t
+    def test_large_t_matches_dense(self, op2):
+        # t = 1e3 needs K = 2009 on this mesh.  The dense functional
+        # calculus is the reference: expm_multiply takes seconds at this t
         t = 1e3
         kernel = lb.filter_kernel(op2, FilterSpec.exponential(t))
-        assert kernel.steps == op2.n
+        assert kernel.degree > 10 * op2.n
         E = np.eye(op2.n)[:, [0, 100]]
         want = dense_filtered(dense_eig(op2), lambda lam: np.exp(-t * lam), E)
         for f, ref in zip(E.T, want.T):
             got = kernel.apply(f)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert kernel.max_lanczos_steps <= op2.n
+
+    def test_guard_quiet_on_a_constant_at_large_t(self, sphere2):
+        # K = 2009: the recurrence rounds a constant by more than K eps in
+        # B-norm on this mesh scaled by 1e4, which the K^2 eps slack allows
+        op = lb.assemble(lb.TriangleMesh(sphere2.vertices * 1e4,
+                                         sphere2.triangles))
+        kernel = lb.filter_kernel(op, FilterSpec.exponential(1e11))
+        assert kernel.degree == 2009
+        f = np.ones(op.n)
+        g = kernel.apply(f)
+        assert np.abs(g - f).max() <= kernel.degree ** 2 * EPS
 
     def test_constant_input_exact(self, op4):
-        kernel = lb.filter_kernel(op4, FilterSpec.exponential(0.04))
+        # exp(-t A) fixes the constants, up to the recurrence's rounding
+        # (2.7, 8.7 and 24 eps measured at K = 14, 56 and 135)
         f = np.full(op4.n, 3.0)
-        g = kernel.apply(f)
-        # the first Lanczos vector spans an invariant space: one step
-        assert kernel.max_lanczos_steps == 1
-        assert np.abs(g - f).max() <= 4 * np.finfo(float).eps * 3.0
+        for t in (1e-3, 0.04, 0.25):
+            kernel = lb.filter_kernel(op4, FilterSpec.exponential(t))
+            g = kernel.apply(f)
+            assert np.abs(g - f).max() <= kernel.degree * EPS * 3.0
 
     def test_factorises_nothing(self, op3, monkeypatch):
         calls = counting_factor(monkeypatch)
+        monkeypatch.setattr(numerics.spla, "splu", None)
         bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), [0, 5, 9])
-        assert bs.params["path"].endswith(" lanczos-exp") and calls == []
+        assert bs.params["path"].endswith(" cheb-exp") and calls == []
 
-    def test_one_recurrence_for_both_lanczos_routes(self, op4, monkeypatch):
-        runs = []
-        original = lb.numerics.lanczos
-
-        def counting(*args):
-            runs.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(lb.numerics, "lanczos", counting)
-        exp = lb.filter_kernel(op4, FilterSpec.exponential(0.001))
-        table = exp_table(op4, 0.001)
-        assert (exp.route, table.route) == ("lanczos-exp", "lu")
-        want = table.apply(delta(op4.n, 7))
-        got = exp.apply(delta(op4.n, 7))
-        # the table's LU route runs no Lanczos recurrence
-        assert len(runs) == 1
-        # the r = 5 table's error at this n t
-        assert np.abs(got - want).max() <= 1e-4 * np.abs(got).max()
+    def test_memory_is_a_few_vectors(self):
+        # n = 10242, t = 0.1, K = 170: the kernel keeps A_2 and K + 1
+        # coefficients (13.6 n-vectors measured), and an apply holds a
+        # few n-vectors at a time (5.0 measured)
+        op = lb.assemble(lb.bumpy_sphere(5, seed=1))
+        vector = 8 * op.n
+        tracemalloc.start()
+        try:
+            kernel = lb.filter_kernel(op, FilterSpec.exponential(0.1))
+            held = tracemalloc.get_traced_memory()[0]
+            f = delta(op.n, 0)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = kernel.apply(f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert kernel.degree > 100
+        # A_2 has 7 nonzeros per row; a (K, n) basis would be K vectors
+        assert held < 16 * vector
+        assert peak < 8 * vector
+        assert np.isfinite(g).all()
 
     @pytest.mark.parametrize("case, path", [
         ("consistent", "chebyshev table r=5 lu"),
@@ -668,7 +679,7 @@ class TestLanczosExp:
         # r is the table's degree, and the table is not the route here
         for r in (None, *range(3, 15)):
             kernel = lb.filter_kernel(op2, FilterSpec.exponential(0.04), r=r)
-            assert kernel.path == f"chebyshev m={kernel.steps} lanczos-exp"
+            assert kernel.path == f"chebyshev deg={kernel.degree} cheb-exp"
 
     def test_sphere_heat_kernel_closed_form(self):
         # on the unit sphere k_t(x, y) = sum_l (2l + 1) / (4 pi)
@@ -725,9 +736,9 @@ class TestDiffusion:
                 op2, filt, [seed], method="truncated", k=op2.n, eig=eig162_full
             )[0]
         )
-        # unit delta input: the lanczos-exp tolerance bounds the
-        # disagreement (2.0e-16 measured)
-        assert np.abs(cheb - trunc).max() <= lb.numerics.EXP_RTOL
+        # unit delta input: the cheb-exp truncation is below eps, so
+        # rounding alone separates the routes (6.2e-17 measured)
+        assert np.abs(cheb - trunc).max() <= 1e-15
 
     def test_truncation_warns(self, op2):
         with pytest.warns(UserWarning, match="spectrum"):

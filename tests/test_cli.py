@@ -141,9 +141,9 @@ class TestBasisCommand:
             csvs = sorted(p for p in out.iterdir() if p.suffix == ".csv")
             outs.append(b"".join(p.read_bytes() for p in csvs))
         assert outs[0] == outs[1]
-        # the default route: m is fixed before the run, by the mesh and t
+        # the default route: K is fixed before the run, by the mesh and t
         manifest = read_manifest(out)
-        assert re.fullmatch(r"chebyshev m=\d+ lanczos-exp", manifest["path"])
+        assert re.fullmatch(r"chebyshev deg=\d+ cheb-exp", manifest["path"])
         assert "r" not in manifest["parameters"]
 
     def test_eigen_spectrum_json(self, mesh_path, tmp_path):
@@ -635,6 +635,30 @@ class TestOptions:
         assert main(argv + ["--mesh", mesh_path, "--out", str(out)]) == 0
         assert sorted(read_manifest(out)["parameters"]) == sorted(params)
 
+    @pytest.mark.parametrize("argv, key", [
+        (["basis", "diffusion", "--seeds", "1,2", "--t", "0.05"], "path"),
+        (["basis", "spectral", "--filter", "exp:t=0.05", "--seeds", "1"],
+         "path"),
+        (["coverage", "--t", "0.05", "--k0", "3"], "path"),
+        (["metrics", "--metric", "kernel", "--fields-dir", "FIELDS"],
+         "kernel_path"),
+    ], ids=["basis-diffusion", "basis-spectral", "coverage", "metrics-kernel"])
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_error_bound_beside_path(self, mesh_path, fields_dir, tmp_path,
+                                     argv, key, mass):
+        argv = [fields_dir if a == "FIELDS" else a for a in argv]
+        out = tmp_path / "run"
+        assert main(argv + ["--mass", mass, "--mesh", mesh_path,
+                            "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        if mass == "consistent":  # the table states no bound yet
+            assert manifest[key] == "chebyshev table r=5 lu"
+            assert "error_bound" not in manifest
+            return
+        assert re.fullmatch(r"chebyshev deg=\d+ cheb-exp", manifest[key])
+        # the coefficient tail, at most eps sqrt(min B / max B)
+        assert 0.0 < manifest["error_bound"] <= np.finfo(float).eps
+
     def test_one_parser_per_run(self, mesh_path, tmp_path, monkeypatch):
         built = []
 
@@ -779,8 +803,8 @@ class TestErrors:
     def test_non_finite_filter_parameter_rejected(self, mesh_path, fields_dir,
                                                   tmp_path, capsys, argv,
                                                   shown):
-        # a non-finite heat scale once sent the Lanczos step search into
-        # an endless loop
+        # a non-finite heat scale once sent the heat route's degree search
+        # into an endless loop
         argv = [fields_dir if a == "FIELDS" else a for a in argv]
         rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -855,7 +879,7 @@ class TestErrors:
     @pytest.mark.parametrize("mass", ["lumped", "consistent"])
     def test_r_read_by_the_table_only(self, mesh_path, fields_dir, tmp_path,
                                       capsys, argv, mass):
-        # lumped mass takes lanczos-exp, which has no table degree to read
+        # lumped mass takes cheb-exp, which has no table degree to read
         argv = [fields_dir if a == "FIELDS" else a for a in argv]
         out = tmp_path / "o"
         rc = main(argv + ["--r", "5", "--mass", mass, "--mesh", mesh_path,

@@ -4,7 +4,7 @@ library names the benchmark relies on.
 perfbench/run.py --tiny runs real CLI jobs on icosphere(3) and checks
 every field against expm_multiply, the artifact sha256 list between jobs
 and, for coverage, the final coverage fraction 1.0.  Both heat workloads
-take the lanczos-exp route there, with no factorisation.  Run records
+take the cheb-exp route there, with no factorisation.  Run records
 go to the git-ignored .perfbench_runs/.  perfbench/spans.py times layers
 by wrapping library functions from outside, so each of its targets must
 exist and be the one the routes call, and every workload's command line
@@ -85,8 +85,8 @@ def test_workload_argv_runs(tmp_path):
 
 
 @pytest.mark.parametrize("workload, t, route", [
-    ("coverage-small-t", 0.001, "lanczos-exp"),
-    ("heat-batch", 0.04, "lanczos-exp"),
+    ("coverage-small-t", 0.001, "cheb-exp"),
+    ("heat-batch", 0.04, "cheb-exp"),
 ])
 def test_tiny_run_passes_its_checks(op3, workload, t, route):
     kernel = lb.filter_kernel(op3, lb.FilterSpec.exponential(t))
