@@ -6,9 +6,11 @@ Two evaluation routes exist for a spectral operator K_phi.  The truncated
 route expands over k computed eigenpairs; the spectrum-free route needs no
 eigendecomposition.  For the heat kernel exp(-t B^{-1} L) on a symmetric
 scheme with lumped mass it sums a Chebyshev expansion of degree K, one
-SpMV per degree; otherwise it replaces phi by a rational partial fraction
-and evaluates K_phi f as alpha0 f plus a few shifted sparse solves
-(B + beta_j L) g_j = B f.
+SpMV per degree for a whole block of columns; otherwise it replaces phi
+by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
+few shifted sparse solves (B + beta_j L) g_j = B f, one column at a time.
+spectral_set hands its seeds to either route in blocks of up to
+APPLY_BLOCK columns.
 """
 
 import math
@@ -29,6 +31,15 @@ from .filters import evaluate, partial_fractions
 
 # vertex held at 0 by the harmonic Green solve, before the B-mean is removed
 GREEN_PIN = 0
+# spectral_set applies its seeds in blocks of at most APPLY_BLOCK columns.
+# On bumpy_sphere(4), t = 0.04 (one core of a 2-core Xeon), a cheb-exp
+# column took 1.04 ms in 16-wide blocks, 1.01 ms in 32-wide and 1.11 ms
+# in 64-wide ones against 1.97 ms alone: the five 64-wide buffers of an
+# apply outgrow the 4 MiB L2.  Narrower than MIN_BLOCK, a block goes
+# column by column: a 2-wide block cost 1.24-1.40 times two single
+# columns, a 3-wide one 0.84-0.95 times three.
+APPLY_BLOCK = 16
+MIN_BLOCK = 3
 
 
 def _seed_indices(seeds, n):
@@ -186,6 +197,14 @@ def truncated_spectral(eig, filt, f):
     return ScalarField(out, tag=tag)
 
 
+def _by_column(apply_vector, fv):
+    """apply_vector(fv) for a vector fv, else the (n, m) block of
+    apply_vector on each column of fv."""
+    if fv.ndim == 1:
+        return apply_vector(fv)
+    return np.column_stack([apply_vector(col) for col in fv.T])
+
+
 def _symmetric_lumped(op):
     """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
     which the Chebyshev heat expansion needs."""
@@ -205,8 +224,14 @@ class ChebyshevKernel:
     - "cheb-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form, a
       degree-K Chebyshev expansion in B^{-1/2} L B^{-1/2}
       (numerics.cheb_exp), K fixed by its coefficient tail: K SpMVs per
-      column, no factorisation, no table and no stored basis.  Needs a
-      symmetric scheme and lumped mass, or raises ValueError.
+      apply, for a vector or a whole (n, m) block, no factorisation, no
+      table and no stored basis.  Needs a symmetric scheme and lumped
+      mass, or raises ValueError.
+
+    apply(f) takes a vector or an (n, m) block.  The lu route solves a
+    block column by column: a SuperLU block solve rounded a column
+    differently with different neighbours.  So on both routes a column's
+    bits do not depend on the block it comes in.
 
     route, degree (K on cheb-exp, else None) and error_bound (on
     cheb-exp the coefficient tail, a B-norm bound per unit |f|_B; else
@@ -236,9 +261,15 @@ class ChebyshevKernel:
         self.path = f"chebyshev {form} {self.route}"
 
     def apply(self, f):
+        """K_phi f for a vector f, or for each column of an (n, m) block
+        f: one recurrence for the whole block on cheb-exp, column by
+        column on lu."""
         fv = field_values(f)
         if self.route == "cheb-exp":
             return self._cheb(fv)
+        return _by_column(self._rational, fv)
+
+    def _rational(self, fv):
         acc = self.pf.alpha0 * fv
         for solve, (_, weights) in zip(self._factors, self.pf.poles):
             g = fv
@@ -250,7 +281,9 @@ class ChebyshevKernel:
 
 class TruncatedKernel:
     """K_phi over the eigenpairs of eig; filter_kernel builds one.  It
-    states no error_bound yet."""
+    states no error_bound yet.  apply(f) takes a vector or an (n, m)
+    block, which it filters column by column (one truncated_spectral
+    each)."""
 
     error_bound = None
 
@@ -259,7 +292,10 @@ class TruncatedKernel:
         self.path = f"truncated k={eig.k}"
 
     def apply(self, f):
-        return field_values(truncated_spectral(self.eig, self.filt, f))
+        """K_phi f for a vector f, or column by column for an (n, m)
+        block f."""
+        return _by_column(lambda fv: field_values(
+            truncated_spectral(self.eig, self.filt, fv)), field_values(f))
 
 
 def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
@@ -272,11 +308,12 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     table (r = 5 when None).  A rational filter takes its exact partial
     fractions.  Else a TruncatedKernel over eig, or over k eigenpairs
     computed here, which warns for k < n.  r is read only by the table
-    and k only by the truncated route.  Both kernels have apply(f),
-    error_bound (None but on cheb-exp) and path: "chebyshev deg=60 cheb-exp",
-    "chebyshev table r=5 lu", "chebyshev exact-rational lu",
-    "truncated k=100", ...  The table runs on a lumped operator when
-    built directly: ChebyshevKernel(op, partial_fractions(filt, r)).
+    and k only by the truncated route.  Both kernels have apply(f), f a
+    vector or an (n, m) block, error_bound (None but on cheb-exp) and
+    path: "chebyshev deg=60 cheb-exp", "chebyshev table r=5 lu",
+    "chebyshev exact-rational lu", "truncated k=100", ...  The table
+    runs on a lumped operator when built directly:
+    ChebyshevKernel(op, partial_fractions(filt, r)).
     """
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
@@ -300,19 +337,29 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
 def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
                  eig=None):
     """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
-    filter_kernel(op, filt, method, r, k, eig) applied to every e_s, its
+    filter_kernel(op, filt, method, r, k, eig) applied to the e_s, its
     path recorded in params["path"] and each field's tag, its error_bound
     in params["error_bound"]; that path names r or k where the kernel
     read one.  Diffusion is FilterSpec.exponential(t); other fields go to
     filter_kernel(...).apply.
+
+    The seeds go to the kernel in ceil(m / APPLY_BLOCK) blocks of
+    near-equal width, one apply per block, so cheb-exp pays one SpMV per
+    degree per block; a block narrower than MIN_BLOCK goes column by
+    column.  Each block's fields are copied out before the next is
+    applied, so no (n, m) result is held.  A column's bits do not depend
+    on the block it shares.
     """
     idx = _seed_indices(seeds, op.n)
     kernel = filter_kernel(op, filt, method, r, k, eig)
-    fields = [
-        ScalarField(kernel.apply(np.eye(1, op.n, s)[0]),
-                    tag=f"spectral[{filt.describe()},seed={s},{kernel.path}]")
-        for s in idx
-    ]
+    tag = f"spectral[{filt.describe()},seed={{}},{kernel.path}]"
+    fields = []
+    for block in np.array_split(idx, -(-len(idx) // APPLY_BLOCK)):
+        E = np.zeros((op.n, len(block)))
+        E[block, np.arange(len(block))] = 1.0
+        G = (kernel.apply(E) if len(block) >= MIN_BLOCK
+             else _by_column(kernel.apply, E))
+        fields += _seed_fields(G, block, tag)
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
                     params={"filter": filt.describe(), "path": kernel.path,
                             "error_bound": kernel.error_bound})

@@ -159,18 +159,24 @@ class Run:
 
     def __init__(self, args):
         self.args = args
+        self.formats = []
+        if "format" in args:  # only basis exports fields
+            self.formats = [f.strip() for f in args.format.split(",")
+                            if f.strip()]
+            hint = "; give a comma list from " + ",".join(FORMATS)
+            if not self.formats:
+                raise ValueError("--format names no field export" + hint)
+            for i, f in enumerate(self.formats):
+                if f not in FORMATS:
+                    raise ValueError(f"unknown format {f!r}" + hint)
+                if f in self.formats[:i]:
+                    raise ValueError(f"--format names {f!r} twice" + hint)
         self.outdir = args.out
         os.makedirs(self.outdir, exist_ok=True)
         self.outputs = []
         self.info = {}
         self.timings = {}
         self.t0 = time.perf_counter()
-        # only basis exports fields, so only basis has --format
-        self.formats = [f.strip() for f in getattr(args, "format", "").split(",")
-                        if f.strip()]
-        for f in self.formats:
-            if f not in FORMATS:
-                raise ValueError(f"unknown format {f!r}")
 
     def path(self, name):
         return os.path.join(self.outdir, name)
@@ -206,10 +212,11 @@ class Run:
 
 
 def _field_csv(run, name, f):
-    fv = field_values(f)
-    lines = ["vertex_id,value"]
-    lines += [f"{i},{fmt(v)}" for i, v in enumerate(fv)]
-    return run.write_text(name, "\n".join(lines) + "\n")
+    """One vertex_id,value row per vertex; the repr of a Python float is
+    fmt's shortest round-trip decimal."""
+    rows = "".join([f"{i},{v!r}\n"
+                    for i, v in enumerate(field_values(f).tolist())])
+    return run.write_text(name, "vertex_id,value\n" + rows)
 
 
 def _load_field_csv(path, n):

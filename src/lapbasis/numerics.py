@@ -11,10 +11,11 @@ with lumped B, the heat kernel exp(-t B^{-1} L) f is a Chebyshev
 expansion in B^{-1/2} L B^{-1/2} on [0, lambda-hat] (cheb_exp,
 scaled_operator, pencil_bound): Bessel coefficients from Miller's
 recurrence (bessel_coefficients), a degree fixed in advance by their
-tail, one SpMV per degree, and a B-norm contraction check on the
-result.  The smallest generalized eigenpairs of a stiffness/mass pencil
-come from scipy's eigsh (or dense eigh), certified complete by an
-inertia count.  Matrices are plain scipy sparse matrices.
+tail, one SpMV per degree for a vector or a whole block of columns, and
+a B-norm contraction check on each column of the result.  The smallest
+generalized eigenpairs of a stiffness/mass pencil come from scipy's
+eigsh (or dense eigh), certified complete by an inertia count.  Matrices
+are plain scipy sparse matrices.
 """
 
 import math
@@ -209,7 +210,8 @@ def bessel_coefficients(z, tol):
 def cheb_exp(B, L, t):
     """exp(-t B^{-1} L) f by a Chebyshev expansion, with no rational
     approximation, no factorisation and no stored basis; returns
-    (degree, bound, closure f -> g).
+    (degree, bound, closure f -> g).  f is an (n,) vector or an (n, m)
+    block whose columns all go through one recurrence.
 
     For a symmetric L and a diagonal B, exp(-t B^{-1} L) f =
     B^{-1/2} exp(-t A) B^{1/2} f with A = B^{-1/2} L B^{-1/2}
@@ -218,15 +220,21 @@ def cheb_exp(B, L, t):
     z = t lambda-hat / 2, exp(-t lambda) = sum_k c_k T_k(x)
     (bessel_coefficients; Tal-Ezer & Kosloff 1984).  T_{k+1} =
     A_2 T_k - T_{k-1} on A_2 = (4 / lambda-hat) A - 2I, built once, costs
-    one SpMV, one subtraction and one axpy per degree.  The degree K is
+    one SpMV, one subtraction and one axpy per degree: for a block, one
+    A_2 @ T_k (scipy's csr_matvecs) serves all its columns.  c_k T_k goes
+    into the buffer T_{k-1} leaves free, so a degree allocates only the
+    product; an apply holds about five n-vectors per column.
+    csr_matvecs sums each row in csr_matvec's order, so a block column
+    has the bits of a one-column apply.  The degree K is
     the smallest whose tail, bound = sum_{k > K} |c_k|, is at most
     eps sqrt(min B / max B): a B-norm error bound per unit |f|_B, so a
     unit column e_s has a pointwise truncation error of at most eps.  K
     depends on the mesh and t alone, so reruns are byte-identical.
 
-    Guard: NotConverged unless the result is finite and, as exp(-t A)
-    is, a B-norm contraction to rounding, |g|_B <= (1 + bound +
-    K^2 eps) |f|_B; T_k grows exponentially on a spectrum outside
+    Guard: NotConverged, naming the first failing column of a block,
+    unless each column of the result is finite and, as exp(-t A) is, a
+    B-norm contraction to rounding, |g|_B <= (1 + bound + K^2 eps)
+    |f|_B; T_k grows exponentially on a spectrum outside
     [0, lambda-hat].  The recurrence rounds like K^2 eps, not K eps (a
     constant's error was 0.002 K^2 eps at K = 1840 and 3187).
     """
@@ -244,24 +252,32 @@ def cheb_exp(B, L, t):
     slack = 1.0 + bound + degree * degree * eps
 
     def solve(f):
-        prev = root * f
-        scale = np.linalg.norm(prev)  # |f|_B
+        block = f.ndim == 2
+        axis = 0 if block else None  # None keeps a vector's norm one dot
+        r = root[:, None] if block else root
+        prev = np.multiply(r, f, order="C")  # so A2 @ prev copies nothing
+        scale = np.linalg.norm(prev, axis=axis)  # |f|_B of each column
         acc = c[0] * prev
         if degree:
             cur = 0.5 * (A2 @ prev)
             acc += c[1] * cur
             for ck in c[2:]:
-                nxt = A2 @ cur
+                nxt = A2 @ cur  # the one allocation per degree
                 nxt -= prev
-                acc += ck * nxt
+                acc += np.multiply(nxt, ck, out=prev)  # prev is free here
                 prev, cur = cur, nxt
-        grow = np.linalg.norm(acc)  # |g|_B, not finite with acc
-        if not grow <= slack * scale:
+        grow = np.linalg.norm(acc, axis=axis)  # |g|_B, not finite with acc
+        ok = grow <= slack * scale
+        if not ok.all():
+            j = np.argmin(ok)  # the first failing column
             raise NotConverged(
-                f"heat kernel at t={t:g}, degree {degree}: |g|_B = {grow:.3e}"
-                f" exceeds (1 + {slack - 1.0:.2e}) |f|_B = {scale:.3e}"
+                f"heat kernel at t={t:g}, degree {degree}: "
+                + (f"column {j}: " if block else "")
+                + f"|g|_B = {np.ravel(grow)[j]:.3e} exceeds "
+                f"(1 + {slack - 1.0:.2e}) |f|_B = {np.ravel(scale)[j]:.3e}"
                 " (spectrum outside [0, lambda-hat]?)")
-        return acc / root
+        acc /= r
+        return acc
 
     return degree, bound, solve
 

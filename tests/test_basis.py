@@ -537,6 +537,11 @@ class TestLanczosExp:
     def bumpy4(self):
         return lb.assemble(lb.bumpy_sphere(4, seed=1))
 
+    @pytest.fixture(scope="class")
+    def bumpy5(self):
+        mesh = lb.bumpy_sphere(5, seed=1)
+        return mesh, lb.assemble(mesh)
+
     def check_expm_multiply(self, op, t):
         kernel = lb.filter_kernel(op, FilterSpec.exponential(t))
         assert kernel.route == "cheb-exp"
@@ -635,11 +640,11 @@ class TestLanczosExp:
         bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), [0, 5, 9])
         assert bs.params["path"].endswith(" cheb-exp") and calls == []
 
-    def test_memory_is_a_few_vectors(self):
+    def test_memory_is_a_few_vectors(self, bumpy5):
         # n = 10242, t = 0.1, K = 170: the kernel keeps A_2 and K + 1
         # coefficients (13.6 n-vectors measured), and an apply holds a
         # few n-vectors at a time (5.0 measured)
-        op = lb.assemble(lb.bumpy_sphere(5, seed=1))
+        _, op = bumpy5
         vector = 8 * op.n
         tracemalloc.start()
         try:
@@ -657,6 +662,79 @@ class TestLanczosExp:
         assert held < 16 * vector
         assert peak < 8 * vector
         assert np.isfinite(g).all()
+
+    @pytest.mark.parametrize("make, t", [
+        (partial(lb.bumpy_sphere, 4, seed=1), 0.04),
+        (partial(lb.bumpy_sphere, 4, seed=1), 0.25),
+        (partial(lb.icosphere, 3), 0.04),
+    ], ids=["bumpy4-0.04", "bumpy4-0.25", "sphere3-0.04"])
+    def test_block_columns_equal_single_applies(self, make, t):
+        # a block apply gives each column the bits of a one-column apply,
+        # whatever seeds share its block: 64 FPS seeds in four 16-wide
+        # blocks, and a reversed 5-seed subset across two of them
+        mesh = make()
+        op = lb.assemble(mesh)
+        filt = FilterSpec.exponential(t)
+        seeds = list(lb.farthest_point_sampling(mesh, 64, op=op))
+        kernel = lb.filter_kernel(op, filt)
+        one = np.column_stack([kernel.apply(delta(op.n, s)) for s in seeds])
+        full = lb.spectral_set(op, filt, seeds).matrix()
+        part = lb.spectral_set(op, filt, seeds[14:19][::-1]).matrix()
+        assert full.tobytes() == one.tobytes()
+        assert part.tobytes() == one[:, 14:19][:, ::-1].copy().tobytes()
+
+    @pytest.mark.parametrize("m, widths", [
+        (1, [None]),  # None: a vector, one column at a time
+        (2, [None, None]),
+        (3, [3]),
+        (16, [16]),
+        (17, [9, 8]),
+        (64, [16, 16, 16, 16]),
+    ])
+    def test_seeds_applied_in_near_equal_blocks(self, op3, monkeypatch, m,
+                                                widths):
+        shapes = []
+        apply = ChebyshevKernel.apply
+
+        def spy(self, f):
+            shapes.append(f.shape[1] if f.ndim == 2 else None)
+            return apply(self, f)
+
+        monkeypatch.setattr(ChebyshevKernel, "apply", spy)
+        bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), range(m))
+        assert shapes == widths
+        assert bs.seeds == list(range(m))
+        assert all(f.values.flags.c_contiguous for f in bs)
+
+    def test_guard_names_the_failing_column(self, op3, monkeypatch):
+        # on [0, lambda-hat / 10] a constant keeps its norm (its eigenvalue
+        # 0 is inside) and a unit column grows: column 1 fails first
+        bound = numerics.pencil_bound
+        monkeypatch.setattr(numerics, "pencil_bound",
+                            lambda L, B: 0.1 * bound(L, B))
+        kernel = lb.filter_kernel(op3, FilterSpec.exponential(0.04))
+        F = np.zeros((op3.n, 3))
+        F[:, 0] = 1.0
+        F[7, 1] = F[9, 2] = 1.0
+        with pytest.raises(NotConverged,
+                           match=f"degree {kernel.degree}: column 1: "):
+            kernel.apply(F)
+
+    def test_spectral_set_memory_is_the_fields_and_a_block(self, bumpy5):
+        # n = 10242, 64 seeds: the 64 fields, the kernel (about 14
+        # n-vectors) and one block apply (about 5 n-vectors per column)
+        # peak together at 157.8 n-vectors measured; holding the (n, m)
+        # result as well would pass the bound
+        mesh, op = bumpy5
+        seeds = list(lb.farthest_point_sampling(mesh, 64, op=op))
+        tracemalloc.start()
+        try:
+            bs = lb.spectral_set(op, FilterSpec.exponential(0.01), seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bs) == 64
+        assert peak < (64 + 7 * basis_mod.APPLY_BLOCK) * 8 * op.n
 
     @pytest.mark.parametrize("case, path", [
         ("consistent", "chebyshev table r=5 lu"),

@@ -717,6 +717,23 @@ class TestErrors:
         assert rc == 1
         assert "format" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formats, message", [
+        ("", "--format names no field export; give a comma list from csv,ply"),
+        (" , ", "--format names no field export"),
+        ("csv,csv", "--format names 'csv' twice"),
+        ("ply, csv,ply", "--format names 'ply' twice"),
+    ])
+    def test_empty_or_repeated_format_rejected(self, mesh_path, tmp_path,
+                                               capsys, formats, message):
+        # an empty list computed every field and exported none, while the
+        # manifest named their stems; now nothing is computed or written
+        out = tmp_path / "o"
+        rc = main(["basis", "diffusion", "--mesh", mesh_path, "--seeds", "0",
+                   "--format", formats, "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_filter_expression(self, mesh_path, tmp_path, capsys):
         rc = main([
             "basis", "spectral", "--mesh", mesh_path, "--seeds", "0",
@@ -979,6 +996,20 @@ class TestErrors:
         b = cli_mod._load_field_csv(str(other), 20)
         assert np.array_equal(a.values, values)
         assert np.array_equal(b.values, values)
+
+    def test_field_csv_bytes_pinned(self, tmp_path):
+        # shortest round-trip decimals, the signed zero and inf included;
+        # every value reads back with its bits
+        values = np.array([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3,
+                           123456789.0, np.inf])
+        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path)))
+        path = pathlib.Path(cli_mod._field_csv(
+            run, "x_0000.csv", lb.ScalarField(values)))
+        assert path.read_bytes() == (
+            b"vertex_id,value\n0,0.0\n1,-0.0\n2,5e-324\n3,1e-300\n4,0.1\n"
+            b"5,0.3333333333333333\n6,123456789.0\n7,inf\n")
+        back = cli_mod._load_field_csv(str(path), len(values)).values
+        assert back.tobytes() == values.tobytes()
 
     def test_field_csv_first_bad_row_named(self, tmp_path):
         # row 3 (vertex 1) is out of order and row 6 is not a number:
