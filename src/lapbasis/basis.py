@@ -9,8 +9,9 @@ scheme with lumped mass it sums a Chebyshev expansion of degree K, one
 SpMV per degree for a whole block of columns; otherwise it replaces phi
 by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
 few shifted sparse solves (B + beta_j L) g_j = B f, one column at a time.
-spectral_set hands its seeds to either route in blocks of up to
-APPLY_BLOCK columns.
+spectral_set hands its seeds, and the kernel metric of comparison_matrix
+its fields, to either route in blocks of up to APPLY_BLOCK columns
+(_apply_blocks).
 """
 
 import math
@@ -31,7 +32,7 @@ from .filters import evaluate, partial_fractions
 
 # vertex held at 0 by the harmonic Green solve, before the B-mean is removed
 GREEN_PIN = 0
-# spectral_set applies its seeds in blocks of at most APPLY_BLOCK columns.
+# _apply_blocks splits columns into blocks of at most APPLY_BLOCK.
 # On bumpy_sphere(4), t = 0.04 (one core of a 2-core Xeon), a cheb-exp
 # column took 1.04 ms in 16-wide blocks, 1.01 ms in 32-wide and 1.11 ms
 # in 64-wide ones against 1.97 ms alone: the five 64-wide buffers of an
@@ -205,6 +206,18 @@ def _by_column(apply_vector, fv):
     return np.column_stack([apply_vector(col) for col in fv.T])
 
 
+def _apply_blocks(apply, keys, block_input):
+    """Yield (block, apply(block_input(block))) for the blocks of keys, a
+    1-D array of m column keys split into ceil(m / APPLY_BLOCK) blocks of
+    near-equal width.  block_input maps a block to its (n, len(block))
+    input; a block narrower than MIN_BLOCK is applied column by column.
+    apply takes a vector or an (n, m) block and returns an array."""
+    for block in np.array_split(keys, -(-len(keys) // APPLY_BLOCK)):
+        X = block_input(block)
+        yield block, (apply(X) if len(block) >= MIN_BLOCK
+                      else _by_column(apply, X))
+
+
 def _symmetric_lumped(op):
     """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
     which the Chebyshev heat expansion needs."""
@@ -353,12 +366,14 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
     idx = _seed_indices(seeds, op.n)
     kernel = filter_kernel(op, filt, method, r, k, eig)
     tag = f"spectral[{filt.describe()},seed={{}},{kernel.path}]"
-    fields = []
-    for block in np.array_split(idx, -(-len(idx) // APPLY_BLOCK)):
+
+    def deltas(block):  # the unit columns e_s of the block's seeds
         E = np.zeros((op.n, len(block)))
         E[block, np.arange(len(block))] = 1.0
-        G = (kernel.apply(E) if len(block) >= MIN_BLOCK
-             else _by_column(kernel.apply, E))
+        return E
+
+    fields = []
+    for block, G in _apply_blocks(kernel.apply, idx, deltas):
         fields += _seed_fields(G, block, tag)
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
                     params={"filter": filt.describe(), "path": kernel.path,

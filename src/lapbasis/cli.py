@@ -1,13 +1,19 @@
 """Batch command line: compute bases, metrics, seeds, and spectra; export
 CSV/PLY/JSON/PGM artifacts with a manifest for external plotting.
 
-Every run writes a ``manifest.json`` listing each output file with its
-sha256, and the mesh's load warnings (mesh_warnings) if it has any.
+Every run writes a ``manifest.json`` listing each output file with the
+sha256 of the bytes written to it (hashed as they are written, never read
+back), and the mesh's load warnings (mesh_warnings) if it has any.
 Numeric CSV output uses shortest round-trip decimals and fixed orderings,
-so identical inputs give byte-identical files.
+so identical inputs give byte-identical files.  A field CSV is one call
+of a %-template, built once per export for the mesh's vertex count, on
+the field's values: %r of a float is the repr an f-string row would
+write, without the per-row assembly.
 """
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import re
@@ -23,7 +29,7 @@ from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
 from .filters import FilterSpec, parse_filter
-from .ioutil import atomic_write_text, fmt, sha256_file
+from .ioutil import atomic_write_text, fmt
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
 
@@ -173,7 +179,8 @@ class Run:
                     raise ValueError(f"--format names {f!r} twice" + hint)
         self.outdir = args.out
         os.makedirs(self.outdir, exist_ok=True)
-        self.outputs = []
+        self.outputs = []  # paths, in the order they were written
+        self.digests = {}  # path -> sha256 of the bytes written there
         self.info = {}
         self.timings = {}
         self.t0 = time.perf_counter()
@@ -181,14 +188,21 @@ class Run:
     def path(self, name):
         return os.path.join(self.outdir, name)
 
-    def add(self, path):
+    def add(self, path, digest):
+        """Record an output file and the sha256 its writer returned."""
         self.outputs.append(path)
+        self.digests[path] = digest
         return path
 
     def write_text(self, name, text):
         p = self.path(name)
-        atomic_write_text(p, text)
-        return self.add(p)
+        return self.add(p, atomic_write_text(p, text))
+
+    def save(self, name, writer, obj, **kwargs):
+        """writer(obj, path, **kwargs) to the output name; writer returns
+        the sha256 of what it wrote."""
+        p = self.path(name)
+        return self.add(p, writer(obj, p, **kwargs))
 
     def finish(self):
         read = self.args.read
@@ -202,7 +216,7 @@ class Run:
             **self.info,
             "outputs": [
                 {"path": os.path.relpath(p, self.outdir),
-                 "sha256": sha256_file(p)}
+                 "sha256": self.digests[p]}
                 for p in self.outputs
             ],
         }
@@ -211,38 +225,55 @@ class Run:
         return self.path("manifest.json")
 
 
-def _field_csv(run, name, f):
-    """One vertex_id,value row per vertex; the repr of a Python float is
-    fmt's shortest round-trip decimal."""
-    rows = "".join([f"{i},{v!r}\n"
-                    for i, v in enumerate(field_values(f).tolist())])
-    return run.write_text(name, "vertex_id,value\n" + rows)
+def _field_template(n):
+    """The %-template of an n-vertex field CSV: the header, then the row
+    "i,%r" of each vertex i."""
+    return "vertex_id,value\n" + "".join([f"{i},%r\n" for i in range(n)])
 
 
-def _load_field_csv(path, n):
-    """A field as _field_csv writes it on an n-vertex mesh: one row per
-    vertex, ids 0, 1, 2, ... in order."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("vertex_id"):
-            raise ValueError(f"{path}: expected a vertex_id,value header")
-        values = []
-        for row, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    vid, v = line.split(",", 1)
-                    vid, v = int(vid), float(v)
-                except ValueError as exc:
-                    raise ValueError(f"{path}, row {row}: {exc}") from None
-                if vid != len(values):
-                    raise ValueError(
-                        f"{path}, row {row}: vertex id {vid}, expected "
-                        f"{len(values)}: ids must be 0, 1, 2, ... in order")
-                values.append(v)
+def _field_csv(run, name, f, template=None):
+    """One vertex_id,value row per vertex, formatted in one call,
+    template % values; template is _field_template(n), built here when
+    not given.  %r of a Python float is its repr, fmt's shortest
+    round-trip decimal."""
+    values = field_values(f).tolist()
+    if template is None:
+        template = _field_template(len(values))
+    return run.write_text(name, template % tuple(values))
+
+
+def _read_field_csv(path, n):
+    """(field, sha256 of the file's bytes) of a field CSV as _field_csv
+    writes it on an n-vertex mesh: one row per vertex, ids 0, 1, 2, ...
+    in order.  The file is read once, for both."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = io.StringIO(data.decode(), newline=None)  # universal newlines
+    if not lines.readline().startswith("vertex_id"):
+        raise ValueError(f"{path}: expected a vertex_id,value header")
+    values = []
+    for row, line in enumerate(lines, start=2):
+        if line.strip():
+            try:
+                vid, v = line.split(",", 1)
+                vid, v = int(vid), float(v)
+            except ValueError as exc:
+                raise ValueError(f"{path}, row {row}: {exc}") from None
+            if vid != len(values):
+                raise ValueError(
+                    f"{path}, row {row}: vertex id {vid}, expected "
+                    f"{len(values)}: ids must be 0, 1, 2, ... in order")
+            values.append(v)
     if len(values) != n:
         raise ValueError(f"{path}: {len(values)} rows, expected one per "
                          f"vertex of the {n}-vertex mesh")
-    return ScalarField(np.array(values), tag=os.path.basename(path))
+    field = ScalarField(np.array(values), tag=os.path.basename(path))
+    return field, hashlib.sha256(data).hexdigest()
+
+
+def _load_field_csv(path, n):
+    """The field of _read_field_csv(path, n)."""
+    return _read_field_csv(path, n)[0]
 
 
 def _ramp_colors(values):
@@ -255,20 +286,16 @@ def _ramp_colors(values):
     return np.column_stack([r, np.zeros_like(r), b])
 
 
-def _field_ply(run, name, mesh, f):
-    p = run.path(name)
-    save_ply(mesh, p, colors=_ramp_colors(field_values(f)))
-    return run.add(p)
-
-
 def _export_fields(run, mesh, fields, stem):
+    template = _field_template(mesh.n_vertices)  # one per export, ~0.3 ms
     for i, f in enumerate(fields):
         tag = getattr(f, "tag", "")
         base = FIELD_STEM.format(stem, i)
         if "csv" in run.formats:
-            _field_csv(run, base + ".csv", f)
+            _field_csv(run, base + ".csv", f, template)
         if "ply" in run.formats:
-            _field_ply(run, base + ".ply", mesh, f)
+            run.save(base + ".ply", save_ply, mesh,
+                     colors=_ramp_colors(field_values(f)))
         run.info.setdefault("fields", []).append(
             {"index": i, "tag": tag, "stem": base}
         )
@@ -349,10 +376,10 @@ def cmd_metrics(args, run, mesh, op):
         raise ValueError(f"{args.fields_dir}: no field exports; metrics reads"
                          " the <stem>_NNNN.csv files of a basis run")
     paths = [os.path.join(args.fields_dir, f) for f in names]
-    fields = BasisSet([_load_field_csv(p, mesh.n_vertices) for p in paths],
-                      "file")
-    run.info["inputs"] = [{"path": p, "sha256": sha256_file(p)}
-                          for p in paths]
+    read = [_read_field_csv(p, mesh.n_vertices) for p in paths]
+    fields = BasisSet([f for f, _ in read], "file")
+    run.info["inputs"] = [{"path": p, "sha256": digest}
+                          for p, (_, digest) in zip(paths, read)]
     kernel_apply = None
     if args.metric == "kernel":
         kernel = basis_mod.filter_kernel(
@@ -364,12 +391,8 @@ def cmd_metrics(args, run, mesh, op):
         normalize=args.normalize,
     )
     base = f"metric_{args.metric}"
-    p_csv = run.path(base + ".csv")
-    metrics_mod.save_comparison_csv(cm, p_csv)
-    run.add(p_csv)
-    p_pgm = run.path(base + ".pgm")
-    metrics_mod.save_comparison_pgm(cm, p_pgm)
-    run.add(p_pgm)
+    run.save(base + ".csv", metrics_mod.save_comparison_csv, cm)
+    run.save(base + ".pgm", metrics_mod.save_comparison_pgm, cm)
     run.info["matrix"] = {"m": cm.m, "normalized": cm.normalized}
 
 
@@ -377,9 +400,7 @@ def cmd_seeds(args, run, mesh, op):
     ss = seeds_mod.farthest_point_sampling(
         mesh, args.fps, start=args.start, metric=args.metric, op=op
     )
-    p = run.path("seeds.txt")
-    seeds_mod.save_seeds(ss, p)
-    run.add(p)
+    run.save("seeds.txt", seeds_mod.save_seeds, ss)
     run.info["seeds"] = {"method": ss.method, "start": ss.start,
                          "metric": ss.metric, "count": len(ss)}
 
@@ -392,12 +413,9 @@ def cmd_coverage(args, run, mesh, op):
         mesh, op, lambda s: heat.apply(np.eye(1, op.n, s)[0]), k0=args.k0,
         tau=args.tau, metric=args.metric, start=args.start,
     )
-    p = run.path("coverage_seeds.txt")
-    seeds_mod.save_seeds(result.seeds, p)
-    run.add(p)
-    curve = seeds_mod.coverage_curve(result.basis, tau=args.tau)
+    run.save("coverage_seeds.txt", seeds_mod.save_seeds, result.seeds)
     lines = ["k,fraction"]
-    lines += [f"{i + 1},{fmt(v)}" for i, v in enumerate(curve)]
+    lines += [f"{i + 1},{fmt(v)}" for i, v in enumerate(result.curve)]
     run.write_text("coverage_curve.csv", "\n".join(lines) + "\n")
     report = {
         "iterations": result.iterations,

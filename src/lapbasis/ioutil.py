@@ -11,13 +11,18 @@ def fmt(x):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename (never a torn file)."""
+    """Write text to path via a temp file + rename (never a torn file).
+
+    The text is encoded once, as UTF-8; returns the sha256 of the bytes
+    written, so no caller reads a file back to hash it.
+    """
+    data = text.encode()
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -25,11 +30,4 @@ def atomic_write_text(path, text):
         except OSError:
             pass
         raise
-
-
-def sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(data).hexdigest()

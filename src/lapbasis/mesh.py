@@ -413,16 +413,19 @@ def _face_lines(mesh):
 
 
 def save_off(mesh, path):
-    """Write an OFF file; coordinates keep 9 significant digits."""
+    """Write an OFF file; coordinates keep 9 significant digits.
+    Returns the sha256 of the bytes written."""
     lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
     lines += [f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}" for v in mesh.vertices]
-    atomic_write_text(path, "\n".join(lines + _face_lines(mesh)) + "\n")
+    return atomic_write_text(path,
+                             "\n".join(lines + _face_lines(mesh)) + "\n")
 
 
 def save_ply(mesh, path, colors=None):
     """Write an ascii PLY file, optionally with per-vertex uchar RGB.
 
-    colors, when given, is an (n, 3) integer array in 0..255.
+    colors, when given, is an (n, 3) integer array in 0..255.  Returns
+    the sha256 of the bytes written.
     """
     lines = ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
              "property float x", "property float y", "property float z"]
@@ -437,4 +440,5 @@ def save_ply(mesh, path, colors=None):
         if colors is not None:
             line += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
         lines.append(line)
-    atomic_write_text(path, "\n".join(lines + _face_lines(mesh)) + "\n")
+    return atomic_write_text(path,
+                             "\n".join(lines + _face_lines(mesh)) + "\n")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _apply_blocks
 from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
 from .ioutil import atomic_write_text, fmt
@@ -39,8 +40,9 @@ def _gram(op, metric, F, G, kernel_apply=None):
     """F^T M G with M = B (area), L (conformal) or B K (kernel).
 
     F and G are vertex vectors or (n, m) column stacks.  The conformal
-    metric needs a symmetric scheme; the kernel, applied column by column,
-    must be B-adjoint, which is probed on every call.
+    metric needs a symmetric scheme.  The kernel must be B-adjoint, which
+    is probed on every call; it gets the columns of G in the blocks that
+    spectral_set uses (basis._apply_blocks).
     """
     if metric == "area":
         MG = op.B @ G
@@ -54,9 +56,12 @@ def _gram(op, metric, F, G, kernel_apply=None):
         if kernel_apply is None:
             raise ValueError("kernel metric needs kernel_apply")
         _check_adjoint(op, kernel_apply, G.shape[0])
-        # each column of G, or G itself when it is one vector
-        KG = np.column_stack([field_values(kernel_apply(g))
-                              for g in np.atleast_2d(G.T)])
+        G2 = G.reshape(G.shape[0], -1)  # a vector is one column
+        KG = np.empty(G2.shape)
+        for cols, KX in _apply_blocks(
+                lambda X: field_values(kernel_apply(X)),
+                np.arange(G2.shape[1]), lambda c: G2[:, c]):
+            KG[:, cols] = KX
         MG = op.B @ KG.reshape(G.shape)
     else:
         raise ValueError(f"unknown metric {metric!r}")
@@ -79,10 +84,11 @@ def conformal_metric(op, f, g):
 def kernel_metric(op, kernel_apply, f, g):
     """Kernel-weighted inner product f^T B (K g).
 
-    kernel_apply maps a vertex vector to K applied to it and must be
-    B-adjoint; every call probes this at 2 * ADJOINT_PROBES applies, so
-    many pairs belong in one comparison_matrix call, which costs
-    m + 2 * ADJOINT_PROBES applies for m fields.
+    kernel_apply maps a vertex vector, or each column of an (n, m)
+    block, to K applied to it, and must be B-adjoint; every call probes
+    this at 2 * ADJOINT_PROBES vector applies, so many pairs belong in
+    one comparison_matrix call, which applies K to its m fields in
+    blocks, plus the probe's vectors.
     """
     return float(_gram(op, "kernel", field_values(f), field_values(g),
                        kernel_apply))
@@ -116,8 +122,12 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
     """Pairwise metric matrix of a basis set.
 
     Costs m operator applications plus m^2 dot products (never m^2
-    solves); a kernel metric adds the 2 * ADJOINT_PROBES applies of its
-    probe.  normalize=True rescales each field to [0, 1] first; the flag
+    solves).  A kernel metric passes the fields to kernel_apply in the
+    blocks of spectral_set: ceil(m / basis.APPLY_BLOCK) of near-equal
+    width, a block narrower than basis.MIN_BLOCK one column per call.
+    So kernel_apply takes a vector or an (n, m) block, as both lapbasis
+    kernels' apply do; the probe adds 2 * ADJOINT_PROBES vector applies.
+    normalize=True rescales each field to [0, 1] first; the flag
     is recorded on the result.
     """
     columns = [field_values(f) for f in fields]
@@ -133,13 +143,15 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
 
 
 def save_comparison_csv(cm, path):
-    """Raw matrix as CSV, one row per line, shortest round-trip floats."""
+    """Raw matrix as CSV, one row per line, shortest round-trip floats;
+    returns the sha256 of the bytes written."""
     lines = [",".join(fmt(v) for v in row) for row in cm.values]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_comparison_pgm(cm, path):
-    """8-bit grayscale image of the matrix (PGM P2, affine [min,max] map)."""
+    """8-bit grayscale image of the matrix (PGM P2, affine [min,max] map);
+    returns the sha256 of the bytes written."""
     v = cm.values
     lo, hi = float(v.min()), float(v.max())
     if hi > lo:
@@ -153,4 +165,4 @@ def save_comparison_pgm(cm, path):
         "255",
     ]
     lines += [" ".join(str(p) for p in row) for row in pix]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, "\n".join(lines) + "\n")

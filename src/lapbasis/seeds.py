@@ -103,12 +103,18 @@ def support(f, tau=DEFAULT_TAU):
 
 @dataclass
 class CoverageResult:
-    """Outcome of the coverage loop: final coverage fraction is 1."""
+    """Outcome of the coverage loop: final coverage fraction is 1.
+
+    history holds the covered fraction after each iteration, curve after
+    each field, from the supports the loop found: coverage_curve of the
+    basis, without recomputing them.
+    """
 
     seeds: SeedSet
     basis: BasisSet
     history: list = field(default_factory=list)
     tau: float = DEFAULT_TAU
+    curve: list = field(default_factory=list)
 
     @property
     def iterations(self):
@@ -142,6 +148,7 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     d_cov = np.full(n, np.inf)
     fields = []
     history = []
+    curve = []
     adj = mesh.adjacency()
     for _ in range(n):
         was_covered = covered.copy()
@@ -155,13 +162,14 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
                 )
             fields.append(f)
             covered[sup] = True
-        history.append(float(covered.mean()))
+            curve.append(float(covered.mean()))
+        history.append(curve[-1])
         if covered.all():
             basis = BasisSet(fields, "coverage", seeds=seed_list,
                              params={"tau": tau, "k0": k0})
             seeds = SeedSet(seed_list, method="coverage", start=fps.start,
                             metric=metric)
-            return CoverageResult(seeds, basis, history, tau)
+            return CoverageResult(seeds, basis, history, tau, curve)
         uncovered = np.flatnonzero(~covered)
         sub = adj[uncovered][:, uncovered]
         ncomp, labels = csgraph.connected_components(sub, directed=False)
@@ -192,8 +200,8 @@ def coverage_curve(fields, tau=DEFAULT_TAU):
 
 
 def save_seeds(seeds, path):
-    """One vertex index per line."""
-    atomic_write_text(path, "\n".join(str(i) for i in seeds) + "\n")
+    """One vertex index per line; returns the sha256 of the bytes written."""
+    return atomic_write_text(path, "\n".join(str(i) for i in seeds) + "\n")
 
 
 def load_seeds(path):

@@ -108,6 +108,39 @@ def test_import_loads_no_scipy_signal():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv, written", [
+    (["basis", "diffusion", "--seeds", "0,40", "--format", "csv,ply"],
+     ["diffusion_0000.csv", "diffusion_0000.ply", "diffusion_0001.csv",
+      "diffusion_0001.ply"]),
+    (["basis", "eigen", "--k", "3", "--format", "ply"],
+     ["spectrum.json", "eigen_0000.ply"]),
+    (["metrics", "--metric", "area", "--fields-dir", None],
+     ["metric_area.csv", "metric_area.pgm"]),
+    (["metrics", "--metric", "kernel", "--fields-dir", None],
+     ["metric_kernel.csv", "metric_kernel.pgm"]),
+    (["seeds", "--fps", "5"], ["seeds.txt"]),
+    (["coverage", "--t", "0.05", "--k0", "5"],
+     ["coverage_seeds.txt", "coverage_curve.csv", "coverage_report.json"]),
+    (["spectrum", "--k", "4"], ["spectrum.json"]),
+    (["validate"], ["mesh_report.json"]),
+], ids=["basis-csv-ply", "basis-eigen-ply", "metrics-area",
+        "metrics-kernel", "seeds", "coverage", "spectrum", "validate"])
+def test_manifest_sha256_is_the_file_on_disk(mesh_path, fields_dir, tmp_path,
+                                            argv, written):
+    # each output is hashed from the bytes its writer wrote; a fresh hash
+    # of the file agrees, and every file but the manifest is listed
+    out = tmp_path / "run"
+    argv = [fields_dir if a is None else a for a in argv]
+    assert main([*argv, "--mesh", mesh_path, "--out", str(out)]) == 0
+    outputs = read_manifest(out)["outputs"]
+    names = [o["path"] for o in outputs]
+    assert sorted(names) == sorted(p.name for p in out.iterdir()
+                                   if p.name != "manifest.json")
+    assert set(written) <= set(names)
+    for o in outputs:
+        assert o["sha256"] == sha256(out / o["path"]), o["path"]
+
+
 class TestBasisCommand:
     def test_diffusion_writes_csv_and_manifest(self, mesh_path, tmp_path):
         out = tmp_path / "run"
@@ -1010,6 +1043,47 @@ class TestErrors:
             b"5,0.3333333333333333\n6,123456789.0\n7,inf\n")
         back = cli_mod._load_field_csv(str(path), len(values)).values
         assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2562])
+    def test_field_csv_template_bytes(self, tmp_path, n):
+        # one %-template call writes the bytes of the f"{i},{v!r}" rows
+        # for every kind of float repr: specials, subnormals, integral
+        # values and both sides of repr's switches to exponent form
+        special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
+                   1.0, -3.0, 2.0 ** 53, 1e-5, 9.999999999999999e-05, 1e-4,
+                   1.0000000000000002e-4, 1e15, 9999999999999998.0, 1e16,
+                   1e16 + 2, 1e17, 1.2345678901234568e17]
+        rng = np.random.default_rng(25)
+        k = n // 5 + 1
+        values = np.concatenate([
+            special, rng.standard_normal(k),
+            rng.standard_normal(k) * 10.0 ** rng.integers(-320, 300, k),
+            np.round(rng.standard_normal(k) * 1e6),
+            rng.uniform(5e-6, 2e-4, k), rng.uniform(5e14, 2e17, k)])
+        values = rng.permutation(values[:n]) if n > 1 else np.array([1e16])
+        want = "vertex_id,value\n" + "".join(
+            f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
+        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path)))
+        template = cli_mod._field_template(n)
+        for name, given in (("a.csv", ()), ("b.csv", (template,))):
+            path = cli_mod._field_csv(run, name, values, *given)
+            assert pathlib.Path(path).read_bytes() == want.encode()
+        assert run.digests[path] == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_exports_take_their_own_mesh_size(self, tmp_path):
+        # two meshes in one process: each export has its mesh's rows
+        for level in (2, 3, 2):
+            mesh = tmp_path / f"sphere{level}.off"
+            save_off(lb.icosphere(level), mesh)
+            out = tmp_path / f"run{level}"
+            export_fields(str(mesh), out, ["diffusion", "--seeds", "0,5"])
+            n = lb.icosphere(level).n_vertices
+            for csv in field_csvs(out):
+                rows = csv.read_text().splitlines()
+                assert rows[0] == "vertex_id,value"
+                assert rows[1:] == [f"{i},{float(v)!r}" for i, v in
+                                    enumerate(load_field(csv))]
+                assert len(rows) == n + 1
 
     def test_field_csv_first_bad_row_named(self, tmp_path):
         # row 3 (vertex 1) is out of order and row 6 is not a number:

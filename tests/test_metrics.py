@@ -87,8 +87,9 @@ class TestKernelMetric:
         applies = []
         original = ChebyshevKernel.apply
 
-        def counting(self, f):
-            applies.append(1)
+        def counting(self, f):  # the columns of each apply
+            fv = lb.field_values(f)
+            applies.append(fv.shape[1] if fv.ndim == 2 else 1)
             return original(self, f)
 
         monkeypatch.setattr(ChebyshevKernel, "apply", counting)
@@ -98,11 +99,12 @@ class TestKernelMetric:
         probe = 2 * metrics_mod.ADJOINT_PROBES  # two applies per (u, v) pair
         for calls in range(1, 4):
             lb.kernel_metric(op2, kern.apply, f, f)
-            assert len(applies) == calls * (probe + 1)
+            assert applies == calls * [1] * (probe + 1)
         del applies[:]
         lb.comparison_matrix(op2, [f, 2 * f, 3 * f], metric="kernel",
                              kernel_apply=kern.apply)
-        assert len(applies) == 3 + probe
+        # the probe's vectors, then the three fields as one block
+        assert sorted(applies) == [1] * probe + [3]
 
     def test_adjoint_probe_repeats_for_failing_map(self, op2):
         shift = lambda v: np.roll(np.asarray(v), 1)
@@ -208,6 +210,25 @@ class TestComparisonMatrix:
     def test_no_fields_rejected(self, op2):
         with pytest.raises(ValueError, match="at least one field"):
             lb.comparison_matrix(op2, [], metric="area")
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 35])
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_kernel_blocks_match_column_loop(self, sphere2, m, mass):
+        # the block applies of _gram give the bits of one apply per
+        # column: cheb-exp on lumped mass, the r = 5 table's LU solves on
+        # consistent mass; m spans one column, column-by-column blocks,
+        # one block and ceil(m / APPLY_BLOCK) blocks
+        op = lb.assemble(sphere2, mass_mode=mass)
+        kernel = lb.filter_kernel(op, FilterSpec.exponential(0.05))
+        assert kernel.path.endswith("cheb-exp" if mass == "lumped" else "lu")
+        F = np.random.default_rng(m).standard_normal((op.n, m))
+        cm = lb.comparison_matrix(op, list(F.T), metric="kernel",
+                                  kernel_apply=kernel.apply)
+        KF = np.column_stack([kernel.apply(f) for f in F.T])
+        assert np.array_equal(cm.values, F.T @ (op.B @ KF))
+        f, g = F[:, 0], F[:, -1]
+        assert lb.kernel_metric(op, kernel.apply, f, g) == float(
+            f @ (op.B @ kernel.apply(g)))
 
     def test_every_metric_is_one_gram_routine(self, op2, heat_kernel,
                                               monkeypatch):

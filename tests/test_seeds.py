@@ -249,6 +249,20 @@ class TestCoverage:
         # each vertex is a search source at most once
         assert len(sources) == len(set(sources)) <= n
 
+    def test_loop_curve_is_coverage_curve(self, op2, sphere2):
+        # the loop's own supports give the curve coverage_curve recomputes
+        heat = lb.filter_kernel(op2, FilterSpec.exponential(0.002))
+        result = lb.coverage_loop(
+            sphere2, op2, lambda s: heat.apply(np.eye(1, op2.n, s)[0]),
+            k0=4, tau=1e-2)
+        assert result.iterations > 1
+        assert len(result.curve) == len(result.basis) == len(result.seeds)
+        assert result.curve == lb.coverage_curve(result.basis,
+                                                 tau=1e-2).tolist()
+        assert result.curve[-1] == 1.0
+        # history samples the curve at the end of each iteration
+        assert set(result.history) <= set(result.curve)
+
     def test_coverage_curve_monotone(self, op2, sphere2):
         bs = lb.spectral_set(op2, FilterSpec.exponential(0.05),
                              list(range(0, 162, 18)))
