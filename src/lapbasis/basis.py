@@ -9,9 +9,9 @@ scheme with lumped mass it sums a Chebyshev expansion of degree K, one
 SpMV per degree for a whole block of columns; otherwise it replaces phi
 by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
 few shifted sparse solves (B + beta_j L) g_j = B f, one column at a time.
-spectral_set hands its seeds, and the kernel metric of comparison_matrix
-its fields, to either route in blocks of up to APPLY_BLOCK columns
-(_apply_blocks).
+spectral_set hands its seeds, the kernel metric of comparison_matrix
+its fields, and seeds.coverage_loop each iteration's new seeds, to either
+route in blocks of up to APPLY_BLOCK columns (_apply_blocks).
 """
 
 import math
@@ -206,12 +206,22 @@ def _by_column(apply_vector, fv):
     return np.column_stack([apply_vector(col) for col in fv.T])
 
 
+def _unit_columns(n, block):
+    """The (n, len(block)) unit columns e_s of the seeds s in block."""
+    E = np.zeros((n, len(block)))
+    E[block, np.arange(len(block))] = 1.0
+    return E
+
+
 def _apply_blocks(apply, keys, block_input):
     """Yield (block, apply(block_input(block))) for the blocks of keys, a
     1-D array of m column keys split into ceil(m / APPLY_BLOCK) blocks of
     near-equal width.  block_input maps a block to its (n, len(block))
     input; a block narrower than MIN_BLOCK is applied column by column.
-    apply takes a vector or an (n, m) block and returns an array."""
+    apply takes a vector or an (n, m) block and returns an array.  The
+    one blocking rule of spectral_set (seeds), of the kernel metric in
+    metrics._gram (fields) and of seeds.coverage_loop (each iteration's
+    pending seeds)."""
     for block in np.array_split(keys, -(-len(keys) // APPLY_BLOCK)):
         X = block_input(block)
         yield block, (apply(X) if len(block) >= MIN_BLOCK
@@ -366,14 +376,9 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
     idx = _seed_indices(seeds, op.n)
     kernel = filter_kernel(op, filt, method, r, k, eig)
     tag = f"spectral[{filt.describe()},seed={{}},{kernel.path}]"
-
-    def deltas(block):  # the unit columns e_s of the block's seeds
-        E = np.zeros((op.n, len(block)))
-        E[block, np.arange(len(block))] = 1.0
-        return E
-
     fields = []
-    for block, G in _apply_blocks(kernel.apply, idx, deltas):
+    for block, G in _apply_blocks(kernel.apply, idx,
+                                  lambda b: _unit_columns(op.n, b)):
         fields += _seed_fields(G, block, tag)
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
                     params={"filter": filt.describe(), "path": kernel.path,
@@ -399,9 +404,7 @@ def green_basis(op, seeds):
         )
     w = op.B @ np.ones(op.n)  # <g, 1>_B = w @ g
     area = w.sum()
-    F = np.zeros((op.n, len(idx)))
-    F[idx, np.arange(len(idx))] = 1.0
-    F -= w[idx] / area
+    F = _unit_columns(op.n, idx) - w[idx] / area
     # pinning one vertex leaves an invertible block of L; B f sums to
     # zero, so the dropped row holds as well
     G = _constrained_solve(op.L, [GREEN_PIN], np.zeros((1, len(idx))),

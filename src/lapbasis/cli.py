@@ -410,8 +410,8 @@ def cmd_coverage(args, run, mesh, op):
                                    r=args.r)
     _record_kernel(run, "path", heat.path, heat.error_bound)
     result = seeds_mod.coverage_loop(
-        mesh, op, lambda s: heat.apply(np.eye(1, op.n, s)[0]), k0=args.k0,
-        tau=args.tau, metric=args.metric, start=args.start,
+        mesh, op, heat.apply, k0=args.k0, tau=args.tau, metric=args.metric,
+        start=args.start,
     )
     run.save("coverage_seeds.txt", seeds_mod.save_seeds, result.seeds)
     lines = ["k,fraction"]

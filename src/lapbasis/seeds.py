@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
+from .basis import _apply_blocks, _unit_columns
 from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text
@@ -90,10 +91,14 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
     return SeedSet(chosen, method="fps", start=int(start), metric=metric)
 
 
-def support(f, tau=DEFAULT_TAU):
-    """Vertices where |f| exceeds tau times the peak magnitude."""
+def _check_tau(tau):
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
+
+
+def support(f, tau=DEFAULT_TAU):
+    """Vertices where |f| exceeds tau times the peak magnitude."""
+    _check_tau(tau)
     fv = np.abs(field_values(f))
     peak = fv.max()
     if peak == 0.0:
@@ -125,12 +130,24 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
                   metric="euclidean", start=None):
     """Grow a basis until every vertex is in some member's support.
 
+    generator is a kernel apply, such as filter_kernel(...).apply: it
+    takes a vector or an (n, m) block of unit columns e_s and returns an
+    array of the same shape, column j the field of the j-th seed; any
+    other shape raises ValueError.  Each iteration hands its new seeds to
+    it through basis._apply_blocks, the blocking rule of spectral_set:
+    blocks of at most APPLY_BLOCK seeds of near-equal width, one call per
+    block, and a block narrower than MIN_BLOCK column by column.  The
+    fields are the rows of one contiguous copy of each block's transpose.
+
     Starts from k0 farthest-point seeds (curvature maximum first), then
     repeatedly: find uncovered vertices, split them into connected
     components over mesh edges, and seed each component at its vertex
     farthest (graph distance) from the covered set, ties to the lowest
-    index.  Seeds are never reselected.  Each new seed must cover at least
-    its own vertex, which guarantees termination in at most n iterations.
+    index.  The adjacency is stored symmetric, so the strong components
+    of the uncovered subgraph are its components, found without the
+    transpose an undirected search builds.  Seeds are never reselected.
+    Each new seed must cover at least its own vertex, which guarantees
+    termination in at most n iterations.
 
     The distance to the covered set is kept across iterations: each
     iteration searches only from the vertices it newly covered, stops at
@@ -139,7 +156,17 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     vertex is a search source at most once per run, and the distances of
     uncovered vertices equal those of a full search from the covered set.
     """
+    _check_tau(tau)
     n = mesh.n_vertices
+
+    def apply(E):
+        G = generator(E)
+        if np.shape(G) != E.shape:
+            raise ValueError(
+                "generator must return an array of its input's shape, one "
+                f"field per unit column: got {np.shape(G)} for {E.shape}")
+        return G
+
     fps = farthest_point_sampling(mesh, min(k0, n), start=start,
                                   metric=metric, op=op)
     seed_list = list(fps)
@@ -152,17 +179,18 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     adj = mesh.adjacency()
     for _ in range(n):
         was_covered = covered.copy()
-        for s in pending:
-            f = generator(s)
-            sup = support(f, tau)
-            if s not in sup:
-                raise NoProgress(
-                    f"generator field at seed {s} does not cover its own "
-                    "vertex"
-                )
-            fields.append(f)
-            covered[sup] = True
-            curve.append(float(covered.mean()))
+        for block, G in _apply_blocks(apply, np.array(pending),
+                                      lambda b: _unit_columns(n, b)):
+            for s, f in zip(block.tolist(), G.T.copy()):
+                sup = support(f, tau)
+                if s not in sup:
+                    raise NoProgress(
+                        f"generator field at seed {s} does not cover its "
+                        "own vertex"
+                    )
+                fields.append(f)
+                covered[sup] = True
+                curve.append(float(covered.mean()))
         history.append(curve[-1])
         if covered.all():
             basis = BasisSet(fields, "coverage", seeds=seed_list,
@@ -172,7 +200,8 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
             return CoverageResult(seeds, basis, history, tau, curve)
         uncovered = np.flatnonzero(~covered)
         sub = adj[uncovered][:, uncovered]
-        ncomp, labels = csgraph.connected_components(sub, directed=False)
+        ncomp, labels = csgraph.connected_components(sub, directed=True,
+                                                     connection="strong")
         d_cov = np.minimum(d_cov, _graph_distances(
             mesh, np.flatnonzero(covered & ~was_covered),
             limit=d_cov[uncovered].max()))

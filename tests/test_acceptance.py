@@ -283,11 +283,7 @@ def test_criterion_11_coverage_loop(sphere2, op2, torus200, op_torus200):
             from lapbasis.basis import ChebyshevKernel
 
             kern = ChebyshevKernel(op, pf)
-
-            def gen(s):
-                return kern.apply(delta(op.n, s))
-
-            return lb.coverage_loop(mesh, op, gen, k0=k0, start=0)
+            return lb.coverage_loop(mesh, op, kern.apply, k0=k0, start=0)
 
         # terminates on every test mesh
         grid = lb.grid(9, 9)

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import csgraph
 
 import lapbasis as lb
-from lapbasis.basis import ChebyshevKernel
+from lapbasis.basis import MIN_BLOCK, ChebyshevKernel
 from lapbasis.errors import NoProgress, SingularSystem, ZeroField
 from lapbasis.filters import FilterSpec
 from lapbasis.seeds import load_seeds, save_seeds
@@ -15,6 +15,35 @@ def delta_field(n, i):
     e = np.zeros(n)
     e[i] = 1.0
     return lb.ScalarField(e)
+
+
+def reference_coverage(mesh, field_at, chosen, tau=lb.seeds.DEFAULT_TAU):
+    """The coverage loop with one field_at(s) per seed, and components
+    and distances to the covered set from a full undirected search every
+    iteration: (the pending seeds of each iteration, fields, history,
+    curve)."""
+    n = mesh.n_vertices
+    rounds, pending, fields, history, curve = [], list(chosen), [], [], []
+    covered = np.zeros(n, dtype=bool)
+    adj, wadj = mesh.adjacency(), mesh.adjacency(weighted=True)
+    while True:
+        rounds.append(pending)
+        for s in pending:
+            fields.append(field_at(s))
+            covered[lb.support(fields[-1], tau)] = True
+            curve.append(float(covered.mean()))
+        history.append(curve[-1])
+        if covered.all():
+            return rounds, fields, history, curve
+        uncovered = np.flatnonzero(~covered)
+        _, labels = csgraph.connected_components(
+            adj[uncovered][:, uncovered], directed=False)
+        d_cov = csgraph.dijkstra(wadj, directed=False, min_only=True,
+                                 indices=np.flatnonzero(covered))
+        pending = sorted(
+            int(verts[np.argmax(d_cov[verts])])
+            for verts in (uncovered[labels == c]
+                          for c in range(labels.max() + 1)))
 
 
 class TestCurvature:
@@ -138,13 +167,7 @@ class TestCoverage:
     def test_large_scale_one_iteration(self, sphere2, op2):
         pf = lb.partial_fractions(FilterSpec.exponential(1.0))
         kern = ChebyshevKernel(op2, pf)
-
-        def gen(seed):
-            e = np.zeros(op2.n)
-            e[seed] = 1.0
-            return kern.apply(e)
-
-        result = lb.coverage_loop(sphere2, op2, gen, k0=7, start=0)
+        result = lb.coverage_loop(sphere2, op2, kern.apply, k0=7, start=0)
         assert result.iterations == 1
         assert result.history == [1.0]
         assert len(result.seeds.indices) == 7
@@ -152,13 +175,7 @@ class TestCoverage:
     def test_small_scale_needs_refinement(self, sphere2, op2):
         pf = lb.partial_fractions(FilterSpec.exponential(0.005))
         kern = ChebyshevKernel(op2, pf)
-
-        def gen(seed):
-            e = np.zeros(op2.n)
-            e[seed] = 1.0
-            return kern.apply(e)
-
-        result = lb.coverage_loop(sphere2, op2, gen, k0=5, start=0)
+        result = lb.coverage_loop(sphere2, op2, kern.apply, k0=5, start=0)
         assert result.iterations > 1
         assert result.history[-1] == 1.0
         # strictly increasing coverage history
@@ -169,22 +186,16 @@ class TestCoverage:
 
     def test_delta_generator_terminates_with_all_vertices(self, sphere0, ):
         op = lb.assemble(sphere0)
-
-        def gen(seed):
-            return delta_field(12, seed)
-
-        result = lb.coverage_loop(sphere0, op, gen, k0=1, start=0)
+        result = lb.coverage_loop(sphere0, op, lambda E: E, k0=1, start=0)
         assert sorted(result.seeds.indices) == list(range(12))
         assert result.history[-1] == 1.0
 
     def test_no_progress_detected(self, sphere0):
         op = lb.assemble(sphere0)
-
-        def gen(seed):
-            return delta_field(12, (seed + 1) % 12)
-
+        # the field of seed s is the delta at s + 1
         with pytest.raises(NoProgress):
-            lb.coverage_loop(sphere0, op, gen, k0=1, start=0)
+            lb.coverage_loop(sphere0, op, lambda E: np.roll(E, 1, axis=0),
+                             k0=1, start=0)
 
     @pytest.mark.parametrize("metric", ["euclidean", "graph_geodesic"])
     @pytest.mark.parametrize("k0", [1, 5])
@@ -198,9 +209,6 @@ class TestCoverage:
         n = mesh.n_vertices
         kern = lb.filter_kernel(op, FilterSpec.exponential(2e-3))
 
-        def gen(seed):
-            return kern.apply(delta_field(n, seed).values)
-
         # reference: farthest points and distances to the covered set from
         # a full search every time
         chosen = [int(np.argmax(lb.field_values(lb.curvature_field(mesh, op))))]
@@ -212,25 +220,9 @@ class TestCoverage:
             chosen.append(int(np.argmax(dist)))
         fps = lb.farthest_point_sampling(mesh, k0, metric=metric, op=op)
         assert fps.indices == chosen
-        seeds, pending, history = list(chosen), list(chosen), []
-        covered = np.zeros(n, dtype=bool)
-        adj, wadj = mesh.adjacency(), mesh.adjacency(weighted=True)
-        while True:
-            for s in pending:
-                covered[lb.support(gen(s))] = True
-            history.append(float(covered.mean()))
-            if covered.all():
-                break
-            uncovered = np.flatnonzero(~covered)
-            _, labels = csgraph.connected_components(
-                adj[uncovered][:, uncovered], directed=False)
-            d_cov = csgraph.dijkstra(wadj, directed=False, min_only=True,
-                                     indices=np.flatnonzero(covered))
-            pending = sorted(
-                int(verts[np.argmax(d_cov[verts])])
-                for verts in (uncovered[labels == c]
-                              for c in range(labels.max() + 1)))
-            seeds += pending
+        rounds, _, history, _ = reference_coverage(
+            mesh, lambda s: kern.apply(delta_field(n, s)), chosen)
+        seeds = sum(rounds, [])
 
         sources = []
         original = lb.seeds._graph_distances
@@ -242,19 +234,80 @@ class TestCoverage:
         monkeypatch.setattr(lb.seeds, "farthest_point_sampling",
                             lambda *args, **kwargs: fps)
         monkeypatch.setattr(lb.seeds, "_graph_distances", counting)
-        result = lb.coverage_loop(mesh, op, gen, k0=k0, metric=metric)
+        result = lb.coverage_loop(mesh, op, kern.apply, k0=k0, metric=metric)
         assert result.seeds.indices == seeds
         assert result.history == history
         assert len(history) > 2
         # each vertex is a search source at most once
         assert len(sources) == len(set(sources)) <= n
 
+    @pytest.mark.parametrize("route", ["cheb-exp", "lu"])
+    @pytest.mark.parametrize("mesh_name", ["icosphere3", "bumpy3"])
+    def test_blocks_keep_every_bit(self, mesh_name, route):
+        mesh = {"icosphere3": lambda: lb.icosphere(3),
+                "bumpy3": lambda: lb.bumpy_sphere(3, seed=2)}[mesh_name]()
+        op = lb.assemble(mesh)
+        n = mesh.n_vertices
+        filt = FilterSpec.exponential(2e-3)
+        kern = (lb.filter_kernel(op, filt) if route == "cheb-exp" else
+                ChebyshevKernel(op, lb.partial_fractions(filt, 5)))
+        assert kern.route == route
+        widths = []  # block width of each call, None for a vector
+
+        def generator(E):
+            widths.append(E.shape[1] if E.ndim == 2 else None)
+            return kern.apply(E)
+
+        result = lb.coverage_loop(mesh, op, generator, k0=20)
+        rounds, fields, history, curve = reference_coverage(
+            mesh, lambda s: kern.apply(delta_field(n, s)),
+            result.seeds.indices[:20])
+        assert result.seeds.indices == sum(rounds, [])
+        assert result.history == history
+        assert result.curve == curve
+        assert len(result.basis) == len(fields)
+        for f, ref in zip(result.basis, fields):
+            assert np.array_equal(f, ref)
+        # one call per block of MIN_BLOCK or more seeds, else one per seed
+        expected = []
+        for pending in rounds:
+            for block in np.array_split(pending, -(-len(pending) // 16)):
+                expected += ([len(block)] if len(block) >= MIN_BLOCK
+                             else [None] * len(block))
+        assert widths[:2] == [10, 10]
+        assert widths == expected
+        assert len(rounds) > 2 and None in widths
+
+    @pytest.mark.parametrize("bad", ["summed", "column"])
+    def test_generator_contract_enforced(self, sphere2, op2, bad):
+        heat = lb.filter_kernel(op2, FilterSpec.exponential(0.002))
+        generator, k0 = {
+            # one field for a 5-wide block
+            "summed": (lambda E: heat.apply(E).sum(axis=1), 5),
+            # an (n, 1) block for a vector
+            "column": (lambda E: heat.apply(E)[:, None], 1),
+        }[bad]
+        with pytest.raises(ValueError, match="input's shape"):
+            lb.coverage_loop(sphere2, op2, generator, k0=k0)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 2.0])
+    def test_tau_checked_before_any_work(self, sphere2, op2, tau,
+                                         monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("no work before tau is checked")
+
+        monkeypatch.setattr(lb.seeds, "farthest_point_sampling", refuse)
+        with pytest.raises(ValueError, match="tau"):
+            lb.coverage_loop(sphere2, op2, refuse, k0=5, tau=tau)
+        assert calls == []
+
     def test_loop_curve_is_coverage_curve(self, op2, sphere2):
         # the loop's own supports give the curve coverage_curve recomputes
         heat = lb.filter_kernel(op2, FilterSpec.exponential(0.002))
-        result = lb.coverage_loop(
-            sphere2, op2, lambda s: heat.apply(np.eye(1, op2.n, s)[0]),
-            k0=4, tau=1e-2)
+        result = lb.coverage_loop(sphere2, op2, heat.apply, k0=4, tau=1e-2)
         assert result.iterations > 1
         assert len(result.curve) == len(result.basis) == len(result.seeds)
         assert result.curve == lb.coverage_curve(result.basis,
