@@ -179,23 +179,31 @@ def reconstruct(eig, alpha, k_use, f=None):
     return ScalarField(fk, tag=f"reconstruct[k={k_use}]"), report
 
 
-def truncated_spectral(eig, filt, f):
-    """Filtered expansion sum_j phi(lambda_j) (x_j^T B f) x_j.
+def _truncated_terms(eig, filt):
+    """(X, BX, phi, tag) of the filtered expansion over eig: the kept
+    eigenvectors X, B X, phi at their values and the provenance tag.
 
     Filters singular at zero drop the kernel modes, the pairs of value
     exactly 0 (smallest_eigenpairs builds them from component_nullspace);
-    the deflation is recorded in the provenance tag.
+    the deflation is recorded in the tag.
     """
-    fv = field_values(f)
     lam = np.maximum(eig.values, 0.0)  # clamp rounding noise at the kernel
-    keep = lam > 0.0 if filt.singular_at_zero else np.ones(eig.k, dtype=bool)
-    phi = evaluate(filt, lam[keep])
-    alpha = eig.vectors[:, keep].T @ (eig.B @ fv)
-    out = eig.vectors[:, keep] @ (phi * alpha)
     tag = f"truncated[{filt.describe()},k={eig.k}]"
-    if not keep.all():
+    X = eig.vectors
+    if filt.singular_at_zero and not (lam > 0.0).all():
+        X, lam = X[:, lam > 0.0], lam[lam > 0.0]
         tag += " deflated"
-    return ScalarField(out, tag=tag)
+    return X, eig.B @ X, evaluate(filt, lam), tag
+
+
+def truncated_spectral(eig, filt, f, terms=None):
+    """Filtered expansion sum_j phi(lambda_j) (x_j^T B f) x_j, with the
+    kernel modes dropped for a filter singular at zero (the tag says
+    "deflated").  terms is _truncated_terms(eig, filt), built here when
+    not given: a TruncatedKernel builds it once for all its columns.
+    """
+    X, BX, phi, tag = _truncated_terms(eig, filt) if terms is None else terms
+    return ScalarField(X @ (phi * (BX.T @ field_values(f))), tag=tag)
 
 
 def _by_column(apply_vector, fv):
@@ -258,10 +266,12 @@ class ChebyshevKernel:
 
     route, degree (K on cheb-exp, else None) and error_bound (on
     cheb-exp the coefficient tail, a B-norm bound per unit |f|_B; else
-    None) record what runs; path is "chebyshev <form> <route>", with form
-    "deg=<K>" on cheb-exp.  filter_kernel builds one from a filter and
-    names its form.
+    None) record what runs; stats is None, as no eigensolver runs; path
+    is "chebyshev <form> <route>", with form "deg=<K>" on cheb-exp.
+    filter_kernel builds one from a filter and names its form.
     """
+
+    stats = None
 
     def __init__(self, op, pf=None, form="rational", t=None):
         if (pf is None) == (t is None):
@@ -304,21 +314,25 @@ class ChebyshevKernel:
 
 class TruncatedKernel:
     """K_phi over the eigenpairs of eig; filter_kernel builds one.  It
-    states no error_bound yet.  apply(f) takes a vector or an (n, m)
-    block, which it filters column by column (one truncated_spectral
-    each)."""
+    states no error_bound yet; stats is eig.stats.  The kept
+    eigenvectors X, B X and phi are built once, here; apply(f) takes a
+    vector or an (n, m) block, which it filters column by column (one
+    truncated_spectral each, two matrix-vector products), so a column's
+    bits do not depend on its block."""
 
     error_bound = None
 
     def __init__(self, eig, filt):
         self.eig, self.filt = eig, filt
         self.path = f"truncated k={eig.k}"
+        self.stats = eig.stats
+        self._terms = _truncated_terms(eig, filt)
 
     def apply(self, f):
         """K_phi f for a vector f, or column by column for an (n, m)
         block f."""
-        return _by_column(lambda fv: field_values(
-            truncated_spectral(self.eig, self.filt, fv)), field_values(f))
+        return _by_column(lambda fv: field_values(truncated_spectral(
+            self.eig, self.filt, fv, self._terms)), field_values(f))
 
 
 def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
@@ -332,8 +346,9 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     fractions.  Else a TruncatedKernel over eig, or over k eigenpairs
     computed here, which warns for k < n.  r is read only by the table
     and k only by the truncated route.  Both kernels have apply(f), f a
-    vector or an (n, m) block, error_bound (None but on cheb-exp) and
-    path: "chebyshev deg=60 cheb-exp", "chebyshev table r=5 lu",
+    vector or an (n, m) block, error_bound (None but on cheb-exp), stats
+    (the eigensolver's, None but on the truncated route) and path:
+    "chebyshev deg=60 cheb-exp", "chebyshev table r=5 lu",
     "chebyshev exact-rational lu", "truncated k=100", ...  The table
     runs on a lumped operator when built directly:
     ChebyshevKernel(op, partial_fractions(filt, r)).
@@ -362,9 +377,10 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
     """Filtered columns K_phi e_s for each seed s, as one BasisSet: one
     filter_kernel(op, filt, method, r, k, eig) applied to the e_s, its
     path recorded in params["path"] and each field's tag, its error_bound
-    in params["error_bound"]; that path names r or k where the kernel
-    read one.  Diffusion is FilterSpec.exponential(t); other fields go to
-    filter_kernel(...).apply.
+    in params["error_bound"] and its eigensolver's stats (None off the
+    truncated route) in params["solver"]; that path names r or k where
+    the kernel read one.  Diffusion is FilterSpec.exponential(t); other
+    fields go to filter_kernel(...).apply.
 
     The seeds go to the kernel in ceil(m / APPLY_BLOCK) blocks of
     near-equal width, one apply per block, so cheb-exp pays one SpMV per
@@ -382,7 +398,8 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
         fields += _seed_fields(G, block, tag)
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
                     params={"filter": filt.describe(), "path": kernel.path,
-                            "error_bound": kernel.error_bound})
+                            "error_bound": kernel.error_bound,
+                            "solver": kernel.stats})
 
 
 def green_basis(op, seeds):

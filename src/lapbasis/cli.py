@@ -313,8 +313,11 @@ def _parse_seed_args(args, mesh, op):
 
 
 def _write_spectrum(run, op, eig):
-    """Write spectrum.json; returns the largest normwise backward error of
-    the eigenpairs, ||Lx - lam Bx|| / ((||L||_1 + |lam| ||B||_1) ||x||)."""
+    """Write spectrum.json, and put the eigensolver's statistics
+    (EigenSystem.stats) into the manifest's solver entry with the
+    largest normwise backward error of the eigenpairs,
+    ||Lx - lam Bx|| / ((||L||_1 + |lam| ||B||_1) ||x||), as
+    max_rel_residual."""
     X, lam = eig.vectors, eig.values
     R = eig.L @ X - eig.B @ X * lam
     scale = spla.norm(eig.L, 1) + np.abs(lam) * spla.norm(eig.B, 1)
@@ -328,7 +331,7 @@ def _write_spectrum(run, op, eig):
         "max_rel_residual": resid,
     }
     run.write_text("spectrum.json", json.dumps(spec, indent=2) + "\n")
-    return resid
+    run.info["solver"] = {**eig.stats, "max_rel_residual": resid}
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,7 @@ def cmd_basis(args, run, mesh, op):
     fam = args.family
     if fam == "eigen":
         eig = basis_mod.eigen_basis(op, args.k)
-        run.info["solver"] = {"max_rel_residual": _write_spectrum(run, op, eig)}
+        _write_spectrum(run, op, eig)
         _export_fields(run, mesh, basis_mod.eigen_fields(eig), "eigen")
     elif fam in ("harmonic", "hamiltonian", "green"):
         seed_list = _parse_seed_args(args, mesh, op)
@@ -366,6 +369,8 @@ def cmd_basis(args, run, mesh, op):
                                     method=args.method, r=args.r, k=args.k)
         _record_kernel(run, "path", bs.params["path"],
                        bs.params["error_bound"])
+        if bs.params["solver"] is not None:  # the truncated route's
+            run.info["solver"] = bs.params["solver"]
         _export_fields(run, mesh, bs, fam)
 
 

@@ -14,8 +14,13 @@ recurrence (bessel_coefficients), a degree fixed in advance by their
 tail, one SpMV per degree for a vector or a whole block of columns, and
 a B-norm contraction check on each column of the result.  The smallest
 generalized eigenpairs of a stiffness/mass pencil come from scipy's
-eigsh (or dense eigh), certified complete by an inertia count.  Matrices
-are plain scipy sparse matrices.
+eigsh in shift-invert mode (or dense eigh), certified complete by an
+inertia count (count_below).  eigsh sees the pencil in units of
+lambda-hat, so its operator's eigenvalues are O(1) at any mesh size; a
+lumped B runs in standard form on B^{-1/2} L B^{-1/2}, with no mass
+product inside eigsh, and a consistent B in generalized form.  One
+fill-reducing ordering, from the shift LU, serves the certificate's LUs
+as well.  Matrices are plain scipy sparse matrices.
 """
 
 import math
@@ -40,13 +45,15 @@ class EigenSystem:
     """The k smallest generalized eigenpairs of (L, B), B-orthonormal.
 
     values are sorted ascending; vectors[:, i] belongs to values[i] and the
-    set satisfies X^T B X = I.
+    set satisfies X^T B X = I.  stats is how smallest_eigenpairs found
+    them (see there).
     """
 
     values: np.ndarray
     vectors: np.ndarray
     L: object = field(repr=False, default=None)
     B: object = field(repr=False, default=None)
+    stats: dict = field(repr=False, default_factory=dict)
 
     @property
     def k(self):
@@ -291,22 +298,63 @@ CLUSTER_RTOL = 1e-7  # values this close to lambda_k, relative, are its cluster
 CERTIFY_RETRIES = 3  # eigsh calls after the first to fill in missed pairs
 
 
+def count_below(L, B, s, perm=None):
+    """The number of eigenvalues of the symmetric pencil (L, B), B positive
+    definite, below s: the negative pivots of an LU of L - sB with no
+    off-diagonal pivot, P (L - sB) P^T = LU = LDL^T with D = diag(U), by
+    Sylvester's law of inertia (which no symmetric permutation changes).
+
+    perm is a fill-reducing ordering of a matrix with L - sB's pattern, as
+    SuperLU's perm_c: the LU then runs on the pre-permuted matrix in its
+    natural order.  None orders by COLAMD here.  FactorizationFailed if
+    SuperLU fails; NotConverged if it pivoted off the diagonal.
+    """
+    M = (L - s * B).tocoo()
+    spec = "COLAMD"
+    if perm is not None:  # entry (i, j) moves to (perm[i], perm[j])
+        M = sp.csc_matrix((M.data, (perm[M.row], perm[M.col])), M.shape)
+        spec = "NATURAL"
+    try:
+        C = spla.splu(M.tocsc(), permc_spec=spec, diag_pivot_thresh=0,
+                      options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise FactorizationFailed(f"inertia factorisation failed: {exc}") from exc
+    if not np.array_equal(C.perm_r, C.perm_c):
+        raise NotConverged("inertia count unavailable: off-diagonal pivoting")
+    return int(np.count_nonzero(C.U.diagonal() < 0))
+
+
 def smallest_eigenpairs(L, B, k, seed=0):
     """The k algebraically smallest generalized eigenpairs of L x = lam B x.
 
     The kernel of L (constants per component) is analytic; dense eigh gives
     the other pairs when 2k + 1 > n, else scipy's eigsh (ARPACK) in
-    shift-invert mode at sigma = SIGMA lambda-hat (pencil_bound, the
-    pencil's scale; a bound only for lumped B), with all pairs found so far
-    projected out of each solve.  seed fixes eigsh's v0.
+    shift-invert mode, with all pairs found so far projected out of each
+    solve.  seed fixes eigsh's v0.
+
+    eigsh sees the pencil in units of lambda-hat (pencil_bound, the
+    pencil's scale; a bound only for lumped B), so the eigenvalues of its
+    operator are O(1) at any mesh size and its shift is SIGMA.  A lumped
+    (diagonal) B runs in standard form on A = B^{-1/2} L B^{-1/2} /
+    lambda-hat, with no mass product inside eigsh: OP = lambda-hat root
+    (L - sigma B)^{-1} root with root = sqrt(diag B) and sigma = SIGMA
+    lambda-hat.  Any other B runs in generalized form on (L / (lambda-hat
+    b), B / b), b the mean of diag B: the same OP with the scalar root =
+    sqrt(b).  Either way eigsh's variable is root x, and one sparse LU of
+    L - sigma B (COLAMD, no off-diagonal pivot) serves every solve.
 
     Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
     lambda_k (> 0, as k > q) below the lowest value of lambda_k's cluster,
-    or halfway to the next lower value if closer; an inertia count
-    (Sylvester's law) finds the eigenvalues below s.  Missing pairs cost a
-    further eigsh call (at most CERTIFY_RETRIES); spurious ones raise
-    NotConverged.  If k splits a degenerate cluster, the result holds some
-    basis of its share of it.
+    or halfway to the next lower value if closer; count_below, on the
+    shift LU's ordering, finds the eigenvalues below s.  Missing pairs
+    cost a further eigsh call (at most CERTIFY_RETRIES); spurious ones
+    raise NotConverged.  If k splits a degenerate cluster, the result
+    holds some basis of its share of it.
+
+    stats records the form ("standard", "generalized", or "dense" and
+    "kernel" where eigsh does not run), the eigsh calls and OP applies,
+    the inertia count at s and the entries SuperLU stores for the shift
+    LU (its nnz; reading L and U would copy them).
     """
     Lm, Bm = L.tocsr(), B.tocsr()
     n = Lm.shape[0]
@@ -316,17 +364,27 @@ def smallest_eigenpairs(L, B, k, seed=0):
     kernel = component_nullspace(Lm, Bm)
     q = kernel.shape[1]
     if k <= q:
-        return EigenSystem(np.zeros(k), kernel[:, :k], L, B)
+        return EigenSystem(np.zeros(k), kernel[:, :k], L, B,
+                           _stats("kernel"))
     if 2 * k + 1 > n:
         vals, X = eigh(Lm.toarray(), Bm.toarray(), subset_by_index=[q, k - 1])
-        return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B)
+        return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B,
+                           _stats("dense"))
 
-    # raw splu: ARPACK's solves must not be refined; sigma sits next to ker L
-    sigma = SIGMA * pencil_bound(Lm, Bm)
+    # raw splu: ARPACK's solves must not be refined; sigma sits next to
+    # ker L, so L - sigma B is positive definite and needs no off-diagonal
+    # pivot, and count_below reuses its ordering
+    lam = pencil_bound(Lm, Bm)
     try:
-        lu = spla.splu((Lm - sigma * Bm).tocsc())
+        lu = spla.splu((Lm - SIGMA * lam * Bm).tocsc(), permc_spec="COLAMD",
+                       diag_pivot_thresh=0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FactorizationFailed(f"shift factorisation failed: {exc}") from exc
+    d = Bm.diagonal()
+    lumped = not (Bm - sp.diags(d)).count_nonzero()  # nothing off diag B
+    b = d if lumped else d.mean(keepdims=True)
+    root, M = np.sqrt(b), None if lumped else Bm / b[0]
+    stats = _stats("standard" if lumped else "generalized", lu.nnz)
 
     rng = np.random.default_rng(seed)
     vals, X = np.zeros(q), kernel
@@ -335,35 +393,43 @@ def smallest_eigenpairs(L, B, k, seed=0):
         BX = Bm @ X
 
         def opinv(r, X=X, BX=BX):
-            r = r - BX @ (X.T @ r)
-            y = lu.solve(r)
-            return y - X @ (BX.T @ y)
+            stats["op_applies"] += 1
+            w = root * r
+            w -= BX @ (X.T @ w)
+            y = lu.solve(w)
+            y -= X @ (BX.T @ y)
+            y *= root
+            y *= lam
+            return y
 
         v0 = rng.standard_normal(n)
         OP = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
-        try:
-            found, Xf = spla.eigsh(Lm, missing, M=Bm, sigma=sigma, OPinv=OP,
-                                   v0=v0 - X @ (BX.T @ v0), tol=EIGSH_TOL)
+        stats["eigsh_calls"] += 1
+        try:  # mode 3 reads only the shape and dtype of its first argument
+            found, Xf = spla.eigsh(OP, missing, M=M, sigma=SIGMA, OPinv=OP,
+                                   v0=root * (v0 - X @ (BX.T @ v0)),
+                                   tol=EIGSH_TOL)
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise NotConverged(f"eigsh failed: {exc}") from exc
+        found *= lam
+        Xf /= root[:, None]  # in place: no second (n, k) array
         order = np.argsort(np.r_[vals, found], kind="stable")
         vals, X = np.r_[vals, found][order], np.c_[X, Xf][:, order]
 
         margin = CLUSTER_RTOL * vals[k - 1]
         i = np.searchsorted(vals, vals[k - 1] - margin)
         s = max(vals[i] - margin, 0.5 * (vals[i - 1] + vals[i]) if i else -np.inf)
-        # with no off-diagonal pivot, P (L - sB) P^T = LU is an LDL^T with
-        # D = diag(U), whose negatives count the eigenvalues below s
-        try:
-            C = spla.splu((Lm - s * Bm).tocsc(), permc_spec="COLAMD",
-                          diag_pivot_thresh=0, options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise FactorizationFailed(f"inertia factorisation failed: {exc}") from exc
-        if not np.array_equal(C.perm_r, C.perm_c):
-            raise NotConverged("inertia count unavailable: off-diagonal pivoting")
-        missing = np.count_nonzero(C.U.diagonal() < 0) - np.count_nonzero(vals < s)
+        below = count_below(Lm, Bm, s, perm=lu.perm_c)
+        stats.update(inertia_shift=float(s), inertia_count=below)
+        missing = below - np.count_nonzero(vals < s)
         if missing == 0:
-            return EigenSystem(vals[:k], X[:, :k], L, B)
+            return EigenSystem(vals[:k], X[:, :k], L, B, stats)
         if missing < 0:
             raise NotConverged(f"computed values below {s:.6g} are spurious")
     raise NotConverged(f"{missing} eigenvalue(s) below {s:.6g} still missing")
+
+
+def _stats(form, lu_nnz=0):
+    """The EigenSystem.stats of a solve in form, before eigsh runs."""
+    return {"form": form, "eigsh_calls": 0, "op_applies": 0,
+            "inertia_shift": None, "inertia_count": None, "lu_nnz": lu_nnz}

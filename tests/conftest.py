@@ -88,6 +88,16 @@ def op_torus500(torus500):
 
 
 @pytest.fixture(scope="session")
+def op3_consistent(sphere3):
+    return lb.assemble(sphere3, mass_mode="consistent")
+
+
+@pytest.fixture(scope="session")
+def op_torus500_consistent(torus500):
+    return lb.assemble(torus500, mass_mode="consistent")
+
+
+@pytest.fixture(scope="session")
 def eig162_full(op2):
     return lb.eigen_basis(op2, op2.n)
 

@@ -307,6 +307,30 @@ class TestTruncatedSpectral:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+    @pytest.mark.parametrize("filt", [FilterSpec.exponential(0.3),
+                                      FilterSpec.commute_time()],
+                             ids=["exp", "commute-deflated"])
+    def test_kernel_columns_do_not_depend_on_their_block(
+            self, eig20_642, op3, monkeypatch, filt):
+        # X, B X and phi are built once per kernel, and each column of a
+        # block has the bits of a one-column apply and of
+        # truncated_spectral
+        real, calls = basis_mod._truncated_terms, []
+        monkeypatch.setattr(basis_mod, "_truncated_terms",
+                            lambda *a: calls.append(a) or real(*a))
+        kernel = basis_mod.TruncatedKernel(eig20_642, filt)
+        rng = np.random.default_rng(21)
+        F = np.c_[delta(op3.n, 7), rng.standard_normal((op3.n, 3)),
+                  delta(op3.n, 300)]
+        G = kernel.apply(F)
+        assert len(calls) == 1
+        for j in range(F.shape[1]):
+            assert np.array_equal(G[:, j], kernel.apply(F[:, j]))
+            assert np.array_equal(G[:, j], kernel.apply(F[:, j::-1])[:, 0])
+            assert np.array_equal(G[:, j], lb.field_values(
+                lb.truncated_spectral(eig20_642, filt, F[:, j])))
+
+
 class TestChebyshevKernel:
     def test_constant_input_reproduced(self, op3):
         pf = lb.partial_fractions(FilterSpec.exponential(0.5))

@@ -204,6 +204,34 @@ class TestBasisCommand:
         assert texts[0] == texts[1]
         assert "max_rel_residual" in read_manifest(tmp_path / "eigen")["solver"]
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "eigen"],
+        ["spectrum"],
+        ["basis", "spectral", "--filter", "exp:t=0.1", "--method",
+         "truncated", "--seeds", "0,40"],
+    ], ids=["eigen", "spectrum", "truncated"])
+    @pytest.mark.parametrize("mass, form", [("lumped", "standard"),
+                                            ("consistent", "generalized")])
+    def test_solver_statistics_in_manifest(self, mesh_path, tmp_path, argv,
+                                           mass, form):
+        solvers = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            with (pytest.warns(UserWarning, match="truncated route")
+                  if "truncated" in argv else contextlib.nullcontext()):
+                assert main(argv + ["--k", "8", "--mass", mass, "--mesh",
+                                    mesh_path, "--out", str(out)]) == 0
+            solvers.append(read_manifest(out)["solver"])
+        solver = solvers[0]
+        assert solver == solvers[1]  # counts only, no timing
+        assert solver["form"] == form
+        assert solver["eigsh_calls"] >= 1 and solver["op_applies"] > 8
+        # icosphere(2): 0, then 2 three times, then 6 five times, so k = 8
+        # ends inside the 6-cluster and the count stops below it
+        assert solver["inertia_count"] == 4
+        assert solver["lu_nnz"] > 0
+        assert ("max_rel_residual" in solver) == ("truncated" not in argv)
+
     def test_harmonic_with_seed_list(self, mesh_path, tmp_path):
         out = tmp_path / "run"
         rc = main([

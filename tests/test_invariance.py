@@ -110,6 +110,17 @@ def test_eigenvalues_at_R_1e10(mass):
     assert rel_err(got, family("eigenvalues", mass, "reference")) <= RTOL
 
 
+@pytest.mark.parametrize("R", [1e-8, 1e-10], ids=["R=1e-8", "R=1e-10"])
+@pytest.mark.parametrize("mass", ["lumped", "consistent"])
+def test_eigenvalues_at_small_R(mass, R):
+    # B's entries are near 1e-18 at R = 1e-8, so the eigenvalues are near
+    # 1e17: eigsh sees the pencil in units of its scale, where ARPACK's
+    # convergence test stays relative
+    op = lb.assemble(scaled(MESH, R), mass_mode=mass)
+    got = lb.eigen_basis(op, K).values[1:] * R**2
+    assert rel_err(got, family("eigenvalues", mass, "reference")) <= RTOL
+
+
 @pytest.mark.parametrize("R", [1e4, 3e4])
 def test_icosphere_clusters(R):
     # icosphere(3)'s lambda_16..lambda_19 form one 4-fold cluster, so k = 20

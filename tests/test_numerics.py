@@ -21,6 +21,7 @@ from lapbasis.errors import (
 from lapbasis.numerics import (
     SHIFTED_RTOL,
     component_nullspace,
+    count_below,
     factor,
     shifted_factor,
     smallest_eigenpairs,
@@ -150,8 +151,9 @@ class TestFactor:
         assert np.array_equal(g, raw)
 
     def test_splu_called_in_numerics_only(self):
-        # every other module solves through numerics.factor; the two raw
-        # LUs of the eigensolver are the only other users
+        # every other module solves through numerics.factor; the raw LUs
+        # of the eigensolver (its shift) and of count_below (the inertia
+        # certificate) are the only other users
         src = pathlib.Path(numerics.__file__).parent
         users = set()
         for path in sorted(src.glob("*.py")):
@@ -167,7 +169,8 @@ class TestFactor:
                               getattr(node, "name", None)):
                     users.add((path.name, owner.get(node, "<module>")))
         assert users == {("numerics.py", "factor"),
-                         ("numerics.py", "smallest_eigenpairs")}
+                         ("numerics.py", "smallest_eigenpairs"),
+                         ("numerics.py", "count_below")}
 
     def test_no_unit_length_floor(self):
         # a tolerance multiplies a scale the code holds: no max(x, 1.0) or
@@ -255,8 +258,10 @@ def patch_eigsh(monkeypatch, drops):
 class TestEigenpairs:
     @pytest.mark.parametrize(
         "op_name, k",
-        [("op_torus200", None), ("op_torus500", 50), ("op3", 110)],
-        ids=["torus200-full", "torus500-k50", "sphere642-k110"],
+        [("op_torus200", None), ("op_torus500", 50), ("op3", 110),
+         ("op_torus500_consistent", 50), ("op3_consistent", 110)],
+        ids=["torus200-full", "torus500-k50", "sphere642-k110",
+             "torus500-k50-consistent", "sphere642-k110-consistent"],
     )
     def test_matches_dense_oracle_full_spectrum(self, request, op_name, k):
         # torus500 and sphere642 have exactly degenerate clusters inside
@@ -323,6 +328,49 @@ class TestEigenpairs:
                     np.abs(x).max()
                 )
 
+    @pytest.mark.parametrize("mass, form", [("lumped", "standard"),
+                                            ("consistent", "generalized")])
+    def test_form_follows_the_mass(self, sphere3, monkeypatch, mass, form):
+        # a diagonal B runs in standard form, with no mass product inside
+        # eigsh; any other B in generalized form, on B / mean(diag B)
+        op = lb.assemble(sphere3, mass_mode=mass)
+        real, masses = numerics.spla.eigsh, []
+
+        def eigsh(*args, M=None, **kwargs):
+            masses.append(M)
+            return real(*args, M=M, **kwargs)
+
+        monkeypatch.setattr(numerics.spla, "eigsh", eigsh)
+        eig = smallest_eigenpairs(op.L, op.B, 20)
+        assert eig.stats["form"] == form
+        assert eig.stats["eigsh_calls"] == len(masses) >= 1
+        if form == "standard":
+            assert masses == [None] * len(masses)
+        else:
+            d = op.B.diagonal()
+            assert all(abs(M - op.B / d.mean()).max() == 0.0 for M in masses)
+
+    def test_stats(self, op3, monkeypatch):
+        # the certificate counts on the shift LU's ordering, and stats
+        # records its count and the work eigsh did
+        counts = []
+
+        def spy(L, B, s, perm=None):
+            counts.append((perm is not None, count_below(L, B, s, perm)))
+            return counts[-1][1]
+
+        monkeypatch.setattr(numerics, "count_below", spy)
+        eig = smallest_eigenpairs(op3.L, op3.B, 20)
+        assert counts and all(has_perm for has_perm, _ in counts)
+        stats = eig.stats
+        assert stats["inertia_count"] == counts[-1][1]
+        assert np.count_nonzero(eig.values < stats["inertia_shift"]) == (
+            stats["inertia_count"])
+        assert stats["eigsh_calls"] == len(counts)
+        assert stats["op_applies"] > 20 and stats["lu_nnz"] > op3.L.nnz
+        for k, form in ((1, "kernel"), (op3.n // 2 + 1, "dense")):
+            assert smallest_eigenpairs(op3.L, op3.B, k).stats["form"] == form
+
     def test_k_out_of_range(self, op1):
         with pytest.raises(ValueError):
             smallest_eigenpairs(op1.L, op1.B, op1.n + 1)
@@ -345,6 +393,61 @@ class TestCertificate:
         patch_eigsh(monkeypatch, drops=np.inf)
         with pytest.raises(NotConverged):
             smallest_eigenpairs(op2.L, op2.B, 8)
+
+
+def shift_ordering(op):
+    """perm_c of the eigensolver's shift LU of op's pencil."""
+    lam = numerics.pencil_bound(op.L, op.B)
+    M = (op.L - numerics.SIGMA * lam * op.B).tocsc()
+    return numerics.spla.splu(M, permc_spec="COLAMD", diag_pivot_thresh=0,
+                              options=dict(SymmetricMode=True)).perm_c
+
+
+class TestCountBelow:
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    @pytest.mark.parametrize("mesh", [lambda: lb.icosphere(3),
+                                      lambda: lb.bumpy_sphere(3, seed=1)],
+                             ids=["icosphere3", "bumpy3"])
+    def test_matches_dense_counts(self, mesh, mass):
+        op = lb.assemble(mesh(), mass_mode=mass)
+        lam = scipy.linalg.eigh(*dense_lb(op), eigvals_only=True)
+        # shifts midway between distinct values, clusters counted whole
+        top = np.flatnonzero(np.diff(lam) > 1e-6 * lam[-1])
+        shifts = 0.5 * (lam[top] + lam[top + 1])
+        shifts = np.r_[-1.0, shifts[::max(1, len(shifts) // 12)],
+                       2.0 * lam[-1]]
+        perm = shift_ordering(op)
+        for s in shifts:
+            want = np.count_nonzero(lam < s)
+            assert count_below(op.L, op.B, s) == want, s
+            assert count_below(op.L, op.B, s, perm) == want, s
+
+    def test_ordering_keeps_the_fill(self, op3, monkeypatch):
+        # the pre-permuted matrix in its natural order has the fill of
+        # COLAMD's own LU of the same matrix (the inverse ordering has
+        # several times more)
+        perm = shift_ordering(op3)
+        real, fill = numerics.spla.splu, []
+
+        def splu(M, permc_spec=None, **kwargs):
+            lu = real(M, permc_spec=permc_spec, **kwargs)
+            fill.append((permc_spec, lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(numerics.spla, "splu", splu)
+        s = 20.0
+        count_below(op3.L, op3.B, s)
+        count_below(op3.L, op3.B, s, perm)
+        (spec0, colamd), (spec1, natural) = fill
+        assert (spec0, spec1) == ("COLAMD", "NATURAL")
+        assert natural <= colamd
+
+    def test_off_diagonal_pivoting_raises(self):
+        # [[0, 1], [1, 0]] needs a 2x2 pivot, which an LU with no
+        # off-diagonal pivot cannot take
+        L = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NotConverged, match="off-diagonal"):
+            count_below(L, sp.identity(2, format="csr"), 0.0)
 
 
 class TestNullspace:
