@@ -332,7 +332,7 @@ class TruncatedKernel:
         """K_phi f for a vector f, or column by column for an (n, m)
         block f."""
         return _by_column(lambda fv: field_values(truncated_spectral(
-            self.eig, self.filt, fv, self._terms)), field_values(f))
+            self.eig, self.filt, fv, terms=self._terms)), field_values(f))
 
 
 def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):

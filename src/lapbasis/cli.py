@@ -5,10 +5,9 @@ Every run writes a ``manifest.json`` listing each output file with the
 sha256 of the bytes written to it (hashed as they are written, never read
 back), and the mesh's load warnings (mesh_warnings) if it has any.
 Numeric CSV output uses shortest round-trip decimals and fixed orderings,
-so identical inputs give byte-identical files.  A field CSV is one call
-of a %-template, built once per export for the mesh's vertex count, on
-the field's values: %r of a float is the repr an f-string row would
-write, without the per-row assembly.
+so identical inputs give byte-identical files.  Field CSVs are formatted
+by ioutil.repr_csv, a block of fields at a time: each value has the
+bytes of its repr, as an f-string row f"{i},{v!r}" would write it.
 """
 
 import argparse
@@ -29,7 +28,7 @@ from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
 from .filters import FilterSpec, parse_filter
-from .ioutil import atomic_write_text, fmt
+from .ioutil import REPR_CHUNK, atomic_write_text, fmt, repr_csv
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
 
@@ -38,6 +37,7 @@ SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
+FIELD_HEADER = b"vertex_id,value\n"  # the first row of a field CSV
 R_HELP = ("degree of the exp rational table, 3..14 (default 5), read only "
           "with consistent mass or --scheme meanvalue; otherwise exp is a "
           "Chebyshev expansion whose degree its error bound fixes")
@@ -225,21 +225,11 @@ class Run:
         return self.path("manifest.json")
 
 
-def _field_template(n):
-    """The %-template of an n-vertex field CSV: the header, then the row
-    "i,%r" of each vertex i."""
-    return "vertex_id,value\n" + "".join([f"{i},%r\n" for i in range(n)])
-
-
-def _field_csv(run, name, f, template=None):
-    """One vertex_id,value row per vertex, formatted in one call,
-    template % values; template is _field_template(n), built here when
-    not given.  %r of a Python float is its repr, fmt's shortest
-    round-trip decimal."""
-    values = field_values(f).tolist()
-    if template is None:
-        template = _field_template(len(values))
-    return run.write_text(name, template % tuple(values))
+def _field_csv(run, name, f):
+    """One vertex_id,value row per vertex, the value written as its
+    repr (ioutil.repr_csv)."""
+    (body,) = repr_csv(field_values(f)[None, :, None], ids=True)
+    return run.write_text(name, FIELD_HEADER + body)
 
 
 def _read_field_csv(path, n):
@@ -287,18 +277,27 @@ def _ramp_colors(values):
 
 
 def _export_fields(run, mesh, fields, stem):
-    template = _field_template(mesh.n_vertices)  # one per export, ~0.3 ms
-    for i, f in enumerate(fields):
-        tag = getattr(f, "tag", "")
-        base = FIELD_STEM.format(stem, i)
+    """Write each field's CSV and PLY, in that order, field by field.  The
+    CSVs are formatted REPR_CHUNK values at a time, as many whole fields
+    as fit (at least one), and each is written as soon as its bytes
+    exist."""
+    fields = list(fields)
+    step = max(1, REPR_CHUNK // mesh.n_vertices)
+    for i0 in range(0, len(fields), step):
+        chunk = fields[i0:i0 + step]
         if "csv" in run.formats:
-            _field_csv(run, base + ".csv", f, template)
-        if "ply" in run.formats:
-            run.save(base + ".ply", save_ply, mesh,
-                     colors=_ramp_colors(field_values(f)))
-        run.info.setdefault("fields", []).append(
-            {"index": i, "tag": tag, "stem": base}
-        )
+            bodies = repr_csv(np.stack([field_values(f) for f in chunk])
+                              [:, :, None], ids=True)
+        for i, f in enumerate(chunk, start=i0):
+            base = FIELD_STEM.format(stem, i)
+            if "csv" in run.formats:
+                run.write_text(base + ".csv", FIELD_HEADER + bodies[i - i0])
+            if "ply" in run.formats:
+                run.save(base + ".ply", save_ply, mesh,
+                         colors=_ramp_colors(field_values(f)))
+            run.info.setdefault("fields", []).append(
+                {"index": i, "tag": getattr(f, "tag", ""), "stem": base}
+            )
 
 
 def _parse_seed_args(args, mesh, op):

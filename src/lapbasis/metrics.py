@@ -12,7 +12,7 @@ import numpy as np
 from .basis import _apply_blocks
 from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, fmt, repr_csv
 
 ADJOINT_PROBES = 2  # random (u, v) pairs of the B-adjointness probe
 ADJOINT_RTOL = 1e-8
@@ -143,10 +143,10 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
 
 
 def save_comparison_csv(cm, path):
-    """Raw matrix as CSV, one row per line, shortest round-trip floats;
-    returns the sha256 of the bytes written."""
-    lines = [",".join(fmt(v) for v in row) for row in cm.values]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    """Raw matrix as CSV, one row per line, each value its repr
+    (ioutil.repr_csv); returns the sha256 of the bytes written."""
+    (data,) = repr_csv(cm.values[None])
+    return atomic_write_text(path, data)
 
 
 def save_comparison_pgm(cm, path):

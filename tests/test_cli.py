@@ -1074,9 +1074,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("n", [1, 2562])
     def test_field_csv_template_bytes(self, tmp_path, n):
-        # one %-template call writes the bytes of the f"{i},{v!r}" rows
-        # for every kind of float repr: specials, subnormals, integral
-        # values and both sides of repr's switches to exponent form
+        # _field_csv writes the bytes of the f"{i},{v!r}" rows for every
+        # kind of float repr: specials, subnormals, integral values and
+        # both sides of repr's switches to exponent form
         special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
                    1.0, -3.0, 2.0 ** 53, 1e-5, 9.999999999999999e-05, 1e-4,
                    1.0000000000000002e-4, 1e15, 9999999999999998.0, 1e16,
@@ -1092,11 +1092,34 @@ class TestErrors:
         want = "vertex_id,value\n" + "".join(
             f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
         run = cli_mod.Run(argparse.Namespace(out=str(tmp_path)))
-        template = cli_mod._field_template(n)
-        for name, given in (("a.csv", ()), ("b.csv", (template,))):
-            path = cli_mod._field_csv(run, name, values, *given)
-            assert pathlib.Path(path).read_bytes() == want.encode()
+        path = cli_mod._field_csv(run, "a.csv", values)
+        assert pathlib.Path(path).read_bytes() == want.encode()
         assert run.digests[path] == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_export_wider_than_a_chunk(self, tmp_path):
+        # 9 fields at n = 2562 take three chunks (4, 4, 1): each field's
+        # CSV has the bytes and sha256 of _field_csv on that field alone,
+        # and the files are listed csv, then ply, field by field
+        mesh = lb.icosphere(4)
+        n = mesh.n_vertices
+        assert cli_mod.REPR_CHUNK // n == 4
+        rng = np.random.default_rng(9)
+        fields = [lb.ScalarField(rng.standard_normal(n)
+                                 * 10.0 ** rng.integers(-30, 30, n))
+                  for _ in range(9)]
+        fields[3].values[:7] = [0.0, -0.0, 1.0, 5e-324, 1e16, 1e-5, 2.5]
+        chunked = cli_mod.Run(argparse.Namespace(
+            out=str(tmp_path / "a"), format="csv,ply"))
+        cli_mod._export_fields(chunked, mesh, fields, "x")
+        alone = cli_mod.Run(argparse.Namespace(out=str(tmp_path / "b")))
+        names = [os.path.relpath(p, chunked.outdir) for p in chunked.outputs]
+        assert names == [f"x_{i:04d}.{ext}" for i in range(9)
+                         for ext in ("csv", "ply")]
+        for i, f in enumerate(fields):
+            path = pathlib.Path(chunked.path(f"x_{i:04d}.csv"))
+            want = pathlib.Path(cli_mod._field_csv(alone, path.name, f))
+            assert path.read_bytes() == want.read_bytes()
+            assert chunked.digests[str(path)] == alone.digests[str(want)]
 
     def test_exports_take_their_own_mesh_size(self, tmp_path):
         # two meshes in one process: each export has its mesh's rows

@@ -1,6 +1,7 @@
 """Inner products, kernel metrics, and comparison matrices."""
 
 import ast
+import hashlib
 import inspect
 
 import numpy as np
@@ -290,6 +291,23 @@ class TestExport:
         save_comparison_csv(cm, p1)
         save_comparison_csv(cm, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("m", [1, 3, 120])
+    def test_csv_bytes_pinned(self, tmp_path, m):
+        # the bytes of the rows ",".join(fmt(v) for v in row): mixed
+        # magnitudes and signs, 3-digit exponents; at m = 120 the matrix
+        # is formatted in two passes of whole rows
+        rng = np.random.default_rng(m)
+        values = rng.standard_normal((m, m)) * 10.0 ** rng.integers(
+            -320, 300, (m, m))
+        values.flat[:6] = [-0.0, 1e-5, 2.5e-310, 1e16, -123.0, 0.1][:m * m]
+        want = "".join(",".join(lb.ioutil.fmt(v) for v in row) + "\n"
+                       for row in values).encode()
+        path = tmp_path / "metric_area.csv"
+        digest = save_comparison_csv(metrics_mod.ComparisonMatrix(
+            values, "area"), path)
+        assert path.read_bytes() == want
+        assert digest == hashlib.sha256(want).hexdigest()
 
     def test_pgm_format(self, op2, tmp_path):
         bs = lb.spectral_set(op2, FilterSpec.exponential(0.2), [0, 40, 80])

@@ -59,9 +59,9 @@ def test_both_routes_pass_through_their_span_targets(op2, monkeypatch):
         calls["apply"] += 1
         return apply(self, f)
 
-    def counting_truncated(*args):
+    def counting_truncated(*args, **kwargs):
         calls["truncated"] += 1
-        return truncated(*args)
+        return truncated(*args, **kwargs)
 
     monkeypatch.setattr(ChebyshevKernel, "apply", counting_apply)
     monkeypatch.setattr(basis_mod, "truncated_spectral", counting_truncated)
