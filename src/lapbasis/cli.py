@@ -28,7 +28,7 @@ from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
 from .filters import FilterSpec, parse_filter
-from .ioutil import REPR_CHUNK, atomic_write_text, fmt, repr_csv
+from .ioutil import REPR_CHUNK, atomic_write_text, fmt, id_words, repr_csv
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
 
@@ -283,11 +283,12 @@ def _export_fields(run, mesh, fields, stem):
     exist."""
     fields = list(fields)
     step = max(1, REPR_CHUNK // mesh.n_vertices)
+    ids = id_words(mesh.n_vertices) if "csv" in run.formats else None
     for i0 in range(0, len(fields), step):
         chunk = fields[i0:i0 + step]
         if "csv" in run.formats:
             bodies = repr_csv(np.stack([field_values(f) for f in chunk])
-                              [:, :, None], ids=True)
+                              [:, :, None], ids=ids)
         for i, f in enumerate(chunk, start=i0):
             base = FIELD_STEM.format(stem, i)
             if "csv" in run.formats:

@@ -233,9 +233,10 @@ def _shortest(bits):
     return np.where(upin != wpin, sp10 + _U(10) * ~upin, s), k
 
 
-def _id_words(rows):
+def id_words(rows):
     """The "i," of each row i < rows as NUL-padded uint64 words, one row
-    of the (rows, w) result per id."""
+    of the (rows, w) result per id: what repr_csv(X, ids=True) puts in
+    front of each row, built once for callers that format many blocks."""
     width = len(str(rows - 1))
     place = 10 ** np.arange(width - 1, -1, -1)
     ids = np.arange(rows)[:, None]
@@ -300,7 +301,8 @@ def _words(x, hw):
 def repr_csv(X, ids=False):
     """The CSV bytes of each table of X, a (tables, rows, cols) float64
     array, as a list of bytes: row i of a table is f"{i}," when ids,
-    then ",".join(repr(v) for v in row), then "\\n".
+    then ",".join(repr(v) for v in row), then "\\n".  ids may also be
+    id_words(rows), built once by the caller.
 
     The bytes equal those of the join for every float, in passes of
     about REPR_CHUNK values (whole rows; a pass may span tables)."""
@@ -312,7 +314,10 @@ def repr_csv(X, ids=False):
     ends = np.full(cols, ord(","), dtype=_U)
     ends[-1] = ord("\n")
     ends <<= _U(40)  # the row byte's slot in the last value word
-    heads = _id_words(rows) if ids else np.zeros((rows, 0), dtype=_U)
+    if isinstance(ids, np.ndarray):
+        heads = ids
+    else:
+        heads = id_words(rows) if ids else np.zeros((rows, 0), dtype=_U)
     hw = heads.shape[1]
     pieces = [[] for _ in range(tables)]
     for r0 in range(0, tables * rows, step):

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from . import numerics
 from .errors import AllDegenerate
 from .fields import ScalarField, field_values
-from .mesh import DEGENERATE_AREA_FACTOR
+from .mesh import DEGENERATE_AREA_FACTOR, _corner_areas
 
 SCHEMES = ("linear_fem", "voronoi_cotangent", "mean_value")
 MASS_MODES = ("lumped", "consistent")
@@ -43,42 +43,88 @@ class LaplacianOperator:
 
 
 def _triangle_geometry(mesh):
-    """Areas and corner data of the non-degenerate triangles."""
+    """The non-degenerate triangles, their corner positions (coordinate-
+    major, as TriangleMesh._corners) and areas, and the mask that keeps
+    them: None, and no copies, when all are kept."""
     tris = mesh.triangles
-    areas = mesh.triangle_areas()
+    q = mesh._corners()
+    areas = _corner_areas(q)
     keep = areas >= DEGENERATE_AREA_FACTOR * mesh.bbox_diagonal() ** 2
+    if keep.all():
+        return tris, q, areas, None
     if not np.any(keep):
         raise AllDegenerate("every triangle is degenerate")
-    return tris[keep], mesh.vertices[tris[keep]], areas[keep]
+    return tris[keep], q[:, :, keep], areas[keep], keep
 
 
-def _fem_stiffness(n, tris, p, areas):
-    """Cotangent stiffness: off-diagonal -(cot a + cot b)/2, diag = -rowsum."""
-    rows, cols, vals = [], [], []
+def _csr(n, indptr, indices, data):
+    """The n x n CSR matrix of these sorted rows without their exact
+    zeros, which scipy's sparse arithmetic drops."""
+    nz = data != 0
+    if not nz.all():
+        indptr = np.concatenate([[0], np.cumsum(nz)])[indptr]
+        indices, data = indices[nz], data[nz]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _fem_stiffness(mesh, q, areas, keep):
+    """Cotangent stiffness: off-diagonal -(cot a + cot b)/2, diag = -rowsum.
+
+    The weights fill the mesh's adjacency pattern plus the diagonal, with
+    the bits of a COO -> CSR conversion and ``L - diags(rowsum)``: an
+    entry sums its terms in COO order (corner by corner, i -> j then
+    j -> i, triangle by triangle), as scipy's conversion does in a row of
+    at most 16 terms (in a longer row its sort may reorder the terms of an
+    entry, which matters only on an edge of three or more triangles); a
+    row sum is the reduceat over the row's stored entries that scipy's
+    sum(axis=1) runs; exact zeros are dropped, as the subtraction drops
+    them.
+    """
+    A = mesh.adjacency()
+    slots = mesh._corner_slots
+    if keep is not None:
+        slots = slots[:, :, keep]
+    w = np.empty((3, len(areas)))
+    twice = 2.0 * areas
     for corner in range(3):
-        i = tris[:, (corner + 1) % 3]
-        j = tris[:, (corner + 2) % 3]
-        u = p[:, (corner + 1) % 3] - p[:, corner]
-        v = p[:, (corner + 2) % 3] - p[:, corner]
-        # cot of the angle at `corner`, opposite to edge (i, j)
-        cot = np.einsum("ij,ij->i", u, v) / (2.0 * areas)
-        w = -0.5 * cot
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([w, w])
-    L = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    L = L - sp.diags(np.asarray(L.sum(axis=1)).ravel())
-    return L.tocsr()
+        u = q[:, (corner + 1) % 3] - q[:, corner]
+        u *= q[:, (corner + 2) % 3] - q[:, corner]
+        # cot of the angle at `corner`, opposite to edge (i, j); the dot
+        # product adds its terms as (x + z) + y, the order of
+        # np.einsum("ij,ij->i") on x86-64 with AVX2
+        np.divide(u[0] + u[2] + u[1], twice, out=w[corner])
+    w *= -0.5
+    off = np.bincount(slots.ravel(),
+                      np.broadcast_to(w[:, None], slots.shape).ravel(),
+                      minlength=A.nnz)
+    data, indptr = off, A.indptr
+    if keep is not None:  # an edge of degenerate triangles only is absent
+        stored = np.bincount(slots.ravel(), minlength=A.nnz) > 0
+        data = off[stored]
+        indptr = np.concatenate([[0], np.cumsum(stored)])[indptr]
+    n = mesh.n_vertices
+    rowsum = np.zeros(n)
+    rows = np.flatnonzero(np.diff(indptr))
+    rowsum[rows] = np.add.reduceat(data, indptr[rows])
+    # the diagonal goes after the row's lower neighbours
+    row_of = np.repeat(np.arange(n), np.diff(A.indptr))
+    upper = A.indices > row_of
+    pos = np.arange(A.nnz) + row_of + upper
+    dpos = A.indptr[:-1] + np.arange(n)
+    dpos += np.bincount(row_of[~upper], minlength=n)
+    vals = np.empty(A.nnz + n)
+    vals[pos] = off
+    vals[dpos] = -rowsum
+    cols = np.empty(A.nnz + n, dtype=A.indices.dtype)
+    cols[pos] = A.indices
+    cols[dpos] = np.arange(n)
+    return _csr(n, A.indptr + np.arange(n + 1), cols, vals)
 
 
 def _mass(n, tris, areas, lumped):
     if lumped:
-        d = np.zeros(n)
-        np.add.at(d, tris.ravel(), np.repeat(areas / 3.0, 3))
-        return sp.diags(d).tocsr()
+        d = np.bincount(tris.ravel(), np.repeat(areas / 3.0, 3), minlength=n)
+        return _csr(n, np.arange(n + 1), np.arange(n), d)
     rows, cols, vals = [tris.ravel()], [tris.ravel()], [np.repeat(areas / 6.0, 3)]
     for a, b in ((0, 1), (1, 2), (2, 0)):
         rows.extend([tris[:, a], tris[:, b]])
@@ -142,12 +188,12 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     if scheme != "linear_fem" and mass_mode == "consistent":
         raise ValueError(f"{scheme} is defined with lumped mass only")
 
-    tris, p, areas = _triangle_geometry(mesh)
+    tris, q, areas, keep = _triangle_geometry(mesh)
     n = mesh.n_vertices
     if scheme == "mean_value":
-        L = _mean_value_stiffness(n, tris, p)
+        L = _mean_value_stiffness(n, tris, q.transpose(2, 1, 0))
     else:
-        L = _fem_stiffness(n, tris, p, areas)
+        L = _fem_stiffness(mesh, q, areas, keep)
     B = _mass(n, tris, areas, lumped=mass_mode == "lumped")
     return LaplacianOperator(L, B, scheme, mass_mode)
 

@@ -23,11 +23,24 @@ from .ioutil import atomic_write_text
 DEGENERATE_AREA_FACTOR = 1e-12
 
 
+def _corner_areas(q):
+    """Area of each triangle from its corners in coordinate-major order,
+    q[k, c] coordinate k of corner c: the bits of
+    0.5 |np.cross(p1 - p0, p2 - p0)|."""
+    a = q[:, 1] - q[:, 0]
+    b = q[:, 2] - q[:, 0]
+    c = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                  a[0] * b[1] - a[1] * b[0]])
+    c *= c
+    return 0.5 * np.sqrt(c[0] + c[1] + c[2])
+
+
 class TriangleMesh:
     """Vertex positions plus triangle connectivity and derived adjacency.
 
     ``edges`` holds each undirected edge once as an (i < j) row, in
-    lexicographic order; one rings and both adjacencies share one CSR pattern.
+    lexicographic order; one rings and both adjacencies share one CSR
+    pattern, which assemble fills with the stiffness weights.
 
     Parameters
     ----------
@@ -64,6 +77,8 @@ class TriangleMesh:
         triangles.setflags(write=False)
         self.vertices = vertices
         self.triangles = triangles
+        self._xyz = np.ascontiguousarray(vertices.T)  # coordinate-major
+        self._xyz.setflags(write=False)
         self.warnings = tuple(warnings)
         self._build_adjacency()
 
@@ -81,27 +96,54 @@ class TriangleMesh:
         return len(self.triangles)
 
     def _build_adjacency(self):
-        n = self.n_vertices
-        half = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        # a canonical CSR sums duplicate half-edges into per-edge triangle
-        # counts and orders the edges lexicographically
-        counts = sp.csr_matrix(
-            (np.ones(len(half), dtype=np.int64), (half[:, 0], half[:, 1])),
-            shape=(n, n),
-        ).tocoo()
-        i, j = counts.row, counts.col
-        self.edges = np.column_stack([i, j]).astype(np.int64)
-        self._edge_counts = counts.data
-        w = np.linalg.norm(self.vertices[i] - self.vertices[j], axis=1)
-        lengths = sp.csr_matrix(
-            (np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n)
-        )
+        n, t = self.n_vertices, self.triangles
+        # each triangle side a -> b, (0, 1), (1, 2), (2, 0), keyed by its
+        # edge i n + j, i < j: sorted, the keys list the edges in
+        # lexicographic order, once per incident triangle
+        a, b = t, t[:, [1, 2, 0]]
+        key = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        i, j = np.divmod(key[first], n)
+        self.edges = np.column_stack([i, j])
+        self._edge_counts = np.diff(first, append=len(key))
+        side_edge = np.empty(len(key), dtype=np.int64)
+        side_edge[order] = np.cumsum(new) - 1
+        # one CSR pattern for both adjacencies: row r holds the edges (i, r)
+        # by i, then the edges (r, j) by j, so a stable sort of the rows of
+        # [(j, i), (i, j)] is the canonical order
+        ne = len(i)
+        rows = np.concatenate([j, i])
+        perm = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        d = np.take(self._xyz, i, axis=1)
+        d -= np.take(self._xyz, j, axis=1)
+        d *= d
+        w = np.sqrt(d[0] + d[1] + d[2])  # norm(axis=1), bit for bit
+        lengths = sp.csr_matrix((np.concatenate([w, w])[perm],
+                                 np.concatenate([i, j])[perm], indptr),
+                                shape=(n, n))
         ones = sp.csr_matrix(
             (np.ones(lengths.nnz), lengths.indices, lengths.indptr), shape=(n, n)
         )
         self._adjacency = {False: ones, True: lengths}
-        for arr in (self.edges, self._edge_counts, ones.data, ones.indices,
-                    ones.indptr, lengths.data, lengths.indices, lengths.indptr):
+        # where each corner's opposite side, as the stiffness matrix lists
+        # it (first c+1 -> c+2, then back), lies in the CSR arrays
+        slot = np.empty(2 * ne, dtype=lengths.indices.dtype)
+        slot[perm] = np.arange(2 * ne)
+        # edge e's (j, i) is at slot[e], its (i, j) at slot[ne + e]
+        e = side_edge.reshape(-1, 3)[:, [1, 2, 0]].T
+        ahead = (a < b)[:, [1, 2, 0]].T * ne  # corner's c+1 < c+2
+        self._corner_slots = np.stack([slot[e + ahead], slot[e + ne - ahead]],
+                                      axis=1)
+        for arr in (self.edges, self._edge_counts, self._corner_slots,
+                    ones.data, ones.indices, ones.indptr,
+                    lengths.data, lengths.indices, lengths.indptr):
             arr.setflags(write=False)
 
     def one_ring(self, i):
@@ -117,17 +159,19 @@ class TriangleMesh:
         """Edges with more than two incident triangles."""
         return self.edges[self._edge_counts > 2]
 
+    def _corners(self):
+        """The (3, 3, m) corner positions, coordinate-major: [k, c, t] is
+        coordinate k of corner c of triangle t."""
+        return np.take(self._xyz, self.triangles.T, axis=1)
+
     def triangle_areas(self):
         """Area of every triangle."""
-        p = self.vertices[self.triangles]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return 0.5 * np.linalg.norm(cross, axis=1)
+        return _corner_areas(self._corners())
 
     def bbox_diagonal(self):
         """Length of the axis-aligned bounding-box diagonal."""
-        return float(
-            np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0))
-        )
+        x = self._xyz
+        return float(np.linalg.norm(x.max(axis=1) - x.min(axis=1)))
 
     def degenerate_triangles(self):
         """Indices of triangles with area below the degeneracy threshold."""
@@ -191,7 +235,7 @@ def vertex_distances(mesh, source, metric="euclidean"):
     if not 0 <= source < mesh.n_vertices:
         raise IndexError("source vertex out of range")
     if metric == "euclidean":
-        d = np.linalg.norm(mesh.vertices - mesh.vertices[source], axis=1)
+        d = _euclidean_distances(mesh, source)
     elif metric == "graph_geodesic":
         d = _graph_distances(mesh, [source])
         if np.any(np.isinf(d)):
@@ -204,6 +248,15 @@ def vertex_distances(mesh, source, metric="euclidean"):
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return ScalarField(d, tag=f"distance:{metric}:{source}")
+
+
+def _euclidean_distances(mesh, source):
+    """Straight-line distance from the source vertex to every vertex, on
+    the coordinate-major copy of the vertices: the bits of
+    np.linalg.norm(vertices - vertices[source], axis=1)."""
+    d = mesh._xyz - mesh._xyz[:, source:source + 1]
+    d *= d
+    return np.sqrt(d[0] + d[1] + d[2])
 
 
 def _graph_distances(mesh, sources, limit=np.inf):
@@ -259,23 +312,10 @@ def _triangulate(face, warnings):
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
-def _face_block(tokens, nf):
-    """The (nf, 3) triangles of the nf face records that open tokens, a
-    list of str, converted in one call; None unless every record is
-    ``3 i j k``."""
-    if nf <= 0:
-        return None
-    try:
-        block = np.array(tokens[: 4 * nf], dtype=np.int64).reshape(nf, 4)
-    except (ValueError, OverflowError):
-        return None
-    return block[:, 1:] if (block[:, 0] == 3).all() else None
-
-
 def _walk_faces(tokens, nf, warnings, truncated):
     """Triangles of the nf face records ``k i0 ... i(k-1)`` that open
-    tokens, read one record at a time: the faces of a PLY file, and OFF
-    faces that _face_block cannot convert (mixed sizes, or a bad record,
+    tokens, read one record at a time: the faces of a PLY file, and of an
+    OFF file that _off_blocks cannot read (mixed sizes, or a bad record,
     which this raises at).  A record short of its k indices raises
     ParseError(truncated)."""
     tris, pos = [], 0
@@ -289,8 +329,82 @@ def _walk_faces(tokens, nf, warnings, truncated):
     return tris
 
 
+def _loadtxt_block(lines, rows, cols, dtype):
+    """The (rows, cols) array of lines, one row per line, by one
+    np.loadtxt call; None where it refuses them or they have another
+    shape (fewer lines, or a blank one, which loadtxt skips).  lines must
+    not open with a blank line, on which loadtxt warns when that leaves
+    it no data."""
+    try:
+        block = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape == (rows, cols) else None
+
+
+def _off_blocks(lines):
+    """(vertices, triangles) of the comment-free lines of an OFF file, in
+    two bulk conversions, or None where its layout needs the token path.
+
+    The counts must end their line; after any blank lines, the next nv
+    lines hold the vertices, three numbers each, and, after any blank
+    lines, the next nf lines the faces, each ``3 i j k``.  Within a line
+    np.loadtxt splits fields where str.split splits, and it converts a
+    number to the value float() or int() gives it, or refuses it (1_000,
+    non-ASCII digits, 1.5 or 2^63 as int64), so the arrays equal the
+    token path's.  The blocks are exact slices of lines: with max_rows,
+    loadtxt warns on a blank line.
+    """
+    head = []
+    for h, line in enumerate(lines, 1):
+        head += line.split()
+        need = 4 if head and head[0].upper() == "OFF" else 3
+        if len(head) >= need:
+            break
+    else:
+        return None
+    if len(head) != need:  # the vertices start on the counts' line
+        return None
+    try:
+        nv, nf = int(head[-3]), int(head[-2])
+    except ValueError:
+        return None
+    if nv < 1 or nf < 1:
+        return None
+    blocks = []
+    for rows, cols, dtype in ((nv, 3, float), (nf, 4, np.int64)):
+        while h < len(lines) and not lines[h].strip():
+            h += 1
+        if h >= len(lines):
+            return None
+        blocks.append(_loadtxt_block(lines[h:h + rows], rows, cols, dtype))
+        if blocks[-1] is None:
+            return None
+        h += rows
+    verts, faces = blocks
+    if (faces[:, 0] != 3).any():
+        return None
+    return verts, faces[:, 1:]
+
+
 def _parse_off(text):
-    tokens = _COMMENT.sub("", text).split()
+    """The mesh of an OFF text: ``[OFF] nv nf ne``, nv vertex records
+    ``x y z`` and nf face records ``k i0 ... i(k-1)``, as a stream of
+    whitespace-separated tokens; "#" comments run to the end of the line.
+
+    A file laid out one record per line, every face a triangle, is
+    converted in bulk: the vertex block and the face block by one
+    np.loadtxt call each (_off_blocks).  Any other layout (records split
+    over lines or sharing one, blank lines among the vertices, quads,
+    extra per-face values, numbers loadtxt refuses) falls back to the
+    token path: str.split over the text, the vertices by one float array
+    conversion, the faces one record at a time (_walk_faces).  Both paths
+    give the same arrays; errors are the token path's."""
+    text = _COMMENT.sub("", text)
+    blocks = _off_blocks(text.splitlines())
+    if blocks is not None:
+        return TriangleMesh(*blocks)
+    tokens = text.split()
     if not tokens:
         raise ParseError("empty OFF file")
     pos = 0
@@ -301,11 +415,8 @@ def _parse_off(text):
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         pos += 3  # vertex, face, and (ignored) edge counts
         verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
-        faces = tokens[pos + 3 * nv :]
-        tris = _face_block(faces, nf)
-        if tris is None:
-            tris = _walk_faces(faces, nf, warnings,
-                               "truncated face record in OFF file")
+        tris = _walk_faces(tokens[pos + 3 * nv :], nf, warnings,
+                           "truncated face record in OFF file")
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
     return TriangleMesh(verts, tris, warnings)

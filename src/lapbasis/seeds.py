@@ -11,7 +11,7 @@ from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text
 from .laplacian import _mass_solve, assemble
-from .mesh import _graph_distances, vertex_distances
+from .mesh import _euclidean_distances, _graph_distances, vertex_distances
 
 DEFAULT_TAU = 1e-3
 
@@ -74,10 +74,13 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
     if not 0 <= start < n:
         raise ValueError("start vertex out of range")
 
+    if metric == "graph_geodesic":
+        dist = field_values(vertex_distances(mesh, start, metric))
+    else:
+        dist = _euclidean_distances(mesh, start)
     chosen = [int(start)]
-    dist = field_values(vertex_distances(mesh, chosen[0], metric))
     taken = np.zeros(n, dtype=bool)
-    taken[chosen[0]] = True
+    taken[start] = True
     while len(chosen) < k:
         # argmax returns the first (lowest-index) maximiser
         nxt = int(np.argmax(np.where(taken, -np.inf, dist)))
@@ -86,7 +89,7 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         if metric == "graph_geodesic":
             d = _graph_distances(mesh, [nxt], limit=dist[nxt])
         else:
-            d = field_values(vertex_distances(mesh, nxt, metric))
+            d = _euclidean_distances(mesh, nxt)
         dist = np.minimum(dist, d)
     return SeedSet(chosen, method="fps", start=int(start), metric=metric)
 

@@ -10,11 +10,61 @@ import pytest
 import lapbasis as lb
 
 
+def assert_same_csr(got, want):
+    """Same shape, and every array of the two CSR matrices the same in
+    dtype and in every bit."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def merge_meshes(a, b, offset=(10.0, 0.0, 0.0)):
     """Disjoint union of two meshes with the second translated by offset."""
     verts = np.vstack([a.vertices, b.vertices + np.asarray(offset)])
     tris = np.vstack([a.triangles, b.triangles + a.n_vertices])
     return lb.TriangleMesh(verts, tris)
+
+
+def open_patch():
+    """The cap z > 0.2 of a bumpy sphere: curved, with a boundary."""
+    m = lb.bumpy_sphere(3, seed=2)
+    keep = m.vertices[m.triangles][:, :, 2].min(axis=1) > 0.2
+    return lb.TriangleMesh(m.vertices, m.triangles[keep])
+
+
+def nonmanifold_fan():
+    """Four triangles round edge (0, 1), both orientations, beside a
+    square and an isolated vertex: entries (0, 1) and (1, 0) sum the same
+    four terms in two orders to two different values; an empty row."""
+    verts = [[0, 0, 0], [1, 0, 0], [-0.45, -0.99, 0.29], [0.44, 0.67, -0.44],
+             [-0.57, 0.28, 0.61], [0.93, -0.7, -0.04], [3, 0, 0], [4, 0, 0],
+             [4, 1, 0], [3, 1, 0], [9, 9, 9]]
+    tris = [[0, 1, 2], [1, 0, 3], [0, 1, 4], [5, 1, 0], [6, 7, 8], [6, 8, 9]]
+    return lb.TriangleMesh(verts, tris)
+
+
+def with_degenerate():
+    """Triangle (0, 1, 3) has zero area: edge (1, 3) has no other."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0], [1, 1, 0]]
+    return lb.TriangleMesh(verts, [[0, 1, 2], [0, 1, 3], [1, 4, 2]])
+
+
+# every generator of lapbasis.shapes
+SHAPE_MESHES = {
+    "icosphere": lambda: lb.icosphere(2),
+    "bumpy_sphere": lambda: lb.bumpy_sphere(3, seed=1),
+    "torus": lambda: lb.torus(12, 8),
+    # planar right triangles: each diagonal's weights sum to exactly 0.0
+    "grid": lambda: lb.grid(6, 5),
+    "unit_square": lb.unit_square,
+}
+
+# meshes whose arrays must keep every bit of the COO -> CSR construction
+LAYOUT_MESHES = {**SHAPE_MESHES, "open_patch": open_patch,
+                 "nonmanifold_fan": nonmanifold_fan,
+                 "degenerate": with_degenerate}
 
 
 @pytest.fixture(scope="session")

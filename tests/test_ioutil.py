@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lapbasis.ioutil import repr_csv
+from lapbasis.ioutil import id_words, repr_csv
 
 
 def reprs(x):
@@ -82,7 +82,7 @@ def test_short_decimals():
     assert column(x) == reprs(x)
 
 
-@pytest.mark.parametrize("ids", [False, True])
+@pytest.mark.parametrize("ids", [False, True, "words"])
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 1), (2, 5, 4),
                                    (1, 30000, 1), (1, 200, 90)])
 def test_tables(shape, ids):
@@ -94,4 +94,6 @@ def test_tables(shape, ids):
                     + ",".join(repr(v) for v in row) + "\n"
                     for i, row in enumerate(table)).encode()
             for table in X.tolist()]
+    if ids == "words":  # the id words built once, as a caller passes them
+        ids = id_words(shape[1])
     assert repr_csv(X, ids=ids) == want

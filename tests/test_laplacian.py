@@ -9,6 +9,9 @@ import scipy.sparse as sp
 
 import lapbasis as lb
 from lapbasis.errors import AllDegenerate
+from lapbasis.mesh import DEGENERATE_AREA_FACTOR
+
+from conftest import LAYOUT_MESHES, assert_same_csr
 
 
 def dense(op):
@@ -217,3 +220,86 @@ class TestMeanValue:
         assert np.count_nonzero(np.delete(L[4], 4)) >= 2
         assert np.abs(L.sum(axis=1)).max() <= 1e-12
 
+
+
+def coo_operator(mesh, scheme, mass_mode):
+    """(L, B) assembled through scipy's COO -> CSR conversion, with
+    L - diags(rowsum) for the cotangent diagonal: the reference."""
+    n = mesh.n_vertices
+    tris = mesh.triangles
+    p = mesh.vertices[tris]
+    areas = 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0],
+                                          p[:, 2] - p[:, 0]), axis=1)
+    keep = areas >= DEGENERATE_AREA_FACTOR * mesh.bbox_diagonal() ** 2
+    tris, p, areas = tris[keep], mesh.vertices[tris[keep]], areas[keep]
+
+    def coo(rows, cols, vals):
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                              np.concatenate(cols))), shape=(n, n)).tocsr()
+
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        i, j = tris[:, (c + 1) % 3], tris[:, (c + 2) % 3]
+        u = p[:, (c + 1) % 3] - p[:, c]
+        v = p[:, (c + 2) % 3] - p[:, c]
+        if scheme == "mean_value":
+            lu, lv = np.linalg.norm(u, axis=1), np.linalg.norm(v, axis=1)
+            uh, vh = u / lu[:, None], v / lv[:, None]
+            th = (np.linalg.norm(uh - vh, axis=1)
+                  / np.linalg.norm(uh + vh, axis=1))
+            rows += [tris[:, c], tris[:, c]]
+            cols += [i, j]
+            vals += [th / lu, th / lv]
+        else:
+            # einsum("ij,ij->i", u, v) on x86-64 with AVX2, portably
+            uv = u * v
+            w = -0.5 * ((uv[:, 0] + uv[:, 2] + uv[:, 1]) / (2.0 * areas))
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+    L = coo(rows, cols, vals)
+    if scheme == "mean_value":
+        rowsum = np.asarray(L.sum(axis=1)).ravel()
+        rowsum[rowsum == 0.0] = 1.0
+        L = (sp.eye(n) - sp.diags(1.0 / rowsum) @ L).tocsr()
+    else:
+        L = (L - sp.diags(np.asarray(L.sum(axis=1)).ravel())).tocsr()
+    if mass_mode == "lumped":
+        d = np.zeros(n)
+        np.add.at(d, tris.ravel(), np.repeat(areas / 3.0, 3))
+        return L, sp.diags(d).tocsr()
+    rows, cols = [tris.ravel()], [tris.ravel()]
+    vals = [np.repeat(areas / 6.0, 3)]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        rows += [tris[:, a], tris[:, b]]
+        cols += [tris[:, b], tris[:, a]]
+        vals += [areas / 12.0, areas / 12.0]
+    return L, coo(rows, cols, vals)
+
+
+class TestBitIdentity:
+    """assemble fills the mesh's edge pattern; every array of L and B
+    keeps the bits of the COO -> CSR assembly."""
+
+    @pytest.mark.parametrize("scheme, mass_mode", [
+        ("linear_fem", "lumped"), ("linear_fem", "consistent"),
+        ("voronoi_cotangent", "lumped"), ("mean_value", "lumped"),
+    ])
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
+    def test_matches_coo_assembly(self, name, scheme, mass_mode):
+        mesh = LAYOUT_MESHES[name]()
+        op = lb.assemble(mesh, scheme, mass_mode)
+        L, B = coo_operator(mesh, scheme, mass_mode)
+        assert_same_csr(op.L, L)
+        assert_same_csr(op.B, B)
+
+    def test_meshes_reach_the_edge_cases(self):
+        grid = LAYOUT_MESHES["grid"]()
+        # weights summing to exactly 0.0 leave the pattern
+        assert lb.assemble(grid).L.nnz < 2 * len(grid.edges) + grid.n_vertices
+        fan = LAYOUT_MESHES["nonmanifold_fan"]()
+        assert fan._edge_counts.max() >= 3  # sums of three or more terms
+        assert len(LAYOUT_MESHES["degenerate"]().degenerate_triangles()) == 1
+        patch = LAYOUT_MESHES["open_patch"]()
+        assert len(patch.boundary_edges()) > 0
+        assert lb.assemble(patch).B.nnz < patch.n_vertices  # unused vertices

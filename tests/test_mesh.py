@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import lapbasis as lb
 from lapbasis.errors import DisconnectedMesh, ParseError, UnsupportedFeature
-from lapbasis.mesh import save_off, save_ply
+from lapbasis.mesh import _COMMENT, _off_blocks, save_off, save_ply
 
-from conftest import merge_meshes
+from conftest import (LAYOUT_MESHES, SHAPE_MESHES, assert_same_csr,
+                      merge_meshes)
 
 OFF_SQUARE = """\
 OFF
@@ -62,6 +64,21 @@ def set_connectivity(mesh):
             rings[a].add(b)
             rings[b].add(a)
     return counts, [sorted(r) for r in rings]
+
+
+def coo_connectivity(mesh):
+    """Edges, per-edge triangle counts and the weighted adjacency, built
+    through scipy's COO -> CSR conversions: the reference."""
+    n = mesh.n_vertices
+    half = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                   axis=1)
+    counts = sp.csr_matrix((np.ones(len(half), dtype=np.int64),
+                            (half[:, 0], half[:, 1])), shape=(n, n)).tocoo()
+    i, j = counts.row, counts.col
+    w = np.linalg.norm(mesh.vertices[i] - mesh.vertices[j], axis=1)
+    lengths = sp.csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])),
+                            shape=(n, n))
+    return np.column_stack([i, j]).astype(np.int64), counts.data, lengths
 
 
 PLY_EXTRA = """\
@@ -176,6 +193,12 @@ def off_by_token(text):
         else:
             tris.append(face)
     return verts, tris, warnings
+
+
+def takes_bulk_path(text):
+    """Whether the OFF reader converts text with its two np.loadtxt calls
+    rather than token by token."""
+    return _off_blocks(_COMMENT.sub("", text).splitlines()) is not None
 
 
 def assert_read_as(mesh, verts, tris, warnings=()):
@@ -383,6 +406,114 @@ class TestBulkReaders:
         with pytest.raises(error, match=re.escape(f"{path}: ")):
             lb.load_mesh(path)
 
+    @pytest.mark.parametrize("text, bulk", [
+        (OFF_SQUARE, True),
+        ("OFF 4 2 0\n" + OFF_SQUARE.split("4 2 0\n")[1], True),
+        ("OFF\n4 2 0\n\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n\n3 0 1 2\n"
+         "3 0 2 3\n", True),
+        ("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n\n"
+         "3 0 2 3\n", False),
+        (OFF_SQUARE.replace("1.0 0.0 0.0", "1.0 0.0 0.0 # x")
+         .replace("3 0 2 3", "3 0 2 3# y"), True),
+        # trailing tokens after the faces are not read
+        (OFF_SQUARE + "7 7 7 x\n", True),
+        (OFF_SQUARE.replace("3 0 2 3", "3 0 2 3 9"), False),
+        ("OFF\n4 2 0\n0 0 0\n1 0 0\n\n1 1 0\n0 1 0\n3 0 1 2\n"
+         "3 0 2 3\n", False),
+        (OFF_SQUARE.replace("3 0 1 2\n", "3 0 1\n2\n"), False),
+        (OFF_SQUARE.replace("3 0 1 2\n", "3 0 1 2 "), False),
+        (OFF_SQUARE.replace("0.0 1.0 0.0\n", "0.0 1.0 0.0 "), False),
+        ("OFF\n6 4 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 0.5 0\n2 2 0\n"
+         "3 1 4 2\n4 0 1 2 3\n3 2 4 5\n3 3 2 5\n", False),
+        (OFF_SQUARE.replace("1.0 0.0 0.0", "1_000 0.0 0.0"), False),
+        (OFF_SQUARE.replace("1.0 1.0 0.0", "1.0 \u0661 0.0"), False),
+        (OFF_SQUARE.replace("1.0 1.0", "1.0\u00a01.0")
+         .replace("3 0 1 2", "3\u30000 1 2"), True),
+        (OFF_SQUARE.replace("1.0 1.0", "1.0\x1f1.0"), True),
+        (OFF_SQUARE.replace("3 0 1 2", "+3 0 001 +2"), True),
+    ], ids=["comments-blank-lines", "counts-on-magic-line",
+            "blank-lines-between-blocks", "blank-line-among-faces",
+            "comments-after-records", "trailing-tokens",
+            "trailing-token-on-face-line", "blank-line-among-vertices",
+            "face-split-over-lines", "two-faces-on-a-line",
+            "vertex-records-across-lines", "quad-among-triangles",
+            "underscore-digits", "non-ascii-digit", "unicode-spaces",
+            "unit-separator", "signs-and-leading-zeros"])
+    def test_off_reads_as_tokens(self, tmp_path, text, bulk):
+        """Each layout reads as its tokens read one by one, whether the
+        bulk path takes it or the token path."""
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        assert_read_as(lb.load_mesh(path), *off_by_token(text))
+        assert takes_bulk_path(text) == bulk
+
+    @pytest.mark.parametrize("fmt", [repr, "{:.9g}".format],
+                             ids=["repr", "9g"])
+    def test_off_vertex_formats(self, tmp_path, fmt):
+        mesh = lb.bumpy_sphere(2, seed=3)
+        lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} 0"]
+        lines += [" ".join(fmt(x) for x in v) for v in mesh.vertices.tolist()]
+        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        again = lb.load_mesh(path)
+        assert_read_as(again, *off_by_token(text))
+        if fmt is repr:
+            assert np.array_equal(again.vertices, mesh.vertices)
+        assert takes_bulk_path(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_off_nonfinite_vertex_raises(self, tmp_path, value):
+        path = tmp_path / "m.off"
+        path.write_text(OFF_SQUARE.replace("1.0 1.0 0.0", f"1.0 {value} 0.0"))
+        with pytest.raises(ParseError, match="vertex coordinates must be "
+                           "finite"):
+            lb.load_mesh(path)
+
+    @pytest.mark.parametrize("faces, error, message", [
+        # per-face colours: the second record reads as a 255-sided face
+        ("3 0 1 2 255 0 0\n3 0 2 3 255 0 0\n", ParseError,
+         "truncated face record in OFF file"),
+        ("3 0 1 2 0.5 0.5 0.5\n3 0 2 3 0.5 0.5 0.5\n", ParseError,
+         "invalid literal for int() with base 10: '0.5'"),
+        # four columns, but not a triangle record
+        ("3 0 1 2\n2 0 2 3\n", UnsupportedFeature,
+         "2-sided face not supported"),
+        # loadtxt must refuse these, not read 1 or saturate to 2^63 - 1
+        ("3 0 1 2\n3 0 2 1.5\n", ParseError,
+         "invalid literal for int() with base 10: '1.5'"),
+        ("3 0 1 2\n3 0 2 99999999999999999999\n", ParseError,
+         "too large to convert"),
+    ], ids=["int-colours", "float-colours", "two-sided", "fraction",
+            "past-int64"])
+    def test_off_bad_faces_raise(self, tmp_path, faces, error, message):
+        text = OFF_SQUARE.split("3 0 1 2")[0] + faces
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(message)):
+            lb.load_mesh(path)
+        assert not takes_bulk_path(text)
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_MESHES))
+    def test_off_shapes_round_trip(self, tmp_path, name):
+        mesh = SHAPE_MESHES[name]()
+        path = tmp_path / "m.off"
+        save_off(mesh, path)
+        text = path.read_text()
+        again = lb.load_mesh(path)
+        assert_read_as(again, *off_by_token(text))
+        assert np.array_equal(again.triangles, mesh.triangles)
+        assert takes_bulk_path(text)
+
+    def test_off_large_round_trip(self, tmp_path):
+        mesh = lb.bumpy_sphere(6, seed=1)  # n = 40962
+        path = tmp_path / "b.off"
+        save_off(mesh, path)
+        again = lb.load_mesh(path)
+        assert_read_as(again, *off_by_token(path.read_text()))
+        assert np.array_equal(again.triangles, mesh.triangles)
+
 
 class TestConstruction:
     def test_repeated_vertex_in_triangle_rejected(self):
@@ -540,6 +671,17 @@ class TestConnectivity:
         ]
         for i in range(mesh.n_vertices):
             assert mesh.one_ring(i).tolist() == rings[i]
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
+    def test_arrays_match_coo_construction(self, name):
+        mesh = LAYOUT_MESHES[name]()
+        edges, counts, lengths = coo_connectivity(mesh)
+        for got, want in ((mesh.edges, edges), (mesh._edge_counts, counts)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_same_csr(mesh.adjacency(weighted=True), lengths)
+        assert_same_csr(mesh.adjacency(), sp.csr_matrix(
+            (np.ones(lengths.nnz), lengths.indices, lengths.indptr),
+            shape=lengths.shape))
 
     def test_adjacency_patterns_and_lengths(self):
         mesh = mixed_mesh()

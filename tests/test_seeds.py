@@ -10,6 +10,8 @@ from lapbasis.errors import NoProgress, SingularSystem, ZeroField
 from lapbasis.filters import FilterSpec
 from lapbasis.seeds import load_seeds, save_seeds
 
+from conftest import SHAPE_MESHES
+
 
 def delta_field(n, i):
     e = np.zeros(n)
@@ -44,6 +46,20 @@ def reference_coverage(mesh, field_at, chosen, tau=lb.seeds.DEFAULT_TAU):
             int(verts[np.argmax(d_cov[verts])])
             for verts in (uncovered[labels == c]
                           for c in range(labels.max() + 1)))
+
+
+def fps_by_vertex_distances(mesh, k, start):
+    """Euclidean farthest point sampling with one vertex_distances call
+    per step: the reference."""
+    chosen = [start]
+    dist = lb.field_values(lb.vertex_distances(mesh, start))
+    while len(chosen) < k:
+        masked = dist.copy()
+        masked[chosen] = -np.inf
+        chosen.append(int(np.argmax(masked)))
+        dist = np.minimum(
+            dist, lb.field_values(lb.vertex_distances(mesh, chosen[-1])))
+    return chosen
 
 
 class TestCurvature:
@@ -130,6 +146,21 @@ class TestFps:
             sphere2, 5, start=0, metric="graph_geodesic"
         )
         assert len(set(ss.indices)) == 5
+
+    @pytest.mark.parametrize("start", [None, 3], ids=["curvature", "given"])
+    @pytest.mark.parametrize("name", sorted(SHAPE_MESHES))
+    def test_euclidean_matches_vertex_distances(self, name, start):
+        mesh = SHAPE_MESHES[name]()
+        k = min(24, mesh.n_vertices)
+        seeds = lb.farthest_point_sampling(mesh, k, start=start)
+        if start is None:
+            curv = lb.seeds.curvature_field(mesh, lb.assemble(mesh))
+            assert seeds.start == int(np.argmax(lb.field_values(curv)))
+        assert list(seeds) == fps_by_vertex_distances(mesh, k, seeds.start)
+        for s in list(seeds)[:4]:  # the distances keep norm's bits
+            got = lb.field_values(lb.vertex_distances(mesh, s))
+            want = np.linalg.norm(mesh.vertices - mesh.vertices[s], axis=1)
+            assert got.tobytes() == want.tobytes()
 
     def test_k_validated(self, sphere1):
         with pytest.raises(ValueError):
