@@ -32,8 +32,7 @@ from .ioutil import REPR_CHUNK, atomic_write_text, fmt, id_words, repr_csv
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
 
-SCHEME_FLAG = {"fem": "linear_fem", "cot": "voronoi_cotangent",
-               "meanvalue": "mean_value"}
+SCHEME_FLAG = {"fem": "linear_fem", "meanvalue": "mean_value"}
 FORMATS = ("csv", "ply")  # field exports; reports are always written
 FIELD_STEM = "{}_{:04d}"  # <family>_NNNN, the name of each exported field
 FIELD_CSV = re.compile(r"[a-z]+_\d{4,}\.csv")  # FIELD_STEM CSVs, read back
@@ -261,11 +260,6 @@ def _read_field_csv(path, n):
     return field, hashlib.sha256(data).hexdigest()
 
 
-def _load_field_csv(path, n):
-    """The field of _read_field_csv(path, n)."""
-    return _read_field_csv(path, n)[0]
-
-
 def _ramp_colors(values):
     """Affine blue-to-red ramp over [min, max] as 8-bit RGB."""
     v = np.asarray(values, dtype=float)
@@ -353,7 +347,7 @@ def cmd_basis(args, run, mesh, op):
             bs = basis_mod.green_basis(op, seed_list)
         else:
             if args.potential:
-                V = _load_field_csv(args.potential, mesh.n_vertices)
+                V = _read_field_csv(args.potential, mesh.n_vertices)[0]
             else:
                 V = ScalarField(np.ones(mesh.n_vertices), tag="V=1")
             bs = basis_mod.hamiltonian_basis(op, V, args.mu, seed_list)

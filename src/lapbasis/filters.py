@@ -21,7 +21,7 @@ from .errors import (
 )
 
 # filters with a pole at s=0; the constant eigenmode must be deflated
-SINGULAR_AT_ZERO = ("polyharmonic", "commute_time")
+SINGULAR_AT_ZERO = ("polyharmonic",)
 # filters with a partial-fraction form, usable on the spectrum-free route
 RATIONAL_FORM = ("exponential", "rational")
 
@@ -31,8 +31,9 @@ class FilterSpec:
     """A named filter with its parameters.
 
     Use the classmethod constructors; params depend on the kind:
-    exponential(t) = exp(-t s); polyharmonic(k) = s^{-k/2};
-    commute_time = s^{-1/2}; mexican_hat = s^{1/2} exp(-s^2);
+    exponential(t) = exp(-t s); polyharmonic(k) = s^{-k/2} for an integer
+    k >= 1 (k = 1 is the commute-time filter s^{-1/2}, parsed from
+    ``commute``); mexican_hat = s^{1/2} exp(-s^2);
     rational(num, den) with coefficients low-to-high degree;
     custom(samples) interpolates a table of (s, phi(s)) points.
     """
@@ -53,13 +54,11 @@ class FilterSpec:
 
     @classmethod
     def polyharmonic(cls, k):
-        if k < 1:
-            raise ValueError("polyharmonic order k must be >= 1")
+        # int() would truncate 2.9 to the Green kernel's k = 2 unasked
+        if isinstance(k, bool) or not float(k).is_integer() or k < 1:
+            raise ValueError(f"polyharmonic order k must be an integer >= 1,"
+                             f" got {k!r}")
         return cls("polyharmonic", k=int(k))
-
-    @classmethod
-    def commute_time(cls):
-        return cls("commute_time")
 
     @classmethod
     def mexican_hat(cls):
@@ -110,8 +109,7 @@ class FilterSpec:
             num = ",".join(repr(c) for c in self.num)
             den = ",".join(repr(c) for c in self.den)
             return f"rat:num={num};den={den}"
-        return {"commute_time": "commute", "mexican_hat": "mexican"}.get(
-            self.kind, self.kind)
+        return {"mexican_hat": "mexican"}.get(self.kind, self.kind)
 
 
 def evaluate(spec, s):
@@ -128,8 +126,6 @@ def evaluate(spec, s):
         out = np.exp(-spec.t * s)
     elif spec.kind == "polyharmonic":
         out = s ** (-spec.k / 2.0)
-    elif spec.kind == "commute_time":
-        out = s**-0.5
     elif spec.kind == "mexican_hat":
         out = np.sqrt(s) * np.exp(-(s**2))
     elif spec.kind == "rational":
@@ -330,7 +326,7 @@ def parse_filter(text):
                 raise ValueError("poly takes k=<order>")
             return FilterSpec.polyharmonic(int(val))
         if head == "commute":
-            return FilterSpec.commute_time()
+            return FilterSpec.polyharmonic(1)
         if head == "mexican":
             return FilterSpec.mexican_hat()
         if head == "rat":

@@ -14,7 +14,7 @@ from .errors import AllDegenerate
 from .fields import ScalarField, field_values
 from .mesh import DEGENERATE_AREA_FACTOR, _corner_areas
 
-SCHEMES = ("linear_fem", "voronoi_cotangent", "mean_value")
+SCHEMES = ("linear_fem", "mean_value")
 MASS_MODES = ("lumped", "consistent")
 
 
@@ -173,7 +173,6 @@ def assemble(mesh, scheme="linear_fem", mass_mode="lumped"):
     """Assemble the (L, B) pair for a mesh under the chosen weight scheme.
 
     linear_fem: cotangent stiffness with consistent or lumped FEM mass.
-    voronoi_cotangent: the same stiffness with the mass necessarily lumped.
     mean_value: positive row-normalised weights, non-symmetric, for
     harmonic-type solves only; mass necessarily lumped, as in lumped FEM.
 

@@ -132,6 +132,11 @@ class TestHarmonic:
         with pytest.raises(IndexError):
             lb.harmonic_basis(op2, [0, op2.n])
 
+    @pytest.mark.parametrize("seeds", [[], [[1, 2]]], ids=["empty", "2-d"])
+    def test_seed_list_not_a_nonempty_vector(self, op2, seeds):
+        with pytest.raises(ValueError, match="nonempty 1-D index list"):
+            lb.harmonic_basis(op2, seeds)
+
     def test_all_rows_constrained(self, op3):
         # every seed row of every basis function carries its Lagrange value
         seeds = [10, 20, 30]
@@ -290,7 +295,7 @@ class TestTruncatedSpectral:
         # constant input maps to ~0 under s^(-1)-type filters
         f = np.full(162, 1.0)
         g = lb.field_values(
-            lb.truncated_spectral(eig162_full, FilterSpec.commute_time(), f)
+            lb.truncated_spectral(eig162_full, FilterSpec.polyharmonic(1), f)
         )
         assert np.abs(g).max() <= 1e-8
 
@@ -308,7 +313,7 @@ class TestTruncatedSpectral:
 
 
     @pytest.mark.parametrize("filt", [FilterSpec.exponential(0.3),
-                                      FilterSpec.commute_time()],
+                                      FilterSpec.polyharmonic(1)],
                              ids=["exp", "commute-deflated"])
     def test_kernel_columns_do_not_depend_on_their_block(
             self, eig20_642, op3, monkeypatch, filt):
@@ -332,6 +337,12 @@ class TestTruncatedSpectral:
 
 
 class TestChebyshevKernel:
+    def test_needs_exactly_one_of_pf_and_t(self, op2):
+        pf = lb.partial_fractions(FilterSpec.exponential(0.5))
+        for kwargs in ({}, {"pf": pf, "t": 0.5}):
+            with pytest.raises(ValueError, match="give a partial fraction"):
+                ChebyshevKernel(op2, **kwargs)
+
     def test_constant_input_reproduced(self, op3):
         pf = lb.partial_fractions(FilterSpec.exponential(0.5))
         g = ChebyshevKernel(op3, pf).apply(np.ones(op3.n))

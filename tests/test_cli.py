@@ -1053,8 +1053,8 @@ class TestErrors:
                 "no-final-newline": text.rstrip("\n")}[layout]
         other = tmp_path / "b.csv"
         other.write_bytes(text.encode())
-        a = cli_mod._load_field_csv(str(plain), 20)
-        b = cli_mod._load_field_csv(str(other), 20)
+        a = cli_mod._read_field_csv(str(plain), 20)[0]
+        b = cli_mod._read_field_csv(str(other), 20)[0]
         assert np.array_equal(a.values, values)
         assert np.array_equal(b.values, values)
 
@@ -1069,7 +1069,7 @@ class TestErrors:
         assert path.read_bytes() == (
             b"vertex_id,value\n0,0.0\n1,-0.0\n2,5e-324\n3,1e-300\n4,0.1\n"
             b"5,0.3333333333333333\n6,123456789.0\n7,inf\n")
-        back = cli_mod._load_field_csv(str(path), len(values)).values
+        back = cli_mod._read_field_csv(str(path), len(values))[0].values
         assert back.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2562])
@@ -1136,6 +1136,22 @@ class TestErrors:
                                     enumerate(load_field(csv))]
                 assert len(rows) == n + 1
 
+    def test_field_csv_header_required(self, tmp_path):
+        path = pathlib.Path(write_field_csv(tmp_path / "a.csv", range(20),
+                                            np.ones(20)))
+        path.write_text(path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected a vertex_id,value header")):
+            cli_mod._read_field_csv(str(path), 20)
+
+    def test_spectral_needs_filter(self, mesh_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["basis", "spectral", "--seeds", "0", "--mesh", mesh_path,
+                   "--out", str(out)])
+        assert rc == 1
+        assert "basis spectral needs --filter" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_field_csv_first_bad_row_named(self, tmp_path):
         # row 3 (vertex 1) is out of order and row 6 is not a number:
         # the error names row 3
@@ -1145,7 +1161,7 @@ class TestErrors:
         path.write_text(path.read_text().replace("\n4,1.0\n", "\n4,x\n"))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}, row 3: vertex id 2, expected 1")):
-            cli_mod._load_field_csv(str(path), 20)
+            cli_mod._read_field_csv(str(path), 20)[0]
 
     @pytest.mark.parametrize("argv", [
         ["basis", "harmonic"],

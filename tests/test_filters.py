@@ -39,7 +39,7 @@ class TestEvaluate:
             lb.evaluate(spec, 0.0)
 
     def test_commute_time(self):
-        spec = FilterSpec.commute_time()
+        spec = FilterSpec.polyharmonic(1)
         assert lb.evaluate(spec, 4.0) == pytest.approx(0.5)
         assert spec.singular_at_zero
         with pytest.raises(SingularEvaluation):
@@ -81,6 +81,39 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="finite") as info:
             make()
         assert shown in str(info.value)
+
+    @pytest.mark.parametrize("k", [2.9, 0.5, True, float("nan"),
+                                   float("inf"), 0, -1],
+                             ids=["fraction", "half", "bool", "nan", "inf",
+                                  "zero", "negative"])
+    def test_polyharmonic_order_rejected(self, k):
+        # int() once truncated 2.9 to the Green kernel's k = 2, read True
+        # as k = 1, and failed on nan with its own message
+        with pytest.raises(ValueError, match="integer >= 1") as info:
+            FilterSpec.polyharmonic(k)
+        assert repr(k) in str(info.value)
+
+    def test_polyharmonic_integral_order_kept(self):
+        for k in (3, 3.0, np.int64(3)):
+            spec = FilterSpec.polyharmonic(k)
+            assert spec == FilterSpec("polyharmonic", k=3)
+            assert type(spec.k) is int
+
+    def test_rational_trims_trailing_zeros(self):
+        spec = FilterSpec.rational([1.0, 0.0], [1.0, 2.0, 1.0, 0.0, 0.0])
+        assert spec.num == (1.0,)
+        assert spec.den == (1.0, 2.0, 1.0)
+        # trimmed, the numerator may outgrow the denominator
+        with pytest.raises(DegreeMismatch):
+            FilterSpec.rational([1.0, 1.0], [1.0, 0.0])
+
+    def test_rational_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            FilterSpec.rational([1.0], [0.0, 0.0])
+
+    def test_custom_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            FilterSpec.custom([(0.0, 1.0)])
 
     def test_describe_mentions_kind(self):
         assert "exp" in FilterSpec.exponential(0.5).describe()
@@ -327,7 +360,10 @@ class TestParseFilter:
         assert spec.k == 3
 
     def test_commute_and_mexican(self):
-        assert lb.parse_filter("commute").kind == "commute_time"
+        # commute-time is s^-1/2, the polyharmonic k = 1 filter: no kind
+        # of its own, and its fields are tagged poly:k=1
+        assert lb.parse_filter("commute") == FilterSpec.polyharmonic(1)
+        assert lb.parse_filter("commute").describe() == "poly:k=1"
         assert lb.parse_filter("mexican").kind == "mexican_hat"
 
     def test_rational(self):
@@ -338,10 +374,11 @@ class TestParseFilter:
     @pytest.mark.parametrize("spec", [
         FilterSpec.exponential(0.1),
         FilterSpec.polyharmonic(2),
-        FilterSpec.commute_time(),
+        FilterSpec.polyharmonic(1),
         FilterSpec.mexican_hat(),
         FilterSpec.rational([1.0, 0.5], [1.0, 3.001, 0.1]),
-    ], ids=lambda f: f.kind)
+    ], ids=["exponential", "polyharmonic", "commute_time", "mexican_hat",
+            "rational"])
     def test_describe_round_trips(self, spec):
         assert lb.parse_filter(spec.describe()) == spec
 

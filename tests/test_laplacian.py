@@ -1,6 +1,7 @@
 """Operator assembly: cotangent weights, mass matrices, mean-value scheme."""
 
 import io
+import itertools
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 
 import lapbasis as lb
 from lapbasis.errors import AllDegenerate
+from lapbasis.laplacian import MASS_MODES, SCHEMES
 from lapbasis.mesh import DEGENERATE_AREA_FACTOR
 
 from conftest import LAYOUT_MESHES, assert_same_csr
@@ -160,17 +162,21 @@ class TestAssembly:
         with pytest.raises(ValueError):
             lb.assemble(sphere1, scheme="graph")
 
-    def test_voronoi_forces_lumped_mass(self, sphere1):
-        op = lb.assemble(sphere1, scheme="voronoi_cotangent")
-        assert op.mass_mode == "lumped"
-        fem = lb.assemble(sphere1)
-        L, _ = dense(op)
-        Lf, _ = dense(fem)
-        assert np.allclose(L, Lf)
-        with pytest.raises(ValueError):
-            lb.assemble(
-                sphere1, scheme="voronoi_cotangent", mass_mode="consistent"
-            )
+    def test_every_scheme_assembles_its_own_pair(self):
+        # a scheme name that runs another scheme's code (an alias) fails
+        mesh = lb.bumpy_sphere(2)
+        pairs = {}
+        for scheme, mass_mode in itertools.product(SCHEMES, MASS_MODES):
+            try:
+                op = lb.assemble(mesh, scheme, mass_mode)
+            except ValueError:  # a mass the scheme is not defined with
+                continue
+            pairs[scheme, mass_mode] = (op.L.toarray(), op.B.toarray())
+        assert {scheme for scheme, _ in pairs} == set(SCHEMES)
+        for (a, (La, Ba)), (b, (Lb, Bb)) in itertools.combinations(
+                pairs.items(), 2):
+            assert not (np.array_equal(La, Lb) and np.array_equal(Ba, Bb)), \
+                (a, b)
 
 
 class TestMeanValue:
@@ -283,7 +289,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("scheme, mass_mode", [
         ("linear_fem", "lumped"), ("linear_fem", "consistent"),
-        ("voronoi_cotangent", "lumped"), ("mean_value", "lumped"),
+        ("mean_value", "lumped"),
     ])
     @pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
     def test_matches_coo_assembly(self, name, scheme, mass_mode):

@@ -495,6 +495,75 @@ class TestBulkReaders:
             lb.load_mesh(path)
         assert not takes_bulk_path(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty OFF file"),
+        ("# a comment\n\n", "empty OFF file"),
+        # too few header tokens
+        ("OFF\n", "malformed OFF file: list index out of range"),
+        ("OFF\n4 2\n", "malformed OFF file: cannot reshape array of size 0 "
+         "into shape (4,3)"),
+        # a count that is not an integer
+        ("OFF\n4.0 2 0\n" + OFF_SQUARE.split("4 2 0\n")[1],
+         "malformed OFF file: invalid literal for int() with base 10: "
+         "'4.0'"),
+        # a zero count
+        ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n",
+         "triangles must be an (m, 3) array"),
+        ("OFF\n0 1 0\n3 0 1 2\n", "mesh needs at least 3 vertices"),
+        # the text ends before a block
+        ("OFF\n3 1 0\n\n", "malformed OFF file: cannot reshape array of "
+         "size 0 into shape (3,3)"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n",
+         "malformed OFF file: list index out of range"),
+    ], ids=["empty", "comment-only", "magic-only", "short-header",
+            "fractional-count", "no-faces", "no-vertices",
+            "ends-before-vertices", "ends-before-faces"])
+    def test_off_fallback_errors(self, tmp_path, text, message):
+        """Headers and blocks the bulk path turns down raise the token
+        path's ParseError."""
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            lb.load_mesh(path)
+        assert not takes_bulk_path(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",
+         "line 2: vertex needs 3 coordinates"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n",
+         "OBJ file contains no usable v/f records"),
+        ("# a comment\nvn 0 0 1\nf 1 2 3\n",
+         "OBJ file contains no usable v/f records"),
+    ], ids=["short-vertex", "no-faces", "no-vertices"])
+    def test_obj_errors(self, tmp_path, text, message):
+        path = tmp_path / "m.obj"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            lb.load_mesh(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty PLY file"),
+        (ply_text("3 0 1 2").replace("ply\n", "plx\n", 1),
+         "missing ply magic"),
+        ("ply\nformat ascii 1.0\nproperty float x\nelement vertex 0\n"
+         "end_header\n", "property before any element"),
+        (ply_text("3 0 1 2").replace("end_header\n", ""),
+         "PLY header not terminated"),
+        (ply_text("3 0 1 2").replace("property float z", "property float w"),
+         "PLY vertex element lacks x/y/z"),
+        (ply_text("3 0 1 2").replace("element vertex", "element point"),
+         "PLY file lacks vertex or face elements"),
+        (ply_text(), "PLY file lacks vertex or face elements"),
+        (ply_text("3 0 1 2").replace("element face", "element edge"),
+         "PLY file lacks vertex or face elements"),
+    ], ids=["empty", "no-magic", "property-first", "unterminated", "no-xyz",
+            "no-vertex-element", "zero-faces", "no-face-element"])
+    def test_ply_errors(self, tmp_path, text, message):
+        path = tmp_path / "m.ply"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            lb.load_mesh(path)
+
     @pytest.mark.parametrize("name", sorted(SHAPE_MESHES))
     def test_off_shapes_round_trip(self, tmp_path, name):
         mesh = SHAPE_MESHES[name]()
