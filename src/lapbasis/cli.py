@@ -224,20 +224,18 @@ class Run:
         return self.path("manifest.json")
 
 
-def _field_csv(run, name, f):
-    """One vertex_id,value row per vertex, the value written as its
-    repr (ioutil.repr_csv)."""
-    (body,) = repr_csv(field_values(f)[None, :, None], ids=True)
-    return run.write_text(name, FIELD_HEADER + body)
-
-
 def _read_field_csv(path, n):
-    """(field, sha256 of the file's bytes) of a field CSV as _field_csv
+    """(field, sha256 of the file's bytes) of a field CSV as _export_fields
     writes it on an n-vertex mesh: one row per vertex, ids 0, 1, 2, ...
     in order.  The file is read once, for both."""
     with open(path, "rb") as fh:
         data = fh.read()
-    lines = io.StringIO(data.decode(), newline=None)  # universal newlines
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+    lines = io.StringIO(text, newline=None)  # universal newlines
     if not lines.readline().startswith("vertex_id"):
         raise ValueError(f"{path}: expected a vertex_id,value header")
     values = []

@@ -52,7 +52,8 @@ class NearSingularShift(SolverFailure):
 
 
 class FactorizationFailed(SolverFailure):
-    """Sparse LU factorisation failed (numerics.factor)."""
+    """SuperLU failed on a sparse LU: numerics.factor, which every solve,
+    the eigensolver's shift LU and the inertia certificate go through."""
 
 
 # filters

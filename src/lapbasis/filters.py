@@ -312,7 +312,7 @@ def parse_filter(text):
     Examples: ``exp:t=0.1``, ``poly:k=2``, ``commute``, ``mexican``,
     ``rat:num=1;den=1,0,1`` (coefficients low-to-high degree).
     """
-    head, _, rest = text.partition(":")
+    head, sep, rest = text.partition(":")
     head = head.strip()
     try:
         if head == "exp":
@@ -325,14 +325,19 @@ def parse_filter(text):
             if key.strip() != "k":
                 raise ValueError("poly takes k=<order>")
             return FilterSpec.polyharmonic(int(val))
-        if head == "commute":
-            return FilterSpec.polyharmonic(1)
-        if head == "mexican":
-            return FilterSpec.mexican_hat()
+        if head in ("commute", "mexican"):
+            if sep:
+                raise ValueError(f"{head} takes no parameters")
+            return (FilterSpec.polyharmonic(1) if head == "commute"
+                    else FilterSpec.mexican_hat())
         if head == "rat":
-            parts = dict(
-                kv.split("=", 1) for kv in rest.split(";") if kv.strip()
-            )
+            parts = {}
+            for kv in filter(str.strip, rest.split(";")):
+                key, _, val = kv.partition("=")
+                if key not in ("num", "den") or key in parts:
+                    raise ValueError(f"rat takes num=...;den=... once each, "
+                                     f"not {kv.strip()!r}")
+                parts[key] = val
             num = [float(c) for c in parts["num"].split(",")]
             den = [float(c) for c in parts["den"].split(",")]
             return FilterSpec.rational(num, den)

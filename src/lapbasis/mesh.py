@@ -285,17 +285,28 @@ def load_mesh(path):
     parse = {".off": _parse_off, ".obj": _parse_obj, ".ply": _parse_ply}.get(ext)
     if parse is None:
         raise UnsupportedFeature(f"cannot infer mesh format from {path!r}")
-    with open(path, "r") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bad = None
     try:
-        return parse(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the first bad byte is parsed for the error it
+        # shows, such as a binary PLY's format line, else this one
+        text, bad = data[:exc.start].decode("utf-8"), (
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    try:
+        mesh = parse(text)
     except UnsupportedFeature as exc:
         raise UnsupportedFeature(f"{path}: {exc}") from exc
     except (ParseError, ValueError, OverflowError) as exc:
         # the parsers' own errors, constructor-level defects (bad indices,
         # repeated vertices) and numbers beyond int64 are file defects when
         # they come from a parse: name the file
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {bad or exc}") from exc
+    if bad:
+        raise ParseError(f"{path}: {bad}")
+    return mesh
 
 
 def _triangulate(face, warnings):
@@ -410,14 +421,26 @@ def _parse_off(text):
     pos = 0
     if tokens[0].upper() == "OFF":
         pos = 1
+    if len(tokens) < pos + 2:
+        raise ParseError("OFF header lacks its vertex and face counts")
     warnings = []
     try:
         nv, nf = int(tokens[pos]), int(tokens[pos + 1])
         pos += 3  # vertex, face, and (ignored) edge counts
-        verts = np.array(tokens[pos : pos + 3 * nv], dtype=float).reshape(nv, 3)
+        for count, what in ((nv, "vertices"), (nf, "faces")):
+            if count < 1:
+                raise ParseError(f"OFF file declares no {what}")
+        coords = tokens[pos : pos + 3 * nv]
+        if len(coords) < 3 * nv:
+            raise ParseError(f"OFF vertex count {nv} needs {3 * nv} "
+                             f"coordinates, found {len(coords)}")
+        verts = np.array(coords, dtype=float).reshape(nv, 3)
         tris = _walk_faces(tokens[pos + 3 * nv :], nf, warnings,
                            "truncated face record in OFF file")
-    except (ValueError, IndexError) as exc:
+    except IndexError:  # the tokens end where a face record should start
+        raise ParseError(f"OFF face count {nf}: the text ends before the "
+                         "last face record") from None
+    except ValueError as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
     return TriangleMesh(verts, tris, warnings)
 

@@ -1,12 +1,12 @@
 """Sparse solves, the Chebyshev heat expansion and the certified
 shift-invert eigensolver.
 
-The spectral routes reduce to three primitives.  Every solve with a sparse
-matrix goes through one sparse LU (factor), and each of its columns meets
-the relative residual SHIFTED_RTOL: the shifted (complex-)symmetric
-B + beta L (shifted_factor, any scheme and mass), the constrained blocks
-of the harmonic, Hamiltonian and Green columns (basis._constrained_solve)
-and B^{-1} for consistent mass (laplacian._mass_solve).  For a symmetric L
+The spectral routes reduce to three primitives.  Every sparse LU is one
+call of factor, and each column of its refined solve meets the relative
+residual SHIFTED_RTOL: the shifted (complex-)symmetric B + beta L
+(shifted_factor, any scheme and mass), the constrained blocks of the
+harmonic, Hamiltonian and Green columns (basis._constrained_solve) and
+B^{-1} for consistent mass (laplacian._mass_solve).  For a symmetric L
 with lumped B, the heat kernel exp(-t B^{-1} L) f is a Chebyshev
 expansion in B^{-1/2} L B^{-1/2} on [0, lambda-hat] (cheb_exp,
 scaled_operator, pencil_bound): Bessel coefficients from Miller's
@@ -18,9 +18,10 @@ eigsh in shift-invert mode (or dense eigh), certified complete by an
 inertia count (count_below).  eigsh sees the pencil in units of
 lambda-hat, so its operator's eigenvalues are O(1) at any mesh size; a
 lumped B runs in standard form on B^{-1/2} L B^{-1/2}, with no mass
-product inside eigsh, and a consistent B in generalized form.  One
-fill-reducing ordering, from the shift LU, serves the certificate's LUs
-as well.  Matrices are plain scipy sparse matrices.
+product inside eigsh, and a consistent B in generalized form.  The
+shift LU and the certificate's LUs are factor's with diagonal pivots, and
+the shift LU's ordering serves the certificate's as well.  Matrices are
+plain scipy sparse matrices.
 """
 
 import math
@@ -99,19 +100,36 @@ def component_nullspace(L, B):
 SHIFTED_RTOL = 1e-10  # relative residual every sparse solve must reach
 
 
-def factor(M):
+def factor(M, perm=None, diagonal=False):
     """One sparse LU of M (FactorizationFailed if SuperLU fails); returns
     (lu, solve).  solve takes a vector or an (n, m) block; each column is
     refined, x <- x + lu.solve(b - M x) up to 3 times, until its residual
-    meets SHIFTED_RTOL |b|, else NotConverged.  A zero column gives zeros."""
+    meets SHIFTED_RTOL |b|, else NotConverged.  A zero column gives zeros.
+
+    perm, a fill-reducing ordering of M's pattern as SuperLU's perm_c,
+    pre-permutes M for an LU in natural order (solve maps back); None
+    orders by COLAMD.  diagonal=True takes every pivot from the diagonal:
+    P M P^T = LDL^T with D = diag(U) for a symmetric M, and NotConverged
+    if SuperLU pivots off it.  False keeps its threshold pivoting."""
+    spec = "COLAMD"
+    if perm is not None:  # entry (i, j) moves to (perm[i], perm[j])
+        M = M.tocoo()
+        M = sp.csc_matrix((M.data, (perm[M.row], perm[M.col])), M.shape)
+        spec = "NATURAL"
     M = M.tocsc()
+    pivots = (dict(diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+              if diagonal else {})
     try:
-        lu = spla.splu(M)
+        lu = spla.splu(M, permc_spec=spec, **pivots)
     except RuntimeError as exc:
         raise FactorizationFailed(f"sparse factorisation failed: {exc}") from exc
+    if diagonal and not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotConverged("sparse factorisation took an off-diagonal pivot")
 
     def solve(rhs):
         b = np.asarray(rhs).astype(M.dtype)
+        if perm is not None:
+            b = b[np.argsort(perm)]
         x = lu.solve(b)
         for col in np.ndindex(b.shape[1:]):  # one empty index for a vector
             c = (slice(None), *col)
@@ -126,7 +144,7 @@ def factor(M):
                 x[c] += lu.solve(r)
             if bnorm == 0.0:
                 x[c] = 0.0
-        return x
+        return x if perm is None else x[perm]
 
     return lu, solve
 
@@ -300,28 +318,11 @@ CERTIFY_RETRIES = 3  # eigsh calls after the first to fill in missed pairs
 
 def count_below(L, B, s, perm=None):
     """The number of eigenvalues of the symmetric pencil (L, B), B positive
-    definite, below s: the negative pivots of an LU of L - sB with no
-    off-diagonal pivot, P (L - sB) P^T = LU = LDL^T with D = diag(U), by
-    Sylvester's law of inertia (which no symmetric permutation changes).
-
-    perm is a fill-reducing ordering of a matrix with L - sB's pattern, as
-    SuperLU's perm_c: the LU then runs on the pre-permuted matrix in its
-    natural order.  None orders by COLAMD here.  FactorizationFailed if
-    SuperLU fails; NotConverged if it pivoted off the diagonal.
-    """
-    M = (L - s * B).tocoo()
-    spec = "COLAMD"
-    if perm is not None:  # entry (i, j) moves to (perm[i], perm[j])
-        M = sp.csc_matrix((M.data, (perm[M.row], perm[M.col])), M.shape)
-        spec = "NATURAL"
-    try:
-        C = spla.splu(M.tocsc(), permc_spec=spec, diag_pivot_thresh=0,
-                      options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise FactorizationFailed(f"inertia factorisation failed: {exc}") from exc
-    if not np.array_equal(C.perm_r, C.perm_c):
-        raise NotConverged("inertia count unavailable: off-diagonal pivoting")
-    return int(np.count_nonzero(C.U.diagonal() < 0))
+    definite, below s: by Sylvester's law of inertia, the negative pivots
+    D = diag(U) of factor(L - sB, perm, diagonal=True).  perm is as in
+    factor; the eigensolver passes its shift LU's perm_c."""
+    lu, _ = factor(L - s * B, perm, diagonal=True)
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def smallest_eigenpairs(L, B, k, seed=0):
@@ -341,7 +342,7 @@ def smallest_eigenpairs(L, B, k, seed=0):
     lambda-hat.  Any other B runs in generalized form on (L / (lambda-hat
     b), B / b), b the mean of diag B: the same OP with the scalar root =
     sqrt(b).  Either way eigsh's variable is root x, and one sparse LU of
-    L - sigma B (COLAMD, no off-diagonal pivot) serves every solve.
+    L - sigma B (factor: COLAMD, diagonal pivots) serves every solve.
 
     Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
     lambda_k (> 0, as k > q) below the lowest value of lambda_k's cluster,
@@ -371,15 +372,11 @@ def smallest_eigenpairs(L, B, k, seed=0):
         return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B,
                            _stats("dense"))
 
-    # raw splu: ARPACK's solves must not be refined; sigma sits next to
-    # ker L, so L - sigma B is positive definite and needs no off-diagonal
-    # pivot, and count_below reuses its ordering
+    # opinv uses the raw lu.solve: ARPACK's solves must not be refined.
+    # sigma sits next to ker L, so L - sigma B is positive definite and
+    # takes diagonal pivots, and count_below reuses its ordering
     lam = pencil_bound(Lm, Bm)
-    try:
-        lu = spla.splu((Lm - SIGMA * lam * Bm).tocsc(), permc_spec="COLAMD",
-                       diag_pivot_thresh=0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise FactorizationFailed(f"shift factorisation failed: {exc}") from exc
+    lu, _ = factor(Lm - SIGMA * lam * Bm, diagonal=True)
     d = Bm.diagonal()
     lumped = not (Bm - sp.diags(d)).count_nonzero()  # nothing off diag B
     b = d if lumped else d.mean(keepdims=True)

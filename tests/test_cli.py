@@ -92,6 +92,14 @@ def write_field_csv(path, ids, values):
     return str(path)
 
 
+def export_one(run, stem, f):
+    """The path of the CSV that _export_fields writes for the one field f
+    (an array or a ScalarField) in run, which exports csv."""
+    mesh = argparse.Namespace(n_vertices=len(lb.fields.field_values(f)))
+    cli_mod._export_fields(run, mesh, [f], stem)
+    return run.path(f"{stem}_0000.csv")
+
+
 def field_csvs(out):
     return sorted(p for p in out.iterdir() if p.suffix == ".csv")
 
@@ -1020,6 +1028,39 @@ class TestErrors:
                 f"{n}-vertex mesh" in err
 
     @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])
+    def test_field_csv_not_utf8_named(self, mesh_path, tmp_path, capsys,
+                                      option):
+        n = lb.icosphere(2).n_vertices
+        d = tmp_path / "fields"
+        d.mkdir()
+        path = write_field_csv(d / "x_0000.csv", range(n), np.ones(n))
+        csv = pathlib.Path(path)
+        csv.write_bytes(csv.read_bytes().replace(b"\n3,1.0\n",
+                                                 b"\n3,\xb11.0\n"))
+        if option == "--potential":
+            argv = ["basis", "hamiltonian", "--seeds", "0,17,40",
+                    "--potential", path]
+        else:
+            argv = ["metrics", "--metric", "area", "--fields-dir", str(d)]
+        rc = main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        at = csv.read_bytes().index(b"\xb1")
+        assert (f"lapbasis: error: {path}: not UTF-8 text: invalid start byte "
+                f"at byte {at}") in capsys.readouterr().err
+
+    def test_binary_ply_mesh_named(self, tmp_path, capsys):
+        mesh = tmp_path / "binary.ply"
+        mesh.write_bytes(b"ply\nformat binary_little_endian 1.0\n"
+                         b"element vertex 3\nproperty float x\n"
+                         b"property float y\nproperty float z\nend_header\n"
+                         + bytes([0x96, 0xff, 0, 0x80]) * 9)
+        rc = main(["validate", "--mesh", str(mesh),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert (f"lapbasis: error: {mesh}: only ascii PLY is supported"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("option", ["--potential", "--fields-dir"])
     def test_field_csv_last_row_not_a_number(self, mesh_path, tmp_path,
                                              capsys, option):
         n = lb.icosphere(2).n_vertices
@@ -1063,9 +1104,8 @@ class TestErrors:
         # every value reads back with its bits
         values = np.array([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3,
                            123456789.0, np.inf])
-        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path)))
-        path = pathlib.Path(cli_mod._field_csv(
-            run, "x_0000.csv", lb.ScalarField(values)))
+        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path), format="csv"))
+        path = pathlib.Path(export_one(run, "x", lb.ScalarField(values)))
         assert path.read_bytes() == (
             b"vertex_id,value\n0,0.0\n1,-0.0\n2,5e-324\n3,1e-300\n4,0.1\n"
             b"5,0.3333333333333333\n6,123456789.0\n7,inf\n")
@@ -1074,7 +1114,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("n", [1, 2562])
     def test_field_csv_template_bytes(self, tmp_path, n):
-        # _field_csv writes the bytes of the f"{i},{v!r}" rows for every
+        # a field's CSV holds the bytes of the f"{i},{v!r}" rows for every
         # kind of float repr: specials, subnormals, integral values and
         # both sides of repr's switches to exponent form
         special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
@@ -1091,14 +1131,14 @@ class TestErrors:
         values = rng.permutation(values[:n]) if n > 1 else np.array([1e16])
         want = "vertex_id,value\n" + "".join(
             f"{i},{v!r}\n" for i, v in enumerate(values.tolist()))
-        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path)))
-        path = cli_mod._field_csv(run, "a.csv", values)
+        run = cli_mod.Run(argparse.Namespace(out=str(tmp_path), format="csv"))
+        path = export_one(run, "a", values)
         assert pathlib.Path(path).read_bytes() == want.encode()
         assert run.digests[path] == hashlib.sha256(want.encode()).hexdigest()
 
     def test_export_wider_than_a_chunk(self, tmp_path):
         # 9 fields at n = 2562 take three chunks (4, 4, 1): each field's
-        # CSV has the bytes and sha256 of _field_csv on that field alone,
+        # CSV has the bytes and sha256 of an export of that field alone,
         # and the files are listed csv, then ply, field by field
         mesh = lb.icosphere(4)
         n = mesh.n_vertices
@@ -1111,13 +1151,14 @@ class TestErrors:
         chunked = cli_mod.Run(argparse.Namespace(
             out=str(tmp_path / "a"), format="csv,ply"))
         cli_mod._export_fields(chunked, mesh, fields, "x")
-        alone = cli_mod.Run(argparse.Namespace(out=str(tmp_path / "b")))
+        alone = cli_mod.Run(argparse.Namespace(out=str(tmp_path / "b"),
+                                               format="csv"))
         names = [os.path.relpath(p, chunked.outdir) for p in chunked.outputs]
         assert names == [f"x_{i:04d}.{ext}" for i in range(9)
                          for ext in ("csv", "ply")]
         for i, f in enumerate(fields):
             path = pathlib.Path(chunked.path(f"x_{i:04d}.csv"))
-            want = pathlib.Path(cli_mod._field_csv(alone, path.name, f))
+            want = pathlib.Path(export_one(alone, f"x{i}", f))
             assert path.read_bytes() == want.read_bytes()
             assert chunked.digests[str(path)] == alone.digests[str(want)]
 
@@ -1143,6 +1184,16 @@ class TestErrors:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: expected a vertex_id,value header")):
             cli_mod._read_field_csv(str(path), 20)
+
+    def test_filter_with_unread_text_rejected(self, mesh_path, tmp_path,
+                                              capsys):
+        out = tmp_path / "o"
+        rc = main(["basis", "spectral", "--filter", "commute:k=3", "--seeds",
+                   "0", "--mesh", mesh_path, "--out", str(out)])
+        assert rc == 1
+        assert ("bad filter expression 'commute:k=3': commute takes no "
+                "parameters") in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_spectral_needs_filter(self, mesh_path, tmp_path, capsys):
         out = tmp_path / "o"

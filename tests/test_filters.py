@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -386,3 +387,19 @@ class TestParseFilter:
         for text in ("", "exp", "exp:t=abc", "nosuch:t=1", "rat:num=1"):
             with pytest.raises(ValueError):
                 lb.parse_filter(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("commute:k=3", "commute takes no parameters"),
+        ("commute:", "commute takes no parameters"),
+        ("mexican:t=2", "mexican takes no parameters"),
+        ("rat:num=1;den=1,0,1;foo=3", "not 'foo=3'"),
+        ("rat:num=1;den=1,0,1;num=2", "not 'num=2'"),
+        ("rat:den=1,0,1;num=1;den=1", "not 'den=1'"),
+    ], ids=["commute-param", "commute-colon", "mexican-param", "rat-unknown",
+            "rat-repeated-num", "rat-repeated-den"])
+    def test_unread_text_rejected(self, text, message):
+        # every character of an expression is read, or the parse fails
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad filter expression {text!r}: ")) as err:
+            lb.parse_filter(text)
+        assert message in str(err.value)

@@ -499,25 +499,24 @@ class TestBulkReaders:
         ("", "empty OFF file"),
         ("# a comment\n\n", "empty OFF file"),
         # too few header tokens
-        ("OFF\n", "malformed OFF file: list index out of range"),
-        ("OFF\n4 2\n", "malformed OFF file: cannot reshape array of size 0 "
-         "into shape (4,3)"),
+        ("OFF\n", "OFF header lacks its vertex and face counts"),
+        ("OFF\n4 2\n", "OFF vertex count 4 needs 12 coordinates, found 0"),
         # a count that is not an integer
         ("OFF\n4.0 2 0\n" + OFF_SQUARE.split("4 2 0\n")[1],
          "malformed OFF file: invalid literal for int() with base 10: "
          "'4.0'"),
         # a zero count
-        ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n",
-         "triangles must be an (m, 3) array"),
-        ("OFF\n0 1 0\n3 0 1 2\n", "mesh needs at least 3 vertices"),
+        ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "OFF file declares no faces"),
+        ("OFF\n0 1 0\n3 0 1 2\n", "OFF file declares no vertices"),
         # the text ends before a block
-        ("OFF\n3 1 0\n\n", "malformed OFF file: cannot reshape array of "
-         "size 0 into shape (3,3)"),
+        ("OFF\n3 1 0\n\n", "OFF vertex count 3 needs 9 coordinates, found 0"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1\n",
+         "OFF vertex count 3 needs 9 coordinates, found 8"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n",
-         "malformed OFF file: list index out of range"),
+         "OFF face count 1: the text ends before the last face record"),
     ], ids=["empty", "comment-only", "magic-only", "short-header",
             "fractional-count", "no-faces", "no-vertices",
-            "ends-before-vertices", "ends-before-faces"])
+            "ends-before-vertices", "ends-in-vertices", "ends-before-faces"])
     def test_off_fallback_errors(self, tmp_path, text, message):
         """Headers and blocks the bulk path turns down raise the token
         path's ParseError."""
@@ -526,6 +525,29 @@ class TestBulkReaders:
         with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
             lb.load_mesh(path)
         assert not takes_bulk_path(text)
+
+    def test_binary_ply_body(self, tmp_path):
+        # the bytes after the header are not text: the header's format
+        # line names the fault
+        path = tmp_path / "m.ply"
+        header = ply_text("3 0 1 2").split("end_header\n")[0].replace(
+            "format ascii 1.0", "format binary_little_endian 1.0")
+        path.write_bytes(header.encode() + b"end_header\n"
+                         + np.arange(9, dtype="<f4").tobytes() + b"\x96\xff")
+        with pytest.raises(UnsupportedFeature, match=re.escape(
+                f"{path}: only ascii PLY is supported")):
+            lb.load_mesh(path)
+
+    @pytest.mark.parametrize("name", ["m.off", "m.obj", "m.ply"])
+    def test_not_utf8_named(self, tmp_path, name):
+        text = {".off": OFF_SQUARE, ".obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+                "f 1 2 3\n", ".ply": ply_text("3 0 1 2")}[name[-4:]]
+        path = tmp_path / name
+        path.write_bytes(text.encode() + "# caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: not UTF-8 text: invalid continuation byte at byte "
+                f"{len(text) + 5}")):
+            lb.load_mesh(path)
 
     @pytest.mark.parametrize("text, message", [
         ("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n",

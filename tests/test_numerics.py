@@ -151,9 +151,8 @@ class TestFactor:
         assert np.array_equal(g, raw)
 
     def test_splu_called_in_numerics_only(self):
-        # every other module solves through numerics.factor; the raw LUs
-        # of the eigensolver (its shift) and of count_below (the inertia
-        # certificate) are the only other users
+        # numerics.factor is the one sparse LU: the solves of every module,
+        # the eigensolver's shift LU and count_below's certificate LUs
         src = pathlib.Path(numerics.__file__).parent
         users = set()
         for path in sorted(src.glob("*.py")):
@@ -168,9 +167,20 @@ class TestFactor:
                               getattr(node, "id", None),
                               getattr(node, "name", None)):
                     users.add((path.name, owner.get(node, "<module>")))
-        assert users == {("numerics.py", "factor"),
-                         ("numerics.py", "smallest_eigenpairs"),
-                         ("numerics.py", "count_below")}
+        assert users == {("numerics.py", "factor")}
+
+    def test_ordering_solves_m_itself(self, op3):
+        # an LU in a given ordering factors the pre-permuted matrix; its
+        # solve maps in and out of that order
+        rng = np.random.default_rng(10)
+        M = op3.B + 0.7 * op3.L
+        rhs = rng.standard_normal((op3.n, 3))
+        for diagonal in (False, True):
+            X = factor(M, shift_ordering(op3), diagonal)[1](rhs)
+            for j in range(rhs.shape[1]):
+                r = rhs[:, j] - M @ X[:, j]
+                assert (np.linalg.norm(r)
+                        <= SHIFTED_RTOL * np.linalg.norm(rhs[:, j]))
 
     def test_no_unit_length_floor(self):
         # a tolerance multiplies a scale the code holds: no max(x, 1.0) or
@@ -371,6 +381,25 @@ class TestEigenpairs:
         for k, form in ((1, "kernel"), (op3.n // 2 + 1, "dense")):
             assert smallest_eigenpairs(op3.L, op3.B, k).stats["form"] == form
 
+    def test_shift_and_certificate_lus_are_factors(self, op3, monkeypatch):
+        # one diagonal-pivot factor with no ordering (the shift LU), then
+        # one in the shift's ordering per eigsh call (the certificate)
+        real, calls = numerics.factor, []
+
+        def spy(M, perm=None, diagonal=False):
+            lu, solve = real(M, perm, diagonal)
+            calls.append((perm, diagonal, lu))
+            return lu, solve
+
+        monkeypatch.setattr(numerics, "factor", spy)
+        eig = smallest_eigenpairs(op3.L, op3.B, 20)
+        (perm, diagonal, shift), *certificate = calls
+        assert perm is None and diagonal
+        assert eig.stats["lu_nnz"] == shift.nnz
+        assert len(certificate) == eig.stats["eigsh_calls"] >= 1
+        for perm, diagonal, _ in certificate:
+            assert diagonal and np.array_equal(perm, shift.perm_c)
+
     def test_k_out_of_range(self, op1):
         with pytest.raises(ValueError):
             smallest_eigenpairs(op1.L, op1.B, op1.n + 1)
@@ -398,9 +427,7 @@ class TestCertificate:
 def shift_ordering(op):
     """perm_c of the eigensolver's shift LU of op's pencil."""
     lam = numerics.pencil_bound(op.L, op.B)
-    M = (op.L - numerics.SIGMA * lam * op.B).tocsc()
-    return numerics.spla.splu(M, permc_spec="COLAMD", diag_pivot_thresh=0,
-                              options=dict(SymmetricMode=True)).perm_c
+    return factor(op.L - numerics.SIGMA * lam * op.B, diagonal=True)[0].perm_c
 
 
 class TestCountBelow:
@@ -448,6 +475,9 @@ class TestCountBelow:
         L = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NotConverged, match="off-diagonal"):
             count_below(L, sp.identity(2, format="csr"), 0.0)
+        with pytest.raises(NotConverged, match="off-diagonal"):
+            factor(L, diagonal=True)
+        factor(L)  # threshold pivoting takes the off-diagonal pivot
 
 
 class TestNullspace:
