@@ -6,12 +6,12 @@ Two evaluation routes exist for a spectral operator K_phi.  The truncated
 route expands over k computed eigenpairs; the spectrum-free route needs no
 eigendecomposition.  For the heat kernel exp(-t B^{-1} L) on a symmetric
 scheme with lumped mass it sums a Chebyshev expansion of degree K, one
-SpMV per degree for a whole block of columns; otherwise it replaces phi
+SpMV per degree for a chunk of columns; otherwise it replaces phi
 by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
 few shifted sparse solves (B + beta_j L) g_j = B f, one column at a time.
-spectral_set hands its seeds, the kernel metric of comparison_matrix
-its fields, and seeds.coverage_loop each iteration's new seeds, to either
-route in blocks of up to APPLY_BLOCK columns (_apply_blocks).
+Each route's apply takes a block of any width and owns its width: only
+cheb-exp splits a block, into chunks of at most numerics.APPLY_BLOCK
+columns.
 """
 
 import math
@@ -32,15 +32,6 @@ from .filters import evaluate, partial_fractions
 
 # vertex held at 0 by the harmonic Green solve, before the B-mean is removed
 GREEN_PIN = 0
-# _apply_blocks splits columns into blocks of at most APPLY_BLOCK.
-# On bumpy_sphere(4), t = 0.04 (one core of a 2-core Xeon), a cheb-exp
-# column took 1.04 ms in 16-wide blocks, 1.01 ms in 32-wide and 1.11 ms
-# in 64-wide ones against 1.97 ms alone: the five 64-wide buffers of an
-# apply outgrow the 4 MiB L2.  Narrower than MIN_BLOCK, a block goes
-# column by column: a 2-wide block cost 1.24-1.40 times two single
-# columns, a 3-wide one 0.84-0.95 times three.
-APPLY_BLOCK = 16
-MIN_BLOCK = 3
 
 
 def _seed_indices(seeds, n):
@@ -221,21 +212,6 @@ def _unit_columns(n, block):
     return E
 
 
-def _apply_blocks(apply, keys, block_input):
-    """Yield (block, apply(block_input(block))) for the blocks of keys, a
-    1-D array of m column keys split into ceil(m / APPLY_BLOCK) blocks of
-    near-equal width.  block_input maps a block to its (n, len(block))
-    input; a block narrower than MIN_BLOCK is applied column by column.
-    apply takes a vector or an (n, m) block and returns an array.  The
-    one blocking rule of spectral_set (seeds), of the kernel metric in
-    metrics._gram (fields) and of seeds.coverage_loop (each iteration's
-    pending seeds)."""
-    for block in np.array_split(keys, -(-len(keys) // APPLY_BLOCK)):
-        X = block_input(block)
-        yield block, (apply(X) if len(block) >= MIN_BLOCK
-                      else _by_column(apply, X))
-
-
 def _symmetric_lumped(op):
     """Whether B^{-1} L is similar to the symmetric B^{-1/2} L B^{-1/2},
     which the Chebyshev heat expansion needs."""
@@ -255,11 +231,12 @@ class ChebyshevKernel:
     - "cheb-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form, a
       degree-K Chebyshev expansion in B^{-1/2} L B^{-1/2}
       (numerics.cheb_exp), K fixed by its coefficient tail: K SpMVs per
-      apply, for a vector or a whole (n, m) block, no factorisation, no
+      vector or chunk of a block, no factorisation, no
       table and no stored basis.  Needs a symmetric scheme and lumped
       mass, or raises ValueError.
 
-    apply(f) takes a vector or an (n, m) block.  The lu route solves a
+    apply(f) takes a vector or an (n, m) block of any width.  cheb-exp
+    runs it in chunks of at most numerics.APPLY_BLOCK columns; lu solves a
     block column by column: a SuperLU block solve rounded a column
     differently with different neighbours.  So on both routes a column's
     bits do not depend on the block it comes in.
@@ -295,8 +272,7 @@ class ChebyshevKernel:
 
     def apply(self, f):
         """K_phi f for a vector f, or for each column of an (n, m) block
-        f: one recurrence for the whole block on cheb-exp, column by
-        column on lu."""
+        f: one recurrence per chunk on cheb-exp, column by column on lu."""
         fv = field_values(f)
         if self.route == "cheb-exp":
             return self._cheb(fv)
@@ -382,20 +358,17 @@ def spectral_set(op, filt, seeds, method="chebyshev", r=None, k=100,
     the kernel read one.  Diffusion is FilterSpec.exponential(t); other
     fields go to filter_kernel(...).apply.
 
-    The seeds go to the kernel in ceil(m / APPLY_BLOCK) blocks of
-    near-equal width, one apply per block, so cheb-exp pays one SpMV per
-    degree per block; a block narrower than MIN_BLOCK goes column by
-    column.  Each block's fields are copied out before the next is
-    applied, so no (n, m) result is held.  A column's bits do not depend
-    on the block it shares.
+    A column's bits do not depend on the seeds it is applied with.
     """
     idx = _seed_indices(seeds, op.n)
     kernel = filter_kernel(op, filt, method, r, k, eig)
     tag = f"spectral[{filt.describe()},seed={{}},{kernel.path}]"
     fields = []
-    for block, G in _apply_blocks(kernel.apply, idx,
-                                  lambda b: _unit_columns(op.n, b)):
-        fields += _seed_fields(G, block, tag)
+    # for memory, not speed: pieces of at most APPLY_BLOCK seeds, each
+    # piece's fields copied out before the next apply, hold no (n, m) result
+    for block in np.array_split(idx, -(-len(idx) // numerics.APPLY_BLOCK)):
+        fields += _seed_fields(kernel.apply(_unit_columns(op.n, block)),
+                               block, tag)
     return BasisSet(fields, "spectral", seeds=idx.tolist(),
                     params={"filter": filt.describe(), "path": kernel.path,
                             "error_bound": kernel.error_bound,

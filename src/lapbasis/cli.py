@@ -28,7 +28,8 @@ from . import seeds as seeds_mod
 from .errors import LapBasisError
 from .fields import BasisSet, ScalarField, field_values
 from .filters import FilterSpec, parse_filter
-from .ioutil import REPR_CHUNK, atomic_write_text, fmt, id_words, repr_csv
+from .ioutil import (REPR_CHUNK, atomic_write_text, decode_utf8, fmt,
+                     id_words, repr_csv)
 from .laplacian import assemble
 from .mesh import load_mesh, save_ply, validate
 
@@ -230,11 +231,7 @@ def _read_field_csv(path, n):
     in order.  The file is read once, for both."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte "
-                         f"{exc.start}") from None
+    text = decode_utf8(data, path)
     lines = io.StringIO(text, newline=None)  # universal newlines
     if not lines.readline().startswith("vertex_id"):
         raise ValueError(f"{path}: expected a vertex_id,value header")
@@ -295,7 +292,13 @@ def _export_fields(run, mesh, fields, stem):
 
 def _parse_seed_args(args, mesh, op):
     if args.seeds is not None:
-        return [int(x) for x in args.seeds.split(",")]
+        seeds = []
+        for i, x in enumerate(args.seeds.split(","), 1):
+            try:
+                seeds.append(int(x))
+            except ValueError as exc:
+                raise ValueError(f"--seeds entry {i}: {exc}") from None
+        return seeds
     if args.seeds_file is not None:
         return list(seeds_mod.load_seeds(args.seeds_file))
     if args.fps is not None:

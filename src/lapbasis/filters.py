@@ -338,9 +338,12 @@ def parse_filter(text):
                     raise ValueError(f"rat takes num=...;den=... once each, "
                                      f"not {kv.strip()!r}")
                 parts[key] = val
+            for key in ("num", "den"):
+                if key not in parts:
+                    raise ValueError(f"rat needs {key}=<coefficients>")
             num = [float(c) for c in parts["num"].split(",")]
             den = [float(c) for c in parts["den"].split(",")]
             return FilterSpec.rational(num, den)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad filter expression {text!r}: {exc}") from exc
     raise ValueError(f"unknown filter {text!r}")

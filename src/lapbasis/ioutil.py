@@ -1,4 +1,5 @@
-"""Small shared output helpers: atomic writes, hashing, number formatting.
+"""Small shared I/O helpers: UTF-8 input, atomic writes, hashing, number
+formatting.
 
 fmt is repr of one float, for scalars.  repr_csv writes arrays of floats
 as CSV rows with the bytes of repr, computed in NumPy over a block of
@@ -23,6 +24,15 @@ _SLICE = 1024  # values per bytes copy: about 57 KB, so it reuses freed heap
 def fmt(x):
     """Shortest decimal that round-trips the float (repr semantics)."""
     return repr(float(x))
+
+
+def decode_utf8(data, path):
+    """data as UTF-8 text; a bad byte raises ValueError naming path."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
 
 
 def atomic_write_text(path, text):

@@ -353,35 +353,45 @@ def _loadtxt_block(lines, rows, cols, dtype):
     return block if block.shape == (rows, cols) else None
 
 
-def _off_blocks(lines):
-    """(vertices, triangles) of the comment-free lines of an OFF file, in
-    two bulk conversions, or None where its layout needs the token path.
-
-    The counts must end their line; after any blank lines, the next nv
-    lines hold the vertices, three numbers each, and, after any blank
-    lines, the next nf lines the faces, each ``3 i j k``.  Within a line
-    np.loadtxt splits fields where str.split splits, and it converts a
-    number to the value float() or int() gives it, or refuses it (1_000,
-    non-ASCII digits, 1.5 or 2^63 as int64), so the arrays equal the
-    token path's.  The blocks are exact slices of lines: with max_rows,
-    loadtxt warns on a blank line.
-    """
-    head = []
-    for h, line in enumerate(lines, 1):
-        head += line.split()
-        need = 4 if head and head[0].upper() == "OFF" else 3
-        if len(head) >= need:
-            break
-    else:
-        return None
-    if len(head) != need:  # the vertices start on the counts' line
-        return None
+def _off_counts(lines):
+    """(nv, nf, h, rest) of the comment-free lines of an OFF text.  The
+    counts line is the first line with a token after the optional "OFF"
+    magic (which may share it): nv, nf, then an edge count, which is
+    optional and ignored.  rest holds any tokens after the edge count,
+    where the vertex records start on that line; lines[h:] follow it."""
+    nonblank = ((h, p) for h, p in enumerate(map(str.split, lines), 1) if p)
+    h, parts = next(nonblank, (0, None))
+    if parts is None:
+        raise ParseError("empty OFF file")
+    if parts[0].upper() == "OFF":
+        h, parts = (h, parts[1:]) if parts[1:] else next(nonblank, (h, []))
+    if len(parts) < 2:
+        raise ParseError("OFF header lacks its vertex and face counts"
+                         + (f": line {h} reads {' '.join(parts)!r}"
+                            if parts else ""))
     try:
-        nv, nf = int(head[-3]), int(head[-2])
-    except ValueError:
-        return None
-    if nv < 1 or nf < 1:
-        return None
+        nv, nf = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"malformed OFF file: {exc}") from exc
+    for count, what in ((nv, "vertices"), (nf, "faces")):
+        if count < 1:
+            raise ParseError(f"OFF file declares no {what}")
+    return nv, nf, h, parts[3:]
+
+
+def _off_blocks(lines, h, nv, nf):
+    """(vertices, triangles) of the comment-free lines of an OFF file from
+    lines[h], the line after its counts, in two bulk conversions, or None
+    where their layout needs the token path.
+
+    After any blank lines, the next nv lines hold the vertices, three
+    numbers each, and, after any blank lines, the next nf lines the
+    faces, each ``3 i j k``.  Within a line np.loadtxt splits fields
+    where str.split splits, and it converts a number to the value float()
+    or int() gives it, or refuses it (1_000, non-ASCII digits, 1.5 or
+    2^63 as int64), so the arrays equal the token path's.  The blocks are
+    exact slices of lines: with max_rows, loadtxt warns on a blank line.
+    """
     blocks = []
     for rows, cols, dtype in ((nv, 3, float), (nf, 4, np.int64)):
         while h < len(lines) and not lines[h].strip():
@@ -399,43 +409,34 @@ def _off_blocks(lines):
 
 
 def _parse_off(text):
-    """The mesh of an OFF text: ``[OFF] nv nf ne``, nv vertex records
-    ``x y z`` and nf face records ``k i0 ... i(k-1)``, as a stream of
-    whitespace-separated tokens; "#" comments run to the end of the line.
+    """The mesh of an OFF text: ``[OFF] nv nf [ne]`` (_off_counts), nv
+    vertex records ``x y z`` and nf face records ``k i0 ... i(k-1)``, as
+    a stream of whitespace-separated tokens; "#" comments run to the end
+    of the line.
 
-    A file laid out one record per line, every face a triangle, is
-    converted in bulk: the vertex block and the face block by one
-    np.loadtxt call each (_off_blocks).  Any other layout (records split
-    over lines or sharing one, blank lines among the vertices, quads,
-    extra per-face values, numbers loadtxt refuses) falls back to the
-    token path: str.split over the text, the vertices by one float array
-    conversion, the faces one record at a time (_walk_faces).  Both paths
-    give the same arrays; errors are the token path's."""
-    text = _COMMENT.sub("", text)
-    blocks = _off_blocks(text.splitlines())
+    A file laid out one record per line after its counts line, every
+    face a triangle, is converted in bulk: the vertex block and the face
+    block by one np.loadtxt call each (_off_blocks).  Any other layout
+    (records split over lines or sharing one, blank lines among the
+    vertices, quads, extra per-face values, numbers loadtxt refuses)
+    falls back to the token path: str.split over the text, the vertices
+    by one float array conversion, the faces one record at a time
+    (_walk_faces).  Both paths give the same arrays; errors are the token
+    path's."""
+    lines = _COMMENT.sub("", text).splitlines()
+    nv, nf, h, rest = _off_counts(lines)
+    blocks = None if rest else _off_blocks(lines, h, nv, nf)
     if blocks is not None:
         return TriangleMesh(*blocks)
-    tokens = text.split()
-    if not tokens:
-        raise ParseError("empty OFF file")
-    pos = 0
-    if tokens[0].upper() == "OFF":
-        pos = 1
-    if len(tokens) < pos + 2:
-        raise ParseError("OFF header lacks its vertex and face counts")
+    tokens = rest + "\n".join(lines[h:]).split()
     warnings = []
     try:
-        nv, nf = int(tokens[pos]), int(tokens[pos + 1])
-        pos += 3  # vertex, face, and (ignored) edge counts
-        for count, what in ((nv, "vertices"), (nf, "faces")):
-            if count < 1:
-                raise ParseError(f"OFF file declares no {what}")
-        coords = tokens[pos : pos + 3 * nv]
+        coords = tokens[:3 * nv]
         if len(coords) < 3 * nv:
             raise ParseError(f"OFF vertex count {nv} needs {3 * nv} "
                              f"coordinates, found {len(coords)}")
         verts = np.array(coords, dtype=float).reshape(nv, 3)
-        tris = _walk_faces(tokens[pos + 3 * nv :], nf, warnings,
+        tris = _walk_faces(tokens[3 * nv:], nf, warnings,
                            "truncated face record in OFF file")
     except IndexError:  # the tokens end where a face record should start
         raise ParseError(f"OFF face count {nf}: the text ends before the "
@@ -518,15 +519,25 @@ def _parse_ply(text):
                 raise ParseError("PLY vertex element lacks x/y/z") from None
             try:
                 verts = [[float(r[i]) for i in cols] for r in rows]
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad PLY vertex record: {exc}") from exc
+            except IndexError:  # name the first short record
+                i, r = next((i, r) for i, r in enumerate(rows, 1)
+                            if len(r) <= max(cols))
+                lack = [props[j] for j in cols if j >= len(r)]
+                raise ParseError(
+                    f"PLY vertex record {i} of {count} lacks "
+                    f"{' '.join(lack)}: {len(r)} values") from None
         elif name == "face":
             # one record per line
             try:
-                for r in rows:
+                for i, r in enumerate(rows, 1):
+                    if not r:
+                        raise ParseError(f"PLY face record {i} of {count} "
+                                         "is blank: it lacks its vertex count")
                     tris.extend(_walk_faces(r, 1, warnings,
                                             "truncated PLY face record"))
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad PLY face record: {exc}") from exc
     if verts is None or not tris:
         raise ParseError("PLY file lacks vertex or face elements")

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _apply_blocks
 from .errors import NotAdjoint, SchemeNotSymmetric
 from .fields import field_values
 from .ioutil import atomic_write_text, fmt, repr_csv
@@ -19,13 +18,12 @@ ADJOINT_RTOL = 1e-8
 
 
 def _check_adjoint(op, kernel_apply, n):
-    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B."""
-    rng = np.random.default_rng(0)
-    for _ in range(ADJOINT_PROBES):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        Ku = field_values(kernel_apply(u))
-        Kv = field_values(kernel_apply(v))
+    """Stochastic B-adjointness probe: <u, Kv>_B must equal <Ku, v>_B for
+    ADJOINT_PROBES random pairs (u, v), applied as one block."""
+    X = np.random.default_rng(0).standard_normal((2 * ADJOINT_PROBES, n)).T
+    KX = field_values(kernel_apply(X))  # columns u, v, u, v, ... as drawn
+    for j in range(0, 2 * ADJOINT_PROBES, 2):
+        u, v, Ku, Kv = X[:, j], X[:, j + 1], KX[:, j], KX[:, j + 1]
         left = u @ (op.B @ Kv)
         right = Ku @ (op.B @ v)
         scale = abs(left) + abs(right) + np.linalg.norm(Ku) * np.linalg.norm(v)
@@ -41,8 +39,7 @@ def _gram(op, metric, F, G, kernel_apply=None):
 
     F and G are vertex vectors or (n, m) column stacks.  The conformal
     metric needs a symmetric scheme.  The kernel must be B-adjoint, which
-    is probed on every call; it gets the columns of G in the blocks that
-    spectral_set uses (basis._apply_blocks).
+    is probed on every call; it gets G whole, in one call.
     """
     if metric == "area":
         MG = op.B @ G
@@ -56,13 +53,7 @@ def _gram(op, metric, F, G, kernel_apply=None):
         if kernel_apply is None:
             raise ValueError("kernel metric needs kernel_apply")
         _check_adjoint(op, kernel_apply, G.shape[0])
-        G2 = G.reshape(G.shape[0], -1)  # a vector is one column
-        KG = np.empty(G2.shape)
-        for cols, KX in _apply_blocks(
-                lambda X: field_values(kernel_apply(X)),
-                np.arange(G2.shape[1]), lambda c: G2[:, c]):
-            KG[:, cols] = KX
-        MG = op.B @ KG.reshape(G.shape)
+        MG = op.B @ field_values(kernel_apply(G))
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return F.T @ MG
@@ -85,10 +76,10 @@ def kernel_metric(op, kernel_apply, f, g):
     """Kernel-weighted inner product f^T B (K g).
 
     kernel_apply maps a vertex vector, or each column of an (n, m)
-    block, to K applied to it, and must be B-adjoint; every call probes
-    this at 2 * ADJOINT_PROBES vector applies, so many pairs belong in
-    one comparison_matrix call, which applies K to its m fields in
-    blocks, plus the probe's vectors.
+    block of any width, to K applied to it, and must be B-adjoint; every
+    call probes this with one apply of a 2 * ADJOINT_PROBES block, so
+    many pairs belong in one comparison_matrix call, which applies K to
+    its m fields in one call.
     """
     return float(_gram(op, "kernel", field_values(f), field_values(g),
                        kernel_apply))
@@ -122,11 +113,10 @@ def comparison_matrix(op, fields, metric="area", kernel_apply=None,
     """Pairwise metric matrix of a basis set.
 
     Costs m operator applications plus m^2 dot products (never m^2
-    solves).  A kernel metric passes the fields to kernel_apply in the
-    blocks of spectral_set: ceil(m / basis.APPLY_BLOCK) of near-equal
-    width, a block narrower than basis.MIN_BLOCK one column per call.
-    So kernel_apply takes a vector or an (n, m) block, as both lapbasis
-    kernels' apply do; the probe adds 2 * ADJOINT_PROBES vector applies.
+    solves).  A kernel metric passes the (n, m) fields to kernel_apply in
+    one call, and the probe one (n, 2 * ADJOINT_PROBES) block: so
+    kernel_apply takes a block of any width, as both lapbasis kernels'
+    apply do, each running it at the width its route chooses.
     normalize=True rescales each field to [0, 1] first; the flag
     is recorded on the result.
     """

@@ -11,8 +11,8 @@ with lumped B, the heat kernel exp(-t B^{-1} L) f is a Chebyshev
 expansion in B^{-1/2} L B^{-1/2} on [0, lambda-hat] (cheb_exp,
 scaled_operator, pencil_bound): Bessel coefficients from Miller's
 recurrence (bessel_coefficients), a degree fixed in advance by their
-tail, one SpMV per degree for a vector or a whole block of columns, and
-a B-norm contraction check on each column of the result.  The smallest
+tail, one SpMV per degree for a vector or a chunk of columns, and a
+B-norm contraction check on each column of the result.  The smallest
 generalized eigenpairs of a stiffness/mass pencil come from scipy's
 eigsh in shift-invert mode (or dense eigh), certified complete by an
 inertia count (count_below).  eigsh sees the pencil in units of
@@ -167,6 +167,15 @@ def shifted_factor(B, L, beta):
 
 MAX_DEGREE = 100_000  # largest degree of the heat expansion (one SpMV per
 # degree and column): cheb_exp refuses t lambda-hat above about 2.8e8
+# cheb_exp runs a block in np.array_split chunks of at most APPLY_BLOCK
+# columns.  On bumpy_sphere(4), t = 0.04 (one core of a 2-core Xeon), a
+# column took 1.04 ms in 16-wide chunks, 1.01 ms in 32-wide and 1.11 ms
+# in 64-wide ones against 1.97 ms alone: the five 64-wide buffers of a
+# recurrence outgrow the 4 MiB L2.  Narrower than MIN_BLOCK, a chunk goes
+# column by column: a 2-wide chunk cost 1.24-1.40 times two single
+# columns, a 3-wide one 0.84-0.95 times three.
+APPLY_BLOCK = 16
+MIN_BLOCK = 3
 
 
 def pencil_bound(L, B):
@@ -232,11 +241,28 @@ def bessel_coefficients(z, tol):
     return c[:K + 1], float(tails[K + 1])
 
 
+def _chebyshev_sum(A2, c, v):
+    """sum_k c_k T_k(A2 / 2) v for a C-contiguous vector or (n, w) chunk
+    v, whose buffer it reuses: cheb_exp's recurrence, T_{k+1} = A2 T_k -
+    T_{k-1}."""
+    prev = v
+    acc = c[0] * prev
+    if len(c) > 1:
+        cur = 0.5 * (A2 @ prev)
+        acc += c[1] * cur
+        for ck in c[2:]:
+            nxt = A2 @ cur  # the one allocation per degree
+            nxt -= prev
+            acc += np.multiply(nxt, ck, out=prev)  # prev is free here
+            prev, cur = cur, nxt
+    return acc
+
+
 def cheb_exp(B, L, t):
     """exp(-t B^{-1} L) f by a Chebyshev expansion, with no rational
     approximation, no factorisation and no stored basis; returns
     (degree, bound, closure f -> g).  f is an (n,) vector or an (n, m)
-    block whose columns all go through one recurrence.
+    block of any width m.
 
     For a symmetric L and a diagonal B, exp(-t B^{-1} L) f =
     B^{-1/2} exp(-t A) B^{1/2} f with A = B^{-1/2} L B^{-1/2}
@@ -245,23 +271,25 @@ def cheb_exp(B, L, t):
     z = t lambda-hat / 2, exp(-t lambda) = sum_k c_k T_k(x)
     (bessel_coefficients; Tal-Ezer & Kosloff 1984).  T_{k+1} =
     A_2 T_k - T_{k-1} on A_2 = (4 / lambda-hat) A - 2I, built once, costs
-    one SpMV, one subtraction and one axpy per degree: for a block, one
-    A_2 @ T_k (scipy's csr_matvecs) serves all its columns.  c_k T_k goes
-    into the buffer T_{k-1} leaves free, so a degree allocates only the
-    product; an apply holds about five n-vectors per column.
-    csr_matvecs sums each row in csr_matvec's order, so a block column
-    has the bits of a one-column apply.  The degree K is
+    one SpMV, one subtraction and one axpy per degree (_chebyshev_sum).
+    A block runs in the np.array_split chunks of at most APPLY_BLOCK
+    columns: one A_2 @ T_k (scipy's csr_matvecs) serves a chunk, and
+    sums each row in csr_matvec's order, so a column has the bits of a
+    one-column apply.  A chunk narrower than MIN_BLOCK runs column by
+    column.  c_k T_k goes into the buffer T_{k-1} leaves free, so a
+    degree allocates only the product; a recurrence holds about five
+    n-vectors per column.  The degree K is
     the smallest whose tail, bound = sum_{k > K} |c_k|, is at most
     eps sqrt(min B / max B): a B-norm error bound per unit |f|_B, so a
     unit column e_s has a pointwise truncation error of at most eps.  K
     depends on the mesh and t alone, so reruns are byte-identical.
 
-    Guard: NotConverged, naming the first failing column of a block,
-    unless each column of the result is finite and, as exp(-t A) is, a
-    B-norm contraction to rounding, |g|_B <= (1 + bound + K^2 eps)
-    |f|_B; T_k grows exponentially on a spectrum outside
-    [0, lambda-hat].  The recurrence rounds like K^2 eps, not K eps (a
-    constant's error was 0.002 K^2 eps at K = 1840 and 3187).
+    Guard: NotConverged, naming the first failing column of a block by
+    its index in the block, unless each column of the result is finite
+    and, as exp(-t A) is, a B-norm contraction to rounding, |g|_B <=
+    (1 + bound + K^2 eps) |f|_B; T_k grows exponentially on a spectrum
+    outside [0, lambda-hat].  The recurrence rounds like K^2 eps, not
+    K eps (a constant's error was 0.002 K^2 eps at K = 1840 and 3187).
     """
     lam = pencil_bound(L, B)
     d = B.diagonal()
@@ -276,33 +304,43 @@ def cheb_exp(B, L, t):
     A2 = (4.0 / lam) * A - 2.0 * sp.identity(A.shape[0], format="csr")
     slack = 1.0 + bound + degree * degree * eps
 
-    def solve(f):
-        block = f.ndim == 2
-        axis = 0 if block else None  # None keeps a vector's norm one dot
-        r = root[:, None] if block else root
-        prev = np.multiply(r, f, order="C")  # so A2 @ prev copies nothing
-        scale = np.linalg.norm(prev, axis=axis)  # |f|_B of each column
-        acc = c[0] * prev
-        if degree:
-            cur = 0.5 * (A2 @ prev)
-            acc += c[1] * cur
-            for ck in c[2:]:
-                nxt = A2 @ cur  # the one allocation per degree
-                nxt -= prev
-                acc += np.multiply(nxt, ck, out=prev)  # prev is free here
-                prev, cur = cur, nxt
+    def run(f, first):  # first: f's first column in the block, or None
+        chunk = f.ndim == 2
+        axis = 0 if chunk else None  # None keeps a vector's norm one dot
+        r = root[:, None] if chunk else root
+        v = np.multiply(r, f, order="C")  # so A2 @ v copies nothing
+        scale = np.linalg.norm(v, axis=axis)  # |f|_B of each column
+        acc = _chebyshev_sum(A2, c, v)
         grow = np.linalg.norm(acc, axis=axis)  # |g|_B, not finite with acc
         ok = grow <= slack * scale
         if not ok.all():
             j = np.argmin(ok)  # the first failing column
             raise NotConverged(
                 f"heat kernel at t={t:g}, degree {degree}: "
-                + (f"column {j}: " if block else "")
+                + ("" if first is None else f"column {first + j}: ")
                 + f"|g|_B = {np.ravel(grow)[j]:.3e} exceeds "
                 f"(1 + {slack - 1.0:.2e}) |f|_B = {np.ravel(scale)[j]:.3e}"
                 " (spectrum outside [0, lambda-hat]?)")
         acc /= r
         return acc
+
+    def solve(f):
+        if f.ndim == 1:
+            return run(f, None)
+        m = f.shape[1]
+        k = -(-m // APPLY_BLOCK)  # chunks of near-equal width
+        if k == 1 and m >= MIN_BLOCK:
+            return run(f, 0)
+        g = np.empty(f.shape)
+        b = 0
+        for i in range(k):
+            a, b = b, b + m // k + (i < m % k)  # np.array_split's widths
+            if b - a >= MIN_BLOCK:
+                g[:, a:b] = run(f[:, a:b], a)
+            else:
+                for j in range(a, b):
+                    g[:, j] = run(f[:, j], j)
+        return g
 
     return degree, bound, solve
 

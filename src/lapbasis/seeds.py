@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csgraph
 
-from .basis import _apply_blocks, _unit_columns
+from .basis import _unit_columns
 from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, decode_utf8
 from .laplacian import _mass_solve, assemble
 from .mesh import _euclidean_distances, _graph_distances, vertex_distances
 
@@ -134,13 +134,11 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     """Grow a basis until every vertex is in some member's support.
 
     generator is a kernel apply, such as filter_kernel(...).apply: it
-    takes a vector or an (n, m) block of unit columns e_s and returns an
-    array of the same shape, column j the field of the j-th seed; any
-    other shape raises ValueError.  Each iteration hands its new seeds to
-    it through basis._apply_blocks, the blocking rule of spectral_set:
-    blocks of at most APPLY_BLOCK seeds of near-equal width, one call per
-    block, and a block narrower than MIN_BLOCK column by column.  The
-    fields are the rows of one contiguous copy of each block's transpose.
+    takes an (n, m) block of unit columns e_s and returns an array of the
+    same shape, column j the field of the j-th seed; any other shape
+    raises ValueError.  Each iteration hands all its new seeds to it in
+    one call, and the fields are the rows of one contiguous copy of the
+    result's transpose.
 
     Starts from k0 farthest-point seeds (curvature maximum first), then
     repeatedly: find uncovered vertices, split them into connected
@@ -182,18 +180,16 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     adj = mesh.adjacency()
     for _ in range(n):
         was_covered = covered.copy()
-        for block, G in _apply_blocks(apply, np.array(pending),
-                                      lambda b: _unit_columns(n, b)):
-            for s, f in zip(block.tolist(), G.T.copy()):
-                sup = support(f, tau)
-                if s not in sup:
-                    raise NoProgress(
-                        f"generator field at seed {s} does not cover its "
-                        "own vertex"
-                    )
-                fields.append(f)
-                covered[sup] = True
-                curve.append(float(covered.mean()))
+        for s, f in zip(pending, apply(_unit_columns(n, pending)).T.copy()):
+            sup = support(f, tau)
+            if s not in sup:
+                raise NoProgress(
+                    f"generator field at seed {s} does not cover its own "
+                    "vertex"
+                )
+            fields.append(f)
+            covered[sup] = True
+            curve.append(float(covered.mean()))
         history.append(curve[-1])
         if covered.all():
             basis = BasisSet(fields, "coverage", seeds=seed_list,
@@ -237,6 +233,16 @@ def save_seeds(seeds, path):
 
 
 def load_seeds(path):
-    with open(path) as fh:
-        idx = [int(line) for line in fh if line.strip()]
+    """The seeds of a file as save_seeds writes it, one vertex index per
+    line (blank lines skipped); a bad file raises ValueError naming it
+    and, for a bad entry, its line."""
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    idx = []
+    for i, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                idx.append(int(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {i}: {exc}") from None
     return SeedSet(idx, method="file")

@@ -728,18 +728,27 @@ class TestLanczosExp:
     ])
     def test_seeds_applied_in_near_equal_blocks(self, op3, monkeypatch, m,
                                                 widths):
+        # the route splits a block of any width into the chunks its
+        # recurrence runs at, whether the block comes whole or from
+        # spectral_set
         shapes = []
-        apply = ChebyshevKernel.apply
+        run = numerics._chebyshev_sum
 
-        def spy(self, f):
-            shapes.append(f.shape[1] if f.ndim == 2 else None)
-            return apply(self, f)
+        def spy(A2, c, v):
+            shapes.append(v.shape[1] if v.ndim == 2 else None)
+            return run(A2, c, v)
 
-        monkeypatch.setattr(ChebyshevKernel, "apply", spy)
-        bs = lb.spectral_set(op3, FilterSpec.exponential(0.04), range(m))
+        monkeypatch.setattr(numerics, "_chebyshev_sum", spy)
+        filt = FilterSpec.exponential(0.04)
+        E = np.eye(op3.n)[:, :m]
+        G = lb.filter_kernel(op3, filt).apply(E)
+        assert shapes == widths
+        del shapes[:]
+        bs = lb.spectral_set(op3, filt, range(m))
         assert shapes == widths
         assert bs.seeds == list(range(m))
         assert all(f.values.flags.c_contiguous for f in bs)
+        assert G.tobytes() == bs.matrix().tobytes()
 
     def test_guard_names_the_failing_column(self, op3, monkeypatch):
         # on [0, lambda-hat / 10] a constant keeps its norm (its eigenvalue
@@ -753,6 +762,20 @@ class TestLanczosExp:
         F[7, 1] = F[9, 2] = 1.0
         with pytest.raises(NotConverged,
                            match=f"degree {kernel.degree}: column 1: "):
+            kernel.apply(F)
+
+    def test_guard_names_a_column_past_the_first_chunk(self, op3,
+                                                       monkeypatch):
+        # a 20-column block runs as two 10-wide chunks; the first failing
+        # column, 17, is named by its index in the block, not the chunk
+        bound = numerics.pencil_bound
+        monkeypatch.setattr(numerics, "pencil_bound",
+                            lambda L, B: 0.1 * bound(L, B))
+        kernel = lb.filter_kernel(op3, FilterSpec.exponential(0.04))
+        F = np.ones((op3.n, 20))
+        F[:, 17:] = np.eye(op3.n)[:, 7:10]
+        with pytest.raises(NotConverged,
+                           match=f"degree {kernel.degree}: column 17: "):
             kernel.apply(F)
 
     def test_spectral_set_memory_is_the_fields_and_a_block(self, bumpy5):
@@ -769,7 +792,7 @@ class TestLanczosExp:
         finally:
             tracemalloc.stop()
         assert len(bs) == 64
-        assert peak < (64 + 7 * basis_mod.APPLY_BLOCK) * 8 * op.n
+        assert peak < (64 + 7 * numerics.APPLY_BLOCK) * 8 * op.n
 
     @pytest.mark.parametrize("case, path", [
         ("consistent", "chebyshev table r=5 lu"),

@@ -825,6 +825,23 @@ class TestErrors:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("source, message", [
+        (["--seeds", "1,x"], "--seeds entry 2: invalid literal for int() "
+         "with base 10: 'x'"),
+        (["--seeds-file", "{path}"], "{path}, line 2: invalid literal for "
+         "int() with base 10: 'x'"),
+    ], ids=["list", "file"])
+    def test_bad_seed_entry_named(self, mesh_path, tmp_path, capsys, source,
+                                  message):
+        path = tmp_path / "seeds.txt"
+        path.write_text("1\nx\n")
+        rc = main(["basis", "diffusion", "--mesh", mesh_path,
+                   *(a.format(path=path) for a in source),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert (f"lapbasis: error: {message.format(path=path)}\n"
+                == capsys.readouterr().err)
+
     def test_negative_seed_rejected(self, mesh_path, tmp_path):
         rc = main([
             "basis", "spectral", "--mesh", mesh_path, "--seeds=3,-1",

@@ -388,6 +388,17 @@ class TestParseFilter:
             with pytest.raises(ValueError):
                 lb.parse_filter(text)
 
+    @pytest.mark.parametrize("text, key", [
+        ("rat:num=1", "den"),
+        ("rat:den=1,0,1", "num"),
+        ("rat:", "num"),
+    ], ids=["no-den", "no-num", "neither"])
+    def test_rat_names_a_missing_key(self, text, key):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad filter expression {text!r}: rat needs {key}="
+                "<coefficients>")):
+            lb.parse_filter(text)
+
     @pytest.mark.parametrize("text, message", [
         ("commute:k=3", "commute takes no parameters"),
         ("commute:", "commute takes no parameters"),

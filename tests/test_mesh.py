@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 import lapbasis as lb
 from lapbasis.errors import DisconnectedMesh, ParseError, UnsupportedFeature
-from lapbasis.mesh import _COMMENT, _off_blocks, save_off, save_ply
+from lapbasis.mesh import (_COMMENT, _off_blocks, _off_counts, save_off,
+                           save_ply)
 
 from conftest import (LAYOUT_MESHES, SHAPE_MESHES, assert_same_csr,
                       merge_meshes)
@@ -198,7 +199,12 @@ def off_by_token(text):
 def takes_bulk_path(text):
     """Whether the OFF reader converts text with its two np.loadtxt calls
     rather than token by token."""
-    return _off_blocks(_COMMENT.sub("", text).splitlines()) is not None
+    lines = _COMMENT.sub("", text).splitlines()
+    try:
+        nv, nf, h, rest = _off_counts(lines)
+    except ParseError:
+        return False
+    return not rest and _off_blocks(lines, h, nv, nf) is not None
 
 
 def assert_read_as(mesh, verts, tris, warnings=()):
@@ -263,6 +269,22 @@ class TestBulkReaders:
         mesh = lb.load_mesh(path)
         assert_read_as(mesh, *off_by_token(text))
         assert mesh.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+    @pytest.mark.parametrize("text, bulk", [
+        ("OFF\n4 2\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n", True),
+        ("OFF 4 2\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2 3 0 2 3\n", False),
+        ("4 2 # no magic\n\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n"
+         "3 0 2 3\n", True),
+    ], ids=["bulk", "tokens", "no-magic"])
+    def test_off_counts_without_edge_count(self, tmp_path, text, bulk):
+        # nv and nf come from the counts line, with or without ne, on
+        # either path: the text reads as with a "4 2 0" header
+        path = tmp_path / "m.off"
+        path.write_text(text)
+        with_ne = re.sub(r"\b4 2\b", "4 2 0", text, count=1)
+        assert with_ne != text
+        assert_read_as(lb.load_mesh(path), *off_by_token(with_ne))
+        assert takes_bulk_path(text) == takes_bulk_path(with_ne) == bulk
 
     def test_off_quad_fans_with_warning(self, tmp_path):
         path = tmp_path / "q.off"
@@ -501,6 +523,11 @@ class TestBulkReaders:
         # too few header tokens
         ("OFF\n", "OFF header lacks its vertex and face counts"),
         ("OFF\n4 2\n", "OFF vertex count 4 needs 12 coordinates, found 0"),
+        # a counts line of one number
+        ("OFF\n4\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n",
+         "OFF header lacks its vertex and face counts: line 2 reads '4'"),
+        ("# lead\n\nOFF 3 # counts\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+         "OFF header lacks its vertex and face counts: line 3 reads '3'"),
         # a count that is not an integer
         ("OFF\n4.0 2 0\n" + OFF_SQUARE.split("4 2 0\n")[1],
          "malformed OFF file: invalid literal for int() with base 10: "
@@ -515,7 +542,8 @@ class TestBulkReaders:
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n\n",
          "OFF face count 1: the text ends before the last face record"),
     ], ids=["empty", "comment-only", "magic-only", "short-header",
-            "fractional-count", "no-faces", "no-vertices",
+            "one-count", "one-count-on-magic-line", "fractional-count",
+            "no-faces", "no-vertices",
             "ends-before-vertices", "ends-in-vertices", "ends-before-faces"])
     def test_off_fallback_errors(self, tmp_path, text, message):
         """Headers and blocks the bulk path turns down raise the token
@@ -578,8 +606,15 @@ class TestBulkReaders:
         (ply_text(), "PLY file lacks vertex or face elements"),
         (ply_text("3 0 1 2").replace("element face", "element edge"),
          "PLY file lacks vertex or face elements"),
+        (ply_text("3 0 1 2").replace("1 0 0\n", "1 0\n"),
+         "PLY vertex record 2 of 5 lacks z: 2 values"),
+        (ply_text("3 0 1 2").replace("1 1 0\n", "\n"),
+         "PLY vertex record 3 of 5 lacks x y z: 0 values"),
+        (ply_text("3 0 1 2", "", "3 1 4 2"),
+         "PLY face record 2 of 3 is blank: it lacks its vertex count"),
     ], ids=["empty", "no-magic", "property-first", "unterminated", "no-xyz",
-            "no-vertex-element", "zero-faces", "no-face-element"])
+            "no-vertex-element", "zero-faces", "no-face-element",
+            "short-vertex", "blank-vertex", "blank-face"])
     def test_ply_errors(self, tmp_path, text, message):
         path = tmp_path / "m.ply"
         path.write_text(text)

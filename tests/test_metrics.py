@@ -97,15 +97,15 @@ class TestKernelMetric:
         kern = ChebyshevKernel(op2, lb.partial_fractions(
             FilterSpec.exponential(0.5)))
         f = np.ones(op2.n)
-        probe = 2 * metrics_mod.ADJOINT_PROBES  # two applies per (u, v) pair
+        probe = 2 * metrics_mod.ADJOINT_PROBES  # two columns per (u, v) pair
         for calls in range(1, 4):
             lb.kernel_metric(op2, kern.apply, f, f)
-            assert applies == calls * [1] * (probe + 1)
+            assert applies == calls * [probe, 1]
         del applies[:]
         lb.comparison_matrix(op2, [f, 2 * f, 3 * f], metric="kernel",
                              kernel_apply=kern.apply)
-        # the probe's vectors, then the three fields as one block
-        assert sorted(applies) == [1] * probe + [3]
+        # the probe's vectors as one block, then the three fields as one
+        assert applies == [probe, 3]
 
     def test_adjoint_probe_repeats_for_failing_map(self, op2):
         shift = lambda v: np.roll(np.asarray(v), 1)
@@ -215,10 +215,10 @@ class TestComparisonMatrix:
     @pytest.mark.parametrize("m", [1, 2, 5, 20, 35])
     @pytest.mark.parametrize("mass", ["lumped", "consistent"])
     def test_kernel_blocks_match_column_loop(self, sphere2, m, mass):
-        # the block applies of _gram give the bits of one apply per
+        # the one block apply of _gram gives the bits of one apply per
         # column: cheb-exp on lumped mass, the r = 5 table's LU solves on
-        # consistent mass; m spans one column, column-by-column blocks,
-        # one block and ceil(m / APPLY_BLOCK) blocks
+        # consistent mass; on cheb-exp m spans one column, column-by-column
+        # chunks, one chunk and ceil(m / numerics.APPLY_BLOCK) chunks
         op = lb.assemble(sphere2, mass_mode=mass)
         kernel = lb.filter_kernel(op, FilterSpec.exponential(0.05))
         assert kernel.path.endswith("cheb-exp" if mass == "lumped" else "lu")

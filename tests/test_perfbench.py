@@ -4,17 +4,20 @@ library names the benchmark relies on.
 perfbench/run.py --tiny runs real CLI jobs on icosphere(3) and checks
 every field against expm_multiply, the artifact sha256 list between jobs
 and, for coverage, the final coverage fraction 1.0.  Both heat workloads
-take the cheb-exp route there, with no factorisation.  Run records
-go to the git-ignored .perfbench_runs/.  perfbench/spans.py times layers
-by wrapping library functions from outside, so each of its targets must
-exist and be the one the routes call, and every workload's command line
-must stay valid.
+take the cheb-exp route there, with no factorisation.  The tiny runs
+work from a copy of perfbench/ beside a link to src/ in a temporary
+directory, so their records land there and not in the checkout.
+perfbench/spans.py times layers by wrapping library functions from
+outside, so each of its targets must exist and be the one the routes
+call, and every workload's command line must stay valid.
 """
 
 import contextlib
+import glob
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -89,16 +92,23 @@ def test_workload_argv_runs(tmp_path):
     ("coverage-small-t", 0.001, "cheb-exp"),
     ("heat-batch", 0.04, "cheb-exp"),
 ])
-def test_tiny_run_passes_its_checks(op3, workload, t, route):
+def test_tiny_run_passes_its_checks(op3, tmp_path, workload, t, route):
     kernel = lb.filter_kernel(op3, lb.FilterSpec.exponential(t))
     assert isinstance(kernel, ChebyshevKernel) and kernel.route == route
+    # run.py finds src/ and writes .perfbench_runs/ beside its own folder
+    (tmp_path / "perfbench").mkdir()
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        shutil.copy(path, tmp_path / "perfbench")
+    (tmp_path / "src").symlink_to(os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", "0", "--seconds", "0", "--tiny"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] >= 2
+    assert os.listdir(tmp_path / ".perfbench_runs" / "results") == [
+        f"{workload}-seed0-trace0.json"]

@@ -1,11 +1,13 @@
 """Seed selection: curvature, FPS, support, and the coverage loop."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
 import lapbasis as lb
-from lapbasis.basis import MIN_BLOCK, ChebyshevKernel
+from lapbasis.basis import ChebyshevKernel
 from lapbasis.errors import NoProgress, SingularSystem, ZeroField
 from lapbasis.filters import FilterSpec
 from lapbasis.seeds import load_seeds, save_seeds
@@ -283,10 +285,10 @@ class TestCoverage:
         kern = (lb.filter_kernel(op, filt) if route == "cheb-exp" else
                 ChebyshevKernel(op, lb.partial_fractions(filt, 5)))
         assert kern.route == route
-        widths = []  # block width of each call, None for a vector
+        widths = []  # block width of each call
 
         def generator(E):
-            widths.append(E.shape[1] if E.ndim == 2 else None)
+            widths.append(E.shape[1])
             return kern.apply(E)
 
         result = lb.coverage_loop(mesh, op, generator, k0=20)
@@ -299,15 +301,9 @@ class TestCoverage:
         assert len(result.basis) == len(fields)
         for f, ref in zip(result.basis, fields):
             assert np.array_equal(f, ref)
-        # one call per block of MIN_BLOCK or more seeds, else one per seed
-        expected = []
-        for pending in rounds:
-            for block in np.array_split(pending, -(-len(pending) // 16)):
-                expected += ([len(block)] if len(block) >= MIN_BLOCK
-                             else [None] * len(block))
-        assert widths[:2] == [10, 10]
-        assert widths == expected
-        assert len(rounds) > 2 and None in widths
+        # one call per iteration, with all its seeds
+        assert widths == [len(pending) for pending in rounds]
+        assert widths[0] == 20 and len(rounds) > 2 and min(widths) < 3
 
     @pytest.mark.parametrize("bad", ["summed", "column"])
     def test_generator_contract_enforced(self, sphere2, op2, bad):
@@ -365,6 +361,19 @@ class TestSeedIo:
         save_seeds(ss, path)
         again = load_seeds(path)
         assert list(again.indices) == [4, 0, 9]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"4\n\nx\n", "{}, line 3: invalid literal for int() with base 10: "
+         "'x'"),
+        (b"4\r\n 9 \r\n2.5\r\n", "{}, line 3: invalid literal for int() "
+         "with base 10: '2.5'"),
+        (b"4\n\xff\n", "{}: not UTF-8 text: invalid start byte at byte 2"),
+    ], ids=["letter", "fraction-crlf", "not-utf8"])
+    def test_bad_file_names_itself(self, tmp_path, data, message):
+        path = tmp_path / "seeds.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(message.format(path))):
+            load_seeds(path)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
