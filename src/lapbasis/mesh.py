@@ -295,6 +295,7 @@ def load_mesh(path):
         # shows, such as a binary PLY's format line, else this one
         text, bad = data[:exc.start].decode("utf-8"), (
             f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+    del data  # the parse reads only the text
     try:
         mesh = parse(text)
     except UnsupportedFeature as exc:
@@ -419,16 +420,23 @@ def _parse_off(text):
     block by one np.loadtxt call each (_off_blocks).  Any other layout
     (records split over lines or sharing one, blank lines among the
     vertices, quads, extra per-face values, numbers loadtxt refuses)
-    falls back to the token path: str.split over the text, the vertices
-    by one float array conversion, the faces one record at a time
-    (_walk_faces).  Both paths give the same arrays; errors are the token
-    path's."""
+    falls back to the token path (_off_tokens): str.split over the text,
+    the vertices by one float array conversion, the faces one record at
+    a time (_walk_faces).  Both paths give the same arrays; errors are
+    the token path's.  The line list and the tokens are freed before
+    TriangleMesh validates the arrays."""
     lines = _COMMENT.sub("", text).splitlines()
     nv, nf, h, rest = _off_counts(lines)
     blocks = None if rest else _off_blocks(lines, h, nv, nf)
-    if blocks is not None:
-        return TriangleMesh(*blocks)
-    tokens = rest + "\n".join(lines[h:]).split()
+    if blocks is None:
+        blocks = _off_tokens(rest + "\n".join(lines[h:]).split(), nv, nf)
+    del lines  # TriangleMesh validates the arrays alone
+    return TriangleMesh(*blocks)
+
+
+def _off_tokens(tokens, nv, nf):
+    """(vertices, triangles, warnings) of the tokens after an OFF file's
+    counts: _parse_off's token path."""
     warnings = []
     try:
         coords = tokens[:3 * nv]
@@ -443,7 +451,7 @@ def _parse_off(text):
                          "last face record") from None
     except ValueError as exc:
         raise ParseError(f"malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, tris, warnings)
+    return verts, tris, warnings
 
 
 def _parse_obj(text):

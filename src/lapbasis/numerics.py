@@ -19,9 +19,10 @@ inertia count (count_below).  eigsh sees the pencil in units of
 lambda-hat, so its operator's eigenvalues are O(1) at any mesh size; a
 lumped B runs in standard form on B^{-1/2} L B^{-1/2}, with no mass
 product inside eigsh, and a consistent B in generalized form.  The
-shift LU and the certificate's LUs are factor's with diagonal pivots, and
-the shift LU's ordering serves the certificate's as well.  Matrices are
-plain scipy sparse matrices.
+shift LU and the certificate's LUs are factor's with diagonal pivots, the
+shift LU's ordering serves the certificate's as well, and the shift LU is
+freed before the certificate factors.  Matrices are plain scipy sparse
+matrices.
 """
 
 import math
@@ -110,7 +111,14 @@ def factor(M, perm=None, diagonal=False):
     pre-permutes M for an LU in natural order (solve maps back); None
     orders by COLAMD.  diagonal=True takes every pivot from the diagonal:
     P M P^T = LDL^T with D = diag(U) for a symmetric M, and NotConverged
-    if SuperLU pivots off it.  False keeps its threshold pivoting."""
+    if SuperLU pivots off it.  False keeps its threshold pivoting.
+
+    The factor lives as long as anything pins it: lu itself, solve
+    (which also holds the CSC copy of M), and every view of lu's arrays
+    (lu.perm_c and lu.perm_r have lu as their base; a copy owns its
+    data).  Reading lu.L or lu.U builds CSC copies of both factors, which
+    lu keeps until it is freed.  A caller that needs one of the two
+    results takes it alone, so the other is freed on return."""
     spec = "COLAMD"
     if perm is not None:  # entry (i, j) moves to (perm[i], perm[j])
         M = M.tocoo()
@@ -358,8 +366,10 @@ def count_below(L, B, s, perm=None):
     """The number of eigenvalues of the symmetric pencil (L, B), B positive
     definite, below s: by Sylvester's law of inertia, the negative pivots
     D = diag(U) of factor(L - sB, perm, diagonal=True).  perm is as in
-    factor; the eigensolver passes its shift LU's perm_c."""
-    lu, _ = factor(L - s * B, perm, diagonal=True)
+    factor; the eigensolver passes an owned copy of its shift ordering.
+    Only the raw LU is kept, and reading its U copies L and U; all of it
+    is freed when the count returns."""
+    lu = factor(L - s * B, perm, diagonal=True)[0]
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
@@ -380,7 +390,8 @@ def smallest_eigenpairs(L, B, k, seed=0):
     lambda-hat.  Any other B runs in generalized form on (L / (lambda-hat
     b), B / b), b the mean of diag B: the same OP with the scalar root =
     sqrt(b).  Either way eigsh's variable is root x, and one sparse LU of
-    L - sigma B (factor: COLAMD, diagonal pivots) serves every solve.
+    L - sigma B (factor: COLAMD, diagonal pivots) serves every solve of
+    an eigsh call.
 
     Certificate: no eigenvalue below s is missed.  s lies CLUSTER_RTOL *
     lambda_k (> 0, as k > q) below the lowest value of lambda_k's cluster,
@@ -389,6 +400,15 @@ def smallest_eigenpairs(L, B, k, seed=0):
     cost a further eigsh call (at most CERTIFY_RETRIES); spurious ones
     raise NotConverged.  If k splits a degenerate cluster, the result
     holds some basis of its share of it.
+
+    One sparse factor is alive at a time.  The shift LU is pinned only
+    by the raw lu and by the opinv and OP that eigsh calls, never by
+    factor's refined solve, and the certificate gets an owned copy of
+    its perm_c.  All three go when eigsh returns, so count_below factors
+    L - sB into the memory the shift LU held, and its own LU is freed
+    when it returns.  A retry factors the shift matrix again by the same
+    call, with the same bits: one LU more per retry, which only exactly
+    symmetric meshes need.
 
     stats records the form ("standard", "generalized", or "dense" and
     "kernel" where eigsh does not run), the eigsh calls and OP applies,
@@ -410,24 +430,26 @@ def smallest_eigenpairs(L, B, k, seed=0):
         return EigenSystem(np.r_[np.zeros(q), vals], np.c_[kernel, X], L, B,
                            _stats("dense"))
 
-    # opinv uses the raw lu.solve: ARPACK's solves must not be refined.
-    # sigma sits next to ker L, so L - sigma B is positive definite and
-    # takes diagonal pivots, and count_below reuses its ordering
     lam = pencil_bound(Lm, Bm)
-    lu, _ = factor(Lm - SIGMA * lam * Bm, diagonal=True)
     d = Bm.diagonal()
     lumped = not (Bm - sp.diags(d)).count_nonzero()  # nothing off diag B
     b = d if lumped else d.mean(keepdims=True)
     root, M = np.sqrt(b), None if lumped else Bm / b[0]
-    stats = _stats("standard" if lumped else "generalized", lu.nnz)
+    stats = _stats("standard" if lumped else "generalized")
 
     rng = np.random.default_rng(seed)
     vals, X = np.zeros(q), kernel
     missing = k - q
     for _ in range(1 + CERTIFY_RETRIES):
+        # the raw LU alone, not factor's refined solve: ARPACK's solves
+        # must not be refined.  sigma sits next to ker L, so L - sigma B
+        # is positive definite and takes diagonal pivots
+        lu = factor(Lm - SIGMA * lam * Bm, diagonal=True)[0]
+        perm = lu.perm_c.copy()  # owned: a view of perm_c would pin lu
+        stats["lu_nnz"] = lu.nnz
         BX = Bm @ X
 
-        def opinv(r, X=X, BX=BX):
+        def opinv(r, X=X, BX=BX, lu=lu):
             stats["op_applies"] += 1
             w = root * r
             w -= BX @ (X.T @ w)
@@ -446,15 +468,17 @@ def smallest_eigenpairs(L, B, k, seed=0):
                                    tol=EIGSH_TOL)
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise NotConverged(f"eigsh failed: {exc}") from exc
+        del lu, opinv, OP  # the shift LU's last solve: free it for count_below
         found *= lam
         Xf /= root[:, None]  # in place: no second (n, k) array
         order = np.argsort(np.r_[vals, found], kind="stable")
         vals, X = np.r_[vals, found][order], np.c_[X, Xf][:, order]
+        del Xf
 
         margin = CLUSTER_RTOL * vals[k - 1]
         i = np.searchsorted(vals, vals[k - 1] - margin)
         s = max(vals[i] - margin, 0.5 * (vals[i - 1] + vals[i]) if i else -np.inf)
-        below = count_below(Lm, Bm, s, perm=lu.perm_c)
+        below = count_below(Lm, Bm, s, perm)
         stats.update(inertia_shift=float(s), inertia_count=below)
         missing = below - np.count_nonzero(vals < s)
         if missing == 0:
@@ -464,7 +488,7 @@ def smallest_eigenpairs(L, B, k, seed=0):
     raise NotConverged(f"{missing} eigenvalue(s) below {s:.6g} still missing")
 
 
-def _stats(form, lu_nnz=0):
+def _stats(form):
     """The EigenSystem.stats of a solve in form, before eigsh runs."""
     return {"form": form, "eigsh_calls": 0, "op_applies": 0,
-            "inertia_shift": None, "inertia_count": None, "lu_nnz": lu_nnz}
+            "inertia_shift": None, "inertia_count": None, "lu_nnz": 0}

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def patch_eigsh(monkeypatch, drops):
     return calls
 
 
+class Pinned:
+    """A weakref-able stand-in for a SuperLU object: every attribute read
+    goes to the LU it holds."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
 class TestEigenpairs:
     @pytest.mark.parametrize(
         "op_name, k",
@@ -382,23 +394,36 @@ class TestEigenpairs:
             assert smallest_eigenpairs(op3.L, op3.B, k).stats["form"] == form
 
     def test_shift_and_certificate_lus_are_factors(self, op3, monkeypatch):
-        # one diagonal-pivot factor with no ordering (the shift LU), then
-        # one in the shift's ordering per eigsh call (the certificate)
-        real, calls = numerics.factor, []
+        # a shift LU before each eigsh call, a certificate in its ordering
+        # after it, never both alive: each factor call finds every earlier
+        # factor freed, with a retry forced to cover the second shift LU
+        patch_eigsh(monkeypatch, drops=1)
+        real, calls, refs = numerics.factor, [], []
 
         def spy(M, perm=None, diagonal=False):
             lu, solve = real(M, perm, diagonal)
-            calls.append((perm, diagonal, lu))
-            return lu, solve
+            alive = [ref() is not None for ref in refs]
+            pinned = Pinned(lu)
+            refs.append(weakref.ref(pinned))
+            calls.append((perm, diagonal, lu.perm_c.copy(), lu.nnz, alive))
+
+            def refined(rhs, pinned=pinned):  # pins it as factor's solve does
+                return solve(rhs)
+
+            return pinned, refined
 
         monkeypatch.setattr(numerics, "factor", spy)
         eig = smallest_eigenpairs(op3.L, op3.B, 20)
-        (perm, diagonal, shift), *certificate = calls
-        assert perm is None and diagonal
-        assert eig.stats["lu_nnz"] == shift.nnz
-        assert len(certificate) == eig.stats["eigsh_calls"] >= 1
-        for perm, diagonal, _ in certificate:
-            assert diagonal and np.array_equal(perm, shift.perm_c)
+        assert len(calls) == 2 * eig.stats["eigsh_calls"] == 4
+        for shift, certificate in zip(calls[::2], calls[1::2]):
+            perm, diagonal, order, nnz, alive = shift
+            assert perm is None and diagonal and not any(alive)
+            assert eig.stats["lu_nnz"] == nnz
+            perm, diagonal, _, _, alive = certificate
+            assert diagonal and not any(alive)
+            # an owned copy: a view of perm_c would pin the shift LU
+            assert perm.flags.owndata and np.array_equal(perm, order)
+        assert not any(ref() for ref in refs)
 
     def test_k_out_of_range(self, op1):
         with pytest.raises(ValueError):
@@ -417,6 +442,30 @@ class TestCertificate:
         assert np.abs(eig.values - lam).max() <= 1e-8 * max(lam[-1], 1.0)
         G = eig.vectors.T @ B @ eig.vectors
         assert np.abs(G - np.eye(8)).max() <= 1e-8
+
+    def test_retry_keeps_one_lus_bits(self, op4, monkeypatch):
+        # a retry factors the shift matrix again; its values, vectors and
+        # stats are those of a solve that keeps its first shift LU
+        real, first = numerics.factor, []
+
+        def kept(M, perm=None, diagonal=False):
+            if perm is not None:
+                return real(M, perm, diagonal)
+            if not first:
+                first.append(real(M, perm, diagonal))
+            return first[0]
+
+        results = []
+        for factor_ in (real, kept):
+            monkeypatch.setattr(numerics, "factor", factor_)
+            calls = patch_eigsh(monkeypatch, drops=1)
+            results.append(smallest_eigenpairs(op4.L, op4.B, 20))
+            assert len(calls) == results[-1].stats["eigsh_calls"] >= 2
+            monkeypatch.undo()
+        again, kept_one = results
+        assert again.values.tobytes() == kept_one.values.tobytes()
+        assert again.vectors.tobytes() == kept_one.vectors.tobytes()
+        assert again.stats == kept_one.stats
 
     def test_persistent_loss_raises(self, op2, monkeypatch):
         patch_eigsh(monkeypatch, drops=np.inf)
