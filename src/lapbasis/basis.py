@@ -38,8 +38,10 @@ def _seed_indices(seeds, n):
     idx = np.asarray(list(seeds), dtype=int)
     if idx.ndim != 1 or len(idx) == 0:
         raise ValueError("seed set must be a nonempty 1-D index list")
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise IndexError("seed index out of range")
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= n:
+        raise IndexError(f"seed index {lo if lo < 0 else hi} out of range "
+                         f"for n={n}")
     if len(np.unique(idx)) != len(idx):
         raise DuplicateSeeds("seed indices must be distinct")
     return idx
@@ -340,6 +342,8 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
         pf = partial_fractions(filt, 5 if r is None else r)
         return ChebyshevKernel(op, pf, f"table r={pf.degree}")
     if eig is None:
+        if k < 1:
+            raise ValueError(f"k={k} out of range for n={op.n}")
         if k < op.n:
             warnings.warn("truncated route with k < n: approximation quality"
                           " cannot be estimated without the whole spectrum",

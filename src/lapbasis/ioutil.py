@@ -13,7 +13,6 @@ itself.
 
 import hashlib
 import os
-import tempfile
 
 import numpy as np
 
@@ -45,9 +44,12 @@ def atomic_write_text(path, text):
     data = text.encode() if isinstance(text, str) else text
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    # an exclusive new name beside path, created with mode 0o666, so the
+    # umask applies as it does to a plain open(path, "w")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -7,6 +7,7 @@ once by the constructor and shared read-only by every caller.
 
 import os
 import re
+import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -224,50 +225,45 @@ def validate(mesh):
     )
 
 
-def vertex_distances(mesh, source, metric="euclidean"):
-    """Distance from one source vertex to every vertex.
+def vertex_distances(mesh, source, metric="euclidean", limit=None):
+    """Distance from the nearest of the sources (one vertex index or a
+    sequence of them) to every vertex.
 
-    metric "euclidean" is the straight-line 3D distance; "graph_geodesic"
-    is the single-source shortest path over edges weighted by length.  On a
-    disconnected mesh geodesic distances to unreachable vertices are +inf
-    (kept in the output, reported as a warning).
+    metric "euclidean" is the straight-line 3D distance, exact everywhere:
+    per source the bits of np.linalg.norm(vertices - vertices[s], axis=1).
+    "graph_geodesic" is the shortest path over edges weighted by length,
+    one search from all the sources, directed on the symmetric adjacency
+    (so without the copy that directed=False makes).  It reads +inf beyond
+    limit and where no path reaches; only a search with no limit warns
+    that the mesh is disconnected.
     """
-    if not 0 <= source < mesh.n_vertices:
-        raise IndexError("source vertex out of range")
+    src = np.asarray(source).reshape(-1)
+    if src.dtype.kind not in "iu" or not src.size:
+        raise TypeError("source must be one vertex index or a nonempty "
+                        "sequence of them")
+    n, idx = mesh.n_vertices, src.tolist()
+    lo, hi = min(idx), max(idx)
+    if lo < 0 or hi >= n:
+        raise IndexError(f"source vertex {lo if lo < 0 else hi} out of "
+                         f"range for n={n}")
     if metric == "euclidean":
-        d = _euclidean_distances(mesh, source)
+        d = None
+        for s in idx:
+            e = mesh._xyz - mesh._xyz[:, s:s + 1]
+            e *= e
+            e = np.sqrt(e[0] + e[1] + e[2])
+            d = e if d is None else np.minimum(d, e, out=d)
     elif metric == "graph_geodesic":
-        d = _graph_distances(mesh, [source])
-        if np.any(np.isinf(d)):
-            import warnings
-
-            warnings.warn(
-                "mesh is disconnected; some geodesic distances are infinite",
-                stacklevel=2,
-            )
+        d = csgraph.dijkstra(mesh.adjacency(weighted=True), directed=True,
+                             indices=src, min_only=True,
+                             limit=np.inf if limit is None else limit)
+        if limit is None and np.isinf(d).any():
+            warnings.warn("mesh is disconnected; some geodesic distances "
+                          "are infinite", stacklevel=2)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    return ScalarField(d, tag=f"distance:{metric}:{source}")
-
-
-def _euclidean_distances(mesh, source):
-    """Straight-line distance from the source vertex to every vertex, on
-    the coordinate-major copy of the vertices: the bits of
-    np.linalg.norm(vertices - vertices[source], axis=1)."""
-    d = mesh._xyz - mesh._xyz[:, source:source + 1]
-    d *= d
-    return np.sqrt(d[0] + d[1] + d[2])
-
-
-def _graph_distances(mesh, sources, limit=np.inf):
-    """Length of the shortest edge path from the nearest of the sources to
-    every vertex; +inf where that exceeds limit, or no path exists.
-
-    The adjacency is stored symmetric, so the directed search finds the
-    undirected distances without the copy that directed=False makes.
-    """
-    return csgraph.dijkstra(mesh.adjacency(weighted=True), directed=True,
-                            indices=sources, min_only=True, limit=limit)
+    at = idx[0] if len(idx) == 1 else f"{len(idx)} sources"
+    return ScalarField(d, tag=f"distance:{metric}:{at}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text, decode_utf8
 from .laplacian import _mass_solve, assemble
-from .mesh import _euclidean_distances, _graph_distances, vertex_distances
+from .mesh import vertex_distances
 
 DEFAULT_TAU = 1e-3
 
@@ -72,12 +72,9 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
             op = assemble(mesh)
         start = int(np.argmax(field_values(curvature_field(mesh, op))))
     if not 0 <= start < n:
-        raise ValueError("start vertex out of range")
+        raise ValueError(f"start vertex {start} out of range for n={n}")
 
-    if metric == "graph_geodesic":
-        dist = field_values(vertex_distances(mesh, start, metric))
-    else:
-        dist = _euclidean_distances(mesh, start)
+    dist = field_values(vertex_distances(mesh, start, metric))
     chosen = [int(start)]
     taken = np.zeros(n, dtype=bool)
     taken[start] = True
@@ -86,11 +83,8 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         nxt = int(np.argmax(np.where(taken, -np.inf, dist)))
         chosen.append(nxt)
         taken[nxt] = True
-        if metric == "graph_geodesic":
-            d = _graph_distances(mesh, [nxt], limit=dist[nxt])
-        else:
-            d = _euclidean_distances(mesh, nxt)
-        dist = np.minimum(dist, d)
+        dist = np.minimum(dist, field_values(
+            vertex_distances(mesh, nxt, metric, limit=dist[nxt])))
     return SeedSet(chosen, method="fps", start=int(start), metric=metric)
 
 
@@ -201,9 +195,9 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
         sub = adj[uncovered][:, uncovered]
         ncomp, labels = csgraph.connected_components(sub, directed=True,
                                                      connection="strong")
-        d_cov = np.minimum(d_cov, _graph_distances(
-            mesh, np.flatnonzero(covered & ~was_covered),
-            limit=d_cov[uncovered].max()))
+        d_cov = np.minimum(d_cov, field_values(vertex_distances(
+            mesh, np.flatnonzero(covered & ~was_covered), "graph_geodesic",
+            limit=d_cov[uncovered].max())))
         reps = []
         for c in range(ncomp):
             verts = uncovered[labels == c]

@@ -1,5 +1,6 @@
 """Basis families: harmonic, Hamiltonian, eigen, filtered, diffusion, Green."""
 
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -129,8 +130,12 @@ class TestHarmonic:
             lb.harmonic_basis(op2, [1, 2, 1])
 
     def test_seed_out_of_range(self, op2):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=re.escape(
+                f"seed index {op2.n} out of range for n={op2.n}")):
             lb.harmonic_basis(op2, [0, op2.n])
+        with pytest.raises(IndexError, match=re.escape(
+                f"seed index -1 out of range for n={op2.n}")):
+            lb.harmonic_basis(op2, [-1, op2.n])
 
     @pytest.mark.parametrize("seeds", [[], [[1, 2]]], ids=["empty", "2-d"])
     def test_seed_list_not_a_nonempty_vector(self, op2, seeds):
@@ -972,7 +977,8 @@ class TestDiffusion:
         with pytest.raises(ValueError):
             lb.spectral_set(op2, FilterSpec.exponential(0.1), [0],
                             method="magic")
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=re.escape(
+                f"seed index {op2.n} out of range for n={op2.n}")):
             lb.spectral_set(op2, FilterSpec.exponential(0.1), [op2.n])
 
 
@@ -1007,6 +1013,14 @@ class TestFilterKernel:
     def test_unknown_method_rejected(self, op2):
         with pytest.raises(ValueError, match="magic"):
             lb.filter_kernel(op2, FilterSpec.exponential(0.1), "magic")
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected_before_the_warning(self, op2, k):
+        # the range error comes first; the suite turns a warning into an
+        # error, so a warning would fail this match
+        with pytest.raises(ValueError, match=re.escape(
+                f"k={k} out of range for n={op2.n}")):
+            lb.filter_kernel(op2, FilterSpec.mexican_hat(), "truncated", k=k)
 
     def test_truncation_warns_once_per_kernel(self, op2):
         with warnings.catch_warnings(record=True) as caught:

@@ -1241,6 +1241,16 @@ class TestErrors:
         assert rc == 1
         assert "k=0 out of range for n=162" in capsys.readouterr().err
 
+    def test_truncated_k_zero_reports_range_without_warning(
+            self, mesh_path, tmp_path, capsys):
+        rc = main(["basis", "spectral", "--filter", "poly:k=2", "--k", "0",
+                   "--method", "truncated", "--seeds", "0",
+                   "--mesh", mesh_path, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "k=0 out of range for n=162" in err
+        assert "truncated route" not in err
+
     def test_green_role_option_removed(self, mesh_path, tmp_path):
         # basis green is the harmonic Green kernel; filters go to spectral
         with pytest.raises(SystemExit):

@@ -1,9 +1,14 @@
-"""repr_csv against Python's repr, value by value."""
+"""Atomic writes, and repr_csv against Python's repr, value by value."""
+
+import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from lapbasis.ioutil import id_words, repr_csv
+import lapbasis as lb
+from lapbasis.ioutil import atomic_write_text, id_words, repr_csv
 
 
 def reprs(x):
@@ -97,3 +102,26 @@ def test_tables(shape, ids):
     if ids == "words":  # the id words built once, as a caller passes them
         ids = id_words(shape[1])
     assert repr_csv(X, ids=ids) == want
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    """The process umask set to the parameter for the test, then restored."""
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def test_atomic_write_honours_umask(tmp_path, umask):
+    # a new file and a replaced one both get a plain open's mode, and no
+    # temp file is left behind
+    path = tmp_path / "out.csv"
+    for text in ("a,b\n", b"c,d\n"):
+        digest = atomic_write_text(path, text)
+        data = text.encode() if isinstance(text, str) else text
+        assert path.read_bytes() == data
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    lb.save_off(lb.icosphere(0), tmp_path / "m.off")
+    assert stat.S_IMODE((tmp_path / "m.off").stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.off", "out.csv"]

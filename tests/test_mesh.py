@@ -1,6 +1,9 @@
 """Mesh loading, validation, distances, connectivity, and round-trips."""
 
+import ast
+import pathlib
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -741,8 +744,68 @@ class TestDistances:
             lb.vertex_distances(sphere1, 0, metric="manhattan")
 
     def test_bad_source(self, sphere1):
-        with pytest.raises(IndexError):
-            lb.vertex_distances(sphere1, 42)
+        for source, bad in ((42, 42), ([3, -1, 50], -1), ([3, 50], 50)):
+            with pytest.raises(IndexError, match=re.escape(
+                    f"source vertex {bad} out of range for n=42")):
+                lb.vertex_distances(sphere1, source)
+
+    @pytest.mark.parametrize("source", [[], 1.0, [0, 2.5]],
+                             ids=["empty", "float", "floats"])
+    def test_source_not_vertex_indices(self, sphere1, source):
+        with pytest.raises(TypeError, match="vertex index"):
+            lb.vertex_distances(sphere1, source)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "graph_geodesic"])
+    def test_several_sources_are_least_of_single(self, torus200, metric):
+        sources = [0, 77, 13, 150]
+        want = np.minimum.reduce([
+            lb.field_values(lb.vertex_distances(torus200, s, metric))
+            for s in sources])
+        got = lb.vertex_distances(torus200, np.array(sources), metric)
+        assert lb.field_values(got).tobytes() == want.tobytes()
+        assert got.tag == f"distance:{metric}:4 sources"
+        one = lb.vertex_distances(torus200, [77], metric)
+        assert one.tag == f"distance:{metric}:77"
+
+    @pytest.mark.parametrize("limit", [2.5, np.inf])
+    def test_bounded_search_is_inf_beyond_limit(self, two_spheres, limit):
+        with pytest.warns(UserWarning, match="disconnected"):
+            full = lb.field_values(
+                lb.vertex_distances(two_spheres, 0, "graph_geodesic"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = lb.field_values(lb.vertex_distances(
+                two_spheres, 0, "graph_geodesic", limit=limit))
+        n = two_spheres.n_vertices // 2
+        near = full <= limit
+        assert np.array_equal(d[near], full[near])
+        assert np.isinf(d[~near]).all() and np.isinf(d[n:]).all()
+        # a finite limit leaves out part of the source's own sphere
+        assert near[:n].all() == np.isinf(limit)
+
+    def test_limit_leaves_euclidean_exact(self, sphere2):
+        d = lb.vertex_distances(sphere2, 5, limit=0.1)
+        assert (lb.field_values(d).tobytes()
+                == lb.field_values(lb.vertex_distances(sphere2, 5)).tobytes())
+
+    def test_dijkstra_called_in_vertex_distances_only(self):
+        # vertex_distances is the one distance routine: farthest point
+        # sampling and the coverage search call it
+        src = pathlib.Path(lb.mesh.__file__).parent
+        users = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {}  # node -> name of the outermost def around it
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owner.setdefault(node, fn.name)
+            for node in ast.walk(tree):
+                if "dijkstra" in (getattr(node, "attr", None),
+                                  getattr(node, "id", None),
+                                  getattr(node, "name", None)):
+                    users.add((path.name, owner.get(node, "<module>")))
+        assert users == {("mesh.py", "vertex_distances")}
 
 
 class TestTopology:

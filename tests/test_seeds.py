@@ -170,6 +170,29 @@ class TestFps:
         with pytest.raises(ValueError):
             lb.farthest_point_sampling(sphere1, 43, start=0)
 
+    @pytest.mark.parametrize("start", [-1, 42])
+    def test_start_validated(self, sphere1, start):
+        with pytest.raises(ValueError, match=re.escape(
+                f"start vertex {start} out of range for n=42")):
+            lb.farthest_point_sampling(sphere1, 3, start=start)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "graph_geodesic"])
+    def test_one_search_per_seed(self, sphere2, metric, monkeypatch):
+        # one unbounded search from the start, then one bounded search from
+        # each new seed
+        calls = []
+        original = lb.seeds.vertex_distances
+
+        def counting(mesh, source, metric="euclidean", limit=None):
+            calls.append((source, limit))
+            return original(mesh, source, metric, limit)
+
+        monkeypatch.setattr(lb.seeds, "vertex_distances", counting)
+        seeds = lb.farthest_point_sampling(sphere2, 6, start=4, metric=metric)
+        assert [s for s, _ in calls] == seeds.indices
+        assert calls[0][1] is None
+        assert all(0 < limit < np.inf for _, limit in calls[1:])
+
 
 class TestSupport:
     def test_delta_support_is_seed(self):
@@ -257,21 +280,24 @@ class TestCoverage:
             mesh, lambda s: kern.apply(delta_field(n, s)), chosen)
         seeds = sum(rounds, [])
 
-        sources = []
-        original = lb.seeds._graph_distances
+        searches, sources = [], []
+        original = lb.seeds.vertex_distances
 
-        def counting(mesh, src, limit=np.inf):
-            sources.extend(src)
-            return original(mesh, src, limit)
+        def counting(mesh, source, *args, **kwargs):
+            searches.append(source)
+            sources.extend(np.atleast_1d(source).tolist())
+            return original(mesh, source, *args, **kwargs)
 
         monkeypatch.setattr(lb.seeds, "farthest_point_sampling",
                             lambda *args, **kwargs: fps)
-        monkeypatch.setattr(lb.seeds, "_graph_distances", counting)
+        monkeypatch.setattr(lb.seeds, "vertex_distances", counting)
         result = lb.coverage_loop(mesh, op, kern.apply, k0=k0, metric=metric)
         assert result.seeds.indices == seeds
         assert result.history == history
         assert len(history) > 2
-        # each vertex is a search source at most once
+        # one search per iteration but the last, and each vertex is a
+        # search source at most once
+        assert len(searches) == len(history) - 1
         assert len(sources) == len(set(sources)) <= n
 
     @pytest.mark.parametrize("route", ["cheb-exp", "lu"])
