@@ -35,9 +35,15 @@ GREEN_PIN = 0
 
 
 def _seed_indices(seeds, n):
-    idx = np.asarray(list(seeds), dtype=int)
+    seeds = list(seeds)
+    idx = np.asarray(seeds)
     if idx.ndim != 1 or len(idx) == 0:
         raise ValueError("seed set must be a nonempty 1-D index list")
+    # a float index would be truncated; True would read as vertex 1
+    if idx.dtype.kind not in "iu" or any(
+            isinstance(s, (bool, np.bool_)) for s in seeds):
+        raise TypeError("seed indices must be integers, not floats or "
+                        "booleans")
     lo, hi = idx.min(), idx.max()
     if lo < 0 or hi >= n:
         raise IndexError(f"seed index {lo if lo < 0 else hi} out of range "

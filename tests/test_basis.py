@@ -142,6 +142,28 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="nonempty 1-D index list"):
             lb.harmonic_basis(op2, seeds)
 
+    @pytest.mark.parametrize("seeds", [[2.7, 40.2], [True, 3],
+                                       np.array([2.7, 40.2]),
+                                       np.array([False, True])],
+                             ids=["float", "bool", "float-array",
+                                  "bool-array"])
+    @pytest.mark.parametrize("build", [
+        lb.harmonic_basis,
+        lb.green_basis,
+        lambda op, seeds: lb.spectral_set(op, FilterSpec.exponential(0.1),
+                                          seeds),
+    ], ids=["harmonic", "green", "spectral"])
+    def test_non_integer_seeds_rejected(self, op2, build, seeds):
+        # a float seed was once truncated and True read as vertex 1
+        with pytest.raises(TypeError, match="must be integers"):
+            build(op2, seeds)
+
+    @pytest.mark.parametrize("seeds", [[2, 40], np.array([2, 40]),
+                                       [np.int64(2), 40]],
+                             ids=["list", "array", "numpy-int"])
+    def test_integer_seeds_accepted(self, op2, seeds):
+        assert lb.harmonic_basis(op2, seeds).seeds == [2, 40]
+
     def test_all_rows_constrained(self, op3):
         # every seed row of every basis function carries its Lagrange value
         seeds = [10, 20, 30]

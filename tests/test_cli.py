@@ -237,7 +237,7 @@ class TestBasisCommand:
         # icosphere(2): 0, then 2 three times, then 6 five times, so k = 8
         # ends inside the 6-cluster and the count stops below it
         assert solver["inertia_count"] == 4
-        assert solver["lu_nnz"] > 0
+        assert solver["lu_nnz"] > 0 and solver["certificate_lu_nnz"] > 0
         assert ("max_rel_residual" in solver) == ("truncated" not in argv)
 
     def test_harmonic_with_seed_list(self, mesh_path, tmp_path):

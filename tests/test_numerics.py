@@ -374,29 +374,35 @@ class TestEigenpairs:
 
     def test_stats(self, op3, monkeypatch):
         # the certificate counts on the shift LU's ordering, and stats
-        # records its count and the work eigsh did
-        counts = []
+        # records its count, its LU's nnz and the work eigsh did
+        real, counts = numerics._inertia, []
 
-        def spy(L, B, s, perm=None):
-            counts.append((perm is not None, count_below(L, B, s, perm)))
+        def spy(L, B, s, perm):
+            counts.append((perm is not None, real(L, B, s, perm)))
             return counts[-1][1]
 
-        monkeypatch.setattr(numerics, "count_below", spy)
+        monkeypatch.setattr(numerics, "_inertia", spy)
         eig = smallest_eigenpairs(op3.L, op3.B, 20)
         assert counts and all(has_perm for has_perm, _ in counts)
         stats = eig.stats
-        assert stats["inertia_count"] == counts[-1][1]
+        assert (stats["inertia_count"], stats["certificate_lu_nnz"]) == (
+            counts[-1][1])
         assert np.count_nonzero(eig.values < stats["inertia_shift"]) == (
             stats["inertia_count"])
         assert stats["eigsh_calls"] == len(counts)
         assert stats["op_applies"] > 20 and stats["lu_nnz"] > op3.L.nnz
+        assert stats["certificate_lu_nnz"] > op3.L.nnz
         for k, form in ((1, "kernel"), (op3.n // 2 + 1, "dense")):
-            assert smallest_eigenpairs(op3.L, op3.B, k).stats["form"] == form
+            stats = smallest_eigenpairs(op3.L, op3.B, k).stats
+            assert stats["form"] == form
+            assert stats["lu_nnz"] == stats["certificate_lu_nnz"] == 0
 
     def test_shift_and_certificate_lus_are_factors(self, op3, monkeypatch):
-        # a shift LU before each eigsh call, a certificate in its ordering
-        # after it, never both alive: each factor call finds every earlier
-        # factor freed, with a retry forced to cover the second shift LU
+        # a shift LU before each eigsh call, a certificate after it, never
+        # both alive: each factor call finds every earlier factor freed,
+        # with a retry forced to cover the second shift LU.  Every LU
+        # takes the one nested-dissection ordering of the shift matrix,
+        # an owned array that pins no LU
         patch_eigsh(monkeypatch, drops=1)
         real, calls, refs = numerics.factor, [], []
 
@@ -405,7 +411,7 @@ class TestEigenpairs:
             alive = [ref() is not None for ref in refs]
             pinned = Pinned(lu)
             refs.append(weakref.ref(pinned))
-            calls.append((perm, diagonal, lu.perm_c.copy(), lu.nnz, alive))
+            calls.append((perm, diagonal, lu.nnz, alive))
 
             def refined(rhs, pinned=pinned):  # pins it as factor's solve does
                 return solve(rhs)
@@ -415,14 +421,16 @@ class TestEigenpairs:
         monkeypatch.setattr(numerics, "factor", spy)
         eig = smallest_eigenpairs(op3.L, op3.B, 20)
         assert len(calls) == 2 * eig.stats["eigsh_calls"] == 4
+        order = numerics.nested_dissection(shift_matrix(op3))
         for shift, certificate in zip(calls[::2], calls[1::2]):
-            perm, diagonal, order, nnz, alive = shift
-            assert perm is None and diagonal and not any(alive)
-            assert eig.stats["lu_nnz"] == nnz
-            perm, diagonal, _, _, alive = certificate
+            perm, diagonal, nnz, alive = shift
             assert diagonal and not any(alive)
-            # an owned copy: a view of perm_c would pin the shift LU
+            assert eig.stats["lu_nnz"] == nnz
+            assert perm is calls[0][0]  # one ordering per solve
             assert perm.flags.owndata and np.array_equal(perm, order)
+            perm, diagonal, nnz, alive = certificate
+            assert perm is calls[0][0] and diagonal and not any(alive)
+        assert eig.stats["certificate_lu_nnz"] == calls[-1][2]
         assert not any(ref() for ref in refs)
 
     def test_k_out_of_range(self, op1):
@@ -449,11 +457,11 @@ class TestCertificate:
         real, first = numerics.factor, []
 
         def kept(M, perm=None, diagonal=False):
-            if perm is not None:
+            if first and (M != first[0][0]).nnz:  # not the shift matrix
                 return real(M, perm, diagonal)
             if not first:
-                first.append(real(M, perm, diagonal))
-            return first[0]
+                first.append((M, real(M, perm, diagonal)))
+            return first[0][1]
 
         results = []
         for factor_ in (real, kept):
@@ -479,11 +487,147 @@ def shift_ordering(op):
     return factor(op.L - numerics.SIGMA * lam * op.B, diagonal=True)[0].perm_c
 
 
+def shift_matrix(op):
+    """L - sigma B, the eigensolver's shift matrix of op's pencil."""
+    return op.L - numerics.SIGMA * numerics.pencil_bound(op.L, op.B) * op.B
+
+
+def reference_dissection(A):
+    """nested_dissection's rule one part at a time, by recursion over
+    Python sets and a deque BFS: the loop form of its array code."""
+    from collections import deque
+    from scipy.sparse import csgraph
+
+    G = (abs(A) + abs(A.T)).tocsr()
+    n = G.shape[0]
+    nbrs = [set(G.indices[G.indptr[i]:G.indptr[i + 1]]) - {i}
+            for i in range(n)]
+
+    def bfs(a):
+        dist, queue, seen = {a: 0}, deque([a]), [a]
+        while queue:
+            v = queue.popleft()
+            for x in sorted(nbrs[v]):
+                if x not in dist:
+                    dist[x] = dist[v] + 1
+                    queue.append(x)
+                    seen.append(x)
+        return dist, seen
+
+    _, labels = csgraph.connected_components(G, connection="strong")
+    X, perm, start = {}, np.empty(n, dtype=int), 0
+
+    def dissect(verts, start):
+        if len(verts) <= 64:
+            perm[sorted(verts)] = np.arange(start, start + len(verts))
+            return
+        spans = [max(X[v][j] for v in verts) - min(X[v][j] for v in verts)
+                 for j in range(3)]
+        key = {v: X[v][spans.index(max(spans))] for v in verts}
+        keys = sorted(key.values())
+        med = keys[len(keys) // 2]
+        cut = med if keys[0] < med else med + 1  # no value is below med
+        assert keys[-1] >= cut, "a part with no spread"
+        left = [v for v in verts if key[v] < cut]
+        right = set(verts) - set(left)
+        sep = sorted(v for v in left if nbrs[v] & right)
+        inner = [v for v in left if v not in sep]
+        dissect(inner, start)
+        dissect(sorted(right), start + len(inner))
+        perm[sep] = np.arange(start + len(verts) - len(sep),
+                              start + len(verts))
+
+    for c in range(labels.max() + 1):
+        comp = list(np.flatnonzero(labels == c))
+        if len(comp) > 64:
+            dist, order = bfs(comp[0])
+            near = last = dist
+            fields = []
+            for _ in range(6):
+                top = max(near.values())
+                far = [v for v in order if near[v] == top]
+                top = max(last[v] for v in far)
+                far = [v for v in far if last[v] == top]
+                degree = [len(nbrs[v]) for v in far]
+                last = bfs(far[degree.index(min(degree))])[0]
+                near = ({v: min(near[v], last[v]) for v in order} if fields
+                        else last)
+                fields.append(last)
+            for v in comp:
+                X[v] = [fields[j][v] - fields[j + 1][v] for j in (0, 2, 4)]
+        dissect(comp, start)
+        start += len(comp)
+    return perm
+
+
+class TestNestedDissection:
+    @staticmethod
+    def star(leaves):
+        """A hub joined to each of leaves vertices: every leaf has the same
+        distance to every landmark but two, so a part can have no spread."""
+        hub = np.zeros(leaves, dtype=int)
+        tips = np.arange(1, leaves + 1)
+        return sp.csr_matrix((np.ones(2 * leaves), (np.r_[hub, tips],
+                                                    np.r_[tips, hub])))
+
+    @pytest.mark.parametrize("pattern", [
+        lambda ops: shift_matrix(ops["op3"]),
+        lambda ops: ops["two_spheres"].L,
+        lambda ops: lb.assemble(merge_meshes(lb.icosphere(3),
+                                             lb.torus(20, 10))).L,
+        lambda ops: sp.block_diag([ops["op3"].L, sp.csr_matrix((1, 1))]),
+        lambda ops: TestNestedDissection.star(200),
+        lambda ops: sp.csr_matrix(np.array([[2.0]])),
+        lambda ops: sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]])),
+        lambda ops: sp.csr_matrix((2, 2)),
+    ], ids=["sphere642", "two-spheres", "sphere-and-torus",
+            "isolated-vertex", "star", "n1", "n2", "n2-empty"])
+    def test_a_deterministic_permutation(self, op3, two_spheres, pattern):
+        A = pattern({"op3": op3, "two_spheres": lb.assemble(two_spheres)})
+        perm = numerics.nested_dissection(A)
+        assert perm.dtype.kind == "i"
+        assert np.array_equal(np.sort(perm), np.arange(A.shape[0]))
+        assert np.array_equal(numerics.nested_dissection(A), perm)
+        # the pattern of A + A^T, whatever triangle A stores
+        assert np.array_equal(numerics.nested_dissection(sp.triu(A)), perm)
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: lb.icosphere(3),
+        lambda: lb.torus(40, 12),
+        lambda: lb.grid(30, 30),
+        lambda: merge_meshes(lb.bumpy_sphere(3, seed=1), lb.icosphere(2)),
+    ], ids=["sphere642", "torus480", "grid900", "two-components"])
+    @pytest.mark.parametrize("mass", ["lumped", "consistent"])
+    def test_matches_the_recursive_rule(self, mesh, mass):
+        A = shift_matrix(lb.assemble(mesh(), mass_mode=mass))
+        assert np.array_equal(numerics.nested_dissection(A),
+                              reference_dissection(A))
+
+    def test_components_take_consecutive_places(self):
+        # each component is ordered on its own, in one block of places
+        op = lb.assemble(merge_meshes(lb.icosphere(3), lb.icosphere(2)))
+        perm = numerics.nested_dissection(op.L)
+        for places in (perm[:642], perm[642:]):
+            assert places.max() - places.min() == len(places) - 1
+
+    @pytest.mark.parametrize("mesh", [lambda: lb.icosphere(4),
+                                      lambda: lb.bumpy_sphere(4, seed=1)],
+                             ids=["icosphere4", "bumpy4"])
+    def test_fill_at_most_colamds(self, mesh):
+        M = shift_matrix(lb.assemble(mesh()))
+        colamd = factor(M, diagonal=True)[0].nnz
+        nested = factor(M, numerics.nested_dissection(M), diagonal=True)[0]
+        assert nested.nnz <= colamd
+
+
 class TestCountBelow:
     @pytest.mark.parametrize("mass", ["lumped", "consistent"])
     @pytest.mark.parametrize("mesh", [lambda: lb.icosphere(3),
-                                      lambda: lb.bumpy_sphere(3, seed=1)],
-                             ids=["icosphere3", "bumpy3"])
+                                      lambda: lb.bumpy_sphere(3, seed=1),
+                                      lambda: lb.torus(40, 12),
+                                      lambda: lb.grid(30, 30)],
+                             ids=["icosphere3", "bumpy3", "torus480",
+                                  "grid900"])
     def test_matches_dense_counts(self, mesh, mass):
         op = lb.assemble(mesh(), mass_mode=mass)
         lam = scipy.linalg.eigh(*dense_lb(op), eigvals_only=True)
@@ -492,11 +636,13 @@ class TestCountBelow:
         shifts = 0.5 * (lam[top] + lam[top + 1])
         shifts = np.r_[-1.0, shifts[::max(1, len(shifts) // 12)],
                        2.0 * lam[-1]]
-        perm = shift_ordering(op)
+        orders = [shift_ordering(op),
+                  numerics.nested_dissection(shift_matrix(op))]
         for s in shifts:
             want = np.count_nonzero(lam < s)
             assert count_below(op.L, op.B, s) == want, s
-            assert count_below(op.L, op.B, s, perm) == want, s
+            for perm in orders:
+                assert count_below(op.L, op.B, s, perm) == want, s
 
     def test_ordering_keeps_the_fill(self, op3, monkeypatch):
         # the pre-permuted matrix in its natural order has the fill of
