@@ -4,11 +4,12 @@ Assembles discrete Laplace-Beltrami operators, computes harmonic /
 Hamiltonian / eigen / filtered-spectral / diffusion / Green-kernel basis
 functions by truncated eigen-expansion or spectrum-free, and compares them
 through area, conformal, and kernel metrics.  Spectrum-free evaluation has
-two routes: cheb-exp sums the heat kernel as a Chebyshev expansion on a
-symmetric scheme with lumped mass, its degree fixed by a coefficient tail
-below rounding; any other filter is applied as partial fractions (a
-Caratheodory-Fejer table for the exponential) through one sparse LU and
-shifted solve per pole.
+two routes, one kernel class each, and filter_kernel picks one: the
+HeatKernel (cheb-exp, in lapbasis.basis) sums the heat kernel as a
+Chebyshev expansion on a symmetric scheme with lumped mass, its degree
+fixed by a coefficient tail below rounding; the ChebyshevKernel (lu)
+applies any other filter as partial fractions (a Caratheodory-Fejer table
+for the exponential) through one sparse LU and shifted solve per pole.
 """
 
 from .basis import (

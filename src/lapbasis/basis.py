@@ -2,16 +2,15 @@
 (truncated and spectrum-free; diffusion is the exponential filter), and
 harmonic Green-kernel columns.
 
-Two evaluation routes exist for a spectral operator K_phi.  The truncated
-route expands over k computed eigenpairs; the spectrum-free route needs no
-eigendecomposition.  For the heat kernel exp(-t B^{-1} L) on a symmetric
-scheme with lumped mass it sums a Chebyshev expansion of degree K, one
-SpMV per degree for a chunk of columns; otherwise it replaces phi
-by a rational partial fraction and evaluates K_phi f as alpha0 f plus a
-few shifted sparse solves (B + beta_j L) g_j = B f, one column at a time.
-Each route's apply takes a block of any width and owns its width: only
-cheb-exp splits a block, into chunks of at most numerics.APPLY_BLOCK
-columns.
+K_phi has one class per evaluation route, and filter_kernel picks one.
+TruncatedKernel expands over k computed eigenpairs.  The spectrum-free
+kernels need no eigendecomposition: HeatKernel sums the heat kernel
+exp(-t B^{-1} L) as a Chebyshev expansion of degree K on a symmetric
+scheme with lumped mass, one SpMV per degree for a chunk of at most
+numerics.APPLY_BLOCK columns; ChebyshevKernel replaces phi by a rational
+partial fraction and evaluates K_phi f as alpha0 f plus a few shifted
+sparse solves (B + beta_j L) g_j = B f, one column at a time.  Each
+apply takes a block of any width.
 """
 
 import math
@@ -29,6 +28,7 @@ from .errors import (
 )
 from .fields import BasisSet, ScalarField, field_values
 from .filters import evaluate, partial_fractions
+from .mesh import vertex_indices
 
 # vertex held at 0 by the harmonic Green solve, before the B-mean is removed
 GREEN_PIN = 0
@@ -36,18 +36,9 @@ GREEN_PIN = 0
 
 def _seed_indices(seeds, n):
     seeds = list(seeds)
-    idx = np.asarray(seeds)
-    if idx.ndim != 1 or len(idx) == 0:
+    if not seeds or np.ndim(seeds) != 1:
         raise ValueError("seed set must be a nonempty 1-D index list")
-    # a float index would be truncated; True would read as vertex 1
-    if idx.dtype.kind not in "iu" or any(
-            isinstance(s, (bool, np.bool_)) for s in seeds):
-        raise TypeError("seed indices must be integers, not floats or "
-                        "booleans")
-    lo, hi = idx.min(), idx.max()
-    if lo < 0 or hi >= n:
-        raise IndexError(f"seed index {lo if lo < 0 else hi} out of range "
-                         f"for n={n}")
+    idx = vertex_indices(seeds, n, "seed index")
     if len(np.unique(idx)) != len(idx):
         raise DuplicateSeeds("seed indices must be distinct")
     return idx
@@ -227,73 +218,61 @@ def _symmetric_lumped(op):
 
 
 class ChebyshevKernel:
-    """Spectrum-free evaluator of K_phi: a rational partial fraction
-    through shifted solves, or the exponential as a Chebyshev expansion.
-    Two routes, one per constructor argument:
-
-    - "lu" (pf): K_phi f ~ alpha0 f + sum Re(w_j g_j) over the poles beta
-      and weights w_j of pf.poles, with (B + beta L) g_j = B g_{j-1} and
-      g_0 = f: one chain per pole.  Each pole is factorised once, here
-      (numerics.shifted_factor), and reused by every apply; every solve
-      meets the residual numerics.SHIFTED_RTOL.  Any scheme and mass.
-    - "cheb-exp" (t): K_phi = exp(-t B^{-1} L) with no rational form, a
-      degree-K Chebyshev expansion in B^{-1/2} L B^{-1/2}
-      (numerics.cheb_exp), K fixed by its coefficient tail: K SpMVs per
-      vector or chunk of a block, no factorisation, no
-      table and no stored basis.  Needs a symmetric scheme and lumped
-      mass, or raises ValueError.
-
-    apply(f) takes a vector or an (n, m) block of any width.  cheb-exp
-    runs it in chunks of at most numerics.APPLY_BLOCK columns; lu solves a
-    block column by column: a SuperLU block solve rounded a column
-    differently with different neighbours.  So on both routes a column's
-    bits do not depend on the block it comes in.
-
-    route, degree (K on cheb-exp, else None) and error_bound (on
-    cheb-exp the coefficient tail, a B-norm bound per unit |f|_B; else
-    None) record what runs; stats is None, as no eigensolver runs; path
-    is "chebyshev <form> <route>", with form "deg=<K>" on cheb-exp.
-    filter_kernel builds one from a filter and names its form.
+    """K_phi through the rational partial fraction pf, on any scheme and
+    mass (route "lu"): K_phi f ~ alpha0 f + sum Re(w_j g_j) over the
+    poles beta and weights w_j of pf.poles, with (B + beta L) g_j =
+    B g_{j-1} and g_0 = f: one chain per pole.  Each pole is factorised
+    once, here (numerics.shifted_factor); every solve meets the residual
+    numerics.SHIFTED_RTOL.  apply(f) takes a vector or an (n, m) block,
+    solved column by column: a SuperLU block solve rounded a column
+    differently with different neighbours.  error_bound and stats are
+    None; path is "chebyshev <form> lu", form naming where pf came from.
     """
 
-    stats = None
+    route = "lu"
+    error_bound = stats = None
 
-    def __init__(self, op, pf=None, form="rational", t=None):
-        if (pf is None) == (t is None):
-            raise ValueError("give a partial fraction pf or a scale t")
-        self.op = op
-        self.pf = pf
-        self.degree = self.error_bound = None
-        if pf is None:
-            if not _symmetric_lumped(op):
-                raise ValueError("the Chebyshev exponential needs a symmetric"
-                                 " scheme with lumped mass")
-            self.route = "cheb-exp"
-            self.degree, self.error_bound, self._cheb = numerics.cheb_exp(
-                op.B, op.L, t)
-            form = f"deg={self.degree}"
-        else:
-            self.route = "lu"
-            self._factors = [numerics.shifted_factor(op.B, op.L, beta)
-                             for beta, _ in pf.poles]
+    def __init__(self, op, pf, form="rational"):
         self.path = f"chebyshev {form} {self.route}"
+        factors = [numerics.shifted_factor(op.B, op.L, beta)
+                   for beta, _ in pf.poles]
+
+        def rational(fv):
+            acc = pf.alpha0 * fv
+            for solve, (_, weights) in zip(factors, pf.poles):
+                g = fv
+                for w in weights:
+                    g = solve(op.B @ g)
+                    acc += (w * g).real
+            return acc
+
+        self._solve = lambda fv: _by_column(rational, fv)
 
     def apply(self, f):
         """K_phi f for a vector f, or for each column of an (n, m) block
-        f: one recurrence per chunk on cheb-exp, column by column on lu."""
-        fv = field_values(f)
-        if self.route == "cheb-exp":
-            return self._cheb(fv)
-        return _by_column(self._rational, fv)
+        f; a column's bits do not depend on its block."""
+        return self._solve(field_values(f))
 
-    def _rational(self, fv):
-        acc = self.pf.alpha0 * fv
-        for solve, (_, weights) in zip(self._factors, self.pf.poles):
-            g = fv
-            for w in weights:
-                g = solve(self.op.B @ g)
-                acc += (w * g).real
-        return acc
+
+class HeatKernel(ChebyshevKernel):
+    """exp(-t B^{-1} L) as a Chebyshev expansion of degree K in
+    B^{-1/2} L B^{-1/2} (numerics.cheb_exp; route "cheb-exp"): K SpMVs per
+    vector or chunk of at most numerics.APPLY_BLOCK columns, no
+    factorisation.  Needs a symmetric scheme and lumped mass, or raises
+    ValueError.  degree is K, error_bound the coefficient tail (a B-norm
+    bound per unit |f|_B), path "chebyshev deg=<K> cheb-exp".  It
+    inherits apply, so every spectrum-free apply runs through
+    ChebyshevKernel.apply."""
+
+    route = "cheb-exp"
+
+    def __init__(self, op, t):
+        if not _symmetric_lumped(op):
+            raise ValueError("the Chebyshev exponential needs a symmetric"
+                             " scheme with lumped mass")
+        self.degree, self.error_bound, self._solve = numerics.cheb_exp(
+            op.B, op.L, t)
+        self.path = f"chebyshev deg={self.degree} {self.route}"
 
 
 class TruncatedKernel:
@@ -322,20 +301,14 @@ class TruncatedKernel:
 def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
     """The evaluator of K_phi: the one place its route is chosen.
 
-    A ChebyshevKernel when method is "chebyshev" and the filter has a
-    rational form.  The operator picks the exp route: on a symmetric
-    scheme with lumped mass the kernel sums a Chebyshev expansion of exp
-    (route cheb-exp); consistent mass and mean_value use the degree-r
-    table (r = 5 when None).  A rational filter takes its exact partial
-    fractions.  Else a TruncatedKernel over eig, or over k eigenpairs
-    computed here, which warns for k < n.  r is read only by the table
-    and k only by the truncated route.  Both kernels have apply(f), f a
-    vector or an (n, m) block, error_bound (None but on cheb-exp), stats
-    (the eigensolver's, None but on the truncated route) and path:
-    "chebyshev deg=60 cheb-exp", "chebyshev table r=5 lu",
-    "chebyshev exact-rational lu", "truncated k=100", ...  The table
-    runs on a lumped operator when built directly:
-    ChebyshevKernel(op, partial_fractions(filt, r)).
+    With method "chebyshev" and a filter of rational form: a rational
+    filter takes its exact partial fractions (ChebyshevKernel,
+    "exact-rational"); exp on a symmetric scheme with lumped mass is a
+    HeatKernel; exp on any other operator takes the degree-r table
+    (ChebyshevKernel, "table r=<r>", r = 5 when None).  Else a
+    TruncatedKernel over eig, or over k eigenpairs computed here, which
+    warns for k < n.  r is read only by the table and k only by the
+    truncated route.
     """
     if method not in ("chebyshev", "truncated"):
         raise ValueError(f"unknown spectral method {method!r}")
@@ -344,7 +317,7 @@ def filter_kernel(op, filt, method="chebyshev", r=None, k=100, eig=None):
             return ChebyshevKernel(op, partial_fractions(filt),
                                    "exact-rational")
         if _symmetric_lumped(op):
-            return ChebyshevKernel(op, t=filt.t)
+            return HeatKernel(op, filt.t)
         pf = partial_fractions(filt, 5 if r is None else r)
         return ChebyshevKernel(op, pf, f"table r={pf.degree}")
     if eig is None:

@@ -225,9 +225,31 @@ def validate(mesh):
     )
 
 
+def vertex_indices(source, n, what):
+    """source, one vertex index or a sequence of them, as a 1-D integer
+    array.  A float, a bool or an empty source raises TypeError (a float
+    would be truncated, True read as vertex 1); an index outside [0, n)
+    raises IndexError naming it "<what> <i>".  n None checks the type."""
+    idx = np.asarray(source).reshape(-1)
+    # np.asarray([True, 3]) is an integer array; the dtype of an ndarray
+    # or a scalar is enough, so only a sequence is scanned for bools
+    if idx.dtype.kind not in "iu" or not idx.size or (
+            not isinstance(source, (np.ndarray, int, np.integer))
+            and any(isinstance(i, (bool, np.bool_))
+                    for i in np.asarray(source, object).flat)):
+        raise TypeError("vertex indices must be integers, not floats or "
+                        "booleans: one vertex index or a nonempty sequence")
+    if n is not None:
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= n:
+            raise IndexError(f"{what} {lo if lo < 0 else hi} out of range "
+                             f"for n={n}")
+    return idx
+
+
 def vertex_distances(mesh, source, metric="euclidean", limit=None):
     """Distance from the nearest of the sources (one vertex index or a
-    sequence of them) to every vertex.
+    sequence of them, checked by vertex_indices) to every vertex.
 
     metric "euclidean" is the straight-line 3D distance, exact everywhere:
     per source the bits of np.linalg.norm(vertices - vertices[s], axis=1).
@@ -237,18 +259,10 @@ def vertex_distances(mesh, source, metric="euclidean", limit=None):
     limit and where no path reaches; only a search with no limit warns
     that the mesh is disconnected.
     """
-    src = np.asarray(source).reshape(-1)
-    if src.dtype.kind not in "iu" or not src.size:
-        raise TypeError("source must be one vertex index or a nonempty "
-                        "sequence of them")
-    n, idx = mesh.n_vertices, src.tolist()
-    lo, hi = min(idx), max(idx)
-    if lo < 0 or hi >= n:
-        raise IndexError(f"source vertex {lo if lo < 0 else hi} out of "
-                         f"range for n={n}")
+    src = vertex_indices(source, mesh.n_vertices, "source vertex")
     if metric == "euclidean":
         d = None
-        for s in idx:
+        for s in src.tolist():
             e = mesh._xyz - mesh._xyz[:, s:s + 1]
             e *= e
             e = np.sqrt(e[0] + e[1] + e[2])
@@ -262,7 +276,7 @@ def vertex_distances(mesh, source, metric="euclidean", limit=None):
                           "are infinite", stacklevel=2)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    at = idx[0] if len(idx) == 1 else f"{len(idx)} sources"
+    at = src[0] if len(src) == 1 else f"{len(src)} sources"
     return ScalarField(d, tag=f"distance:{metric}:{at}")
 
 

@@ -11,7 +11,7 @@ from .errors import NoProgress, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text, decode_utf8
 from .laplacian import _mass_solve, assemble
-from .mesh import vertex_distances
+from .mesh import vertex_distances, vertex_indices
 
 DEFAULT_TAU = 1e-3
 
@@ -28,7 +28,9 @@ class SeedSet:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        idx = [int(i) for i in self.indices]
+        # empty is allowed here: the kernels reject an empty seed set
+        idx = list(self.indices)
+        idx = vertex_indices(idx, None, "seed index").tolist() if idx else []
         if len(set(idx)) != len(idx):
             raise ValueError("seed indices must be distinct")
         self.indices = idx
@@ -71,11 +73,10 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         if op is None:
             op = assemble(mesh)
         start = int(np.argmax(field_values(curvature_field(mesh, op))))
-    if not 0 <= start < n:
-        raise ValueError(f"start vertex {start} out of range for n={n}")
+    (start,) = vertex_indices(start, n, "start vertex").tolist()
 
     dist = field_values(vertex_distances(mesh, start, metric))
-    chosen = [int(start)]
+    chosen = [start]
     taken = np.zeros(n, dtype=bool)
     taken[start] = True
     while len(chosen) < k:
@@ -85,7 +86,7 @@ def farthest_point_sampling(mesh, k, start=None, metric="euclidean", op=None):
         taken[nxt] = True
         dist = np.minimum(dist, field_values(
             vertex_distances(mesh, nxt, metric, limit=dist[nxt])))
-    return SeedSet(chosen, method="fps", start=int(start), metric=metric)
+    return SeedSet(chosen, method="fps", start=start, metric=metric)
 
 
 def _check_tau(tau):

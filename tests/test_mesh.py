@@ -749,8 +749,10 @@ class TestDistances:
                     f"source vertex {bad} out of range for n=42")):
                 lb.vertex_distances(sphere1, source)
 
-    @pytest.mark.parametrize("source", [[], 1.0, [0, 2.5]],
-                             ids=["empty", "float", "floats"])
+    @pytest.mark.parametrize("source", [[], 1.0, [0, 2.5], [True, 3],
+                                        np.array([True]), True],
+                             ids=["empty", "float", "floats", "bool-in-list",
+                                  "bool-array", "bool"])
     def test_source_not_vertex_indices(self, sphere1, source):
         with pytest.raises(TypeError, match="vertex index"):
             lb.vertex_distances(sphere1, source)

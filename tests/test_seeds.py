@@ -172,7 +172,7 @@ class TestFps:
 
     @pytest.mark.parametrize("start", [-1, 42])
     def test_start_validated(self, sphere1, start):
-        with pytest.raises(ValueError, match=re.escape(
+        with pytest.raises(IndexError, match=re.escape(
                 f"start vertex {start} out of range for n=42")):
             lb.farthest_point_sampling(sphere1, 3, start=start)
 
@@ -406,3 +406,15 @@ class TestSeedIo:
             lb.SeedSet(
                 indices=[1, 1], method="manual", start=1, metric="euclidean"
             )
+
+    @pytest.mark.parametrize("indices", [[2.7, 3], [True, 3]],
+                             ids=["float", "bool"])
+    def test_non_integer_indices_rejected(self, indices):
+        # int(i) once read 2.7 as vertex 2 and True as vertex 1
+        with pytest.raises(TypeError, match="must be integers"):
+            lb.SeedSet(indices)
+
+    def test_numpy_integers_accepted(self):
+        ss = lb.SeedSet([np.int64(4), 0])
+        assert ss.indices == [4, 0]
+        assert all(type(i) is int for i in ss.indices)
