@@ -90,5 +90,9 @@ class ZeroField(LapBasisError):
     """Support of the all-zero field is undefined."""
 
 
+class NonFiniteField(LapBasisError):
+    """Support of a field holding NaN or infinity is undefined."""
+
+
 class NoProgress(LapBasisError):
     """Coverage generator produced a field not covering its own seed."""

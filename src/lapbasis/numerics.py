@@ -11,7 +11,9 @@ with lumped B, the heat kernel exp(-t B^{-1} L) f is a Chebyshev
 expansion in B^{-1/2} L B^{-1/2} on [0, lambda-hat] (cheb_exp,
 scaled_operator, pencil_bound): Bessel coefficients from Miller's
 recurrence (bessel_coefficients), a degree fixed in advance by their
-tail, one SpMV per degree for a vector or a chunk of columns, and a
+tail, one SpMV per degree for a vector or a chunk of columns, run by
+scipy's private _sparsetools kernels into buffers the recurrence owns
+(nothing is allocated per degree, and every bit is A2 @ T_k's), and a
 B-norm contraction check on each column of the result.  The smallest
 generalized eigenpairs of a stiffness/mass pencil come from scipy's
 eigsh in shift-invert mode (or dense eigh), certified complete by an
@@ -28,12 +30,13 @@ Matrices are plain scipy sparse matrices.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
-from scipy.sparse import csgraph
+from scipy.sparse import _sparsetools, csgraph
 
 from .errors import (
     FactorizationFailed,
@@ -374,20 +377,38 @@ def bessel_coefficients(z, tol):
 
 
 def _chebyshev_sum(A2, c, v):
-    """sum_k c_k T_k(A2 / 2) v for a C-contiguous vector or (n, w) chunk
-    v, whose buffer it reuses: cheb_exp's recurrence, T_{k+1} = A2 T_k -
-    T_{k-1}."""
-    prev = v
-    acc = c[0] * prev
+    """sum_k c_k T_k(A2 / 2) v for a C-contiguous float vector or (n, w)
+    chunk v, whose buffer it reuses: cheb_exp's recurrence, T_{k+1} = A2
+    T_k - T_{k-1}.
+
+    It allocates nothing per degree: three buffers of v's size rotate
+    beside acc, holding T_{k-1} (v's buffer at first), T_k and nothing.
+    T_{k+1} goes into the free one, zeroed, as Y += A2 T_k by scipy's
+    csr_matvec (csr_matvecs for a chunk of two or more columns), the
+    kernel and the start that A2 @ T_k runs, so every bit is kept; c_k
+    T_{k+1} then goes into the buffer T_{k-1} leaves free.  The kernels
+    take the buffers flat, so v must be C-contiguous for its flat view to
+    share its buffer."""
+    assert v.flags.c_contiguous and v.dtype == A2.dtype, "v: C float64"
+    n, w = A2.shape[0], v.size // A2.shape[0]
+    x = v.reshape(-1)
+    args = (A2.indptr, A2.indices, A2.data)
+    # product(x, y) is y += A2 x; as in scipy, an (n, 1) block is a vector
+    product = (partial(_sparsetools.csr_matvec, n, n, *args) if w == 1 else
+               partial(_sparsetools.csr_matvecs, n, n, w, *args))
+    acc = c[0] * x
     if len(c) > 1:
-        cur = 0.5 * (A2 @ prev)
-        acc += c[1] * cur
+        prev, cur, nxt = x, np.zeros_like(x), np.empty_like(x)
+        product(prev, cur)
+        cur *= 0.5
+        acc += np.multiply(cur, c[1], out=nxt)
         for ck in c[2:]:
-            nxt = A2 @ cur  # the one allocation per degree
+            nxt.fill(0.0)
+            product(cur, nxt)
             nxt -= prev
             acc += np.multiply(nxt, ck, out=prev)  # prev is free here
-            prev, cur = cur, nxt
-    return acc
+            prev, cur, nxt = cur, nxt, prev
+    return acc.reshape(v.shape)
 
 
 def cheb_exp(B, L, t):
@@ -405,12 +426,13 @@ def cheb_exp(B, L, t):
     A_2 T_k - T_{k-1} on A_2 = (4 / lambda-hat) A - 2I, built once, costs
     one SpMV, one subtraction and one axpy per degree (_chebyshev_sum).
     A block runs in the np.array_split chunks of at most APPLY_BLOCK
-    columns: one A_2 @ T_k (scipy's csr_matvecs) serves a chunk, and
-    sums each row in csr_matvec's order, so a column has the bits of a
-    one-column apply.  A chunk narrower than MIN_BLOCK runs column by
-    column.  c_k T_k goes into the buffer T_{k-1} leaves free, so a
-    degree allocates only the product; a recurrence holds about five
-    n-vectors per column.  The degree K is
+    columns: one product A_2 T_k (scipy's csr_matvecs) serves a chunk,
+    and sums each row in csr_matvec's order, so a column has the bits of
+    a one-column apply.  A chunk narrower than MIN_BLOCK runs column by
+    column.  The recurrence allocates nothing per degree: it rotates
+    three buffers of the chunk's size beside the sum, the scaled input
+    among them, so an apply holds four n-vectors per column besides f
+    and g.  The degree K is
     the smallest whose tail, bound = sum_{k > K} |c_k|, is at most
     eps sqrt(min B / max B): a B-norm error bound per unit |f|_B, so a
     unit column e_s has a pointwise truncation error of at most eps.  K

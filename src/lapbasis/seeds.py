@@ -4,10 +4,11 @@ coverage loop that grows a basis set until supports cover the mesh."""
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .basis import _unit_columns
-from .errors import NoProgress, ZeroField
+from .errors import NoProgress, NonFiniteField, ZeroField
 from .fields import BasisSet, ScalarField, field_values
 from .ioutil import atomic_write_text, decode_utf8
 from .laplacian import _mass_solve, assemble
@@ -95,10 +96,18 @@ def _check_tau(tau):
 
 
 def support(f, tau=DEFAULT_TAU):
-    """Vertices where |f| exceeds tau times the peak magnitude."""
+    """Vertices where |f| exceeds tau times the peak magnitude.
+
+    ZeroField for the zero field; NonFiniteField, naming the first
+    vertex and its value, for a field that holds NaN or infinity."""
     _check_tau(tau)
-    fv = np.abs(field_values(f))
-    peak = fv.max()
+    values = field_values(f)
+    fv = np.abs(values)
+    peak = fv.max()  # NaN if any entry is NaN, else inf if any is infinite
+    if not np.isfinite(peak):
+        i = int(np.argmax(~np.isfinite(fv)))
+        raise NonFiniteField("support of a non-finite field is undefined: "
+                             f"{values[i]} at vertex {i}")
     if peak == 0.0:
         raise ZeroField("support of the zero field is undefined")
     return np.flatnonzero(fv > tau * peak)
@@ -139,11 +148,21 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     repeatedly: find uncovered vertices, split them into connected
     components over mesh edges, and seed each component at its vertex
     farthest (graph distance) from the covered set, ties to the lowest
-    index.  The adjacency is stored symmetric, so the strong components
-    of the uncovered subgraph are its components, found without the
-    transpose an undirected search builds.  Seeds are never reselected.
-    Each new seed must cover at least its own vertex, which guarantees
-    termination in at most n iterations.
+    index.  Seeds are never reselected.  Each new seed must cover at
+    least its own vertex, which guarantees termination in at most n
+    iterations.
+
+    The components come from one all-vertex graph kept in place, not from
+    a subgraph built each iteration: the adjacency's ones and row pointers
+    with a private copy of its column indices, in which the row of each
+    newly covered vertex is rewritten as self loops.  A covered vertex
+    then reaches no other, so it is a strong component alone and no
+    directed path between uncovered vertices passes through it; the
+    edges among uncovered vertices are stored both ways, so their strong
+    components are the components of the uncovered subgraph.  One
+    strong connected_components call per iteration (it builds no
+    transpose, as an undirected search does) labels them, and two
+    scatters per iteration pick each component's farthest vertex.
 
     The distance to the covered set is kept across iterations: each
     iteration searches only from the vertices it newly covered, stops at
@@ -173,10 +192,20 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
     history = []
     curve = []
     adj = mesh.adjacency()
+    indptr, degree = adj.indptr, np.diff(adj.indptr)
+    # the uncovered graph, kept in place: adj's ones and indptr, and its
+    # own column indices, where each entry of a covered vertex's row is a
+    # self loop
+    graph = sp.csr_matrix((adj.data, adj.indices.copy(), indptr),
+                          shape=adj.shape)
     for _ in range(n):
         was_covered = covered.copy()
         for s, f in zip(pending, apply(_unit_columns(n, pending)).T.copy()):
-            sup = support(f, tau)
+            try:
+                sup = support(f, tau)
+            except NonFiniteField as exc:
+                raise NonFiniteField(
+                    f"generator field at seed {s}: {exc}") from None
             if s not in sup:
                 raise NoProgress(
                     f"generator field at seed {s} does not cover its own "
@@ -192,18 +221,24 @@ def coverage_loop(mesh, op, generator, k0=10, tau=DEFAULT_TAU,
             seeds = SeedSet(seed_list, method="coverage", start=fps.start,
                             metric=metric)
             return CoverageResult(seeds, basis, history, tau, curve)
+        new = np.flatnonzero(covered & ~was_covered)
+        counts = degree[new]
+        slots = (np.repeat(indptr[new] - np.cumsum(counts) + counts, counts)
+                 + np.arange(counts.sum()))  # the entries of the new rows
+        graph.indices[slots] = np.repeat(new, counts)
+        _, labels = csgraph.connected_components(graph, directed=True,
+                                                 connection="strong")
         uncovered = np.flatnonzero(~covered)
-        sub = adj[uncovered][:, uncovered]
-        ncomp, labels = csgraph.connected_components(sub, directed=True,
-                                                     connection="strong")
         d_cov = np.minimum(d_cov, field_values(vertex_distances(
-            mesh, np.flatnonzero(covered & ~was_covered), "graph_geodesic",
-            limit=d_cov[uncovered].max())))
-        reps = []
-        for c in range(ncomp):
-            verts = uncovered[labels == c]
-            reps.append(int(verts[np.argmax(d_cov[verts])]))
-        pending = sorted(reps)
+            mesh, new, "graph_geodesic", limit=d_cov[uncovered].max())))
+        # each component's farthest vertex, ties to the lowest index
+        labels, far = labels[uncovered], d_cov[uncovered]
+        best = np.full(n, -np.inf)
+        np.maximum.at(best, labels, far)
+        tied = far == best[labels]
+        reps = np.full(n, n)
+        np.minimum.at(reps, labels[tied], uncovered[tied])
+        pending = np.sort(reps[reps < n]).tolist()
         seed_list.extend(pending)
     raise NoProgress("coverage loop failed to terminate")
 

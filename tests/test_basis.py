@@ -699,7 +699,7 @@ class TestLanczosExp:
     def test_memory_is_a_few_vectors(self, bumpy5):
         # n = 10242, t = 0.1, K = 170: the kernel keeps A_2 and K + 1
         # coefficients (13.6 n-vectors measured), and an apply holds a
-        # few n-vectors at a time (5.0 measured)
+        # few n-vectors at a time (4.0 measured)
         _, op = bumpy5
         vector = 8 * op.n
         tracemalloc.start()
@@ -801,8 +801,8 @@ class TestLanczosExp:
 
     def test_spectral_set_memory_is_the_fields_and_a_block(self, bumpy5):
         # n = 10242, 64 seeds: the 64 fields, the kernel (about 14
-        # n-vectors) and one block apply (about 5 n-vectors per column)
-        # peak together at 157.8 n-vectors measured; holding the (n, m)
+        # n-vectors) and one block apply (4 n-vectors per column) peak
+        # together at 141.8 n-vectors measured; holding the (n, m)
         # result as well would pass the bound
         mesh, op = bumpy5
         seeds = list(lb.farthest_point_sampling(mesh, 64, op=op))

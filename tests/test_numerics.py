@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.special import ive
 
 import lapbasis as lb
@@ -242,6 +243,74 @@ class TestBesselCoefficients:
     def test_degree_cap_raises(self):
         with pytest.raises(NotConverged, match="MAX_DEGREE"):
             numerics.bessel_coefficients(1e12, self.TOL)
+
+
+def chebyshev_sum_by_products(A2, c, v):
+    """The heat recurrence with one A2 @ T_k product per degree, as it ran
+    before _chebyshev_sum owned its buffers: the oracle for its bits."""
+    prev = v
+    acc = c[0] * prev
+    if len(c) > 1:
+        cur = 0.5 * (A2 @ prev)
+        acc += c[1] * cur
+        for ck in c[2:]:
+            nxt = A2 @ cur
+            nxt -= prev
+            acc += np.multiply(nxt, ck, out=prev)
+            prev, cur = cur, nxt
+    return acc
+
+
+class TestChebyshevSum:
+    """_chebyshev_sum adds A2 T_k into a zeroed buffer with scipy's
+    private _sparsetools kernels instead of allocating A2 @ T_k."""
+
+    @staticmethod
+    def operator(op):
+        A, _ = numerics.scaled_operator(op.L, op.B)
+        lam = numerics.pencil_bound(op.L, op.B)
+        return (4.0 / lam) * A - 2.0 * sp.identity(op.n, format="csr")
+
+    def test_sparsetools_kernels_give_the_bits_of_a_product(self, op3):
+        A2 = self.operator(op3)
+        n = op3.n
+        rng = np.random.default_rng(11)
+        x, X = rng.standard_normal(n), rng.standard_normal((n, 5))
+        y, Y = np.zeros(n), np.zeros((n, 5))
+        args = (A2.indptr, A2.indices, A2.data)
+        _sparsetools.csr_matvec(n, n, *args, x, y)
+        _sparsetools.csr_matvecs(n, n, 5, *args, X.ravel(), Y.ravel())
+        assert np.array_equal(y, A2 @ x)
+        assert np.array_equal(Y, A2 @ X)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 16])
+    @pytest.mark.parametrize("K", [0, 1, 2, 30])
+    def test_chunk_keeps_the_bits(self, op3, width, K):
+        # the (n, 1) chunk takes the vector kernel, as A2 @ v does
+        A2 = self.operator(op3)
+        rng = np.random.default_rng(K)
+        c = rng.standard_normal(K + 1)
+        v = rng.standard_normal((op3.n, width))
+        want = chebyshev_sum_by_products(A2, c, v.copy())
+        assert np.array_equal(numerics._chebyshev_sum(A2, c, v), want)
+
+    @pytest.mark.parametrize("t, K", [(1e-20, 0), (1e-12, 1), (1e-8, 2),
+                                      (1.0, 129)])
+    @pytest.mark.parametrize("width", [None, 1, 2, 3, 16, "16 Fortran"])
+    def test_heat_apply_keeps_the_bits(self, op3, monkeypatch, t, K, width):
+        # widths 1 and 2 run as vectors, 3 and 16 as one chunk; a
+        # Fortran-ordered block is copied to C order by cheb_exp
+        degree, _, solve = numerics.cheb_exp(op3.B, op3.L, t)
+        assert degree == K
+        rng = np.random.default_rng(K)
+        f = (rng.standard_normal(op3.n) if width is None else
+             rng.standard_normal((op3.n, int(str(width).split()[0]))))
+        if width == "16 Fortran":
+            f = np.asfortranarray(f)
+        g = solve(f)
+        monkeypatch.setattr(numerics, "_chebyshev_sum",
+                            chebyshev_sum_by_products)
+        assert np.array_equal(g, solve(f))
 
 
 def patch_eigsh(monkeypatch, drops):

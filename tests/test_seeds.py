@@ -8,11 +8,16 @@ from scipy.sparse import csgraph
 
 import lapbasis as lb
 from lapbasis.basis import ChebyshevKernel
-from lapbasis.errors import NoProgress, SingularSystem, ZeroField
+from lapbasis.errors import (
+    NoProgress,
+    NonFiniteField,
+    SingularSystem,
+    ZeroField,
+)
 from lapbasis.filters import FilterSpec
 from lapbasis.seeds import load_seeds, save_seeds
 
-from conftest import SHAPE_MESHES
+from conftest import SHAPE_MESHES, merge_meshes
 
 
 def delta_field(n, i):
@@ -212,6 +217,15 @@ class TestSupport:
         with pytest.raises(ZeroField):
             lb.support(lb.ScalarField(np.zeros(5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        # the peak is NaN or inf; an empty support once came back
+        for f, i in ((np.array([bad, 1.0]), 0),
+                     (np.array([1.0, 0.5, bad, 2.0, bad]), 2)):
+            with pytest.raises(NonFiniteField,
+                               match=f"{bad} at vertex {i}$"):
+                lb.support(f, 0.1)
+
     def test_tau_bounds(self):
         f = delta_field(5, 0)
         for tau in (0.0, 1.0, -0.5, 2.0):
@@ -252,6 +266,53 @@ class TestCoverage:
         with pytest.raises(NoProgress):
             lb.coverage_loop(sphere0, op, lambda E: np.roll(E, 1, axis=0),
                              k0=1, start=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_field_named(self, sphere2, op2, bad):
+        heat = lb.filter_kernel(op2, FilterSpec.exponential(0.002))
+
+        def generator(E):
+            G = heat.apply(E)
+            G[0] = bad
+            return G
+
+        with pytest.raises(NonFiniteField, match=(
+                f"generator field at seed 5: .* {bad} at vertex 0$")):
+            lb.coverage_loop(sphere2, op2, generator, k0=3, start=5)
+
+    @pytest.mark.parametrize("case", ["two spheres", "torus"])
+    def test_components_match_the_uncovered_subgraph(self, case):
+        # the uncovered graph, kept in place, gives the components of the
+        # subgraph: on two disjoint spheres, the unseeded one at distance
+        # inf from the covered set, and on a torus whose uncovered vertices
+        # fall into up to 8 components
+        if case == "two spheres":
+            sphere = lb.icosphere(2)
+            mesh, t, k0, start = merge_meshes(sphere, sphere), 0.01, 1, 0
+        else:
+            mesh, t, k0, start = lb.torus(40, 12), 2e-3, 5, None
+        op = lb.assemble(mesh)
+        n = mesh.n_vertices
+        adj = mesh.adjacency()
+        before = [a.copy() for a in (adj.data, adj.indices, adj.indptr)]
+        kern = lb.filter_kernel(op, FilterSpec.exponential(t))
+        result = lb.coverage_loop(mesh, op, kern.apply, k0=k0, start=start)
+        rounds, fields, history, curve = reference_coverage(
+            mesh, lambda s: kern.apply(delta_field(n, s)),
+            result.seeds.indices[:k0])
+        assert result.seeds.indices == sum(rounds, [])
+        assert result.history == history and result.curve == curve
+        for f, ref in zip(result.basis, fields):
+            assert np.array_equal(f, ref)
+        if case == "two spheres":
+            # the first sphere's farthest vertex, and the second's lowest:
+            # d_cov is inf on all of it
+            assert rounds[1] == [3, 162]
+        else:
+            assert max(len(pending) for pending in rounds[1:]) == 8
+        assert mesh.adjacency() is adj
+        for a, b in zip(before, (adj.data, adj.indices, adj.indptr)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("metric", ["euclidean", "graph_geodesic"])
     @pytest.mark.parametrize("k0", [1, 5])

@@ -27,3 +27,18 @@ def test_eigen_memory_prints_one_record_per_level(capsys):
     assert record["lu_nnz"] == record["certificate_lu_nnz"] > 162
     assert record["peak_mb"] >= 0.0
     assert record["eigensolve_s"] > 0.0 and record["ordering_s"] > 0.0
+
+
+def test_coverage_profile_prints_one_record_per_level(capsys):
+    # level 2 only: one fresh interpreter, n = 162, one loop
+    assert load("coverage_profile").main(["2", "--repeats", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    record = json.loads(line)
+    assert set(record) == {"level", "n", "iterations", "seeds", "loop_s",
+                           "apply_s", "distance_s"}
+    assert (record["level"], record["n"]) == (2, 162)
+    # k0 = 20 farthest points, then at least one refining iteration
+    assert record["seeds"] > 20 and record["iterations"] > 1
+    # both wrapped calls ran inside the loop (times rounded to 1e-4 s)
+    assert record["apply_s"] > 0.0 and record["distance_s"] > 0.0
+    assert record["apply_s"] + record["distance_s"] <= record["loop_s"] + 2e-4
