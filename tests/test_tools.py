@@ -30,8 +30,8 @@ def test_eigen_memory_prints_one_record_per_level(capsys):
 
 
 def test_coverage_profile_prints_one_record_per_level(capsys):
-    # level 2 only: one fresh interpreter, n = 162, one loop
-    assert load("coverage_profile").main(["2", "--repeats", "1"]) == 0
+    # level 2 only: one fresh interpreter, n = 162
+    assert load("coverage_profile").main(["2"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     record = json.loads(line)
     assert set(record) == {"level", "n", "iterations", "seeds", "loop_s",

@@ -1,13 +1,13 @@
 """Time of the coverage loop on bumpy_sphere meshes, and where it goes.
 
-Usage: python tools/coverage_profile.py [LEVEL ...] [--repeats R]
+Usage: python tools/coverage_profile.py [LEVEL ...]
 Default: levels 4 5 6 (n = 2562, 10242, 40962), on bumpy_sphere(level,
 seed=1), with the arguments of perfbench's coverage-small-t workload:
 the heat kernel at t = 0.001, k0 = 20 and graph_geodesic distances.
 
 Each level runs in a fresh interpreter (sys.executable) with one BLAS
 thread, importing lapbasis from this checkout's src/.  It builds the
-kernel once, then runs coverage_loop R times (default 3) and prints one
+kernel once, then runs coverage_loop REPEATS = 3 times and prints one
 JSON line for the run with the median loop time: the level, n, the
 iteration and seed counts, loop_s, the wall time of coverage_loop,
 apply_s, the time spent in the generator (the kernel apply, wrapped
@@ -28,12 +28,13 @@ SEED = 1
 T = 0.001
 K0 = 20
 METRIC = "graph_geodesic"
+REPEATS = 3
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                "MKL_NUM_THREADS")}
 
 
-def measure(level, repeats):
+def measure(level):
     """The JSON record of one level, in this process."""
     import time
 
@@ -58,7 +59,7 @@ def measure(level, repeats):
     seeds.vertex_distances = timed("distance_s", seeds.vertex_distances)
     generator = timed("apply_s", heat.apply)
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         spent.update(apply_s=0.0, distance_s=0.0)
         t = time.perf_counter()
         result = seeds.coverage_loop(mesh, op, generator, k0=K0,
@@ -73,22 +74,18 @@ def measure(level, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("levels", type=int, nargs="*", default=[4, 5, 6])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)  # measure here, one level
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if args.child:
-        print(json.dumps(measure(args.levels[0], args.repeats)))
+        print(json.dumps(measure(args.levels[0])))
         return 0
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": path}
     for level in args.levels:
         out = subprocess.run(
-            [sys.executable, __file__, "--child", str(level),
-             "--repeats", str(args.repeats)], env=env,
+            [sys.executable, __file__, "--child", str(level)], env=env,
             check=True, capture_output=True, text=True)
         print(out.stdout.strip(), flush=True)
     return 0
